@@ -6,7 +6,9 @@ output file written to disk gets a sidecar manifest <out>.manifest.json
 (timestamp, parameter echo, version, warnings) and embeds or references
 the manifest name; "-" writes the report to standard output and skips
 the sidecar. Exit status is 0 exactly when every requested verification
-passed.
+passed; otherwise it is 1 (a verification failed or a search was
+exhausted), 2 (bad input) or 3 (an internal error: a failed exactness
+assertion, a runtime error, or running out of memory).
 """
 
 from __future__ import annotations
@@ -374,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_INTERNAL_ERROR = 3
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -381,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,14 +1,33 @@
 """Distribution of triple products of same-degree irreducibles in the
-units of F_q[t]/(g).
+residue classes of F_q[t]/(g).
 
 For a squarefree modulus g and the set I_d of monic irreducibles of
-degree d (minus any that divide g), every unordered 3-subset is reduced
-to its product class mod g. If the classes were perfectly uniform each
-unit would receive C(N, 3) / phi(g) triples; the report normalizes the
-observed deviations by q^{(3d - deg g)/2}, the square-root scale the
-count fluctuations are expected to live at. The normalized ratios are a
-regression tripwire (they should stay small and shrink as d grows), not
-a sharp constant.
+degree d, every unordered 3-subset is reduced to its product class mod
+g. If the classes were perfectly uniform each unit would receive
+C(N, 3) / phi(g) triples; the report normalizes the observed deviations
+by q^{(3d - deg g)/2}, the square-root scale the count fluctuations are
+expected to live at. The normalized ratios are a regression tripwire
+(they should stay small and shrink as d grows), not a sharp constant.
+
+Counting works in exponent coordinates. The units of F_q[t]/(g) are
+isomorphic to the product of the cyclic groups Z/(q^deg(pi) - 1) over
+the irreducible factors pi of g, with one discrete log per factor.
+Reduction mod pi is F_q-linear on coefficient vectors, so one matrix
+product mod q and one log-table gather per factor give the coordinates
+of every residue at once; a residue divisible by pi has no log there and
+is a non-unit. Let h be the histogram of the pool's unit members in
+these coordinates and h_2, h_3 the histograms of their doubles and
+triples. The unordered triples of distinct members per unit class are
+
+    (h * h * h - 3 h_2 * h + 2 h_3) / 6,
+
+a convolution over the group, computed exactly in int64 by adding one
+shifted copy per occupied pool position. A pool member is a non-unit
+exactly when it is one of the degree-d factors of g, so at most
+deg g / d members are; the few triples that contain one are multiplied
+out directly and land on non-unit classes. The cost is
+O(N phi(g) + q^{deg g}) for a pool of N, against O(N^3) products for
+the triples one by one.
 """
 
 from __future__ import annotations
@@ -28,10 +47,7 @@ from .ffpoly import (
     poly_mod,
     poly_mul,
 )
-from .unitgroup import euler_phi_poly
-
-# moduli up to this many residue classes get a dense numpy multiplication table
-_TABLE_LIMIT = 4096
+from .unitgroup import dlog_table, euler_phi_poly, factor_squarefree_poly, find_generator
 
 
 def _validate_modulus(g: Poly) -> None:
@@ -45,30 +61,62 @@ def _validate_modulus(g: Poly) -> None:
         raise ValueError("modulus must be squarefree")
 
 
+def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
+    """The unit group's shape (q^deg(pi) - 1 per irreducible factor pi,
+    in factor_squarefree_poly order) and an array C of shape
+    (q^deg g, factors) with C[code(x)] the discrete logs of x mod each
+    factor, -1 where the factor divides x."""
+    qv = g.q.q
+    codes = np.arange(qv**g.degree, dtype=np.int64)
+    digits = np.stack([(codes // qv**j) % qv for j in range(g.degree)], axis=1)
+    shape = []
+    columns = []
+    for pi in factor_squarefree_poly(g):
+        # row j of the reduction map holds the coefficients of t^j mod pi
+        red = np.zeros((g.degree, pi.degree), dtype=np.int64)
+        for j in range(g.degree):
+            for i, c in enumerate(poly_mod(Poly(g.q, (0,) * j + (1,)), pi).coeffs):
+                red[j, i] = c
+        residues = digits @ red % qv @ (qv ** np.arange(pi.degree, dtype=np.int64))
+        columns.append(dlog_table(find_generator(pi))[residues])
+        shape.append(qv**pi.degree - 1)
+    return tuple(shape), np.stack(columns, axis=1)
+
+
 def unit_codes(g: Poly) -> list[int]:
     """Codes of the residues coprime to g, ascending."""
-    q = g.q
-    size = q.q ** g.degree
-    out = []
-    for u in range(size):
-        f = Poly.from_code(q, u)
-        if poly_gcd(f, g).degree == 0:
-            out.append(u)
-    return out
+    _, coords = _exponent_coordinates(g)
+    return np.flatnonzero((coords >= 0).all(axis=1)).tolist()
 
 
-def _mul_table(g: Poly) -> np.ndarray:
-    """size x size table of residue-product codes mod g."""
-    q = g.q
-    size = q.q ** g.degree
-    table = np.empty((size, size), dtype=np.int64)
-    polys = [Poly.from_code(q, u) for u in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            c = poly_mod(poly_mul(polys[i], polys[j]), g).code
-            table[i, j] = c
-            table[j, i] = c
-    return table
+def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Unordered triples of distinct rows of points (exponent tuples in
+    the product of Z/shape[i]) per sum class, as an array of that shape."""
+    n = len(points)
+    # every intermediate is at most |h*h*h| + |3 h_2*h| <= 4 n^3
+    if 4 * n**3 >= 2**63:
+        raise AssertionError(f"pool of {n} overflows int64 triple counts")
+    size = math.prod(shape)
+    mods = np.array(shape, dtype=np.int64)
+
+    def hist(k: int) -> np.ndarray:
+        flat = np.ravel_multi_index(tuple((k * points % mods).T), shape)
+        return np.bincount(flat, minlength=size).reshape(shape)
+
+    h = hist(1)
+    axes = tuple(range(len(shape)))
+    occupied = [(tuple(int(c) for c in p), int(h[tuple(p)])) for p in np.argwhere(h)]
+
+    def convolve_h(a: np.ndarray) -> np.ndarray:
+        out = np.zeros(shape, dtype=np.int64)
+        for shift, weight in occupied:
+            out += weight * np.roll(a, shift, axis=axes)
+        return out
+
+    six = convolve_h(convolve_h(h) - 3 * hist(2)) + 2 * hist(3)
+    if (six % 6).any():
+        raise AssertionError("ordered triple counts not divisible by 6")
+    return six // 6
 
 
 @dataclass(frozen=True)
@@ -99,27 +147,22 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly, cap: int = 1000) -> Tripl
         raise ValueError(f"pool of {len(pool)} irreducibles exceeds cap {cap}")
     n = len(pool)
     res = [poly_mod(f, g) for f in pool]
-    size = q.q ** g.degree
-    unit_set = set(unit_codes(g))
-    if size <= _TABLE_LIMIT and n >= 3:
-        table = _mul_table(g)
-        codes = np.array([r.code for r in res], dtype=np.int64)
-        acc = np.zeros(size, dtype=np.int64)
-        for i in range(n - 2):
-            for j in range(i + 1, n - 1):
-                pij = table[codes[i], codes[j]]
-                acc += np.bincount(table[pij, codes[j + 1 :]], minlength=size)
-        counts = {u: int(acc[u]) for u in range(size) if acc[u] or u in unit_set}
-    else:
-        counts = {u: 0 for u in sorted(unit_set)}
-        for i in range(n - 2):
-            for j in range(i + 1, n - 1):
-                pij = poly_mod(poly_mul(res[i], res[j]), g)
-                for l in range(j + 1, n):
-                    c = poly_mod(poly_mul(pij, res[l]), g).code
-                    counts[c] = counts.get(c, 0) + 1
-        counts = dict(sorted(counts.items()))
-    return TripleCountReport(q=q, d=d, g=g, pool_size=n, counts=counts)
+    shape, coords = _exponent_coordinates(g)
+    units = np.flatnonzero((coords >= 0).all(axis=1))
+    member = coords[[r.code for r in res]]
+    is_unit = (member >= 0).all(axis=1)
+    per_class = _distinct_triples(member[is_unit], shape)
+    counts = dict(zip(units.tolist(), per_class[tuple(coords[units].T)].tolist()))
+    # each triple holding a non-unit member, counted at its first such member
+    nonunits = np.flatnonzero(~is_unit).tolist()
+    for k, z in enumerate(nonunits):
+        rest = [res[i] for i in range(n) if i != z and i not in nonunits[:k]]
+        for a in range(len(rest) - 1):
+            za = poly_mod(poly_mul(res[z], rest[a]), g)
+            for b in range(a + 1, len(rest)):
+                c = poly_mod(poly_mul(za, rest[b]), g).code
+                counts[c] = counts.get(c, 0) + 1
+    return TripleCountReport(q=q, d=d, g=g, pool_size=n, counts=dict(sorted(counts.items())))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sidonbasis.cli import main
+from sidonbasis import cli
+from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,31 @@ def test_equidist_rejects_bad_modulus(capsys):
     assert main(["equidist", "--q", "3", "--d", "3", "--g", "t^2", "--out", "-"]) == 2
     assert main(["equidist", "--q", "3", "--d", "8", "--g", "1+t^2", "--cap", "5", "--out", "-"]) == 2
     capsys.readouterr()
+
+
+def _raise_runtime(args):
+    raise RuntimeError("orbit did not close")
+
+
+def _raise_assertion(args):
+    raise AssertionError("ordered triple counts not divisible by 6")
+
+
+def _raise_memory(args):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize(
+    "raiser, name",
+    [(_raise_runtime, "RuntimeError"), (_raise_assertion, "AssertionError"), (_raise_memory, "MemoryError")],
+)
+def test_internal_error_exit_code(monkeypatch, capsys, raiser, name):
+    monkeypatch.setattr(cli, "cmd_equidist", raiser)
+    rc = main(["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", "-"])
+    assert rc == EXIT_INTERNAL_ERROR
+    assert EXIT_INTERNAL_ERROR not in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and "Traceback" not in err
 
 
 def test_decompose_report(workdir, tmp_path):

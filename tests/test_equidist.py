@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import sidonbasis.equidist as equidist_mod
 from sidonbasis.equidist import (
     deviation_csv_rows,
     deviation_report,
@@ -18,14 +17,18 @@ from sidonbasis.ffpoly import (
     Poly,
     PrimeModulus,
     enumerate_irreducibles,
+    poly_gcd,
     poly_mod,
     poly_mul,
 )
 from sidonbasis.unitgroup import euler_phi_poly
 
 Q3 = PrimeModulus(3)
+Q5 = PrimeModulus(5)
+Q7 = PrimeModulus(7)
 G_QUAD = Poly(Q3, (1, 0, 1))
 G_CUBIC = Poly(Q3, (0, 2, 0, 1))  # t(t+1)(t+2), squarefree product
+G_MIXED = Poly(Q3, (0, 1, 1, 1, 1))  # t(t+1)(t^2+1), factors of degree 1, 1, 2
 
 
 def brute_histogram(q, d, g):
@@ -94,11 +97,47 @@ def test_histogram_order_independent():
     assert counts == {c: n for c, n in triple_histogram(Q3, 3, G_QUAD).counts.items() if n}
 
 
-def test_pure_python_path_matches_table_path(monkeypatch):
-    fast = triple_histogram(Q3, 3, G_CUBIC)
-    monkeypatch.setattr(equidist_mod, "_TABLE_LIMIT", 0)
-    slow = triple_histogram(Q3, 3, G_CUBIC)
-    assert fast.counts == slow.counts
+def gcd_units(g):
+    return [u for u in range(g.q.q**g.degree) if poly_gcd(Poly.from_code(g.q, u), g).degree == 0]
+
+
+def brute_counts(q, d, g):
+    """The full counts dict by brute force: every unit class zero-filled,
+    plus the non-unit classes that are hit."""
+    return {u: 0 for u in gcd_units(g)} | brute_histogram(q, d, g)
+
+
+def test_histogram_matches_brute_force_large_modulus():
+    # 3^8 = 6561 residue classes, one irreducible factor of degree 8
+    g = Poly(Q3, (2, 0, 1, 0, 0, 0, 0, 0, 1))  # 2+t^2+t^8
+    rep = triple_histogram(Q3, 3, g)
+    assert sum(rep.counts.values()) == 56
+    assert rep.counts == brute_counts(Q3, 3, g)
+    assert list(rep.counts) == sorted(rep.counts)
+
+
+def test_unit_codes_match_gcd_scan():
+    for g in (G_QUAD, G_CUBIC, G_MIXED, Poly(Q5, (1, 0, 0, 0, 1)), Poly(Q7, (0, 1, 0, 1))):
+        assert unit_codes(g) == gcd_units(g), g
+
+
+@pytest.mark.parametrize(
+    "q, d, g, nonunit_members",
+    [
+        # t(t+1)(t^2+1): factors of degrees 1, 1, 2, coordinates in Z/2 x Z/2 x Z/8
+        (Q3, 2, G_MIXED, 1),
+        (Q3, 3, G_MIXED, 0),
+        (Q3, 4, G_MIXED, 0),
+        # 1+t^4 = (t^2+2)(t^2+3) over F_5, both in the pool of quadratics
+        (Q5, 2, Poly(Q5, (1, 0, 0, 0, 1)), 2),
+        # t(t^2+1) over F_7
+        (Q7, 2, Poly(Q7, (0, 1, 0, 1)), 1),
+    ],
+    ids=["mixed-d2", "mixed-d3", "mixed-d4", "two-factors-q5", "q7"],
+)
+def test_histogram_full_counts_match_brute_force(q, d, g, nonunit_members):
+    assert sum(poly_mod(g, f).is_zero() for f in enumerate_irreducibles(q, d)) == nonunit_members
+    assert triple_histogram(q, d, g).counts == brute_counts(q, d, g)
 
 
 def test_deviation_report_quadratic_d3():
