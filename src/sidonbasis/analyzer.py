@@ -1,28 +1,42 @@
 """Verification surface over built sequences.
 
-verify_sidon hashes all pairwise sums and reports colliding pairs.
-attribute_collision explains a collision digit by digit: it recovers the
-four entries, reconstructs the mixed-radix digits of the equal sums,
-compares each digit against the additive laws the construction imposes
-(odd positions add discrete logs mod their radix, even positions add the
-two auxiliary digits plus a possible carry), checks the product
-congruence modulo the shared moduli, and names the first precondition
-margin that does not hold at the configured parameters.
+verify_sidon reports colliding pairwise sums. attribute_collision
+explains a collision digit by digit: it recovers the four entries,
+reconstructs the mixed-radix digits of the equal sums, compares each
+digit against the additive laws the construction imposes (odd positions
+add discrete logs mod their radix, even positions add the two auxiliary
+digits plus a possible carry), checks the product congruence modulo the
+shared moduli, and names the first precondition margin that does not
+hold at the configured parameters.
 
 decompose peels a large integer into the same digit shape (driven by the
 auxiliary y-table), find_representations enumerates exact three-element
 sums, and monte_carlo_coverage measures how often a window of integers
 stays representable when the random digits are redrawn.
+
+verify_sidon and monte_carlo_coverage share one pair-sum engine, exact
+without Python sets of pair sums. Each value v gets the coarse key
+v >> S, with S the least shift that keeps every sum of two (Sidon) or
+three (coverage) keys below 2^62 in magnitude, so keys and their sums
+fit int64. Shifting floors, so keys keep the order of the values, the
+keys of two equal pair sums differ by at most 1, and a triple summing
+into [lo, hi] has its key sum in [(lo >> S) - 2, hi >> S] (S = 0 makes
+the keys exact and both slacks 0). Numpy forms the key sums of all
+N(N+1)/2 pairs; verify_sidon sorts them and keeps the pairs with a
+neighbour at most 1 away, coverage finds the admissible third elements
+with searchsorted over the sorted keys. Every candidate the keys admit
+is then re-checked with Python integers, so no answer rests on a key.
+Time is O(N^2 log N), spent in numpy; memory is about three int64 arrays
+of N(N+1)/2 entries.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .auxset import YTable
+from .auxset import YTable, _bits_of, _shift_sumset
 from .builder import (
     ModuliTable,
     Params,
@@ -32,10 +46,15 @@ from .builder import (
     build_sequence,
     decode_entry,
     mixed_radix,
-    _digit_hash,
+    _draw_digits,
+    _pack,
 )
 from .ffpoly import Poly, poly_mod, poly_mul
-from .gbase import DigitVector, decode, encode, fmod
+from .gbase import DigitVector, decode, fmod
+
+# after the package modules, so that numpy first loads through ffpoly:
+# loading it ahead of them leaves the resident set about 0.3 MB larger
+import numpy as np  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -53,22 +72,58 @@ class CollisionWitness:
             raise ValueError("witness pairs coincide")
 
 
+def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
+    """(S, keys) with keys[i] = vals[i] >> S and S the least shift that
+    keeps every sum of `mult` keys below 2^62 in magnitude."""
+    top = max((abs(v) for v in vals), default=0)
+    shift = max(0, (mult * top).bit_length() - 62)
+    return shift, np.array([v >> shift for v in vals], dtype=np.int64)
+
+
+def _pair_key_sums(keys: np.ndarray) -> np.ndarray:
+    """keys[i] + keys[j] for every i <= j in walk order (j outer, i
+    inner), so pair (i, j) sits at position j (j + 1) / 2 + i."""
+    n = len(keys)
+    out = np.empty(n * (n + 1) // 2, dtype=np.int64)
+    start = 0
+    for j in range(n):
+        np.add(keys[: j + 1], keys[j], out=out[start : start + j + 1])
+        start += j + 1
+    return out
+
+
+def _pairs_at(pos: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """(i, j) of the pairs at walk positions pos, as two lists."""
+    starts = np.arange(n, dtype=np.int64) * np.arange(1, n + 1) // 2
+    j = np.searchsorted(starts, pos, side="right") - 1
+    return (pos - starts[j]).tolist(), j.tolist()
+
+
 def verify_sidon(values) -> list[CollisionWitness]:
     """Empty iff all pairwise sums (i <= j) are distinct. Each collision is
-    reported against the first pair holding that sum."""
+    reported against the first pair holding that sum in the walk j = 0,
+    1, ..., i = 0..j, and the witnesses come in the order of that walk."""
     vals = list(values)
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
-    seen: dict[int, tuple[int, int]] = {}
-    out: list[CollisionWitness] = []
-    for j, b in enumerate(vals):
-        for i in range(j + 1):
-            s = vals[i] + b
-            prior = seen.get(s)
-            if prior is None:
-                seen[s] = (vals[i], b)
-            elif prior != (vals[i], b):
-                out.append(CollisionWitness(prior[0], prior[1], vals[i], b))
+    shift, keys = _coarse_keys(vals, 2)
+    sums = _pair_key_sums(keys)
+    # the candidates are re-walked in walk order below, so any sort will do
+    order = np.argsort(sums)
+    sums = sums[order]
+    # a difference past int64 wraps negative and only adds candidates
+    near = np.diff(sums) <= (1 if shift else 0)
+    del sums
+    chained = np.zeros(len(order), dtype=bool)
+    chained[:-1] = near
+    chained[1:] |= near
+    first: dict[int, tuple[int, int]] = {}
+    out = []
+    for i, j in zip(*_pairs_at(np.sort(order[chained]), len(vals))):
+        pair = (vals[i], vals[j])
+        prior = first.setdefault(pair[0] + pair[1], pair)
+        if prior != pair:
+            out.append(CollisionWitness(*prior, *pair))
     return out
 
 
@@ -147,12 +202,7 @@ def attribute_collision(seq: SidonSequence, w: CollisionWitness) -> CollisionAud
     top_k = max(e1.k, e3.k)
     digits = decode(base, total, 2 * top_k + 3).digits
     a_members = set(params.aux.A)
-    pair_sums = 0
-    bits_a = 0
-    for x in params.aux.A:
-        bits_a |= 1 << x
-    for x in params.aux.A:
-        pair_sums |= bits_a << x
+    pair_sums = _shift_sumset(_bits_of(params.aux.A), params.aux.A)
     pair_sums |= pair_sums << 1
 
     rows = []
@@ -348,55 +398,42 @@ def _trial_seed(seed: int, tau: int) -> int:
 def _rerandomized_values(params: Params, entries, trial_seed: int) -> list[int]:
     """New n per entry with the e digits kept and r, s redrawn."""
     base = mixed_radix(params)
-    a_elems = params.aux.A
-    q = params.q.q
+    return [
+        _pack(base, ent.e, *_draw_digits(params, ent.f, ent.k, trial_seed))
+        for ent in entries
+    ]
+
+
+def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Every index triple i <= j <= c of the ascending vals with
+    lo <= vals[i] + vals[j] + vals[c] <= hi."""
+    if not vals:
+        return []
+    lo, hi = max(lo, 3 * vals[0]), min(hi, 3 * vals[-1])
+    if lo > hi:
+        return []
+    n = len(vals)
+    shift, keys = _coarse_keys(vals, 3)
+    pair = _pair_key_sums(keys)
+    first = np.searchsorted(keys, (lo >> shift) - (2 if shift else 0) - pair)
+    np.maximum(first, np.repeat(np.arange(n), np.arange(1, n + 1)), out=first)
+    room = np.subtract(hi >> shift, pair, out=pair)
+    # the key of the first c >= j in range; past the end it admits nothing
+    head = np.append(keys, np.iinfo(np.int64).max)[first]
+    pos = np.flatnonzero(head <= room)
+    stop = np.searchsorted(keys, room[pos], side="right")
     out = []
-    for ent in entries:
-        r = tuple(
-            a_elems[_digit_hash(trial_seed, ent.f, f"r{i}") % len(a_elems)]
-            for i in range(1, ent.k + 1)
-        )
-        s = 1 + _digit_hash(trial_seed, ent.f, "s") % q ** (3 * ent.k)
-        digits = []
-        for i in range(ent.k):
-            digits.append(ent.e[i])
-            digits.append(r[i])
-        digits.append(s)
-        out.append(encode(base, DigitVector(tuple(digits))))
+    for i, j, c0, c1 in zip(*_pairs_at(pos, n), first[pos].tolist(), stop.tolist()):
+        ab = vals[i] + vals[j]
+        out.extend((i, j, c) for c in range(c0, c1) if lo <= ab + vals[c] <= hi)
     return out
-
-
-def _ordered_pair_counter(vals: list[int]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for j, b in enumerate(vals):
-        for i in range(j + 1):
-            s = vals[i] + b
-            counts[s] = counts.get(s, 0) + (1 if i == j else 2)
-    return counts
-
-
-def exact_triple_count(m: int, vals: list[int], pair_ordered: dict[int, int], members: set[int]) -> int:
-    """Number of multisets {a <= b <= c} from vals summing to m, via the
-    ordered-triple count corrected for repeated-element patterns."""
-    ordered = sum(pair_ordered.get(m - x, 0) for x in vals)
-    with_double = sum(1 for x in vals if (m - 2 * x) in members and m - 2 * x != x)
-    triple_same = 1 if m % 3 == 0 and m // 3 in members else 0
-    distinct = (ordered - 3 * with_double - triple_same) // 6
-    return distinct + with_double + triple_same
 
 
 def _trial_covered(args) -> tuple[int, list[bool]]:
     params, entries, tau, seed, w_start, w_len = args
     vals = sorted(_rerandomized_values(params, entries, seed))
-    pair_set = set()
-    for j, b in enumerate(vals):
-        for i in range(j + 1):
-            pair_set.add(vals[i] + b)
-    covered = []
-    for off in range(w_len):
-        m = w_start + off
-        covered.append(any((m - x) in pair_set for x in vals))
-    return tau, covered
+    hit = {sum(vals[x] for x in t) for t in _window_triples(vals, w_start, w_start + w_len - 1)}
+    return tau, [w_start + off in hit for off in range(w_len)]
 
 
 def monte_carlo_coverage(
@@ -419,28 +456,11 @@ def monte_carlo_coverage(
     if w_len and not (3 * vals[0] <= w_start and w_start + w_len - 1 <= 3 * vals[-1]):
         raise ValueError("window outside the three-fold sum range of the build")
 
-    pair_ordered = _ordered_pair_counter(vals)
-    members = set(vals)
-    pair_first: dict[int, tuple[int, int]] = {}
-    for j in range(len(vals)):
-        for l in range(j, len(vals)):
-            pair_first.setdefault(vals[j] + vals[l], (vals[j], vals[l]))
-    counts = []
-    uncovered = []
-    for m in range(w_start, w_start + w_len):
-        cnt = exact_triple_count(m, vals, pair_ordered, members)
-        # re-sum one concrete representative whenever we claim coverage
-        if cnt > 0:
-            for a in vals:
-                pair = pair_first.get(m - a)
-                if pair is not None:
-                    assert a + pair[0] + pair[1] == m
-                    break
-            else:
-                raise AssertionError(f"count {cnt} for {m} but no witness found")
-        else:
-            uncovered.append(m)
-        counts.append(cnt)
+    # values are distinct, so index triples i <= j <= c are the multisets
+    counts = [0] * w_len
+    for t in _window_triples(vals, w_start, w_start + w_len - 1):
+        counts[sum(vals[x] for x in t) - w_start] += 1
+    uncovered = [w_start + off for off, cnt in enumerate(counts) if cnt == 0]
 
     seeds = tuple(_trial_seed(params.seed, tau) for tau in range(trials))
     freq = [0] * w_len

@@ -149,10 +149,31 @@ def build_Fk(params: Params, k: int) -> list[Poly]:
     return out
 
 
-def _digit_hash(seed: int, f: Poly, tag: str) -> int:
-    msg = f"{poly_to_string(f)}|{tag}".encode()
-    key = (seed & (2**64 - 1)).to_bytes(8, "little")
+def _digit_hash(key: bytes, name: str, tag: str) -> int:
+    msg = f"{name}|{tag}".encode()
     return int.from_bytes(hashlib.blake2b(msg, key=key, digest_size=16).digest(), "little")
+
+
+def _draw_digits(params: Params, f: Poly, k: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """The r_1..r_k digits (from A) and the top digit s (from
+    {1, ..., q^{3k}}) of member f, drawn by the keyed counter RNG."""
+    key = (seed & (2**64 - 1)).to_bytes(8, "little")
+    name = poly_to_string(f)
+    a_elems = params.aux.A
+    r = tuple(
+        a_elems[_digit_hash(key, name, f"r{i}") % len(a_elems)] for i in range(1, k + 1)
+    )
+    s = 1 + _digit_hash(key, name, "s") % params.q.q ** (3 * k)
+    return r, s
+
+
+def _pack(base: MixedRadix, e, r, s: int) -> int:
+    """n for the digit vector <s r_k e_k ... r_1 e_1>."""
+    digits = []
+    for pair in zip(e, r):
+        digits.extend(pair)
+    digits.append(s)
+    return encode(base, DigitVector(tuple(digits)))
 
 
 def mixed_radix(params: Params) -> MixedRadix:
@@ -163,19 +184,8 @@ def compute_entry(params: Params, moduli: ModuliTable, f: Poly, k: int) -> Seque
     """Digits of one member: e_i deterministic in f, r_i and s drawn from
     the keyed counter RNG (independent across (f, digit), reproducible)."""
     e = tuple(dlog(moduli.generators[i - 1], f) for i in range(1, k + 1))
-    a_elems = params.aux.A
-    r = tuple(
-        a_elems[_digit_hash(params.seed, f, f"r{i}") % len(a_elems)]
-        for i in range(1, k + 1)
-    )
-    s = 1 + _digit_hash(params.seed, f, "s") % params.q.q ** (3 * k)
-    digits = []
-    for i in range(k):
-        digits.append(e[i])
-        digits.append(r[i])
-    digits.append(s)
-    n = encode(mixed_radix(params), DigitVector(tuple(digits)))
-    return SequenceEntry(f=f, k=k, e=e, r=r, s=s, n=n)
+    r, s = _draw_digits(params, f, k, params.seed)
+    return SequenceEntry(f=f, k=k, e=e, r=r, s=s, n=_pack(mixed_radix(params), e, r, s))
 
 
 def build_sequence(params: Params) -> SidonSequence:
@@ -353,8 +363,10 @@ def seq_from_json(obj: dict) -> SidonSequence:
             for m in obj["moduli"]
         )
     )
-    entries = tuple(
-        SequenceEntry(
+    base = mixed_radix(params)
+    entries = []
+    for idx, ent in enumerate(obj["entries"]):
+        entry = SequenceEntry(
             f=poly_from_string(q, ent["f"]),
             k=int(ent["k"]),
             e=tuple(int(x) for x in ent["e"]),
@@ -362,6 +374,9 @@ def seq_from_json(obj: dict) -> SidonSequence:
             s=int(ent["s"]),
             n=int(ent["n"]),
         )
-        for ent in obj["entries"]
-    )
-    return SidonSequence(params, moduli, entries, tuple(obj.get("warnings", ())))
+        if len(entry.e) != entry.k or len(entry.r) != entry.k:
+            raise ValueError(f"entry {idx}: digit count differs from k = {entry.k}")
+        if _pack(base, entry.e, entry.r, entry.s) != entry.n:
+            raise ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
+        entries.append(entry)
+    return SidonSequence(params, moduli, tuple(entries), tuple(obj.get("warnings", ())))

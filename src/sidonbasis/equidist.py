@@ -126,6 +126,7 @@ class TripleCountReport:
     g: Poly
     pool_size: int  # |I_d|, the full pool
     counts: dict[int, int]  # residue code -> triples; complete over units
+    units: tuple[int, ...]  # codes of the residues coprime to g, ascending
 
     def histogram(self) -> dict[Poly, int]:
         return {Poly.from_code(self.q, u): c for u, c in self.counts.items()}
@@ -152,7 +153,8 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly, cap: int = 1000) -> Tripl
     member = coords[[r.code for r in res]]
     is_unit = (member >= 0).all(axis=1)
     per_class = _distinct_triples(member[is_unit], shape)
-    counts = dict(zip(units.tolist(), per_class[tuple(coords[units].T)].tolist()))
+    unit_list = units.tolist()
+    counts = dict(zip(unit_list, per_class[tuple(coords[units].T)].tolist()))
     # each triple holding a non-unit member, counted at its first such member
     nonunits = np.flatnonzero(~is_unit).tolist()
     for k, z in enumerate(nonunits):
@@ -162,7 +164,9 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly, cap: int = 1000) -> Tripl
             for b in range(a + 1, len(rest)):
                 c = poly_mod(poly_mul(za, rest[b]), g).code
                 counts[c] = counts.get(c, 0) + 1
-    return TripleCountReport(q=q, d=d, g=g, pool_size=n, counts=dict(sorted(counts.items())))
+    return TripleCountReport(
+        q=q, d=d, g=g, pool_size=n, counts=dict(sorted(counts.items())), units=tuple(unit_list)
+    )
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
     binom = math.comb(report.pool_size, 3)
     expected = Fraction(binom, phi_g)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
-    unit_set = set(unit_codes(g))
+    unit_set = set(report.units)
     rows = []
     total = 0
     nonunit_total = 0

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from sidonbasis.analyzer import (
     CollisionWitness,
+    _coarse_keys,
+    _rerandomized_values,
+    _trial_seed,
+    _window_triples,
     attribute_collision,
     decompose,
-    exact_triple_count,
     find_representations,
     monte_carlo_coverage,
     verify_sidon,
@@ -44,29 +47,64 @@ def test_verify_sidon_examples():
         verify_sidon([3, 3, 5])
 
 
-def brute_collisions(vals):
+def brute_witnesses(vals):
+    """The dict walk verify_sidon must reproduce: j outer, i <= j inner,
+    each collision against the first pair holding its sum."""
     seen = {}
-    hits = set()
+    out = []
     for j in range(len(vals)):
         for i in range(j + 1):
-            s = vals[i] + vals[j]
-            if s in seen and seen[s] != (vals[i], vals[j]):
-                hits.add(s)
-            else:
-                seen[s] = (vals[i], vals[j])
-    return hits
+            pair = (vals[i], vals[j])
+            prior = seen.setdefault(pair[0] + pair[1], pair)
+            if prior != pair:
+                out.append(prior + pair)
+    return out
 
 
-@given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=200)
-def test_verify_sidon_matches_brute(seed):
-    rng = random.Random(seed)
-    vals = sorted(rng.sample(range(1, 500), rng.randint(0, 40)))
-    wits = verify_sidon(vals)
-    assert {w.n1 + w.n2 for w in wits} == brute_collisions(vals)
-    for w in wits:
-        assert w.n1 + w.n2 == w.n3 + w.n4
-        assert {w.n1, w.n2} != {w.n3, w.n4}
+def witness_tuples(vals):
+    return [(w.n1, w.n2, w.n3, w.n4) for w in verify_sidon(vals)]
+
+
+def planted_set(rng, scale):
+    """Distinct values around +-scale with a few planted equal pair sums,
+    in random order."""
+    vals = {rng.randrange(-scale, scale) for _ in range(rng.randint(0, 30))}
+    for _ in range(rng.randint(0, 4)):
+        if len(vals) < 3:
+            break
+        a, b, c = rng.sample(sorted(vals), 3)
+        vals.add(a + b - c)
+    vals = list(vals)
+    rng.shuffle(vals)
+    return vals
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([500, 2**40, 2**70, 2**130]))
+@settings(max_examples=300)
+def test_verify_sidon_matches_brute(seed, scale):
+    # the full witness list and its order, with keys shifted and not
+    vals = planted_set(random.Random(seed), scale)
+    assert witness_tuples(vals) == brute_witnesses(vals)
+
+
+def test_verify_sidon_key_carry_collisions():
+    # with 2^76 in the set the shift is 16; each planted pair sum equals
+    # one whose keys sum to one less, a carry across a 2^16 boundary
+    shift, _ = _coarse_keys([2**76], 2)
+    assert shift == 16
+    unit = 2**shift
+    x, y, z = 5 * 2**70, 3 * 2**70, 2**71
+    # (x + unit - 1) + (y + 1) = (x + unit) + y, and a doubled element:
+    # 2 (z + 1) = (z + unit - 1) + (z - unit + 3)
+    vals = [2**76, x + unit - 1, y + 1, x + unit, y, z + unit - 1, z + 1, z - unit + 3, -(2**75)]
+    _, keys = _coarse_keys(vals, 2)
+    key = dict(zip(vals, keys.tolist()))
+    assert key[x + unit] + key[y] == key[x + unit - 1] + key[y + 1] + 1
+    assert 2 * key[z + 1] == key[z + unit - 1] + key[z - unit + 3] + 1
+    got = witness_tuples(vals)
+    assert got == brute_witnesses(vals)
+    assert {x + y + unit, 2 * (z + 1)} <= {a + b for a, b, _, _ in got}
+    assert witness_tuples([2**80]) == [] and witness_tuples([]) == []
 
 
 def test_verify_sidon_on_built_prefix(seq307):
@@ -167,6 +205,22 @@ def test_attribute_mixed_k_collision(mock_params):
     assert audit.products_congruent
 
 
+def test_attribute_carry_digit_is_shifted_pair_sum():
+    # A = {1}: the low digits 1 + 1 carry, so the y digit of the sum is
+    # 1 + 1 + 1 = 3, which lies in A+A+{0,1} but not in A+A
+    aux = AuxSet(p=11, A=(1,), seed=0, attempt=0, window_start=None, method="random")
+    params = Params(q=Q3, aux=aux, k_min=1, k_max=1)
+    e1 = mock_entry(params, Poly(Q3, (1, 1)), 1, (1,), (1,), 5)
+    e3 = mock_entry(params, Poly(Q3, (2, 1)), 1, (0,), (1,), 5)
+    e4 = mock_entry(params, Poly(Q3, (0, 1)), 1, (0,), (2,), 5)
+    entries = tuple(sorted((e1, e3, e4), key=lambda x: x.n))
+    seq = SidonSequence(params, build_moduli(params), entries)
+    w = CollisionWitness(e1.n, e1.n, e3.n, e4.n, entries=(e1, e1, e3, e4))
+    row = attribute_collision(seq, w).rows[0]
+    assert row.y_digit == 3
+    assert row.y_in_pair_sums and not row.y_in_members
+
+
 def test_attribute_resolves_entries_from_sequence(mock_params):
     # witness without embedded entries: the sequence lookup plus the
     # decoder recovers all four
@@ -258,20 +312,113 @@ def test_find_representations_matches_brute(seed):
         assert vals[i] + vals[j] + vals[l] == m
 
 
-@given(st.integers(min_value=0, max_value=10**9))
+def brute_window(vals, lo, hi):
+    n = len(vals)
+    return [
+        (i, j, c)
+        for i in range(n)
+        for j in range(i, n)
+        for c in range(j, n)
+        if lo <= vals[i] + vals[j] + vals[c] <= hi
+    ]
+
+
+def window_cases(rng, vals):
+    """(lo, hi) windows with hits: at 3 v_0, at a random v_i + v_j + v_l,
+    of length 0, 1 and more, plus a few random ones."""
+    spread = max(1, (vals[-1] - vals[0]) // 50)
+    m = sum(rng.choice(vals) for _ in range(3))
+    cases = [(3 * vals[0], 3 * vals[0]), (m, m), (m, m - 1), (m - spread, m + spread)]
+    cases.append((3 * vals[0], 3 * vals[-1]))
+    cases.append((3 * vals[0] - spread, 3 * vals[0] + spread))
+    for _ in range(3):
+        lo = rng.randint(3 * vals[0] - spread, 3 * vals[-1])
+        cases.append((lo, lo + rng.randint(0, 4 * spread)))
+    return cases
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([120, 2**40, 2**70, 2**130]))
 @settings(max_examples=200)
-def test_exact_triple_count_matches_brute(seed):
+def test_window_triples_match_brute(seed, scale):
     rng = random.Random(seed)
-    vals = sorted(rng.sample(range(1, 120), rng.randint(1, 18)))
-    pair_ordered: dict[int, int] = {}
-    for a in vals:
-        for b in vals:
-            pair_ordered[a + b] = pair_ordered.get(a + b, 0) + 1
-    members = set(vals)
-    for m in range(1, 361, 7):
-        assert exact_triple_count(m, vals, pair_ordered, members) == len(
-            brute_triples(m, vals)
-        )
+    vals = sorted({rng.randrange(-scale, scale) for _ in range(rng.randint(1, 18))})
+    for lo, hi in window_cases(rng, vals):
+        assert sorted(_window_triples(vals, lo, hi)) == brute_window(vals, lo, hi)
+    assert _window_triples([], 0, 10) == []
+
+
+def test_window_triples_key_carry():
+    # at scale 2^76 the triple shift is 16; values whose low 16 bits are
+    # all ones have triple sums two above their key sums, the widest slack
+    unit = 2**16
+    vals = sorted([2**76 + unit - 1, 2**75 + unit - 1, 2**74 + unit - 1, 2**73 + 3, -5])
+    shift, keys = _coarse_keys(vals, 3)
+    assert shift == 16
+    slack = set()
+    for t in brute_window(vals, 3 * vals[0], 3 * vals[-1]):
+        m = sum(vals[x] for x in t)
+        slack.add((m >> shift) - sum(keys[x] for x in t))
+        assert _window_triples(vals, m, m) == brute_window(vals, m, m)
+    assert slack == {0, 1, 2}
+
+
+def brute_counts(vals, w_start, w_len):
+    return [len(brute_window(vals, m, m)) for m in range(w_start, w_start + w_len)]
+
+
+def brute_frequencies(params, entries, window, trials):
+    """Per m, the fraction of re-randomized builds covering it."""
+    hits = [0] * window[1]
+    for tau in range(trials):
+        tv = sorted(_rerandomized_values(params, entries, _trial_seed(params.seed, tau)))
+        for off, c in enumerate(brute_counts(tv, *window)):
+            hits[off] += c > 0
+    return [h / trials for h in hits]
+
+
+@pytest.mark.parametrize("which", ["3v0", "mid", "single", "empty"])
+def test_coverage_matches_brute(params307, seq307, which):
+    # 20 entries from each end keep the brute force small; the top ones
+    # are above 2^70, so the coarse keys are shifted
+    seq = SidonSequence(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
+    vals = list(seq.values)
+    assert _coarse_keys(vals, 3)[0] > 0
+    tv = sorted(_rerandomized_values(params307, seq.entries, _trial_seed(params307.seed, 1)))
+    hit_in_trial = tv[5] + tv[20] + tv[33]
+    window = {
+        "3v0": (3 * vals[0], 3),
+        "mid": (vals[2] + vals[17] + vals[39] - 2, 6),
+        "single": (hit_in_trial, 1),
+        "empty": (vals[0] + vals[1] + vals[2], 0),
+    }[which]
+    rep = monte_carlo_coverage(params307, window, trials=3, seq=seq)
+    counts = brute_counts(vals, *window)
+    assert list(rep.counts) == counts
+    assert list(rep.uncovered) == [window[0] + off for off, c in enumerate(counts) if c == 0]
+    assert list(rep.frequencies) == brute_frequencies(params307, seq.entries, window, 3)
+    if which == "single":
+        assert rep.frequencies[0] > 0
+    elif which != "empty":
+        assert sum(counts) > 0
+
+
+def test_coverage_counts_repeated_sums(mock_params):
+    # the s digits 1..8 put the values in an arithmetic progression, so
+    # several triples share a sum and the counts must add them up
+    params = mock_params
+    a = params.aux.A[0]
+    entries = sorted(
+        (mock_entry(params, Poly(Q3, (s % 3, s // 3, 1)), 1, (0,), (a,), s) for s in range(1, 9)),
+        key=lambda ent: ent.n,
+    )
+    seq = SidonSequence(params, build_moduli(params), tuple(entries))
+    vals = list(seq.values)
+    window = (3 * vals[0], 3 * (vals[1] - vals[0]) + 1)
+    rep = monte_carlo_coverage(params, window, trials=2, seq=seq)
+    counts = brute_counts(vals, *window)
+    assert max(counts) == 3
+    assert list(rep.counts) == counts
+    assert list(rep.frequencies) == brute_frequencies(params, seq.entries, window, 2)
 
 
 def coverage_args(seq):

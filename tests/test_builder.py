@@ -242,3 +242,6 @@ def test_json_roundtrip(params307, seq307):
     assert obj["manifest"] == "x.manifest.json"
     assert isinstance(obj["entries"][0]["n"], str)  # big ints go as strings
     assert seq_from_json(obj) == seq307
+    obj["entries"][3]["e"].append(0)
+    with pytest.raises(ValueError, match="digit count"):
+        seq_from_json(obj)

@@ -209,6 +209,16 @@ def test_verify_rejects_malformed_seq(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
+    obj = read_json(workdir / "seq.json")
+    obj["entries"][7]["n"] = str(int(obj["entries"][7]["n"]) + 1)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry 7: n does not re-encode")
+
+
 def test_equidist_files(tmp_path):
     out = tmp_path / "eq.csv"
     rc = main(["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", str(out)])

@@ -114,6 +114,7 @@ def test_histogram_matches_brute_force_large_modulus():
     assert sum(rep.counts.values()) == 56
     assert rep.counts == brute_counts(Q3, 3, g)
     assert list(rep.counts) == sorted(rep.counts)
+    assert list(rep.units) == gcd_units(g)
 
 
 def test_unit_codes_match_gcd_scan():
