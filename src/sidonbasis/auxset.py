@@ -345,13 +345,33 @@ def aux_to_json(aux: AuxSet) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"aux {what} must be an integer, got {value!r}")
+    return value
+
+
 def aux_from_json(obj: dict) -> AuxSet:
+    """Load an aux file as untrusted input: ValueError unless p is a prime,
+    A a nonempty list of distinct integers in [0, p) and window_start an
+    integer."""
+    p = _json_int(obj["p"], "p")
+    if not primes.is_prime(p):
+        raise ValueError(f"aux p = {p} is not prime")
+    if not isinstance(obj["A"], list) or not obj["A"]:
+        raise ValueError("aux A must be a nonempty list")
+    elems = [_json_int(a, "element") for a in obj["A"]]
+    outside = [a for a in elems if not 0 <= a < p]
+    if outside:
+        raise ValueError(f"aux A has elements outside [0, {p}): {outside}")
+    if len(set(elems)) != len(elems):
+        raise ValueError("aux A has repeated elements")
     return AuxSet(
-        p=int(obj["p"]),
-        A=tuple(int(a) for a in obj["A"]),
+        p=p,
+        A=tuple(elems),
         seed=int(obj.get("seed", 0)),
         attempt=int(obj.get("attempt", 0)),
-        window_start=int(obj["window_start"]),
+        window_start=_json_int(obj["window_start"], "window_start"),
         method=str(obj.get("method", "random")),
     )
 

@@ -13,14 +13,19 @@ digits come from a keyed-hash counter RNG so every (f, digit) pair is an
 independent, reproducible draw.
 
 The map f -> n_f is injective and invertible: decode_entry peels the
-digits back off, inverts each discrete log, and recombines by the Chinese
-remainder theorem. audit_preconditions reports the concrete degree
-margins that the collision-freeness argument needs at the configured
-parameters.
+digits back off, inverts each discrete log with unitgroup.antilog (a
+power-table gather up to DLOG_SCAN_LIMIT, square-and-multiply above),
+recombines the residues by one cached CRT matrix over F_q (CRT is linear
+in the residues), and tests irreducibility by lookup in the same sieve
+build_Fk enumerates from. The mixed radix, level brackets and degree
+windows are cached per Params. audit_preconditions reports the concrete
+degree margins that the collision-freeness argument needs at the
+configured parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -32,13 +37,16 @@ from .ffpoly import (
     PrimeModulus,
     crt,
     enumerate_irreducibles,
-    is_irreducible,
+    is_irreducible_by_sieve,
     poly_from_string,
-    poly_powmod,
     poly_to_string,
 )
 from .gbase import DigitVector, MixedRadix, decode, encode
-from .unitgroup import Generator, dlog, find_generator
+from .unitgroup import Generator, antilog, dlog, find_generator
+
+# after the package modules, so that numpy first loads through ffpoly, as
+# in analyzer
+import numpy as np  # noqa: E402
 
 SCALED_MODE_WARNING = (
     "scaled parameters: the asymptotic guarantees assume far larger q and k "
@@ -129,6 +137,7 @@ def build_moduli(params: Params) -> ModuliTable:
     return ModuliTable(tuple(gens))
 
 
+@functools.lru_cache(maxsize=256)
 def fk_degrees(params: Params, k: int) -> tuple[int, ...]:
     """Even degrees m with c k^2 <= m < c (k+1)^2, exact arithmetic."""
     lo = params.c * k * k
@@ -176,6 +185,7 @@ def _pack(base: MixedRadix, e, r, s: int) -> int:
     return encode(base, DigitVector(tuple(digits)))
 
 
+@functools.lru_cache(maxsize=64)
 def mixed_radix(params: Params) -> MixedRadix:
     return MixedRadix(params.q, params.aux.p)
 
@@ -210,6 +220,7 @@ def build_sequence(params: Params) -> SidonSequence:
     return SidonSequence(params, moduli, tuple(entries), tuple(warnings))
 
 
+@functools.lru_cache(maxsize=256)
 def level_value_range(params: Params, k: int) -> tuple[int, int]:
     """[lo, hi) bracket of encoded values at level k: the top digit s is in
     [1, q^{3k}], everything below contributes less than one s-weight."""
@@ -218,13 +229,35 @@ def level_value_range(params: Params, k: int) -> tuple[int, int]:
     return weight, weight * (params.q.q ** (3 * k) + 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _crt_matrix(moduli: tuple[Poly, ...]) -> np.ndarray:
+    """The F_q-linear CRT map as a (D, D) matrix, D = sum of deg g_i: row
+    number sum_{l<i} deg g_l + j is crt of the residue t^j mod g_i and 0
+    mod every other modulus. The CRT of residues whose coefficient
+    vectors, each padded to deg g_i, concatenate to x is x @ M mod q."""
+    q = moduli[0].q
+    size = sum(g.degree for g in moduli)
+    rows = []
+    for i, g in enumerate(moduli):
+        for j in range(g.degree):
+            residues = [Poly.zero(q)] * len(moduli)
+            residues[i] = Poly(q, (0,) * j + (1,))
+            coeffs = crt(residues, list(moduli)).coeffs
+            rows.append(coeffs + (0,) * (size - len(coeffs)))
+    matrix = np.array(rows, dtype=np.int64).reshape(size, size)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int]:
     """Inverse of compute_entry on built sequences: recover (f, k) from n.
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is
-    tried). Foreign values fail digit validation, land outside the degree
-    window, or decode to a reducible polynomial, and raise DecodeError.
+    tried). The residues omega_i^{e_i} mod g_i come from antilog, f from
+    one CRT matrix product mod q. Foreign values fail digit validation,
+    land outside the degree window, or decode to a reducible polynomial,
+    and raise DecodeError.
     """
     base = mixed_radix(params)
     a_members = set(params.aux.A)
@@ -240,16 +273,19 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
             continue
         if any(x not in a_members for x in r):
             continue
-        residues = [
-            poly_powmod(moduli.omega(i), e[i - 1], moduli.g(i))
-            for i in range(1, k + 1)
-        ]
-        f = crt(residues, [moduli.g(i) for i in range(1, k + 1)])
+        gens = moduli.generators[:k]
+        x: list[int] = []
+        for gen, e_i in zip(gens, e):
+            coeffs = antilog(gen, e_i).coeffs
+            x.extend(coeffs)
+            x.extend((0,) * (gen.g.degree - len(coeffs)))
+        matrix = _crt_matrix(tuple(gen.g for gen in gens))
+        f = Poly(params.q, tuple((np.array(x) @ matrix % params.q.q).tolist()))
         if not f.is_monic():
             continue
         if f.degree not in fk_degrees(params, k):
             continue
-        if not is_irreducible(f):
+        if not is_irreducible_by_sieve(f):
             continue
         return f, k
     raise DecodeError(f"{n} does not decode to any sequence entry")

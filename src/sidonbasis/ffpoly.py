@@ -310,6 +310,21 @@ def enumerate_irreducibles(
     return out
 
 
+def is_irreducible_by_sieve(f: Poly) -> bool:
+    """is_irreducible(f), answered by a binary search of the cached sieve
+    that enumerate_irreducibles reads while q^deg f <= DEFAULT_ENUM_CAP,
+    and by the distinct-degree test above the cap."""
+    if not f.is_monic() or f.degree < 1:
+        return is_irreducible(f)  # raises its ValueError
+    q, d = f.q.q, f.degree
+    if q**d > DEFAULT_ENUM_CAP:
+        return is_irreducible(f)
+    codes = _irreducible_codes(q, d)
+    u = f.code - q**d
+    i = int(np.searchsorted(codes, u))
+    return i < codes.size and int(codes[i]) == u
+
+
 def crt(residues: list[Poly], moduli: list[Poly]) -> Poly:
     """Unique f with f == residues[i] mod moduli[i], deg f < sum deg moduli."""
     if len(residues) != len(moduli) or not moduli:

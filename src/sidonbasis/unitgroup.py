@@ -1,11 +1,16 @@
 """Unit groups of F_q[t]/(g): order, generators, discrete logarithm.
 
 For irreducible g the units form a cyclic group of order N = q^deg(g) - 1.
-Generators are found by the order test against the factored N. Discrete
-logs go through a cached full-log table when N <= DLOG_SCAN_LIMIT (one
-vectorized multiply-by-omega map plus a pure-Python orbit walk), and
-through Pohlig-Hellman with baby-step giant-step per prime power above
-that.
+Generators are found by the order test against the factored N.
+
+Both directions are table lookups when N <= DLOG_SCAN_LIMIT = 2^20, that
+is for up to 2^20 + 1 residues (13^5 = 371,293 among them). dlog reads a
+cached full-log table (one vectorized multiply-by-omega map plus a
+pure-Python orbit walk); antilog reads a cached power table, made from
+the log table by one scatter. Each table takes 8 bytes per residue, so
+the pair takes 16 q^deg(g) bytes (about 6 MB at 13^5). Above the limit
+dlog falls back to Pohlig-Hellman with baby-step giant-step per prime
+power, and antilog to square-and-multiply.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .ffpoly import (
 
 DEFAULT_FACTOR_CAP = 10**18
 
-DLOG_SCAN_LIMIT = 1 << 16
+DLOG_SCAN_LIMIT = 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,20 +60,13 @@ def group_order(g: Poly) -> int:
 
 
 def _passes_order_test(omega: Poly, g: Poly, n: int, prime_factors: set[int]) -> bool:
-    if not poly_sub_is_zero(poly_powmod(omega, n, g), _one_mod(g)):
+    one = poly_mod(Poly.one(g.q), g)
+    if poly_powmod(omega, n, g) != one:
         return False
     for ell in prime_factors:
-        if poly_sub_is_zero(poly_powmod(omega, n // ell, g), _one_mod(g)):
+        if poly_powmod(omega, n // ell, g) == one:
             return False
     return True
-
-
-def _one_mod(g: Poly) -> Poly:
-    return poly_mod(Poly.one(g.q), g)
-
-
-def poly_sub_is_zero(a: Poly, b: Poly) -> bool:
-    return a == b
 
 
 @dataclass(frozen=True)
@@ -122,6 +120,7 @@ def find_generator(g: Poly, cap: int = DEFAULT_FACTOR_CAP) -> Generator:
 
 
 _LOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+_ANTILOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
 
 
 def _mul_map(gen: Generator) -> np.ndarray:
@@ -165,11 +164,27 @@ def dlog_table(gen: Generator) -> np.ndarray:
     return table
 
 
+def antilog_table(gen: Generator) -> np.ndarray:
+    """Power table P with P[e] = code(omega^e mod g) for 0 <= e < order,
+    the inverse of dlog_table on the units: one scatter from it. Cached
+    per (q, g, omega)."""
+    key = (gen.g.q.q, gen.g.coeffs, gen.omega.coeffs)
+    cached = _ANTILOG_TABLE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    logs = dlog_table(gen)
+    table = np.empty(gen.order, dtype=np.int64)
+    table[logs[1:]] = np.arange(1, logs.size, dtype=np.int64)
+    table.flags.writeable = False
+    _ANTILOG_TABLE_CACHE[key] = table
+    return table
+
+
 def _bsgs(base: Poly, target: Poly, order: int, g: Poly) -> int:
     """x with base^x = target mod g, 0 <= x < order (order of base)."""
     m = int(order**0.5) + 1
     baby: dict[tuple[int, ...], int] = {}
-    cur = _one_mod(g)
+    cur = poly_mod(Poly.one(g.q), g)
     for j in range(m):
         baby.setdefault(cur.coeffs, j)
         cur = poly_mod(poly_mul(cur, base), g)
@@ -217,6 +232,17 @@ def dlog(gen: Generator, f: Poly, scan_limit: int = DLOG_SCAN_LIMIT) -> int:
     if gen.order <= scan_limit:
         return int(dlog_table(gen)[r.code])
     return _pohlig_hellman(gen, r)
+
+
+def antilog(gen: Generator, e: int) -> Poly:
+    """omega^e mod g for a natural e, the inverse of dlog: a gather from
+    antilog_table when order <= DLOG_SCAN_LIMIT, square-and-multiply
+    above."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if gen.order <= DLOG_SCAN_LIMIT:
+        return Poly.from_code(gen.g.q, int(antilog_table(gen)[e % gen.order]))
+    return poly_powmod(gen.omega, e, gen.g)
 
 
 def factor_squarefree_poly(g: Poly, cap: int = 1 << 20) -> tuple[Poly, ...]:

@@ -9,6 +9,8 @@ from sidonbasis.builder import (
     SCALED_MODE_WARNING,
     DecodeError,
     Params,
+    _crt_matrix,
+    _pack,
     audit_preconditions,
     build_Fk,
     build_moduli,
@@ -23,11 +25,51 @@ from sidonbasis.builder import (
     seq_from_json,
     seq_to_json,
 )
-from sidonbasis.ffpoly import Poly, PrimeModulus, is_irreducible, poly_mod, poly_mul
-from sidonbasis.gbase import DigitVector, encode, fmod
+from sidonbasis.ffpoly import (
+    Poly,
+    PrimeModulus,
+    crt,
+    enumerate_irreducibles,
+    is_irreducible,
+    poly_mod,
+    poly_mul,
+    poly_powmod,
+)
+from sidonbasis.gbase import DigitVector, decode, encode, fmod
 from sidonbasis.unitgroup import dlog
 
 Q3 = PrimeModulus(3)
+
+
+@pytest.fixture(scope="module")
+def seq7(aux307):
+    return build_sequence(Params(q=PrimeModulus(7), aux=aux307, k_min=3, k_max=3))
+
+
+def reference_decode(n, params, moduli):
+    """decode_entry by Poly arithmetic alone: k poly_powmod, one crt and
+    one distinct-degree irreducibility test per bracket-compatible level."""
+    base = mixed_radix(params)
+    for k in range(1, params.k_max + 1):
+        lo, hi = level_value_range(params, k)
+        if not lo <= n < hi:
+            continue
+        digits = decode(base, n, 2 * k + 1).digits
+        e, r, s = digits[0 : 2 * k : 2], digits[1 : 2 * k : 2], digits[2 * k]
+        if not 1 <= s <= params.q.q ** (3 * k) or any(x not in params.aux.A for x in r):
+            continue
+        residues = [poly_powmod(moduli.omega(i), e[i - 1], moduli.g(i)) for i in range(1, k + 1)]
+        f = crt(residues, [moduli.g(i) for i in range(1, k + 1)])
+        if f.is_monic() and f.degree in fk_degrees(params, k) and is_irreducible(f):
+            return f, k
+    raise DecodeError(n)
+
+
+def decode_outcome(fn, n, params, moduli):
+    try:
+        return fn(n, params, moduli)
+    except DecodeError:
+        return None
 
 
 def with_c(params, c, k_min=None, k_max=None):
@@ -157,9 +199,12 @@ def test_values_below_upper_exponent_bound(params307, seq307):
     )
 
 
-def test_decode_roundtrip_exhaustive(params307, seq307):
-    for ent in seq307.entries:
-        assert decode_entry(ent.n, params307, seq307.moduli) == (ent.f, ent.k)
+def test_decode_roundtrip_exhaustive(seq307, seq7):
+    # every entry at q = 3 and q = 7, against the Poly reference decode too
+    for seq in (seq307, seq7):
+        for ent in seq.entries:
+            assert decode_entry(ent.n, seq.params, seq.moduli) == (ent.f, ent.k)
+            assert reference_decode(ent.n, seq.params, seq.moduli) == (ent.f, ent.k)
 
 
 def test_decode_rejects_foreign_values(params307, seq307):
@@ -181,6 +226,86 @@ def test_decode_detects_tampering(params307, seq307):
         except DecodeError:
             continue
         assert decoded != (ent.f, ent.k)
+
+
+def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7):
+    # tampered entries (one digit changed: r to another element of A or
+    # outside it, e_i by +-1, s to and past its edges), random digit
+    # vectors at every level, below k_min too, and random integers
+    rng = random.Random(17)
+    seen = {"accepted": 0, "rejected": 0}
+    for seq in (seq307, seq7):
+        params, moduli = seq.params, seq.moduli
+        base = mixed_radix(params)
+        q, a_elems = params.q.q, params.aux.A
+        candidates = []
+        for ent in rng.sample(seq.entries, 60):
+            e, r, k = list(ent.e), list(ent.r), ent.k
+            i = rng.randrange(k)
+            r_other = r[:i] + [rng.choice(a_elems)] + r[i + 1 :]
+            r_foreign = r[:i] + [rng.choice([0, 1, 2, params.aux.p - 1])] + r[i + 1 :]
+            e_up = e[:i] + [(e[i] + 1) % (q ** (2 * i + 1) - 1)] + e[i + 1 :]
+            e_down = e[:i] + [(e[i] - 1) % (q ** (2 * i + 1) - 1)] + e[i + 1 :]
+            candidates += [
+                _pack(base, e, r_other, ent.s),
+                _pack(base, e, r_foreign, ent.s),
+                _pack(base, e_up, r, ent.s),
+                _pack(base, e_down, r, ent.s),
+                _pack(base, e, r, 0),
+                _pack(base, e, r, 1),
+                _pack(base, e, r, q ** (3 * k)),
+                _pack(base, e, r, q ** (3 * k) + 1),
+            ]
+        for k in range(1, params.k_max + 1):
+            for _ in range(100):
+                e = [rng.randrange(q ** (2 * i - 1) - 1) for i in range(1, k + 1)]
+                r = [rng.choice(a_elems) for _ in range(k)]
+                candidates.append(_pack(base, e, r, rng.randrange(1, q ** (3 * k) + 1)))
+        top = level_value_range(params, params.k_max)[1]
+        candidates += [rng.randrange(top + 100) for _ in range(100)]
+        for n in candidates:
+            expected = decode_outcome(reference_decode, n, params, moduli)
+            assert decode_outcome(decode_entry, n, params, moduli) == expected
+            seen["rejected" if expected is None else "accepted"] += 1
+    assert seen["accepted"] >= 100 and seen["rejected"] >= 500
+
+
+def test_decode_rejects_reducible_crt_result(params307, seq307):
+    # digits of a reducible monic quartic (two irreducible quadratics): CRT
+    # gives it back, monic and in the k = 3 degree window, so only the
+    # irreducibility sieve can reject it
+    moduli = seq307.moduli
+    quads = enumerate_irreducibles(Q3, 2)
+    rejected = 0
+    for a in quads:
+        for b in quads:
+            f = poly_mul(a, b)
+            e = [dlog(moduli.generators[i - 1], f) for i in range(1, 4)]
+            n = _pack(mixed_radix(params307), e, params307.aux.A[:3], 5)
+            residues = [poly_powmod(moduli.omega(i), e[i - 1], moduli.g(i)) for i in range(1, 4)]
+            assert crt(residues, [moduli.g(i) for i in range(1, 4)]) == f
+            assert f.degree in fk_degrees(params307, 3) and not is_irreducible(f)
+            with pytest.raises(DecodeError):
+                reference_decode(n, params307, moduli)
+            with pytest.raises(DecodeError):
+                decode_entry(n, params307, moduli)
+            rejected += 1
+    assert rejected == len(quads) ** 2
+
+
+def test_crt_matrix_matches_crt(seq307, seq7):
+    rng = random.Random(23)
+    for seq in (seq307, seq7):
+        gs = tuple(gen.g for gen in seq.moduli.generators)
+        q = gs[0].q
+        matrix = _crt_matrix(gs)
+        assert matrix.shape == (sum(g.degree for g in gs),) * 2
+        for _ in range(30):
+            residues = [Poly(q, [rng.randrange(q.q) for _ in range(g.degree)]) for g in gs]
+            x = []
+            for res, g in zip(residues, gs):
+                x.extend(res.coeffs + (0,) * (g.degree - len(res.coeffs)))
+            assert Poly(q, tuple(int(c) for c in x @ matrix % q.q)) == crt(residues, list(gs))
 
 
 def test_homomorphic_digit_law(params307, seq307):

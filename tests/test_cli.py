@@ -104,6 +104,31 @@ def test_build_rejects_q2(workdir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("p", 308, "aux p = 308 is not prime"),
+        ("A", [], "aux A must be a nonempty list"),
+        ("A", [3, 4, 307], "outside [0, 307)"),
+        ("A", [-1, 3, 4], "outside [0, 307)"),
+        ("A", [3, 4, 4, 5], "repeated"),
+        ("window_start", 75.5, "window_start must be an integer"),
+        ("window_start", None, "window_start must be an integer"),
+    ],
+)
+def test_build_rejects_invalid_aux_file(workdir, tmp_path, capsys, key, value, message):
+    obj = read_json(workdir / "aux.json")
+    obj[key] = value
+    bad = tmp_path / "aux.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "s.json"
+    rc = main(["build", "--q", "3", "--aux-file", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_build_strict_rejected_at_desk_scale(workdir, tmp_path, capsys):
     rc = main(
         ["build", "--q", "3", "--strict", "--aux-file", str(workdir / "aux.json"), "--out", str(tmp_path / "s.json")]

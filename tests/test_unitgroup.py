@@ -1,14 +1,29 @@
 """Unit group tests: generators, discrete logs on both paths, phi."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonbasis.ffpoly import Poly, PrimeModulus, poly_mod, poly_mul, poly_powmod
+from sidonbasis import unitgroup
+from sidonbasis.ffpoly import (
+    Poly,
+    PrimeModulus,
+    enumerate_irreducibles,
+    poly_mod,
+    poly_mul,
+    poly_powmod,
+)
 from sidonbasis.unitgroup import (
+    DLOG_SCAN_LIMIT,
     Generator,
     ResidueSystem,
+    antilog,
+    antilog_table,
     dlog,
+    dlog_table,
     euler_phi_poly,
     factor_integer,
     factor_squarefree_poly,
@@ -103,6 +118,58 @@ def test_dlog_roundtrip_quintic(code):
     assert 0 <= e < 242
     assert poly_powmod(gen.omega, e, G_QUINT) == poly_mod(f, G_QUINT)
     assert dlog(gen, f, scan_limit=1) == e
+
+
+def _generators():
+    yield find_generator(Poly(Q2, (1, 1)))  # trivial group
+    yield find_generator(G_QUAD)
+    yield find_generator(G_QUINT)
+    yield find_generator(enumerate_irreducibles(PrimeModulus(5), 3)[0])
+    yield find_generator(enumerate_irreducibles(PrimeModulus(11), 2)[-1])
+    yield find_generator(enumerate_irreducibles(PrimeModulus(7), 4)[3])
+
+
+def test_antilog_table_inverts_dlog_table():
+    for gen in _generators():
+        logs, powers = dlog_table(gen), antilog_table(gen)
+        size = gen.g.q.q ** gen.g.degree
+        assert logs.shape == (size,) and powers.shape == (gen.order,)
+        assert logs[0] == -1
+        units = np.arange(1, size)
+        assert np.array_equal(powers[logs[units]], units)
+        assert np.array_equal(logs[powers], np.arange(gen.order))
+        assert powers[0] == 1
+        assert powers[1 % gen.order] == poly_mod(gen.omega, gen.g).code
+        assert antilog_table(gen) is powers  # cached
+
+
+@pytest.mark.parametrize("limit", [unitgroup.DLOG_SCAN_LIMIT, 0])
+def test_antilog_matches_powmod(monkeypatch, limit):
+    # limit 0 takes every generator past the tables, to square-and-multiply
+    monkeypatch.setattr(unitgroup, "DLOG_SCAN_LIMIT", limit)
+    rng = random.Random(3)
+    for gen in _generators():
+        n = gen.order
+        for e in [0, 1, n - 1, n, 2 * n + 1] + [rng.randrange(10 * n) for _ in range(20)]:
+            expected = poly_powmod(gen.omega, e, gen.g)
+            assert antilog(gen, e) == expected
+            assert dlog(gen, expected) == e % n
+        with pytest.raises(ValueError):
+            antilog(gen, -1)
+
+
+def test_dlog_table_matches_pohlig_hellman_above_old_limit():
+    # q = 11, deg g = 5: order 161050 lies between 2^16 and 2^20, so the
+    # default dlog reads the table; scan_limit=1 forces Pohlig-Hellman
+    q11 = PrimeModulus(11)
+    gen = find_generator(enumerate_irreducibles(q11, 5)[0])
+    assert 1 << 16 < gen.order <= DLOG_SCAN_LIMIT
+    rng = random.Random(7)
+    for _ in range(100):
+        f = Poly.from_code(q11, rng.randrange(1, 11**5))
+        e = dlog(gen, f)
+        assert dlog(gen, f, scan_limit=1) == e
+        assert antilog(gen, e) == f
 
 
 def test_euler_phi_examples():
