@@ -7,7 +7,8 @@ output directory.
 
 Each step shells through the package CLI entry points, so the directory
 ends up with the same files a by-hand run would produce, manifests
-included. Exits nonzero if any verification fails.
+included. Each step's exit line also gives its wall time in seconds.
+Exits nonzero if any verification fails.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from sidonbasis.cli import main as cli_main
 
 
 def step(name: str, argv: list[str]) -> int:
     print(f"== {name}: sidonbasis {' '.join(argv)}")
+    t0 = time.perf_counter()
     code = cli_main(argv)
-    print(f"   exit {code}")
+    print(f"   exit {code} ({time.perf_counter() - t0:.2f} s)")
     return code
 
 

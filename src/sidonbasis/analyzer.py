@@ -21,13 +21,33 @@ three (coverage) keys below 2^62 in magnitude, so keys and their sums
 fit int64. Shifting floors, so keys keep the order of the values, the
 keys of two equal pair sums differ by at most 1, and a triple summing
 into [lo, hi] has its key sum in [(lo >> S) - 2, hi >> S] (S = 0 makes
-the keys exact and both slacks 0). Numpy forms the key sums of all
-N(N+1)/2 pairs; verify_sidon sorts them and keeps the pairs with a
-neighbour at most 1 away, coverage finds the admissible third elements
-with searchsorted over the sorted keys. Every candidate the keys admit
-is then re-checked with Python integers, so no answer rests on a key.
-Time is O(N^2 log N), spent in numpy; memory is about three int64 arrays
-of N(N+1)/2 entries.
+the keys exact and both slacks 0). verify_sidon forms the key sums of
+all N(N+1)/2 pairs in numpy, sorts them and keeps the pairs with a
+neighbour at most 1 away: O(N^2 log N) time, and two int64 arrays of
+N(N+1)/2 entries (the sums, sorted in place, and their argsort).
+
+The coverage window search keeps only the pairs i <= j that some
+c >= j can complete into the window. The least such sum is
+v_i + 2 v_j and the largest v_i + v_j + v_max, so with klo =
+(lo >> S) - slack and khi = hi >> S a pair is kept when
+keys[i] + 2 keys[j] <= khi and keys[i] + keys[j] + keys[-1] >= klo.
+Floor keys make both bounds necessary: the key of a sum is at least the
+sum of the keys and at most 2 above it, so no pair that reaches the
+window is dropped. Per j each bound is one searchsorted over the
+ascending keys, and the kept i-ranges expand with np.repeat in walk
+order. Every |key| is below 2^62 / 3 + 1 and |klo|, |khi| at most
+2^62 + 2, so klo - keys[-1] - keys and khi - 2 keys stay within about
+(5/3) 2^62 in magnitude, well inside int64. A searchsorted per kept
+pair then finds the admissible third elements. Every candidate the keys
+admit is re-checked with Python integers, so no answer rests on a key.
+
+A coverage trial re-draws the r and s digits of every entry from a draw
+plan built once per run (builder.draw_plan): the e-digit part of n, the
+hash messages and the digit weights do not change between trials, and
+builder.redrawn_values draws as the build does. A trial therefore costs
+k + 1 keyed blake2b hashes and as many big-integer multiply-adds per
+entry, then the pruned window search; with threads > 1 each worker
+process receives the plan once.
 """
 
 from __future__ import annotations
@@ -45,9 +65,9 @@ from .builder import (
     audit_preconditions,
     build_sequence,
     decode_entry,
+    draw_plan,
     mixed_radix,
-    _draw_digits,
-    _pack,
+    redrawn_values,
 )
 from .ffpoly import Poly, poly_mod, poly_mul
 from .gbase import DigitVector, decode, fmod
@@ -80,6 +100,12 @@ def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
     return shift, np.array([v >> shift for v in vals], dtype=np.int64)
 
 
+# pairs per block where the engine works in blocks. Freed heap memory
+# below the allocator's trim threshold stays resident, so temporaries of
+# all pairs at once would raise the resident set of every later stage.
+_PAIR_BLOCK = 1 << 13
+
+
 def _pair_key_sums(keys: np.ndarray) -> np.ndarray:
     """keys[i] + keys[j] for every i <= j in walk order (j outer, i
     inner), so pair (i, j) sits at position j (j + 1) / 2 + i."""
@@ -108,11 +134,16 @@ def verify_sidon(values) -> list[CollisionWitness]:
         raise ValueError("values must be distinct")
     shift, keys = _coarse_keys(vals, 2)
     sums = _pair_key_sums(keys)
-    # the candidates are re-walked in walk order below, so any sort will do
+    # the candidates are re-walked in walk order below, so any sort will do;
+    # sorting the sums in place gives sums[order] without a third array
     order = np.argsort(sums)
-    sums = sums[order]
-    # a difference past int64 wraps negative and only adds candidates
-    near = np.diff(sums) <= (1 if shift else 0)
+    sums.sort()
+    # a difference past int64 wraps negative and only adds candidates;
+    # taken in blocks, so no int64 array of all differences is formed
+    tol = 1 if shift else 0
+    near = np.empty(max(len(sums) - 1, 0), dtype=bool)
+    for k in range(0, len(near), _PAIR_BLOCK):
+        np.less_equal(np.diff(sums[k : k + _PAIR_BLOCK + 1]), tol, out=near[k : k + _PAIR_BLOCK])
     del sums
     chained = np.zeros(len(order), dtype=bool)
     chained[:-1] = near
@@ -304,17 +335,17 @@ def decompose(m: int, params: Params, y_table: YTable) -> Decomposition:
     xs: list[int] = []
     ys: list[int] = []
     cur = m
-    level = 1
-    while cur > 6 * p * q ** (2 * level - 1):
-        radix = q ** (2 * level - 1) - 1
+    power = q  # q^{2 level - 1}
+    while cur > 6 * p * power:
+        radix = power - 1
         x = cur % radix
         cur = (cur - x) // radix
         y = y_table.entries[cur % p]
         xs.append(x)
         ys.append(y)
         cur = (cur - y) // p
-        level += 1
-    return Decomposition(m=m, k=level - 1, x=tuple(xs), y=tuple(ys), z=cur)
+        power *= q * q
+    return Decomposition(m=m, k=len(xs), x=tuple(xs), y=tuple(ys), z=cur)
 
 
 def _sorted_values(seq_or_values) -> list[int]:
@@ -395,45 +426,71 @@ def _trial_seed(seed: int, tau: int) -> int:
     return int.from_bytes(h, "little") >> 1
 
 
-def _rerandomized_values(params: Params, entries, trial_seed: int) -> list[int]:
-    """New n per entry with the e digits kept and r, s redrawn."""
-    base = mixed_radix(params)
-    return [
-        _pack(base, ent.e, *_draw_digits(params, ent.f, ent.k, trial_seed))
-        for ent in entries
-    ]
+def _reaching_pairs(keys: np.ndarray, klo: int, khi: int):
+    """(i, j) arrays of the pairs i <= j with keys[i] + 2 keys[j] <= khi
+    and keys[i] + keys[j] + keys[-1] >= klo, in walk order, in blocks of
+    whole j with fewer than _PAIR_BLOCK pairs past those of their first j:
+    the pairs that some c >= j may complete into a key window [klo, khi]."""
+    n = len(keys)
+    # per j, both bounds cut a range of i out of the ascending keys
+    i_end = np.minimum(np.searchsorted(keys, khi - 2 * keys, side="right"), np.arange(1, n + 1))
+    i_start = np.searchsorted(keys, klo - keys[-1] - keys)
+    width = np.maximum(i_end - i_start, 0)
+    ends = np.cumsum(width)
+    marks = np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK)
+    cuts = np.searchsorted(ends, marks, side="right").tolist()
+    for j0, j1 in zip([0, *cuts], [*cuts, n]):
+        w = width[j0:j1]
+        j = np.repeat(np.arange(j0, j1), w)
+        i = np.arange(len(j)) - np.repeat(np.cumsum(w) - w - i_start[j0:j1], w)
+        yield i, j
 
 
 def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Every index triple i <= j <= c of the ascending vals with
-    lo <= vals[i] + vals[j] + vals[c] <= hi."""
+    lo <= vals[i] + vals[j] + vals[c] <= hi, in walk order (j, then i,
+    then c)."""
     if not vals:
         return []
     lo, hi = max(lo, 3 * vals[0]), min(hi, 3 * vals[-1])
     if lo > hi:
         return []
-    n = len(vals)
     shift, keys = _coarse_keys(vals, 3)
-    pair = _pair_key_sums(keys)
-    first = np.searchsorted(keys, (lo >> shift) - (2 if shift else 0) - pair)
-    np.maximum(first, np.repeat(np.arange(n), np.arange(1, n + 1)), out=first)
-    room = np.subtract(hi >> shift, pair, out=pair)
+    klo, khi = (lo >> shift) - (2 if shift else 0), hi >> shift
     # the key of the first c >= j in range; past the end it admits nothing
-    head = np.append(keys, np.iinfo(np.int64).max)[first]
-    pos = np.flatnonzero(head <= room)
-    stop = np.searchsorted(keys, room[pos], side="right")
+    heads = np.append(keys, np.iinfo(np.int64).max)
     out = []
-    for i, j, c0, c1 in zip(*_pairs_at(pos, n), first[pos].tolist(), stop.tolist()):
-        ab = vals[i] + vals[j]
-        out.extend((i, j, c) for c in range(c0, c1) if lo <= ab + vals[c] <= hi)
+    for ii, jj in _reaching_pairs(keys, klo, khi):
+        pair = keys[ii] + keys[jj]
+        first = np.maximum(np.searchsorted(keys, klo - pair), jj)
+        room = np.subtract(khi, pair, out=pair)
+        pos = np.flatnonzero(heads[first] <= room)
+        stop = np.searchsorted(keys, room[pos], side="right")
+        for i, j, c0, c1 in zip(ii[pos].tolist(), jj[pos].tolist(), first[pos].tolist(), stop.tolist()):
+            ab = vals[i] + vals[j]
+            out.extend((i, j, c) for c in range(c0, c1) if lo <= ab + vals[c] <= hi)
     return out
 
 
-def _trial_covered(args) -> tuple[int, list[bool]]:
-    params, entries, tau, seed, w_start, w_len = args
-    vals = sorted(_rerandomized_values(params, entries, seed))
+def _trial_covered(plan: tuple, trial_seed: int, w_start: int, w_len: int) -> list[bool]:
+    vals = sorted(redrawn_values(plan, trial_seed))
     hit = {sum(vals[x] for x in t) for t in _window_triples(vals, w_start, w_start + w_len - 1)}
-    return tau, [w_start + off in hit for off in range(w_len)]
+    return [w_start + off in hit for off in range(w_len)]
+
+
+# a worker process's (plan, w_start, w_len), set once by _init_trial_worker
+_worker_task: tuple | None = None
+
+
+def _init_trial_worker(plan: tuple, w_start: int, w_len: int) -> None:
+    global _worker_task
+    _worker_task = (plan, w_start, w_len)
+
+
+def _worker_trial(job: tuple[int, int]) -> tuple[int, list[bool]]:
+    tau, trial_seed = job
+    plan, w_start, w_len = _worker_task
+    return tau, _trial_covered(plan, trial_seed, w_start, w_len)
 
 
 def monte_carlo_coverage(
@@ -464,15 +521,15 @@ def monte_carlo_coverage(
 
     seeds = tuple(_trial_seed(params.seed, tau) for tau in range(trials))
     freq = [0] * w_len
-    jobs = [
-        (params, seq.entries, tau, seeds[tau], w_start, w_len)
-        for tau in range(trials if w_len else 0)
-    ]
+    jobs = [(tau, seeds[tau]) for tau in range(trials if w_len else 0)]
+    plan = draw_plan(params, seq.entries)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_trial_covered, jobs))
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_trial_worker, initargs=(plan, w_start, w_len)
+        ) as pool:
+            results = list(pool.map(_worker_trial, jobs))
     else:
-        results = [_trial_covered(job) for job in jobs]
+        results = [(tau, _trial_covered(plan, ts, w_start, w_len)) for tau, ts in jobs]
     for _, covered in sorted(results):
         for off, hit in enumerate(covered):
             if hit:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from .ffpoly import (
     poly_from_string,
     poly_to_string,
 )
-from .gbase import DigitVector, MixedRadix, decode, encode
+from .gbase import MixedRadix, decode
 from .unitgroup import Generator, antilog, dlog, find_generator
 
 # after the package modules, so that numpy first loads through ffpoly, as
@@ -158,31 +159,45 @@ def build_Fk(params: Params, k: int) -> list[Poly]:
     return out
 
 
-def _digit_hash(key: bytes, name: str, tag: str) -> int:
-    msg = f"{name}|{tag}".encode()
+def _seed_key(seed: int) -> bytes:
+    """The blake2b key of the keyed counter RNG under seed."""
+    return (seed & (2**64 - 1)).to_bytes(8, "little")
+
+
+def _digit_hash(key: bytes, msg: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(msg, key=key, digest_size=16).digest(), "little")
 
 
-def _draw_digits(params: Params, f: Poly, k: int, seed: int) -> tuple[tuple[int, ...], int]:
+@functools.lru_cache(maxsize=64)
+def _r_tags(k: int) -> tuple[bytes, ...]:
+    return tuple(f"r{i}".encode() for i in range(1, k + 1))
+
+
+def _draw_row(params: Params, f: Poly, k: int) -> tuple[bytes, tuple[bytes, ...], int]:
+    """What the r and s draws of member f take besides the key: the hash
+    message prefix "name|", the tags "r1", ..., "rk" of the r digits (the
+    tag of s is "s"), and q^{3k}, the size of the range of s."""
+    return f"{poly_to_string(f)}|".encode(), _r_tags(k), params.q.q ** (3 * k)
+
+
+def _draw_digits(a_elems, row, key: bytes) -> tuple[list[int], int]:
     """The r_1..r_k digits (from A) and the top digit s (from
-    {1, ..., q^{3k}}) of member f, drawn by the keyed counter RNG."""
-    key = (seed & (2**64 - 1)).to_bytes(8, "little")
-    name = poly_to_string(f)
-    a_elems = params.aux.A
-    r = tuple(
-        a_elems[_digit_hash(key, name, f"r{i}") % len(a_elems)] for i in range(1, k + 1)
-    )
-    s = 1 + _digit_hash(key, name, "s") % params.q.q ** (3 * k)
-    return r, s
+    {1, ..., q^{3k}}) of the member with draw row `row`, drawn by the
+    keyed counter RNG under key."""
+    prefix, tags, s_range = row
+    size = len(a_elems)
+    r = [a_elems[_digit_hash(key, prefix + tag) % size] for tag in tags]
+    return r, 1 + _digit_hash(key, prefix + b"s") % s_range
 
 
-def _pack(base: MixedRadix, e, r, s: int) -> int:
-    """n for the digit vector <s r_k e_k ... r_1 e_1>."""
-    digits = []
-    for pair in zip(e, r):
-        digits.extend(pair)
-    digits.append(s)
-    return encode(base, DigitVector(tuple(digits)))
+def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
+    """n for the digit vector <s r_k e_k ... r_1 e_1>, given a
+    digit_weights table that holds at least W_0..W_{2k}."""
+    n = 0
+    i = 0
+    for i, (e_i, r_i) in enumerate(zip(e, r), start=1):
+        n += e_i * weights[2 * i - 2] + r_i * weights[2 * i - 1]
+    return n + s * weights[2 * i]
 
 
 @functools.lru_cache(maxsize=64)
@@ -190,12 +205,46 @@ def mixed_radix(params: Params) -> MixedRadix:
     return MixedRadix(params.q, params.aux.p)
 
 
+@functools.lru_cache(maxsize=64)
+def digit_weights(params: Params) -> tuple[int, ...]:
+    """W_0, ..., W_{2 k_max + 1} of the mixed radix: the weight of every
+    digit position of a built entry, and of the one above."""
+    return mixed_radix(params).weights(2 * params.k_max + 2)
+
+
 def compute_entry(params: Params, moduli: ModuliTable, f: Poly, k: int) -> SequenceEntry:
     """Digits of one member: e_i deterministic in f, r_i and s drawn from
     the keyed counter RNG (independent across (f, digit), reproducible)."""
     e = tuple(dlog(moduli.generators[i - 1], f) for i in range(1, k + 1))
-    r, s = _draw_digits(params, f, k, params.seed)
-    return SequenceEntry(f=f, k=k, e=e, r=r, s=s, n=_pack(mixed_radix(params), e, r, s))
+    r, s = _draw_digits(params.aux.A, _draw_row(params, f, k), _seed_key(params.seed))
+    return SequenceEntry(f=f, k=k, e=e, r=tuple(r), s=s, n=_pack(digit_weights(params), e, r, s))
+
+
+def draw_plan(params: Params, entries) -> tuple:
+    """The seed-invariant part of re-drawing the r and s digits of
+    entries: A, and per entry the e-digit part of n (sum of e_i W_{2i-2}),
+    its draw row, the weights W_1, W_3, ..., W_{2k-1} of its r digits and
+    the weight W_{2k} of s."""
+    weights = digit_weights(params)
+    rows = []
+    for ent in entries:
+        fixed = sum(e_i * weights[2 * i] for i, e_i in enumerate(ent.e))
+        k = ent.k
+        rows.append((fixed, _draw_row(params, ent.f, k), weights[1 : 2 * k : 2], weights[2 * k]))
+    return params.aux.A, tuple(rows)
+
+
+def redrawn_values(plan: tuple, seed: int) -> list[int]:
+    """n per entry of a draw_plan with its e digits kept and r, s drawn
+    under seed, as compute_entry draws them: under the build's own seed
+    these are the stored values."""
+    a_elems, rows = plan
+    key = _seed_key(seed)
+    out = []
+    for fixed, row, r_weights, s_weight in rows:
+        r, s = _draw_digits(a_elems, row, key)
+        out.append(fixed + sum(map(operator.mul, r, r_weights)) + s * s_weight)
+    return out
 
 
 def build_sequence(params: Params) -> SidonSequence:
@@ -224,8 +273,7 @@ def build_sequence(params: Params) -> SidonSequence:
 def level_value_range(params: Params, k: int) -> tuple[int, int]:
     """[lo, hi) bracket of encoded values at level k: the top digit s is in
     [1, q^{3k}], everything below contributes less than one s-weight."""
-    base = mixed_radix(params)
-    weight = base.radix_product(2 * k)
+    weight = digit_weights(params)[2 * k]
     return weight, weight * (params.q.q ** (3 * k) + 1)
 
 
@@ -399,7 +447,7 @@ def seq_from_json(obj: dict) -> SidonSequence:
             for m in obj["moduli"]
         )
     )
-    base = mixed_radix(params)
+    weights = digit_weights(params)
     entries = []
     for idx, ent in enumerate(obj["entries"]):
         entry = SequenceEntry(
@@ -410,9 +458,11 @@ def seq_from_json(obj: dict) -> SidonSequence:
             s=int(ent["s"]),
             n=int(ent["n"]),
         )
+        if not params.k_min <= entry.k <= params.k_max:
+            raise ValueError(f"entry {idx}: level k = {entry.k} outside [k_min, k_max]")
         if len(entry.e) != entry.k or len(entry.r) != entry.k:
             raise ValueError(f"entry {idx}: digit count differs from k = {entry.k}")
-        if _pack(base, entry.e, entry.r, entry.s) != entry.n:
+        if _pack(weights, entry.e, entry.r, entry.s) != entry.n:
             raise ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
         entries.append(entry)
     return SidonSequence(params, moduli, tuple(entries), tuple(obj.get("warnings", ())))

@@ -41,6 +41,7 @@ from .builder import (
     mixed_radix,
     seq_from_json,
     seq_to_json,
+    _pack,
 )
 from .equidist import deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
@@ -205,22 +206,30 @@ def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
     p = params.aux.p
     y_table = build_y_table(params.aux)
     bits_aaa = triple_sumset_bits(set(params.aux.A))
-    base = mixed_radix(params)
+    top = q**120
+    # m = z W_{2k} + (lower digits) with z >= 3 puts every correct
+    # decomposition of m <= top below the first level k with W_{2k} >= top;
+    # b_{2i-1} = q^{2i-1} - 1 >= q^{2i-2} makes W_{2k} >= q^{k(k-1)}, so
+    # that level is at most 12
+    weights = mixed_radix(params).weights(25)
+    levels = next(k for k in range(1, 13) if weights[2 * k] >= top)
+    x_caps = [q ** (2 * i - 1) - 1 for i in range(1, levels + 1)]
+    z_caps = [6 * p * q ** (2 * k + 1) for k in range(levels)]
     rng = random.Random(f"decompose-verify|{params.seed}".encode())
     failures = []
     for _ in range(samples):
-        m = rng.randint(3, q**120)
+        m = rng.randint(3, top)
         dec = decompose(m, params, y_table)
-        ok = encode(base, dec.digit_vector()) == m
-        ok = ok and all(0 <= x < q ** (2 * i - 1) - 1 for i, x in enumerate(dec.x, start=1))
+        ok = dec.k < levels and _pack(weights, dec.x, dec.y, dec.z) == m
+        ok = ok and all(0 <= x < cap for x, cap in zip(dec.x, x_caps))
         ok = ok and all(0 <= y < 2 * p and bits_aaa >> (y - 2) & 7 == 7 for y in dec.y)
-        ok = ok and 3 <= dec.z <= 6 * p * q ** (2 * dec.k + 1)
+        ok = ok and 3 <= dec.z <= z_caps[dec.k]
         if not ok:
             failures.append(str(m))
     report = {
         "mode": "decompose",
         "samples": samples,
-        "m_range": ["3", str(q**120)],
+        "m_range": ["3", str(top)],
         "failure_count": len(failures),
         "failures": failures[:100],
         "ok": not failures,

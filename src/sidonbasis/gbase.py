@@ -42,12 +42,17 @@ class MixedRadix:
             raise ValueError(f"radix positions start at 1, got {i}")
         return self.q.q**i - 1 if i % 2 else self.p
 
+    def weights(self, count: int) -> tuple[int, ...]:
+        """(W_0, ..., W_{count-1}) with W_i = b_1 b_2 ... b_i, the weight
+        of digit position i + 1."""
+        out = [1]
+        for i in range(1, count):
+            out.append(out[-1] * self.radix(i))
+        return tuple(out[:count])
+
     def radix_product(self, n: int) -> int:
         """prod_{i=1..n} b_i; the weight of digit position n+1."""
-        out = 1
-        for i in range(1, n + 1):
-            out *= self.radix(i)
-        return out
+        return self.weights(n + 1)[-1]
 
 
 @dataclass(frozen=True)

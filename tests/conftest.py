@@ -1,7 +1,8 @@
 """Shared fixtures and the acceptance-results summary hook.
 
-The expensive build (q = 3, p = 307, k in {3, 4}) is session-scoped so the
-acceptance tests and the per-module tests share one sequence. Acceptance
+The expensive builds (q = 3, p = 307, k in {3, 4}, and q = 7, k = 3) are
+session-scoped so the acceptance tests and the per-module tests share
+them. Acceptance
 tests register a verdict through record_acceptance; the terminal summary
 prints one PASS/FAIL line per criterion after the normal pytest output.
 """
@@ -57,6 +58,14 @@ def seq307(params307):
     from sidonbasis.builder import build_sequence
 
     return build_sequence(params307)
+
+
+@pytest.fixture(scope="session")
+def seq7(aux307):
+    from sidonbasis.builder import Params, build_sequence
+    from sidonbasis.ffpoly import PrimeModulus
+
+    return build_sequence(Params(q=PrimeModulus(7), aux=aux307, k_min=3, k_max=3))
 
 
 @pytest.fixture(scope="session")

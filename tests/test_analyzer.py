@@ -1,6 +1,7 @@
 """Analyzer tests: collision search and attribution, decomposition,
 representation enumeration, Monte Carlo coverage."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sidonbasis.analyzer import (
     CollisionWitness,
     _coarse_keys,
-    _rerandomized_values,
+    _reaching_pairs,
     _trial_seed,
     _window_triples,
     attribute_collision,
@@ -26,9 +27,11 @@ from sidonbasis.builder import (
     SequenceEntry,
     SidonSequence,
     build_moduli,
+    draw_plan,
     mixed_radix,
+    redrawn_values,
 )
-from sidonbasis.ffpoly import Poly, PrimeModulus
+from sidonbasis.ffpoly import Poly, PrimeModulus, poly_to_string
 from sidonbasis.gbase import DigitVector, encode
 
 Q3 = PrimeModulus(3)
@@ -85,6 +88,29 @@ def test_verify_sidon_matches_brute(seed, scale):
     # the full witness list and its order, with keys shifted and not
     vals = planted_set(random.Random(seed), scale)
     assert witness_tuples(vals) == brute_witnesses(vals)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, None])
+def test_verify_sidon_across_difference_blocks(monkeypatch, block):
+    # the sorted sums are differenced in blocks; small blocks put many
+    # block edges among the planted collisions, and None keeps the
+    # default blocks over a set of more than 20,000 pairs
+    from sidonbasis import analyzer
+
+    if block is not None:
+        monkeypatch.setattr(analyzer, "_PAIR_BLOCK", block)
+    rng = random.Random(block or 0)
+    for scale in (500, 2**70):
+        for _ in range(5 if block else 1):
+            size, planted = (200, 30) if block is None else (20, 4)
+            vals = sorted({rng.randrange(-scale, scale) for _ in range(size)})
+            for a, b, c in (rng.sample(vals, 3) for _ in range(planted)):
+                if a + b - c not in vals:
+                    vals.append(a + b - c)
+            rng.shuffle(vals)
+            got = witness_tuples(vals)
+            assert got == brute_witnesses(vals)
+            assert got
 
 
 def test_verify_sidon_key_carry_collisions():
@@ -331,20 +357,98 @@ def window_cases(rng, vals):
     cases = [(3 * vals[0], 3 * vals[0]), (m, m), (m, m - 1), (m - spread, m + spread)]
     cases.append((3 * vals[0], 3 * vals[-1]))
     cases.append((3 * vals[0] - spread, 3 * vals[0] + spread))
+    # at either end of the range most j reach the window with no i at all
+    cases.append((3 * vals[-1], 3 * vals[-1]))
+    cases.append((3 * vals[-1] - spread, 3 * vals[-1] + spread))
     for _ in range(3):
         lo = rng.randint(3 * vals[0] - spread, 3 * vals[-1])
         cases.append((lo, lo + rng.randint(0, 4 * spread)))
     return cases
 
 
-@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([120, 2**40, 2**70, 2**130]))
-@settings(max_examples=200)
+def walk_order(t):
+    i, j, c = t
+    return j, i, c
+
+
+def check_reaching_pairs(vals, lo, hi):
+    """_reaching_pairs of the clamped window is exactly the pairs its two
+    key bounds admit, in walk order, and holds every pair of a triple in
+    the window."""
+    lo, hi = max(lo, 3 * vals[0]), min(hi, 3 * vals[-1])
+    if lo > hi:
+        return
+    shift, keys = _coarse_keys(vals, 3)
+    klo, khi = (lo >> shift) - (2 if shift else 0), hi >> shift
+    ks = [int(x) for x in keys]
+    expected = [
+        (i, j)
+        for j in range(len(ks))
+        for i in range(j + 1)
+        if ks[i] + 2 * ks[j] <= khi and ks[i] + ks[j] + ks[-1] >= klo
+    ]
+    for block in (1, 5, 1 << 13):
+        got = reaching_pairs(keys, klo, khi, block)
+        assert got == expected
+    assert {(i, j) for i, j, _ in brute_window(vals, lo, hi)} <= set(got)
+
+
+def reaching_pairs(keys, klo, khi, block):
+    """The blocks of _reaching_pairs under _PAIR_BLOCK = block, joined
+    into one (i, j) list; each block holds whole j, and fewer than block
+    pairs past its first j."""
+    from sidonbasis import analyzer
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "_PAIR_BLOCK", block)
+        for ii, jj in _reaching_pairs(keys, klo, khi):
+            js = jj.tolist()
+            assert not js or js.count(js[0]) + block > len(js)
+            assert not out or not js or out[-1][1] < js[0]
+            out.extend(zip(ii.tolist(), js))
+    return out
+
+
+# scales, and values within one key of the 62-bit limit: 3 |v| just
+# below 2^62 (shift 0) and 2^(62 + 10) (shift 10)
+EDGE = [(2**62 - 1) // 3, (2**72 - 1) // 3]
+
+
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from([120, 2**40, 2**70, 2**130] + EDGE),
+)
+@settings(max_examples=250)
 def test_window_triples_match_brute(seed, scale):
     rng = random.Random(seed)
-    vals = sorted({rng.randrange(-scale, scale) for _ in range(rng.randint(1, 18))})
+    vals = {rng.randrange(-scale, scale) for _ in range(rng.randint(1, 18))}
+    if scale in EDGE:
+        vals |= set(rng.sample([-scale, scale, -scale + 1, scale - 1], rng.randint(1, 4)))
+    vals = sorted(vals)
+    if scale in EDGE:
+        assert _coarse_keys(vals, 3)[0] == EDGE.index(scale) * 10
     for lo, hi in window_cases(rng, vals):
-        assert sorted(_window_triples(vals, lo, hi)) == brute_window(vals, lo, hi)
+        got = _window_triples(vals, lo, hi)
+        assert got == sorted(got, key=walk_order)
+        assert sorted(got) == brute_window(vals, lo, hi)
+        check_reaching_pairs(vals, lo, hi)
     assert _window_triples([], 0, 10) == []
+
+
+def test_reaching_pairs_at_range_ends():
+    # windows at 3 v_0 and 3 v_max: the pruned i-ranges are empty for
+    # most j, and every pair on a bound's edge is kept
+    rng = random.Random(41)
+    for scale in [10**6, 2**70, *EDGE]:
+        vals = sorted({rng.randrange(-scale, scale) for _ in range(60)})
+        n = len(vals)
+        for lo, hi in [(3 * vals[0], 3 * vals[0] + 2), (3 * vals[-1] - 2, 3 * vals[-1])]:
+            shift, keys = _coarse_keys(vals, 3)
+            pairs = reaching_pairs(keys, (lo >> shift) - (2 if shift else 0), hi >> shift, 1 << 13)
+            assert len({j for _, j in pairs}) < n // 2
+            check_reaching_pairs(vals, lo, hi)
+            assert _window_triples(vals, lo, hi) == sorted(brute_window(vals, lo, hi), key=walk_order)
 
 
 def test_window_triples_key_carry():
@@ -366,11 +470,47 @@ def brute_counts(vals, w_start, w_len):
     return [len(brute_window(vals, m, m)) for m in range(w_start, w_start + w_len)]
 
 
+def reference_values(params, entries, trial_seed):
+    """A re-draw written out from the build's definition: blake2b keyed by
+    the seed's low 64 bits over "name|r<i>" and "name|s", r_i = A[h mod |A|],
+    s = 1 + h mod q^{3k}, packed by gbase.encode."""
+    key = (trial_seed % 2**64).to_bytes(8, "little")
+    a_elems, base = params.aux.A, mixed_radix(params)
+
+    def h(name, tag):
+        msg = f"{name}|{tag}".encode()
+        return int.from_bytes(hashlib.blake2b(msg, key=key, digest_size=16).digest(), "little")
+
+    out = []
+    for ent in entries:
+        name = poly_to_string(ent.f)
+        digits = []
+        for i, e_i in enumerate(ent.e, start=1):
+            digits += [e_i, a_elems[h(name, f"r{i}") % len(a_elems)]]
+        digits.append(1 + h(name, "s") % params.q.q ** (3 * ent.k))
+        out.append(encode(base, DigitVector(tuple(digits))))
+    return out
+
+
+def test_draw_plan_matches_build(seq307, seq7):
+    # under the build's own seed the plan redraws every stored n; under
+    # other seeds it agrees with the written-out draw entry by entry
+    for seq in (seq307, seq7):
+        plan = draw_plan(seq.params, seq.entries)
+        stored = [ent.n for ent in seq.entries]
+        assert redrawn_values(plan, seq.params.seed) == stored
+        assert reference_values(seq.params, seq.entries, seq.params.seed) == stored
+        for seed in (1, 987654321, 2**64 + 5):
+            expected = reference_values(seq.params, seq.entries, seed)
+            assert redrawn_values(plan, seed) == expected
+            assert expected != stored
+
+
 def brute_frequencies(params, entries, window, trials):
     """Per m, the fraction of re-randomized builds covering it."""
     hits = [0] * window[1]
     for tau in range(trials):
-        tv = sorted(_rerandomized_values(params, entries, _trial_seed(params.seed, tau)))
+        tv = sorted(reference_values(params, entries, _trial_seed(params.seed, tau)))
         for off, c in enumerate(brute_counts(tv, *window)):
             hits[off] += c > 0
     return [h / trials for h in hits]
@@ -383,7 +523,7 @@ def test_coverage_matches_brute(params307, seq307, which):
     seq = SidonSequence(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
     vals = list(seq.values)
     assert _coarse_keys(vals, 3)[0] > 0
-    tv = sorted(_rerandomized_values(params307, seq.entries, _trial_seed(params307.seed, 1)))
+    tv = sorted(reference_values(params307, seq.entries, _trial_seed(params307.seed, 1)))
     hit_in_trial = tv[5] + tv[20] + tv[33]
     window = {
         "3v0": (3 * vals[0], 3),

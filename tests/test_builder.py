@@ -1,5 +1,6 @@
 """Sequence assembly tests: member windows, digits, injectivity, decode."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from sidonbasis.builder import (
     build_sequence,
     compute_entry,
     decode_entry,
+    digit_weights,
     fk_degrees,
     level_value_range,
     mixed_radix,
@@ -39,11 +41,6 @@ from sidonbasis.gbase import DigitVector, decode, encode, fmod
 from sidonbasis.unitgroup import dlog
 
 Q3 = PrimeModulus(3)
-
-
-@pytest.fixture(scope="module")
-def seq7(aux307):
-    return build_sequence(Params(q=PrimeModulus(7), aux=aux307, k_min=3, k_max=3))
 
 
 def reference_decode(n, params, moduli):
@@ -144,6 +141,24 @@ def test_compute_entry_first_digit(params307):
     assert ent.e == (1,)  # f = 2 mod t, and dlog(2, 2) = 1
 
 
+def test_digit_weights_and_pack_match_encode(params307, seq7):
+    rng = random.Random(29)
+    for params in (params307, seq7.params):
+        base = mixed_radix(params)
+        weights = digit_weights(params)
+        assert len(weights) == 2 * params.k_max + 2
+        products = [math.prod(base.radix(j) for j in range(1, i + 1)) for i in range(25)]
+        assert weights == tuple(products[: len(weights)])
+        assert base.weights(25) == tuple(products)
+        for k in range(params.k_max + 1):
+            for _ in range(50):
+                e = [rng.randrange(-5, 10**6) for _ in range(k)]
+                r = [rng.randrange(-5, 10**6) for _ in range(k)]
+                s = rng.randrange(-5, 10**9)
+                digits = [d for pair in zip(e, r) for d in pair] + [s]
+                assert _pack(weights, e, r, s) == encode(base, DigitVector(tuple(digits)))
+
+
 def test_entry_digit_ranges(params307, seq307):
     q = params307.q.q
     a_members = set(params307.aux.A)
@@ -236,7 +251,7 @@ def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7):
     seen = {"accepted": 0, "rejected": 0}
     for seq in (seq307, seq7):
         params, moduli = seq.params, seq.moduli
-        base = mixed_radix(params)
+        weights = digit_weights(params)
         q, a_elems = params.q.q, params.aux.A
         candidates = []
         for ent in rng.sample(seq.entries, 60):
@@ -247,20 +262,20 @@ def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7):
             e_up = e[:i] + [(e[i] + 1) % (q ** (2 * i + 1) - 1)] + e[i + 1 :]
             e_down = e[:i] + [(e[i] - 1) % (q ** (2 * i + 1) - 1)] + e[i + 1 :]
             candidates += [
-                _pack(base, e, r_other, ent.s),
-                _pack(base, e, r_foreign, ent.s),
-                _pack(base, e_up, r, ent.s),
-                _pack(base, e_down, r, ent.s),
-                _pack(base, e, r, 0),
-                _pack(base, e, r, 1),
-                _pack(base, e, r, q ** (3 * k)),
-                _pack(base, e, r, q ** (3 * k) + 1),
+                _pack(weights, e, r_other, ent.s),
+                _pack(weights, e, r_foreign, ent.s),
+                _pack(weights, e_up, r, ent.s),
+                _pack(weights, e_down, r, ent.s),
+                _pack(weights, e, r, 0),
+                _pack(weights, e, r, 1),
+                _pack(weights, e, r, q ** (3 * k)),
+                _pack(weights, e, r, q ** (3 * k) + 1),
             ]
         for k in range(1, params.k_max + 1):
             for _ in range(100):
                 e = [rng.randrange(q ** (2 * i - 1) - 1) for i in range(1, k + 1)]
                 r = [rng.choice(a_elems) for _ in range(k)]
-                candidates.append(_pack(base, e, r, rng.randrange(1, q ** (3 * k) + 1)))
+                candidates.append(_pack(weights, e, r, rng.randrange(1, q ** (3 * k) + 1)))
         top = level_value_range(params, params.k_max)[1]
         candidates += [rng.randrange(top + 100) for _ in range(100)]
         for n in candidates:
@@ -281,7 +296,7 @@ def test_decode_rejects_reducible_crt_result(params307, seq307):
         for b in quads:
             f = poly_mul(a, b)
             e = [dlog(moduli.generators[i - 1], f) for i in range(1, 4)]
-            n = _pack(mixed_radix(params307), e, params307.aux.A[:3], 5)
+            n = _pack(digit_weights(params307), e, params307.aux.A[:3], 5)
             residues = [poly_powmod(moduli.omega(i), e[i - 1], moduli.g(i)) for i in range(1, 4)]
             assert crt(residues, [moduli.g(i) for i in range(1, 4)]) == f
             assert f.degree in fk_degrees(params307, 3) and not is_irreducible(f)
@@ -370,3 +385,8 @@ def test_json_roundtrip(params307, seq307):
     obj["entries"][3]["e"].append(0)
     with pytest.raises(ValueError, match="digit count"):
         seq_from_json(obj)
+    for k in (params307.k_min - 1, params307.k_max + 1):
+        obj = seq_to_json(seq307)
+        obj["entries"][5]["k"] = k
+        with pytest.raises(ValueError, match="outside"):
+            seq_from_json(obj)
