@@ -12,15 +12,19 @@ set A, and the top digit s is drawn from {1, ..., q^{3k}}. The r and s
 digits come from a keyed-hash counter RNG so every (f, digit) pair is an
 independent, reproducible draw.
 
+level_e_digits gives the e digits of a whole level at once: one digit
+matrix of the members' codes, one product mod q per g_i (reduction is
+F_q-linear) and one dlog_table gather; compute_entry draws and packs.
+
 The map f -> n_f is injective and invertible: decode_entry peels the
-digits back off, inverts each discrete log with unitgroup.antilog (a
-power-table gather up to DLOG_SCAN_LIMIT, square-and-multiply above),
+digits back off, reads omega_i^{e_i} mod g_i from antilog_table,
 recombines the residues by one cached CRT matrix over F_q (CRT is linear
-in the residues), and tests irreducibility by lookup in the same sieve
-build_Fk enumerates from. The mixed radix, level brackets and degree
-windows are cached per Params. audit_preconditions reports the concrete
-degree margins that the collision-freeness argument needs at the
-configured parameters.
+in the residues; the matrix is built from the k CRT idempotents), and
+tests irreducibility by lookup in the same sieve build_Fk enumerates
+from. The moduli are cached per (q, k_max); the mixed radix, level
+brackets and degree windows per Params. audit_preconditions reports the
+concrete degree margins that the collision-freeness argument needs at
+the configured parameters.
 """
 
 from __future__ import annotations
@@ -36,14 +40,19 @@ from .auxset import AuxSet, aux_from_json, aux_to_json
 from .ffpoly import (
     Poly,
     PrimeModulus,
+    code_digits,
     crt,
+    digit_codes,
     enumerate_irreducibles,
     is_irreducible_by_sieve,
+    mulmod_matrix,
     poly_from_string,
+    poly_mul,
     poly_to_string,
+    smallest_irreducible,
 )
 from .gbase import MixedRadix, decode
-from .unitgroup import Generator, antilog, dlog, find_generator
+from .unitgroup import Generator, antilog_table, dlog_table, find_generator
 
 # after the package modules, so that numpy first loads through ffpoly, as
 # in analyzer
@@ -130,12 +139,15 @@ class SidonSequence:
 
 def build_moduli(params: Params) -> ModuliTable:
     """g_i = smallest monic irreducible of degree 2i-1, with its smallest
-    full-order residue, for i = 1..k_max."""
-    gens = []
-    for i in range(1, params.k_max + 1):
-        g = enumerate_irreducibles(params.q, 2 * i - 1)[0]
-        gens.append(find_generator(g))
-    return ModuliTable(tuple(gens))
+    full-order residue, for i = 1..k_max. Cached per (q, k_max)."""
+    return _moduli(params.q, params.k_max)
+
+
+@functools.lru_cache(maxsize=64)
+def _moduli(q: PrimeModulus, k_max: int) -> ModuliTable:
+    return ModuliTable(
+        tuple(find_generator(smallest_irreducible(q, 2 * i - 1)) for i in range(1, k_max + 1))
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -212,10 +224,28 @@ def digit_weights(params: Params) -> tuple[int, ...]:
     return mixed_radix(params).weights(2 * params.k_max + 2)
 
 
-def compute_entry(params: Params, moduli: ModuliTable, f: Poly, k: int) -> SequenceEntry:
-    """Digits of one member: e_i deterministic in f, r_i and s drawn from
-    the keyed counter RNG (independent across (f, digit), reproducible)."""
-    e = tuple(dlog(moduli.generators[i - 1], f) for i in range(1, k + 1))
+def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np.ndarray:
+    """The e digits of members at level k = len(generators): row u holds
+    e_1..e_k of members[u], the table logs of members[u] mod g_1..g_k.
+    One digit matrix of the members' codes, one product mod q per g_i
+    (the reduction map mod g_i) and one log-table gather per g_i. Raises
+    ValueError when some g_i divides a member."""
+    q = generators[0].g.q
+    width = 1 + max(f.degree for f in members)
+    digits = code_digits(q.q, [f.code for f in members], width)
+    e = np.empty((len(members), len(generators)), dtype=np.int64)
+    for i, gen in enumerate(generators):
+        residues = digit_codes(q.q, digits @ mulmod_matrix(Poly.one(q), gen.g, width) % q.q)
+        e[:, i] = dlog_table(gen)[residues]
+    if (e < 0).any():
+        raise ValueError("a member is divisible by one of the moduli g_i")
+    return e
+
+
+def compute_entry(params: Params, f: Poly, k: int, e: tuple[int, ...]) -> SequenceEntry:
+    """The entry of member f at level k with e digits e (a row of
+    level_e_digits): r_i and s drawn from the keyed counter RNG
+    (independent across (f, digit), reproducible), then packed."""
     r, s = _draw_digits(params.aux.A, _draw_row(params, f, k), _seed_key(params.seed))
     return SequenceEntry(f=f, k=k, e=e, r=tuple(r), s=s, n=_pack(digit_weights(params), e, r, s))
 
@@ -255,8 +285,9 @@ def build_sequence(params: Params) -> SidonSequence:
         members = build_Fk(params, k)
         if not members:
             warnings.append(f"level k={k} is empty (no even degree in its window)")
-        for f in members:
-            entries.append(compute_entry(params, moduli, f, k))
+            continue
+        e_rows = level_e_digits(moduli.generators[:k], members).tolist()
+        entries.extend(compute_entry(params, f, k, tuple(e)) for f, e in zip(members, e_rows))
     entries.sort(key=lambda ent: ent.n)
     for a, b in zip(entries, entries[1:]):
         if a.n == b.n:
@@ -279,20 +310,20 @@ def level_value_range(params: Params, k: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=64)
 def _crt_matrix(moduli: tuple[Poly, ...]) -> np.ndarray:
-    """The F_q-linear CRT map as a (D, D) matrix, D = sum of deg g_i: row
-    number sum_{l<i} deg g_l + j is crt of the residue t^j mod g_i and 0
-    mod every other modulus. The CRT of residues whose coefficient
-    vectors, each padded to deg g_i, concatenate to x is x @ M mod q."""
+    """The F_q-linear CRT map as a (D, D) matrix, D = sum of deg g_i. With
+    G = prod g_i and the idempotent e_i = crt of 1 mod g_i and 0 mod every
+    other modulus, the CRT of residues x_i is sum x_i e_i mod G, so the
+    rows for g_i are mulmod_matrix(e_i, G, deg g_i): k crt calls in all.
+    The CRT of residues whose coefficient vectors, each padded to deg g_i,
+    concatenate to x is x @ M mod q."""
     q = moduli[0].q
-    size = sum(g.degree for g in moduli)
-    rows = []
+    product = functools.reduce(poly_mul, moduli)
+    blocks = []
     for i, g in enumerate(moduli):
-        for j in range(g.degree):
-            residues = [Poly.zero(q)] * len(moduli)
-            residues[i] = Poly(q, (0,) * j + (1,))
-            coeffs = crt(residues, list(moduli)).coeffs
-            rows.append(coeffs + (0,) * (size - len(coeffs)))
-    matrix = np.array(rows, dtype=np.int64).reshape(size, size)
+        residues = [Poly.zero(q)] * len(moduli)
+        residues[i] = Poly.one(q)
+        blocks.append(mulmod_matrix(crt(residues, list(moduli)), product, g.degree))
+    matrix = np.concatenate(blocks)
     matrix.flags.writeable = False
     return matrix
 
@@ -302,13 +333,14 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is
-    tried). The residues omega_i^{e_i} mod g_i come from antilog, f from
-    one CRT matrix product mod q. Foreign values fail digit validation,
-    land outside the degree window, or decode to a reducible polynomial,
-    and raise DecodeError.
+    tried). The residues omega_i^{e_i} mod g_i are antilog_table codes,
+    and f is one CRT matrix product mod q of their digits. Foreign values
+    fail digit validation, land outside the degree window, or decode to a
+    reducible polynomial, and raise DecodeError.
     """
     base = mixed_radix(params)
     a_members = set(params.aux.A)
+    q = params.q.q
     for k in range(1, params.k_max + 1):
         lo, hi = level_value_range(params, k)
         if not lo <= n < hi:
@@ -317,18 +349,16 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
         e = digits[0 : 2 * k : 2]
         r = digits[1 : 2 * k : 2]
         s = digits[2 * k]
-        if not 1 <= s <= params.q.q ** (3 * k):
+        if not 1 <= s <= q ** (3 * k):
             continue
         if any(x not in a_members for x in r):
             continue
         gens = moduli.generators[:k]
-        x: list[int] = []
-        for gen, e_i in zip(gens, e):
-            coeffs = antilog(gen, e_i).coeffs
-            x.extend(coeffs)
-            x.extend((0,) * (gen.g.degree - len(coeffs)))
+        x = np.concatenate(
+            [code_digits(q, antilog_table(gen)[e_i], gen.g.degree) for gen, e_i in zip(gens, e)]
+        )
         matrix = _crt_matrix(tuple(gen.g for gen in gens))
-        f = Poly(params.q, tuple((np.array(x) @ matrix % params.q.q).tolist()))
+        f = Poly(params.q, tuple((x @ matrix % q).tolist()))
         if not f.is_monic():
             continue
         if f.degree not in fk_degrees(params, k):
@@ -439,16 +469,19 @@ def seq_to_json(seq: SidonSequence, manifest_ref: str | None = None) -> dict:
 
 
 def seq_from_json(obj: dict) -> SidonSequence:
+    """Inverse of seq_to_json. Raises ValueError unless the moduli are
+    build_moduli(params) and every entry's k, digits, n, deg f and e (the
+    table logs of f, one level_e_digits call per level) are consistent."""
     params = params_from_json(obj["params"])
     q = params.q
-    moduli = ModuliTable(
-        tuple(
-            Generator(poly_from_string(q, m["g"]), poly_from_string(q, m["omega"]))
-            for m in obj["moduli"]
-        )
-    )
+    moduli = build_moduli(params)
+    stored = [(poly_from_string(q, m["g"]), poly_from_string(q, m["omega"])) for m in obj["moduli"]]
+    if stored != [(gen.g, gen.omega) for gen in moduli.generators]:
+        raise ValueError("moduli differ from the build's g_i and their generators")
     weights = digit_weights(params)
     entries = []
+    windows = {k: fk_degrees(params, k) for k in range(params.k_min, params.k_max + 1)}
+    levels: dict[int, list[int]] = {}
     for idx, ent in enumerate(obj["entries"]):
         entry = SequenceEntry(
             f=poly_from_string(q, ent["f"]),
@@ -458,11 +491,19 @@ def seq_from_json(obj: dict) -> SidonSequence:
             s=int(ent["s"]),
             n=int(ent["n"]),
         )
-        if not params.k_min <= entry.k <= params.k_max:
+        if entry.k not in windows:
             raise ValueError(f"entry {idx}: level k = {entry.k} outside [k_min, k_max]")
         if len(entry.e) != entry.k or len(entry.r) != entry.k:
             raise ValueError(f"entry {idx}: digit count differs from k = {entry.k}")
         if _pack(weights, entry.e, entry.r, entry.s) != entry.n:
             raise ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
+        if entry.f.degree not in windows[entry.k]:
+            raise ValueError(f"entry {idx}: deg f outside the level k = {entry.k} window")
+        levels.setdefault(entry.k, []).append(idx)
         entries.append(entry)
+    for k, idxs in levels.items():
+        e_rows = level_e_digits(moduli.generators[:k], [entries[i].f for i in idxs]).tolist()
+        for idx, e in zip(idxs, e_rows):
+            if tuple(e) != entries[idx].e:
+                raise ValueError(f"entry {idx}: e digits differ from the table logs of f")
     return SidonSequence(params, moduli, tuple(entries), tuple(obj.get("warnings", ())))

@@ -42,7 +42,10 @@ from .ffpoly import (
     MINUS_INFINITY,
     PrimeModulus,
     Poly,
+    code_digits,
+    digit_codes,
     enumerate_irreducibles,
+    mulmod_matrix,
     poly_gcd,
     poly_mod,
     poly_mul,
@@ -67,17 +70,11 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     (q^deg g, factors) with C[code(x)] the discrete logs of x mod each
     factor, -1 where the factor divides x."""
     qv = g.q.q
-    codes = np.arange(qv**g.degree, dtype=np.int64)
-    digits = np.stack([(codes // qv**j) % qv for j in range(g.degree)], axis=1)
+    digits = code_digits(qv, np.arange(qv**g.degree), g.degree)
     shape = []
     columns = []
     for pi in factor_squarefree_poly(g):
-        # row j of the reduction map holds the coefficients of t^j mod pi
-        red = np.zeros((g.degree, pi.degree), dtype=np.int64)
-        for j in range(g.degree):
-            for i, c in enumerate(poly_mod(Poly(g.q, (0,) * j + (1,)), pi).coeffs):
-                red[j, i] = c
-        residues = digits @ red % qv @ (qv ** np.arange(pi.degree, dtype=np.int64))
+        residues = digit_codes(qv, digits @ mulmod_matrix(Poly.one(g.q), pi, g.degree) % qv)
         columns.append(dlog_table(find_generator(pi))[residues])
         shape.append(qv**pi.degree - 1)
     return tuple(shape), np.stack(columns, axis=1)

@@ -10,7 +10,8 @@ u in [0, q^d) via u = sum c_i q^i over the d lower coefficients; all
 enumeration order in this package is ascending code order (the constant
 coefficient varies fastest), which is also ascending order of the full
 evaluation-at-q value. "Lexicographically smallest" downstream always
-means smallest code.
+means smallest code. code_digits, digit_codes and mulmod_matrix are the
+package's one vectorized form of codes and of the maps x -> a x mod g.
 """
 
 from __future__ import annotations
@@ -257,57 +258,73 @@ def count_irreducibles(q: PrimeModulus, d: int) -> int:
     return total // d
 
 
-@functools.lru_cache(maxsize=None)
-def _monic_coeff_matrix(q: int, b: int) -> np.ndarray:
-    """(q^b, b+1) matrix: row u = coefficients of the u-th monic of degree b
-    (low first, leading 1 in the last column)."""
-    codes = np.arange(q**b, dtype=np.int64)
-    cols = [(codes // q**i) % q for i in range(b)]
-    cols.append(np.ones(q**b, dtype=np.int64))
-    return np.stack(cols, axis=1)
+def code_digits(q: int, codes, width: int) -> np.ndarray:
+    """Base-q digits of codes, low first: shape codes.shape + (width,).
+    The digits of a code are the coefficient vector of Poly.from_code,
+    padded to width; codes must lie in [0, q^width)."""
+    digits = np.asarray(codes, dtype=np.int64)[..., None] // q ** np.arange(width, dtype=np.int64)
+    digits %= q  # in place: one array of the output's size at a time
+    return digits
+
+
+def digit_codes(q: int, digits: np.ndarray) -> np.ndarray:
+    """Inverse of code_digits: the code of each digit vector along the
+    last axis."""
+    return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
+
+
+def mulmod_matrix(a: Poly, g: Poly, width: int) -> np.ndarray:
+    """The F_q-linear map x -> a x mod g on coefficient vectors of length
+    width, as a (width, deg g) matrix: row j holds the coefficients of
+    a t^j mod g, so x @ M % q is the coefficient vector of a x mod g."""
+    out = np.zeros((width, g.degree), dtype=np.int64)
+    row = poly_mod(a, g)
+    for j in range(width):
+        out[j, : len(row.coeffs)] = row.coeffs
+        row = poly_mod(poly_mul(row, Poly.t(g.q)), g)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _irreducible_codes(q: int, d: int) -> np.ndarray:
     """Codes (lower-coefficient values in [0, q^d)) of all monic irreducibles
     of degree d, ascending. Product sieve: every composite monic of degree d
-    is pi * m for some irreducible pi with deg pi <= d/2."""
-    if d == 1:
-        return np.arange(q, dtype=np.int64)
-    size = q**d
-    composite = np.zeros(size, dtype=bool)
+    is pi * m for some irreducible pi with deg pi <= d/2 and m monic of
+    degree d - deg pi; reduced mod t^d, the product keeps exactly the
+    coefficients below its leading 1."""
+    field = PrimeModulus(q)
+    t_d = Poly(field, (0,) * d + (1,))
+    composite = np.zeros(q**d, dtype=bool)
     for a in range(1, d // 2 + 1):
         b = d - a
-        monics = _monic_coeff_matrix(q, b)
-        powers = q ** np.arange(d, dtype=np.int64)
-        for pi_code in _irreducible_codes(q, a):
-            pi = [int(pi_code // q**i) % q for i in range(a)] + [1]
-            prod = np.zeros((q**b, d + 1), dtype=np.int64)
-            for i, pc in enumerate(pi):
-                if pc:
-                    prod[:, i : i + b + 1] += pc * monics
-            prod %= q
-            # product is monic of degree d; drop the leading 1 and encode
-            composite[prod[:, :d] @ powers] = True
+        monics = code_digits(q, np.arange(q**b, 2 * q**b), b + 1)
+        for pi_code in _irreducible_codes(q, a).tolist():
+            pi = Poly.from_code(field, pi_code + q**a)
+            composite[digit_codes(q, monics @ mulmod_matrix(pi, t_d, b + 1) % q)] = True
     out = np.flatnonzero(~composite).astype(np.int64)
     out.flags.writeable = False
     return out
 
 
-def enumerate_irreducibles(
-    q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP
-) -> list[Poly]:
-    """All monic irreducibles of degree d, ascending code order."""
+def _capped_sieve(q: PrimeModulus, d: int, cap: int) -> np.ndarray:
+    """_irreducible_codes(q, d), refused when q^d exceeds cap."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if q.q**d > cap:
         raise ValueError(f"enumeration cap exceeded: {q.q}^{d} > {cap}")
-    out = []
-    for u in _irreducible_codes(q.q, d):
-        cs = [int(u // q.q**i) % q.q for i in range(d)]
-        cs.append(1)
-        out.append(Poly(q, tuple(cs)))
-    return out
+    return _irreducible_codes(q.q, d)
+
+
+def enumerate_irreducibles(q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP) -> list[Poly]:
+    """All monic irreducibles of degree d, ascending code order."""
+    digits = code_digits(q.q, _capped_sieve(q, d, cap) + q.q**d, d + 1)
+    return [Poly(q, tuple(row)) for row in digits.tolist()]
+
+
+def smallest_irreducible(q: PrimeModulus, d: int) -> Poly:
+    """enumerate_irreducibles(q, d)[0], built from the first sieve code
+    alone."""
+    return Poly.from_code(q, int(_capped_sieve(q, d, DEFAULT_ENUM_CAP)[0]) + q.q**d)
 
 
 def is_irreducible_by_sieve(f: Poly) -> bool:

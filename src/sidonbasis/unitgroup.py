@@ -3,14 +3,13 @@
 For irreducible g the units form a cyclic group of order N = q^deg(g) - 1.
 Generators are found by the order test against the factored N.
 
-Both directions are table lookups when N <= DLOG_SCAN_LIMIT = 2^20, that
-is for up to 2^20 + 1 residues (13^5 = 371,293 among them). dlog reads a
-cached full-log table (one vectorized multiply-by-omega map plus a
-pure-Python orbit walk); antilog reads a cached power table, made from
-the log table by one scatter. Each table takes 8 bytes per residue, so
-the pair takes 16 q^deg(g) bytes (about 6 MB at 13^5). Above the limit
-dlog falls back to Pohlig-Hellman with baby-step giant-step per prime
-power, and antilog to square-and-multiply.
+Both directions are tables while N <= DLOG_SCAN_LIMIT = 2^20, that is
+for up to 2^20 + 1 residues (13^5 = 371,293 among them), and neither is
+built above it. dlog_table walks the orbit of 1 under one vectorized
+multiply-by-omega map (ffpoly.mulmod_matrix); antilog_table is one
+scatter from it. Each takes 8 bytes per residue, about 6 MB for the pair
+at 13^5. dlog, the scalar API and the tests' oracle, reads the table or
+runs Pohlig-Hellman with baby-step giant-step per prime power.
 """
 
 from __future__ import annotations
@@ -23,9 +22,11 @@ import numpy as np
 from . import primes
 from .ffpoly import (
     Poly,
-    PrimeModulus,
+    code_digits,
+    digit_codes,
     enumerate_irreducibles,
     is_irreducible,
+    mulmod_matrix,
     poly_derivative,
     poly_divmod,
     poly_gcd,
@@ -123,33 +124,21 @@ _LOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray]
 _ANTILOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
 
 
-def _mul_map(gen: Generator) -> np.ndarray:
-    """Map array M with M[code(x)] = code(omega * x mod g) for all residues."""
-    g, omega = gen.g, gen.omega
-    qv = g.q.q
-    d = g.degree
-    # columns of the multiply-by-omega linear map on coefficient vectors
-    lin = np.zeros((d, d), dtype=np.int64)
-    for j in range(d):
-        col = poly_mod(poly_mul(omega, Poly(g.q, (0,) * j + (1,))), g)
-        for i, c in enumerate(col.coeffs):
-            lin[j, i] = c
-    codes = np.arange(qv**d, dtype=np.int64)
-    digits = np.stack([(codes // qv**i) % qv for i in range(d)], axis=1)
-    out_digits = digits @ lin % qv
-    return out_digits @ (qv ** np.arange(d, dtype=np.int64))
-
-
 def dlog_table(gen: Generator) -> np.ndarray:
     """Full log table T with T[code(x)] = dlog(x) for every unit x,
-    -1 elsewhere. Cached per (q, g, omega)."""
+    -1 elsewhere. Cached per (q, g, omega). Raises ValueError when the
+    group order exceeds DLOG_SCAN_LIMIT, before allocating anything."""
     key = (gen.g.q.q, gen.g.coeffs, gen.omega.coeffs)
     cached = _LOG_TABLE_CACHE.get(key)
     if cached is not None:
         return cached
     n = gen.order
-    size = gen.g.q.q ** gen.g.degree
-    mul = _mul_map(gen).tolist()
+    if n > DLOG_SCAN_LIMIT:
+        raise ValueError(f"unit group of order {n} exceeds DLOG_SCAN_LIMIT = {DLOG_SCAN_LIMIT}")
+    qv, d = gen.g.q.q, gen.g.degree
+    size = qv**d
+    digits = code_digits(qv, np.arange(size), d)
+    mul = digit_codes(qv, digits @ mulmod_matrix(gen.omega, gen.g, d) % qv).tolist()
     table = np.full(size, -1, dtype=np.int64)
     x = 1  # code of the constant 1
     for e in range(n):
@@ -234,17 +223,6 @@ def dlog(gen: Generator, f: Poly, scan_limit: int = DLOG_SCAN_LIMIT) -> int:
     return _pohlig_hellman(gen, r)
 
 
-def antilog(gen: Generator, e: int) -> Poly:
-    """omega^e mod g for a natural e, the inverse of dlog: a gather from
-    antilog_table when order <= DLOG_SCAN_LIMIT, square-and-multiply
-    above."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    if gen.order <= DLOG_SCAN_LIMIT:
-        return Poly.from_code(gen.g.q, int(antilog_table(gen)[e % gen.order]))
-    return poly_powmod(gen.omega, e, gen.g)
-
-
 def factor_squarefree_poly(g: Poly, cap: int = 1 << 20) -> tuple[Poly, ...]:
     """Irreducible factors of monic squarefree g, ascending code order,
     by trial division over enumerated irreducibles."""
@@ -279,38 +257,3 @@ def euler_phi_poly(g: Poly) -> int:
     for pi in factor_squarefree_poly(g):
         out *= g.q.q**pi.degree - 1
     return out
-
-
-@dataclass(frozen=True)
-class ResidueSystem:
-    """A squarefree modulus with its factorization and unit-group order."""
-
-    g: Poly
-    factorization: tuple[Poly, ...]
-    order: int
-
-    def __post_init__(self):
-        prod = Poly.one(self.g.q)
-        seen = set()
-        for pi in self.factorization:
-            if not is_irreducible(pi):
-                raise ValueError(f"factor {pi} is not irreducible")
-            if pi.coeffs in seen:
-                raise ValueError(f"repeated factor {pi} (modulus not squarefree)")
-            seen.add(pi.coeffs)
-            prod = poly_mul(prod, pi)
-        if prod != self.g:
-            raise ValueError("factorization does not multiply to the modulus")
-        expected = 1
-        for pi in self.factorization:
-            expected *= self.g.q.q**pi.degree - 1
-        if expected != self.order:
-            raise ValueError(f"order {self.order} != product formula {expected}")
-
-    @classmethod
-    def for_modulus(cls, g: Poly) -> "ResidueSystem":
-        factors = factor_squarefree_poly(g)
-        order = 1
-        for pi in factors:
-            order *= g.q.q**pi.degree - 1
-        return cls(g, factors, order)

@@ -16,10 +16,10 @@ from sidonbasis.builder import (
     build_Fk,
     build_moduli,
     build_sequence,
-    compute_entry,
     decode_entry,
     digit_weights,
     fk_degrees,
+    level_e_digits,
     level_value_range,
     mixed_radix,
     params_from_json,
@@ -38,7 +38,7 @@ from sidonbasis.ffpoly import (
     poly_powmod,
 )
 from sidonbasis.gbase import DigitVector, decode, encode, fmod
-from sidonbasis.unitgroup import dlog
+from sidonbasis.unitgroup import dlog, find_generator
 
 Q3 = PrimeModulus(3)
 
@@ -98,6 +98,7 @@ def test_strict_mode_rejects_desk_scale(aux307):
 
 def test_build_moduli(params307):
     moduli = build_moduli(params307)
+    assert build_moduli(with_c(params307, "9/25")) is moduli  # cached per (q, k_max)
     assert moduli.g(1) == Poly(Q3, (0, 1))
     assert moduli.omega(1) == Poly(Q3, (2,))
     for i in range(1, params307.k_max + 1):
@@ -133,12 +134,26 @@ def test_build_fk_counts(params307):
         assert f.is_monic() and is_irreducible(f)
 
 
-def test_compute_entry_first_digit(params307):
-    moduli = build_moduli(params307)
-    ent = compute_entry(params307, moduli, Poly(Q3, (1, 0, 1)), 1)
-    assert ent.e == (0,)  # f = 1 mod t, and dlog(2, 1) = 0
-    ent = compute_entry(params307, moduli, Poly(Q3, (2, 1, 1)), 1)
-    assert ent.e == (1,)  # f = 2 mod t, and dlog(2, 2) = 1
+def test_level_e_digits_first_digit(params307):
+    gens = build_moduli(params307).generators[:1]
+    e = level_e_digits(gens, [Poly(Q3, (1, 0, 1)), Poly(Q3, (2, 1, 1))])
+    # f = 1 mod t, and dlog(2, 1) = 0; f = 2 mod t, and dlog(2, 2) = 1
+    assert e.tolist() == [[0], [1]]
+
+
+def test_level_e_digits_match_pohlig_hellman(params307, seq7):
+    # every q = 3, k = 3 member, and samples at q = 3, k = 4 and q = 7, k = 3,
+    # against dlog forced onto Pohlig-Hellman
+    rng = random.Random(31)
+    for params, k, sample in ((params307, 3, None), (params307, 4, 40), (seq7.params, 3, 60)):
+        gens = build_moduli(params).generators[:k]
+        members = build_Fk(params, k)
+        if sample is not None:
+            members = rng.sample(members, sample)
+        e = level_e_digits(gens, members).tolist()
+        assert e == [[dlog(gen, f, scan_limit=1) for gen in gens] for f in members]
+    with pytest.raises(ValueError, match="divisible"):
+        level_e_digits(build_moduli(params307).generators[:2], [Poly(Q3, (0, 1, 1))])  # t(t+1)
 
 
 def test_digit_weights_and_pack_match_encode(params307, seq7):
@@ -390,3 +405,27 @@ def test_json_roundtrip(params307, seq307):
         obj["entries"][5]["k"] = k
         with pytest.raises(ValueError, match="outside"):
             seq_from_json(obj)
+    weights = digit_weights(params307)
+    obj = seq_to_json(seq307)
+    gen2 = seq307.moduli.generators[1]
+    # omega^5 also generates the 26 units mod g_2: a valid foreign generator
+    obj["moduli"][1]["omega"] = str(poly_powmod(gen2.omega, 5, gen2.g))
+    with pytest.raises(ValueError, match="moduli differ"):
+        seq_from_json(obj)
+    obj = seq_to_json(seq307)
+    other = enumerate_irreducibles(Q3, 3)[1]
+    obj["moduli"][1] = {"g": str(other), "omega": str(find_generator(other).omega)}
+    with pytest.raises(ValueError, match="moduli differ"):
+        seq_from_json(obj)
+    # e_1 and n changed together: n still re-encodes, only the log check sees it
+    obj = seq_to_json(seq307)
+    ent = seq307.entries[9]
+    e = (1 - ent.e[0],) + ent.e[1:]  # e_1 lives in {0, 1} for q = 3
+    obj["entries"][9]["e"] = list(e)
+    obj["entries"][9]["n"] = str(_pack(weights, e, ent.r, ent.s))
+    with pytest.raises(ValueError, match="entry 9: e digits differ"):
+        seq_from_json(obj)
+    obj = seq_to_json(seq307)
+    obj["entries"][2]["f"] = "1+t^2"  # irreducible, but below the k = 3 window
+    with pytest.raises(ValueError, match="entry 2: deg f outside"):
+        seq_from_json(obj)

@@ -244,6 +244,23 @@ def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
     assert err.startswith("error: entry 7: n does not re-encode")
 
 
+@pytest.mark.parametrize("field", ["omega", "g", "e"])
+def test_verify_rejects_foreign_moduli_and_logs(workdir, tmp_path, capsys, field):
+    obj = read_json(workdir / "seq.json")
+    if field == "e":
+        # e_1 and n changed together, so n still re-encodes (W_0 = 1)
+        ent = obj["entries"][7]
+        ent["n"] = str(int(ent["n"]) + 1 - 2 * ent["e"][0])
+        ent["e"][0] = 1 - ent["e"][0]
+    else:
+        obj["moduli"][1][field] = {"omega": "2+t^2", "g": "2+t+t^3"}[field]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry 7: e digits" if field == "e" else "error: moduli differ")
+
+
 def test_equidist_files(tmp_path):
     out = tmp_path / "eq.csv"
     rc = main(["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", str(out)])

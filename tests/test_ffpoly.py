@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +12,14 @@ from sidonbasis.ffpoly import (
     MINUS_INFINITY,
     Poly,
     PrimeModulus,
+    code_digits,
     count_irreducibles,
     crt,
+    digit_codes,
     enumerate_irreducibles,
     is_irreducible,
     is_irreducible_by_sieve,
+    mulmod_matrix,
     poly_add,
     poly_divmod,
     poly_from_string,
@@ -26,6 +30,7 @@ from sidonbasis.ffpoly import (
     poly_powmod,
     poly_sub,
     poly_to_string,
+    smallest_irreducible,
 )
 
 Q2 = PrimeModulus(2)
@@ -272,3 +277,49 @@ def test_string_rejects_malformed():
 @settings(max_examples=200)
 def test_string_roundtrip_property(f):
     assert poly_from_string(f.q, poly_to_string(f)) == f
+
+
+HELPER_FIELDS = st.sampled_from([2, 3, 5, 7, 11])
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_code_digits_match_poly_codes(data):
+    qv = data.draw(HELPER_FIELDS)
+    width = data.draw(st.integers(1, 6))
+    codes = data.draw(st.lists(st.integers(0, qv**width - 1), min_size=1, max_size=20))
+    digits = code_digits(qv, codes, width)
+    assert digits.shape == (len(codes), width)
+    for u, row in zip(codes, digits.tolist()):
+        coeffs = list(Poly.from_code(PrimeModulus(qv), u).coeffs)
+        assert row == coeffs + [0] * (width - len(coeffs))
+        assert Poly(PrimeModulus(qv), tuple(row)).code == u
+    assert digit_codes(qv, digits).tolist() == codes
+    assert code_digits(qv, codes[0], width).tolist() == digits[0].tolist()
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_mulmod_matrix_matches_poly_arithmetic(data):
+    qv = data.draw(HELPER_FIELDS)
+    q = PrimeModulus(qv)
+    coeff = st.integers(0, qv - 1)
+    deg_g = data.draw(st.integers(1, 6))
+    lead = data.draw(st.integers(1, qv - 1))
+    g = Poly(q, tuple(data.draw(st.lists(coeff, min_size=deg_g, max_size=deg_g))) + (lead,))
+    a = Poly(q, tuple(data.draw(st.lists(coeff, max_size=8))))
+    width = data.draw(st.integers(1, 9))
+    vector = st.lists(coeff, min_size=width, max_size=width)
+    xs = data.draw(st.lists(vector, min_size=1, max_size=8))
+    matrix = mulmod_matrix(a, g, width)
+    assert matrix.shape == (width, deg_g)
+    for x, row in zip(xs, (np.array(xs) @ matrix % qv).tolist()):
+        expected = list(poly_mod(poly_mul(a, Poly(q, tuple(x))), g).coeffs)
+        assert row == expected + [0] * (deg_g - len(expected))
+
+
+def test_smallest_irreducible():
+    for q, d in ((Q2, 1), (Q2, 6), (Q3, 5), (Q5, 3), (PrimeModulus(13), 3)):
+        assert smallest_irreducible(q, d) == enumerate_irreducibles(q, d)[0]
+    with pytest.raises(ValueError):
+        smallest_irreducible(Q3, 13)  # 3^13 > DEFAULT_ENUM_CAP

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonbasis import unitgroup
 from sidonbasis.ffpoly import (
     Poly,
     PrimeModulus,
@@ -19,8 +18,6 @@ from sidonbasis.ffpoly import (
 from sidonbasis.unitgroup import (
     DLOG_SCAN_LIMIT,
     Generator,
-    ResidueSystem,
-    antilog,
     antilog_table,
     dlog,
     dlog_table,
@@ -143,19 +140,25 @@ def test_antilog_table_inverts_dlog_table():
         assert antilog_table(gen) is powers  # cached
 
 
-@pytest.mark.parametrize("limit", [unitgroup.DLOG_SCAN_LIMIT, 0])
-def test_antilog_matches_powmod(monkeypatch, limit):
-    # limit 0 takes every generator past the tables, to square-and-multiply
-    monkeypatch.setattr(unitgroup, "DLOG_SCAN_LIMIT", limit)
+def test_antilog_matches_powmod():
     rng = random.Random(3)
     for gen in _generators():
         n = gen.order
-        for e in [0, 1, n - 1, n, 2 * n + 1] + [rng.randrange(10 * n) for _ in range(20)]:
+        powers = antilog_table(gen)
+        for e in [0, n // 2, n - 1] + [rng.randrange(n) for _ in range(20)]:
             expected = poly_powmod(gen.omega, e, gen.g)
-            assert antilog(gen, e) == expected
-            assert dlog(gen, expected) == e % n
-        with pytest.raises(ValueError):
-            antilog(gen, -1)
+            assert Poly.from_code(gen.g.q, int(powers[e])) == expected
+            assert dlog(gen, expected) == e
+
+
+def test_tables_refuse_orders_above_the_limit():
+    # t^21 + t^2 + 1 over F_2: order 2^21 - 1 > DLOG_SCAN_LIMIT = 2^20
+    gen = find_generator(Poly(Q2, (1, 0, 1) + (0,) * 18 + (1,)))
+    assert gen.order == 2**21 - 1 > DLOG_SCAN_LIMIT
+    with pytest.raises(ValueError, match="DLOG_SCAN_LIMIT"):
+        dlog_table(gen)
+    with pytest.raises(ValueError, match="DLOG_SCAN_LIMIT"):
+        antilog_table(gen)
 
 
 def test_dlog_table_matches_pohlig_hellman_above_old_limit():
@@ -169,7 +172,7 @@ def test_dlog_table_matches_pohlig_hellman_above_old_limit():
         f = Poly.from_code(q11, rng.randrange(1, 11**5))
         e = dlog(gen, f)
         assert dlog(gen, f, scan_limit=1) == e
-        assert antilog(gen, e) == f
+        assert antilog_table(gen)[e] == f.code
 
 
 def test_euler_phi_examples():
@@ -195,17 +198,3 @@ def test_factor_squarefree_poly():
     assert factor_squarefree_poly(G_QUAD) == (G_QUAD,)
     with pytest.raises(ValueError):
         factor_squarefree_poly(Poly(Q3, (0, 0, 1)))
-
-
-def test_residue_system():
-    rs = ResidueSystem.for_modulus(Poly(Q3, (0, 2, 0, 1)))
-    assert rs.order == 8
-    assert len(rs.factorization) == 3
-    with pytest.raises(ValueError):
-        ResidueSystem(
-            Poly(Q3, (0, 2, 0, 1)),
-            (Poly(Q3, (0, 1)), Poly(Q3, (1, 1))),
-            4,
-        )
-    with pytest.raises(ValueError):
-        ResidueSystem(Poly(Q3, (0, 2, 0, 1)), (Poly(Q3, (0, 1)),) * 3, 8)
