@@ -22,9 +22,12 @@ fit int64. Shifting floors, so keys keep the order of the values, the
 keys of two equal pair sums differ by at most 1, and a triple summing
 into [lo, hi] has its key sum in [(lo >> S) - 2, hi >> S] (S = 0 makes
 the keys exact and both slacks 0). verify_sidon forms the key sums of
-all N(N+1)/2 pairs in numpy, sorts them and keeps the pairs with a
-neighbour at most 1 away: O(N^2 log N) time, and two int64 arrays of
-N(N+1)/2 entries (the sums, sorted in place, and their argsort).
+all N(N+1)/2 pairs in numpy, sorts them in place and takes neighbour
+differences in blocks, keeping only the key values at most 1 from a
+neighbour. A Sidon set has none, so the check ends there: O(N^2 log N)
+time and one int64 array of N(N+1)/2 entries. Otherwise the sums are
+formed again in walk order, and a searchsorted per block into the small
+sorted array of tie values locates the candidate pairs, in walk order.
 
 The coverage window search keeps only the pairs i <= j that some
 c >= j can complete into the window. The least such sum is
@@ -37,17 +40,22 @@ window is dropped. Per j each bound is one searchsorted over the
 ascending keys, and the kept i-ranges expand with np.repeat in walk
 order. Every |key| is below 2^62 / 3 + 1 and |klo|, |khi| at most
 2^62 + 2, so klo - keys[-1] - keys and khi - 2 keys stay within about
-(5/3) 2^62 in magnitude, well inside int64. A searchsorted per kept
-pair then finds the admissible third elements. Every candidate the keys
-admit is re-checked with Python integers, so no answer rests on a key.
+(5/3) 2^62 in magnitude, well inside int64. Most kept pairs have no
+third element, so a directory of prefix counts over 4N to 8N buckets of
+the keys first tests whether any key lies in a pair's third-element
+range [klo - pair, khi - pair], clipped to [keys[j], keys[-1]] so that
+no offset from keys[0] overflows; only the pairs that pass run the two
+searchsorteds that find the admissible third elements. Every candidate
+the keys admit is re-checked with Python integers, so no answer rests
+on a key.
 
 A coverage trial re-draws the r and s digits of every entry from a draw
 plan built once per run (builder.draw_plan): the e-digit part of n, the
 hash messages and the digit weights do not change between trials, and
 builder.redrawn_values draws as the build does. A trial therefore costs
-k + 1 keyed blake2b hashes and as many big-integer multiply-adds per
-entry, then the pruned window search; with threads > 1 each worker
-process receives the plan once.
+one keyed blake2b state, k + 1 copies of it each hashing one message
+and as many big-integer multiply-adds per entry, then the pruned window
+search; with threads > 1 each worker process receives the plan once.
 """
 
 from __future__ import annotations
@@ -125,6 +133,18 @@ def _pairs_at(pos: np.ndarray, n: int) -> tuple[list[int], list[int]]:
     return (pos - starts[j]).tolist(), j.tolist()
 
 
+def _tie_values(sums: np.ndarray, tol: int) -> np.ndarray:
+    """The sorted distinct values of the ascending sums that lie at most
+    tol from a neighbour, from neighbour differences taken in blocks."""
+    found = []
+    for k in range(0, len(sums) - 1, _PAIR_BLOCK):
+        block = sums[k : k + _PAIR_BLOCK + 1]
+        # a difference past int64 wraps negative and only adds candidates
+        near = np.flatnonzero(np.diff(block) <= tol)
+        found += [block[near], block[near + 1]]
+    return np.unique(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
+
+
 def verify_sidon(values) -> list[CollisionWitness]:
     """Empty iff all pairwise sums (i <= j) are distinct. Each collision is
     reported against the first pair holding that sum in the walk j = 0,
@@ -134,23 +154,23 @@ def verify_sidon(values) -> list[CollisionWitness]:
         raise ValueError("values must be distinct")
     shift, keys = _coarse_keys(vals, 2)
     sums = _pair_key_sums(keys)
-    # the candidates are re-walked in walk order below, so any sort will do;
-    # sorting the sums in place gives sums[order] without a third array
-    order = np.argsort(sums)
     sums.sort()
-    # a difference past int64 wraps negative and only adds candidates;
-    # taken in blocks, so no int64 array of all differences is formed
-    tol = 1 if shift else 0
-    near = np.empty(max(len(sums) - 1, 0), dtype=bool)
-    for k in range(0, len(near), _PAIR_BLOCK):
-        np.less_equal(np.diff(sums[k : k + _PAIR_BLOCK + 1]), tol, out=near[k : k + _PAIR_BLOCK])
+    ties = _tie_values(sums, 1 if shift else 0)
     del sums
-    chained = np.zeros(len(order), dtype=bool)
-    chained[:-1] = near
-    chained[1:] |= near
+    if not len(ties):
+        return []
+    # the candidates are the pairs whose key is a tie value; formed again
+    # in walk order, a searchsorted per block finds them in that order
+    sums = _pair_key_sums(keys)
+    pos = []
+    for k in range(0, len(sums), _PAIR_BLOCK):
+        block = sums[k : k + _PAIR_BLOCK]
+        at = np.minimum(np.searchsorted(ties, block), len(ties) - 1)
+        pos.append(k + np.flatnonzero(ties[at] == block))
+    del sums
     first: dict[int, tuple[int, int]] = {}
     out = []
-    for i, j in zip(*_pairs_at(np.sort(order[chained]), len(vals))):
+    for i, j in zip(*_pairs_at(np.concatenate(pos), len(vals))):
         pair = (vals[i], vals[j])
         prior = first.setdefault(pair[0] + pair[1], pair)
         if prior != pair:
@@ -446,6 +466,20 @@ def _reaching_pairs(keys: np.ndarray, klo: int, khi: int):
         yield i, j
 
 
+def _key_directory(keys: np.ndarray):
+    """A test of whether any of the ascending keys lies in [a, b], for
+    keys[0] <= a, b <= keys[-1] elementwise: False only when none does.
+    The keys' range is cut into buckets of width 2^t, about 4 N to 8 N of
+    them (fewer when the range is narrower), and the test counts the keys in the buckets from a's to b's by
+    a difference of prefix counts."""
+    span = int(keys[-1]) - int(keys[0])
+    t = (span // (8 * len(keys))).bit_length()
+    # span < 2^63, so no key - keys[0] overflows
+    before = np.zeros((span >> t) + 2, dtype=np.int64)
+    np.cumsum(np.bincount((keys - keys[0]) >> t), out=before[1:])
+    return lambda a, b: before[((b - keys[0]) >> t) + 1] > before[(a - keys[0]) >> t]
+
+
 def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Every index triple i <= j <= c of the ascending vals with
     lo <= vals[i] + vals[j] + vals[c] <= hi, in walk order (j, then i,
@@ -457,11 +491,16 @@ def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, i
         return []
     shift, keys = _coarse_keys(vals, 3)
     klo, khi = (lo >> shift) - (2 if shift else 0), hi >> shift
+    has_key = _key_directory(keys)
     # the key of the first c >= j in range; past the end it admits nothing
     heads = np.append(keys, np.iinfo(np.int64).max)
     out = []
     for ii, jj in _reaching_pairs(keys, klo, khi):
         pair = keys[ii] + keys[jj]
+        # the pairs that may have a third element: a key in [klo - pair,
+        # khi - pair], clipped to [keys[j], keys[-1]]
+        keep = np.flatnonzero(has_key(np.maximum(klo - pair, keys[jj]), np.minimum(khi - pair, keys[-1])))
+        ii, jj, pair = ii[keep], jj[keep], pair[keep]
         first = np.maximum(np.searchsorted(keys, klo - pair), jj)
         room = np.subtract(khi, pair, out=pair)
         pos = np.flatnonzero(heads[first] <= room)

@@ -29,6 +29,7 @@ the configured parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -94,6 +95,20 @@ class Params:
                     "strict mode requires min(q, k_min) > 100 p; these parameters "
                     "are desk-scale, run with strict=False"
                 )
+        # the lru_caches keyed by Params hash it on every lookup, and hashing
+        # the fields (the Fraction c, all of A) costs microseconds
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields, not with the cached hash: str hashes
+        # (AuxSet.method) differ from one process to the next
+        return Params, self._fields()
 
 
 @dataclass(frozen=True)
@@ -171,35 +186,35 @@ def build_Fk(params: Params, k: int) -> list[Poly]:
     return out
 
 
-def _seed_key(seed: int) -> bytes:
-    """The blake2b key of the keyed counter RNG under seed."""
-    return (seed & (2**64 - 1)).to_bytes(8, "little")
+def _digit_hasher(seed: int):
+    """The keyed blake2b state of the counter RNG under seed (keyed by the
+    seed's low 64 bits, 16-byte digests). A draw hashes its message on a
+    copy, which gives the one-shot keyed digest without setting up the key
+    again."""
+    return hashlib.blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16)
 
 
-def _digit_hash(key: bytes, msg: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(msg, key=key, digest_size=16).digest(), "little")
-
-
-@functools.lru_cache(maxsize=64)
-def _r_tags(k: int) -> tuple[bytes, ...]:
-    return tuple(f"r{i}".encode() for i in range(1, k + 1))
-
-
-def _draw_row(params: Params, f: Poly, k: int) -> tuple[bytes, tuple[bytes, ...], int]:
+def _draw_row(params: Params, f: Poly, k: int) -> tuple[tuple[bytes, ...], int]:
     """What the r and s draws of member f take besides the key: the hash
-    message prefix "name|", the tags "r1", ..., "rk" of the r digits (the
-    tag of s is "s"), and q^{3k}, the size of the range of s."""
-    return f"{poly_to_string(f)}|".encode(), _r_tags(k), params.q.q ** (3 * k)
+    messages "name|r1", ..., "name|rk" of the r digits and "name|s" of the
+    top digit, and q^{3k}, the size of the range of s."""
+    name = poly_to_string(f)
+    tags = [f"r{i}" for i in range(1, k + 1)] + ["s"]
+    return tuple(f"{name}|{tag}".encode() for tag in tags), params.q.q ** (3 * k)
 
 
-def _draw_digits(a_elems, row, key: bytes) -> tuple[list[int], int]:
+def _draw_digits(a_elems, row, hasher) -> tuple[list[int], int]:
     """The r_1..r_k digits (from A) and the top digit s (from
     {1, ..., q^{3k}}) of the member with draw row `row`, drawn by the
-    keyed counter RNG under key."""
-    prefix, tags, s_range = row
+    keyed counter RNG whose state is hasher (see _digit_hasher)."""
+    msgs, s_range = row
+    hashes = []
+    for msg in msgs:
+        h = hasher.copy()
+        h.update(msg)
+        hashes.append(int.from_bytes(h.digest(), "little"))
     size = len(a_elems)
-    r = [a_elems[_digit_hash(key, prefix + tag) % size] for tag in tags]
-    return r, 1 + _digit_hash(key, prefix + b"s") % s_range
+    return [a_elems[x % size] for x in hashes[:-1]], 1 + hashes[-1] % s_range
 
 
 def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
@@ -246,7 +261,7 @@ def compute_entry(params: Params, f: Poly, k: int, e: tuple[int, ...]) -> Sequen
     """The entry of member f at level k with e digits e (a row of
     level_e_digits): r_i and s drawn from the keyed counter RNG
     (independent across (f, digit), reproducible), then packed."""
-    r, s = _draw_digits(params.aux.A, _draw_row(params, f, k), _seed_key(params.seed))
+    r, s = _draw_digits(params.aux.A, _draw_row(params, f, k), _digit_hasher(params.seed))
     return SequenceEntry(f=f, k=k, e=e, r=tuple(r), s=s, n=_pack(digit_weights(params), e, r, s))
 
 
@@ -269,10 +284,10 @@ def redrawn_values(plan: tuple, seed: int) -> list[int]:
     under seed, as compute_entry draws them: under the build's own seed
     these are the stored values."""
     a_elems, rows = plan
-    key = _seed_key(seed)
+    hasher = _digit_hasher(seed)
     out = []
     for fixed, row, r_weights, s_weight in rows:
-        r, s = _draw_digits(a_elems, row, key)
+        r, s = _draw_digits(a_elems, row, hasher)
         out.append(fixed + sum(map(operator.mul, r, r_weights)) + s * s_weight)
     return out
 

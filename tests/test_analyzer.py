@@ -3,8 +3,10 @@ representation enumeration, Monte Carlo coverage."""
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 from sidonbasis.analyzer import (
     CollisionWitness,
     _coarse_keys,
+    _key_directory,
+    _pair_key_sums,
     _reaching_pairs,
+    _tie_values,
     _trial_seed,
     _window_triples,
     attribute_collision,
@@ -27,6 +32,7 @@ from sidonbasis.builder import (
     SequenceEntry,
     SidonSequence,
     build_moduli,
+    build_sequence,
     draw_plan,
     mixed_radix,
     redrawn_values,
@@ -131,6 +137,90 @@ def test_verify_sidon_key_carry_collisions():
     assert got == brute_witnesses(vals)
     assert {x + y + unit, 2 * (z + 1)} <= {a + b for a, b, _, _ in got}
     assert witness_tuples([2**80]) == [] and witness_tuples([]) == []
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_tie_values_at_block_edges(monkeypatch, block):
+    # one near tie at every position of the sorted sums in turn, so that
+    # it falls inside a difference block and across every block edge
+    from sidonbasis import analyzer
+
+    monkeypatch.setattr(analyzer, "_PAIR_BLOCK", block)
+    for tol in (0, 1):
+        for p in range(19):
+            sums = np.arange(0, 60, 3, dtype=np.int64)  # gaps of 3 > tol
+            sums[p + 1 :] -= 3 - tol
+            expected = sorted({int(sums[p]), int(sums[p + 1])})
+            assert _tie_values(sums, tol).tolist() == expected
+        assert _tie_values(np.arange(0, 60, 3, dtype=np.int64), tol).tolist() == []
+        assert _tie_values(np.zeros(1, dtype=np.int64), tol).tolist() == []
+
+
+# pair-sum scales with every value within one key of the 62-bit limit:
+# 2 |v| just below 2^62 (shift 0) and 2^(62 + 10) (shift 10)
+PAIR_EDGE = [(2**62 - 1) // 2, (2**72 - 1) // 2]
+
+
+@pytest.mark.parametrize("scale", PAIR_EDGE)
+def test_verify_sidon_at_edge_scales(scale):
+    # collisions among the extremes of both signs: -s + s equals
+    # (-s + 1) + (s - 1), and -s + (-s + 2) equals 2 (-s + 1)
+    rng = random.Random(scale % 1009)
+    for _ in range(20):
+        vals = {rng.randrange(-scale, scale) for _ in range(rng.randint(0, 20))}
+        vals |= set(rng.sample([-scale, scale, -scale + 1, scale - 1, -scale + 2], rng.randint(3, 5)))
+        vals = list(vals)
+        rng.shuffle(vals)
+        assert _coarse_keys(vals, 2)[0] == PAIR_EDGE.index(scale) * 10
+        assert witness_tuples(vals) == brute_witnesses(vals)
+    assert witness_tuples([-scale, scale, -scale + 1, scale - 1]) == [(-scale, scale, -scale + 1, scale - 1)]
+
+
+@pytest.mark.parametrize("start, step", [(0, 1), (-500, 7), (-(2**79), 2**70 + 3)])
+def test_verify_sidon_arithmetic_progression(start, step):
+    # 40 terms have 820 pair sums but only 79 distinct ones, so nearly
+    # every sum ties; in walk order and shuffled
+    vals = [start + step * i for i in range(40)]
+    got = witness_tuples(vals)
+    assert got == brute_witnesses(vals) and len(got) == 820 - 79
+    random.Random(step).shuffle(vals)
+    assert witness_tuples(vals) == brute_witnesses(vals)
+
+
+def test_verify_sidon_rejects_near_ties():
+    # at shift 16, x + (y + 1) and (x + 2^16) + (y - 2^16 + 2) have equal
+    # keys and z + (y + 1), (z - 3) + (y + 2^16 + 5) keys 1 apart, but no two
+    # exact sums agree: the candidates are all rejected
+    unit = 2**16
+    x, y, z = 5 * 2**70, 3 * 2**70, 7 * 2**70 + unit // 2
+    vals = [2**76, x, y + 1, x + unit, y - unit + 2, z, z - 3, y + unit + 5]
+    shift, keys = _coarse_keys(vals, 2)
+    assert shift == 16
+    sums = _pair_key_sums(keys)
+    sums.sort()
+    ties = _tie_values(sums, 1).tolist()
+    key = dict(zip(vals, keys.tolist()))
+    assert key[x] + key[y + 1] in ties and key[z] + key[y + 1] in ties
+    assert brute_witnesses(vals) == [] and verify_sidon(vals) == []
+
+
+def test_verify_sidon_memory():
+    # at most one int64 array of the N (N + 1) / 2 key sums at a time
+    rng = random.Random(5)
+    vals = list({rng.getrandbits(80) for _ in range(3000)})
+    n = len(vals)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_sidon(vals) == []
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * (n + 1) // 2
 
 
 def test_verify_sidon_on_built_prefix(seq307):
@@ -436,6 +526,78 @@ def test_window_triples_match_brute(seed, scale):
     assert _window_triples([], 0, 10) == []
 
 
+def directory_bits(keys):
+    """t with 2^t the bucket width of _key_directory(keys)."""
+    return ((int(keys[-1]) - int(keys[0])) // (8 * len(keys))).bit_length()
+
+
+def holds_key(ks, a, b):
+    return any(a <= k <= b for k in ks)
+
+
+@pytest.mark.parametrize("scale", [10**6, 2**70, *EDGE])
+def test_key_directory_never_misses(scale):
+    # every interval that holds a key tests True, among them ones across
+    # each bucket edge and ones over several buckets; some empty ones test
+    # False
+    rng = random.Random(scale % 1013)
+    vals = sorted({rng.randrange(-scale, scale) for _ in range(40)} | {-scale, scale})
+    _, keys = _coarse_keys(vals, 3)
+    ks = keys.tolist()
+    has_key = _key_directory(keys)
+    t = directory_bits(keys)
+    assert 4 * len(ks) <= (ks[-1] - ks[0]) >> t <= 8 * len(ks)
+    edges = range(ks[0] + (1 << t), ks[-1] + 1, 1 << t)
+    for width in (1, 2, 5, 3 << t):
+        starts = [k - d for k in ks for d in {0, width - 1, rng.randrange(width)}]
+        starts += [e - d for e in edges for d in (1, width - 1)]
+        starts += [rng.randint(ks[0], ks[-1]) for _ in range(200)]
+        a = [min(max(x, ks[0]), ks[-1]) for x in starts]
+        b = [min(x + width - 1, ks[-1]) for x in a]
+        got = has_key(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist()
+        for lo, hi, hit in zip(a, b, got):
+            assert hit or not holds_key(ks, lo, hi)
+        assert not all(got)
+    assert _key_directory(keys[:1])(keys[:1], keys[:1]).tolist() == [True]
+
+
+def values_at_bucket_edges(rng, scale, n_random, n_edges):
+    """Sorted values in [-scale, scale], both ends included, with
+    n_random random ones and n_edges whose triple keys sit just at or
+    just below a bucket edge of the window search's key directory."""
+    shift = _coarse_keys([scale], 3)[0]
+    base = {rng.randrange(-scale, scale) for _ in range(n_random)} | {-scale, scale}
+    lo_key, span = -scale >> shift, (scale >> shift) - (-scale >> shift)
+    t = (span // (8 * (len(base) + n_edges))).bit_length()
+    extra = set()
+    while len(extra) < n_edges:
+        edge = lo_key + (rng.randrange(1, span >> t) << t)
+        v = (edge - rng.randint(0, 1) << shift) + rng.randrange(1 << shift)
+        if v not in base:
+            extra.add(v)
+    return sorted(base | extra), sorted(extra)
+
+
+@pytest.mark.parametrize("scale", EDGE)
+def test_window_triples_across_bucket_edges(scale):
+    # windows whose third-element key range straddles a bucket edge, with
+    # the third element on either side of it
+    rng = random.Random(scale % 1019)
+    vals, at_edges = values_at_bucket_edges(rng, scale, 24, 6)
+    shift, keys = _coarse_keys(vals, 3)
+    t = directory_bits(keys)
+    assert {((v >> shift) - int(keys[0]) + 1) % (1 << t) for v in at_edges} <= {0, 1}
+    for v in at_edges:
+        c = vals.index(v)
+        for _ in range(3):
+            i, j = sorted(rng.sample(range(c + 1), 2)) if c else (0, 0)
+            m = vals[i] + vals[j] + v
+            for lo, hi in [(m, m), (m - 1, m), (m - 2**11, m + 2**11)]:
+                got = _window_triples(vals, lo, hi)
+                assert got == sorted(brute_window(vals, lo, hi), key=walk_order)
+                assert (i, j, c) in got
+
+
 def test_reaching_pairs_at_range_ends():
     # windows at 3 v_0 and 3 v_max: the pruned i-ranges are empty for
     # most j, and every pair on a bound's edge is kept
@@ -492,18 +654,22 @@ def reference_values(params, entries, trial_seed):
     return out
 
 
-def test_draw_plan_matches_build(seq307, seq7):
+def test_draw_plan_matches_build(seq307, seq7, aux307):
     # under the build's own seed the plan redraws every stored n; under
-    # other seeds it agrees with the written-out draw entry by entry
-    for seq in (seq307, seq7):
+    # other seeds it agrees with the written-out draw entry by entry. The
+    # three-level build (k = 2, 3, 4) puts level boundaries inside the
+    # plan, so a message or digest misaligned at one fails
+    levels = build_sequence(Params(q=Q3, aux=aux307, k_min=2, k_max=4, seed=7))
+    assert len({ent.k for ent in levels.entries}) == 3
+    for seq in (seq307, seq7, levels):
         plan = draw_plan(seq.params, seq.entries)
         stored = [ent.n for ent in seq.entries]
         assert redrawn_values(plan, seq.params.seed) == stored
         assert reference_values(seq.params, seq.entries, seq.params.seed) == stored
-        for seed in (1, 987654321, 2**64 + 5):
+        for seed in (0, 1, 987654321, 2**64 - 1, 2**64 + 5):
             expected = reference_values(seq.params, seq.entries, seed)
             assert redrawn_values(plan, seed) == expected
-            assert expected != stored
+            assert (expected == stored) == (seed % 2**64 == seq.params.seed)
 
 
 def brute_frequencies(params, entries, window, trials):

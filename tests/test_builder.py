@@ -1,11 +1,16 @@
 """Sequence assembly tests: member windows, digits, injectivity, decode."""
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sidonbasis.auxset import AuxSet
 from sidonbasis.builder import (
     SCALED_MODE_WARNING,
     DecodeError,
@@ -87,6 +92,33 @@ def test_params_validation(aux307):
         Params(q=Q3, aux=aux307, k_min=4, k_max=3)
     with pytest.raises(ValueError):
         Params(q=Q3, aux=aux307, k_min=0, k_max=3)
+
+
+def test_params_hash_cached_and_pickled(aux307):
+    # equal Params built apart hash equal, the caches keyed by Params hit
+    # on either, and a pickle re-hashes rather than carrying the hash over
+    a = Params(q=Q3, aux=aux307, c=Fraction(7, 20), seed=11)
+    b = Params(q=PrimeModulus(3), aux=AuxSet(**vars(aux307)), c=Fraction(14, 40), seed=11)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(Params(q=Q3, aux=aux307, seed=12)) != hash(a)
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+    digit_weights(a)
+    hits = digit_weights.cache_info().hits
+    assert digit_weights(b) is digit_weights(a)
+    assert digit_weights.cache_info().hits == hits + 2
+    # AuxSet.method is a str, whose hash differs between processes: a
+    # Params pickled under another hash seed still hashes as one built here
+    code = (
+        "import pickle, sys; "
+        "from sidonbasis.auxset import AuxSet; from sidonbasis.builder import Params; "
+        "from sidonbasis.ffpoly import PrimeModulus; "
+        f"aux = AuxSet(p={aux307.p}, A={aux307.A!r}, method='deterministic'); "
+        "sys.stdout.buffer.write(pickle.dumps(Params(q=PrimeModulus(3), aux=aux, seed=11)))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+    here = Params(q=Q3, aux=AuxSet(p=aux307.p, A=aux307.A, method="deterministic"), seed=11)
+    assert hash(pickle.loads(blob)) == hash(here)
 
 
 def test_strict_mode_rejects_desk_scale(aux307):
