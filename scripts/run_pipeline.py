@@ -4,6 +4,7 @@ output directory.
 
   python3 scripts/run_pipeline.py --outdir runs/demo
   python3 scripts/run_pipeline.py --outdir runs/full --trials 100 --window 1000
+  python3 scripts/run_pipeline.py --outdir runs/q7 --q 7 --k-max 3
 
 Each step shells through the package CLI entry points, so the directory
 ends up with the same files a by-hand run would produce, manifests
@@ -29,10 +30,13 @@ def step(name: str, argv: list[str]) -> int:
     return code
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--outdir", required=True)
+    ap.add_argument("--q", type=int, default=3,
+                    help="field size of the build and its verifiers; the equidist "
+                         "steps always run their fixed q = 3 cases")
     ap.add_argument("--p-min", type=int, default=2)
     ap.add_argument("--p-max", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
@@ -42,7 +46,7 @@ def main() -> int:
     ap.add_argument("--window", default="200", help="coverage window (LENGTH or START:LENGTH)")
     ap.add_argument("--decompose-samples", type=int, default=2000)
     ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
@@ -56,7 +60,7 @@ def main() -> int:
         return 1
 
     if step("build", [
-        "build", "--q", "3", "--aux-file", out("aux.json"),
+        "build", "--q", str(args.q), "--aux-file", out("aux.json"),
         "--k-min", str(args.k_min), "--k-max", str(args.k_max),
         "--seed", str(args.seed), "--out", out("seq.json"),
     ]):
@@ -75,6 +79,7 @@ def main() -> int:
         if code:
             failures.append(f"verify {mode}")
 
+    # fixed q = 3 cases, whatever --q the build used
     for d, g in [(3, "1+t^2"), (3, "2*t+t^3"), (4, "1+t^2"), (4, "2*t+t^3")]:
         code = step(f"equidist d={d} g={g}", [
             "equidist", "--q", "3", "--d", str(d), "--g", g,

@@ -9,10 +9,18 @@ digits plus a possible carry), checks the product congruence modulo the
 shared moduli, and names the first precondition margin that does not
 hold at the configured parameters.
 
-decompose peels a large integer into the same digit shape (driven by the
-auxiliary y-table), find_representations enumerates exact three-element
-sums, and monte_carlo_coverage measures how often a window of integers
-stays representable when the random digits are redrawn.
+decompose_many peels an array of large integers into the same digit
+shape (driven by the auxiliary y-table) in one array pass per level: the
+values stay Python integers in numpy object arrays, so every % and // is
+exact, and level l works only on the samples still above 6 p q^{2l-1}.
+decompose is that peel for one integer. The decompose check of the
+command line (verify --mode decompose) runs the peel in blocks of 1,024
+samples and does not trust it: per block it re-checks the level count,
+every x and z range, the admissibility of every y against the bits of
+A+A+A, and that the digits re-encode to m. find_representations
+enumerates exact three-element sums, and monte_carlo_coverage measures
+how often a window of integers stays representable when the random
+digits are redrawn.
 
 verify_sidon and monte_carlo_coverage share one pair-sum engine, exact
 without Python sets of pair sums. Each value v gets the coarse key
@@ -52,10 +60,11 @@ on a key.
 A coverage trial re-draws the r and s digits of every entry from a draw
 plan built once per run (builder.draw_plan): the e-digit part of n, the
 hash messages and the digit weights do not change between trials, and
-builder.redrawn_values draws as the build does. A trial therefore costs
-one keyed blake2b state, k + 1 copies of it each hashing one message
-and as many big-integer multiply-adds per entry, then the pruned window
-search; with threads > 1 each worker process receives the plan once.
+builder.redrawn_values draws as the build does, a level at a time. A
+trial therefore costs one keyed blake2b state, one copy of it per hash
+message, a few array passes per level that reduce the digests and form
+n, then the pruned window search; with threads > 1 each worker process
+receives the plan once.
 """
 
 from __future__ import annotations
@@ -337,35 +346,68 @@ class Decomposition:
         return DigitVector(tuple(digits))
 
 
-def decompose(m: int, params: Params, y_table: YTable) -> Decomposition:
-    """Peel m into digits <z y_k x_k ... y_1 x_1>: x_l is the remainder mod
-    q^{2l-1}-1, y_l is the table entry for the residue class of the
-    quotient mod p, and the loop stops as soon as the remaining value
-    drops to at most 6 p q^{2l-1}, leaving it as the top digit z.
+@dataclass(frozen=True)
+class Peel:
+    """decompose over an array of m. levels[l - 1] holds, for level l, the
+    indices of the samples peeled at l (ascending, a subset of those of
+    level l - 1) with their x_l (Python integers) and y_l (int64) digits;
+    k and z give per sample its level count and its top digit."""
 
-    Every quotient stays >= 3 (in fact >= 5 past the first round), so the
-    result always re-encodes to m exactly with 3 <= z <= 6 p q^{2k+1}.
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    k: np.ndarray
+    z: np.ndarray
+
+
+def decompose_many(ms, params: Params, y_table: YTable) -> Peel:
+    """Peel each m of ms into digits <z y_k x_k ... y_1 x_1>, all at once:
+    at level l the samples still above 6 p q^{2l-1} take x_l, the
+    remainder mod q^{2l-1}-1, then y_l, the table entry for the residue
+    class of the quotient mod p; a sample stops as soon as its remaining
+    value drops to at most 6 p q^{2l-1}, which is its top digit z. The
+    values stay Python integers in object arrays, so every step is exact.
+
+    Every quotient stays >= 3 (in fact >= 5 past the first round), so
+    each result re-encodes to its m exactly with 3 <= z <= 6 p q^{2k+1}.
     """
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    cur = np.array(ms, dtype=object).reshape(-1)
+    if len(cur) and (cur < 3).any():
+        raise ValueError(f"need m >= 3, got {min(cur)}")
     if y_table.p != params.aux.p:
         raise ValueError("y-table prime differs from the aux set prime")
     q = params.q.q
     p = params.aux.p
-    xs: list[int] = []
-    ys: list[int] = []
-    cur = m
+    entries = np.array(y_table.entries, dtype=np.int64)
+    levels = []
+    k = np.zeros(len(cur), dtype=np.int64)
+    active = np.arange(len(cur))
     power = q  # q^{2 level - 1}
-    while cur > 6 * p * power:
+    while True:
+        active = active[np.flatnonzero(cur[active] > 6 * p * power)]
+        if not len(active):
+            break
         radix = power - 1
-        x = cur % radix
-        cur = (cur - x) // radix
-        y = y_table.entries[cur % p]
-        xs.append(x)
-        ys.append(y)
-        cur = (cur - y) // p
+        # in place where the values allow, so that each step frees the
+        # integers it replaces
+        val = cur[active]
+        x = val % radix
+        np.floor_divide(val, radix, out=val)
+        y = entries[(val % p).astype(np.int64)]
+        np.subtract(val, y, out=val)
+        np.floor_divide(val, p, out=val)
+        cur[active] = val
+        k[active] += 1
+        levels.append((active, x, y))
         power *= q * q
-    return Decomposition(m=m, k=len(xs), x=tuple(xs), y=tuple(ys), z=cur)
+    return Peel(tuple(levels), k, cur)
+
+
+def decompose(m: int, params: Params, y_table: YTable) -> Decomposition:
+    """m peeled into digits <z y_k x_k ... y_1 x_1>: decompose_many of
+    the one value m."""
+    peel = decompose_many([m], params, y_table)
+    x = tuple(x[0] for _, x, _ in peel.levels)
+    y = tuple(int(y[0]) for _, _, y in peel.levels)
+    return Decomposition(m=m, k=len(x), x=x, y=y, z=peel.z[0])
 
 
 def _sorted_values(seq_or_values) -> list[int]:

@@ -14,7 +14,12 @@ independent, reproducible draw.
 
 level_e_digits gives the e digits of a whole level at once: one digit
 matrix of the members' codes, one product mod q per g_i (reduction is
-F_q-linear) and one dlog_table gather; compute_entry draws and packs.
+F_q-linear) and one dlog_table gather. The r and s digits of a level
+are drawn at once too (_draw_level): one keyed blake2b state, a copy of
+it per hash message, the digests written into one uint64 word array and
+reduced exactly, and n formed in Python-integer array arithmetic. Build, the
+one-member compute_entry and the coverage re-draws (draw_plan,
+redrawn_values) all draw through it.
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off, reads omega_i^{e_i} mod g_i from antilog_table,
@@ -33,7 +38,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,27 +198,80 @@ def _digit_hasher(seed: int):
     return hashlib.blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16)
 
 
-def _draw_row(params: Params, f: Poly, k: int) -> tuple[tuple[bytes, ...], int]:
-    """What the r and s draws of member f take besides the key: the hash
-    messages "name|r1", ..., "name|rk" of the r digits and "name|s" of the
-    top digit, and q^{3k}, the size of the range of s."""
+def _draw_row(f: Poly, k: int) -> tuple[bytes, ...]:
+    """The hash messages of the r and s draws of member f at level k:
+    "name|r1", ..., "name|rk" for the r digits and "name|s" for the top
+    digit."""
     name = poly_to_string(f)
     tags = [f"r{i}" for i in range(1, k + 1)] + ["s"]
-    return tuple(f"{name}|{tag}".encode() for tag in tags), params.q.q ** (3 * k)
+    return tuple(f"{name}|{tag}".encode() for tag in tags)
 
 
-def _draw_digits(a_elems, row, hasher) -> tuple[list[int], int]:
-    """The r_1..r_k digits (from A) and the top digit s (from
-    {1, ..., q^{3k}}) of the member with draw row `row`, drawn by the
-    keyed counter RNG whose state is hasher (see _digit_hasher)."""
-    msgs, s_range = row
-    hashes = []
-    for msg in msgs:
+def _residues(words: np.ndarray, m: int) -> np.ndarray:
+    """(hi 2^64 + lo) mod m, exactly, for the little-endian 128-bit
+    digests whose (lo, hi) uint64 halves are words[..., 0] and
+    words[..., 1]. In uint64 while m < 2^32, where a product of two
+    residues still fits; in Python integers otherwise."""
+    lo, hi = words[..., 0], words[..., 1]
+    if m < 2**32:
+        m64 = np.uint64(m)
+        out = hi % m64
+        out *= np.uint64(2**64 % m)
+        out %= m64
+        out += lo % m64
+        out %= m64
+        return out
+    return (hi.astype(object) << 64 | lo.astype(object)) % m
+
+
+@dataclass(frozen=True)
+class _LevelDraw:
+    """The seed-invariant numbers of drawing the r and s digits of some
+    members of one level k: per member the e-digit part of n (sum of
+    e_i W_{2i-2}), then the weights W_1, W_3, ..., W_{2k-1} of the r
+    digits, the weight W_{2k} of s and q^{3k}, the size of the range of
+    s."""
+
+    fixed: np.ndarray  # object
+    r_weights: np.ndarray  # object
+    s_weight: int
+    s_range: int
+
+
+def _level_draw(params: Params, k: int, e) -> _LevelDraw:
+    """The _LevelDraw of members at level k with e digits e, one row of
+    k digits per member."""
+    weights = np.array(digit_weights(params)[: 2 * k + 1], dtype=object)
+    fixed = np.array(e, dtype=object).reshape(-1, k) @ weights[0 : 2 * k : 2]
+    return _LevelDraw(fixed, weights[1 : 2 * k : 2], weights[2 * k], params.q.q ** (3 * k))
+
+
+def _level_messages(members, k: int):
+    """The hash messages of members at level k, their draw rows one after
+    another."""
+    return (msg for f in members for msg in _draw_row(f, k))
+
+
+def _draw_level(a_elems: np.ndarray, level: _LevelDraw, msgs, hasher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, s, n) of the members of level whose hash messages are msgs,
+    drawn by the keyed counter RNG whose state is hasher (see
+    _digit_hasher): r_i = A[h mod |A|] and s = 1 + h mod q^{3k} for the
+    128-bit digest h of each message, and n = fixed + sum r_i W_{2i-1} +
+    s W_{2k}, all in Python integers: r is a (members, k) object
+    array."""
+    k = len(level.r_weights)
+    # the digests go straight into the word array: a buffer grown digest
+    # by digest is reallocated as it grows, and the holes it leaves in the
+    # heap keep the resident set of the later stages larger
+    words = np.empty((len(level.fixed), k + 1, 2), dtype="<u8")
+    view = memoryview(words).cast("B")
+    for at, msg in zip(range(0, view.nbytes, 16), msgs, strict=True):
         h = hasher.copy()
         h.update(msg)
-        hashes.append(int.from_bytes(h.digest(), "little"))
-    size = len(a_elems)
-    return [a_elems[x % size] for x in hashes[:-1]], 1 + hashes[-1] % s_range
+        view[at : at + 16] = h.digest()
+    r = a_elems[_residues(words[:, :k], len(a_elems)).astype(np.intp)]
+    s = (1 + _residues(words[:, k], level.s_range)).astype(object)
+    return r, s, level.fixed + r @ level.r_weights + s * level.s_weight
 
 
 def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
@@ -261,48 +318,57 @@ def compute_entry(params: Params, f: Poly, k: int, e: tuple[int, ...]) -> Sequen
     """The entry of member f at level k with e digits e (a row of
     level_e_digits): r_i and s drawn from the keyed counter RNG
     (independent across (f, digit), reproducible), then packed."""
-    r, s = _draw_digits(params.aux.A, _draw_row(params, f, k), _digit_hasher(params.seed))
-    return SequenceEntry(f=f, k=k, e=e, r=tuple(r), s=s, n=_pack(digit_weights(params), e, r, s))
+    a_elems = np.array(params.aux.A, dtype=object)
+    r, s, n = _draw_level(a_elems, _level_draw(params, k, [e]), _draw_row(f, k), _digit_hasher(params.seed))
+    return SequenceEntry(f=f, k=k, e=e, r=tuple(r[0]), s=s[0], n=n[0])
 
 
 def draw_plan(params: Params, entries) -> tuple:
     """The seed-invariant part of re-drawing the r and s digits of
-    entries: A, and per entry the e-digit part of n (sum of e_i W_{2i-2}),
-    its draw row, the weights W_1, W_3, ..., W_{2k-1} of its r digits and
-    the weight W_{2k} of s."""
-    weights = digit_weights(params)
-    rows = []
-    for ent in entries:
-        fixed = sum(e_i * weights[2 * i] for i, e_i in enumerate(ent.e))
-        k = ent.k
-        rows.append((fixed, _draw_row(params, ent.f, k), weights[1 : 2 * k : 2], weights[2 * k]))
-    return params.aux.A, tuple(rows)
+    entries: A as an array, and per level present the positions of its
+    entries, their _LevelDraw and their hash messages."""
+    levels: dict[int, list[int]] = {}
+    for pos, ent in enumerate(entries):
+        levels.setdefault(ent.k, []).append(pos)
+    plan = []
+    for k, positions in levels.items():
+        members = [entries[pos] for pos in positions]
+        draw = _level_draw(params, k, [ent.e for ent in members])
+        msgs = tuple(_level_messages([ent.f for ent in members], k))
+        plan.append((np.array(positions, dtype=np.intp), draw, msgs))
+    return np.array(params.aux.A, dtype=object), tuple(plan)
 
 
 def redrawn_values(plan: tuple, seed: int) -> list[int]:
     """n per entry of a draw_plan with its e digits kept and r, s drawn
-    under seed, as compute_entry draws them: under the build's own seed
+    under seed, as build_sequence draws them: under the build's own seed
     these are the stored values."""
-    a_elems, rows = plan
+    a_elems, levels = plan
     hasher = _digit_hasher(seed)
-    out = []
-    for fixed, row, r_weights, s_weight in rows:
-        r, s = _draw_digits(a_elems, row, hasher)
-        out.append(fixed + sum(map(operator.mul, r, r_weights)) + s * s_weight)
-    return out
+    out = np.empty(sum(len(positions) for positions, _, _ in levels), dtype=object)
+    for positions, draw, msgs in levels:
+        out[positions] = _draw_level(a_elems, draw, msgs, hasher)[2]
+    return out.tolist()
 
 
 def build_sequence(params: Params) -> SidonSequence:
     moduli = build_moduli(params)
     warnings: list[str] = [] if params.strict else [SCALED_MODE_WARNING]
     entries: list[SequenceEntry] = []
+    a_elems = np.array(params.aux.A, dtype=object)
+    hasher = _digit_hasher(params.seed)
     for k in range(params.k_min, params.k_max + 1):
         members = build_Fk(params, k)
         if not members:
             warnings.append(f"level k={k} is empty (no even degree in its window)")
             continue
-        e_rows = level_e_digits(moduli.generators[:k], members).tolist()
-        entries.extend(compute_entry(params, f, k, tuple(e)) for f, e in zip(members, e_rows))
+        # one Python integer per digit, shared by the draw and the entries
+        e = level_e_digits(moduli.generators[:k], members).astype(object)
+        r, s, n = _draw_level(a_elems, _level_draw(params, k, e), _level_messages(members, k), hasher)
+        entries.extend(
+            SequenceEntry(f=f, k=k, e=tuple(e_u), r=tuple(r_u), s=s_u, n=n_u)
+            for f, e_u, r_u, s_u, n_u in zip(members, e, r, s, n)
+        )
     entries.sort(key=lambda ent: ent.n)
     for a, b in zip(entries, entries[1:]):
         if a.n == b.n:

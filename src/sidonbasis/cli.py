@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analyzer import decompose, monte_carlo_coverage, verify_sidon, attribute_collision
+from .analyzer import attribute_collision, decompose, decompose_many, monte_carlo_coverage, verify_sidon
 from .auxset import (
     SearchExhausted,
     aux_from_json,
@@ -41,11 +41,14 @@ from .builder import (
     mixed_radix,
     seq_from_json,
     seq_to_json,
-    _pack,
 )
 from .equidist import deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
 from .gbase import encode
+
+# after the package modules, so that numpy first loads through ffpoly, as
+# in analyzer
+import numpy as np  # noqa: E402
 
 
 def _utc_now() -> str:
@@ -200,41 +203,73 @@ def _verify_sidon_report(seq) -> tuple[dict, bool]:
     return report, not witnesses
 
 
+# samples per block of the decompose check: the object arrays of one
+# block stay small, and freed heap memory below the allocator's trim
+# threshold would otherwise stay resident for the rest of the run
+_DECOMPOSE_BLOCK = 1024
+
+
+def _decompose_failures(peel, ms, base, levels: int, z_caps, admissible) -> np.ndarray:
+    """Which samples ms of one block fail the decompose check, from their
+    peel: `levels` levels or more, an x_l outside [0, q^{2l-1} - 1), a y
+    digit that is not admissible, a top digit outside [3, z_caps[k]], or
+    digits that do not re-encode to m by the weights of the mixed radix
+    base."""
+    q = base.q.q
+    weights = np.array(base.weights(2 * len(peel.levels) + 1), dtype=object)
+    bad = peel.k >= levels
+    bad |= (peel.z < 3) | (peel.z > z_caps[np.minimum(peel.k, levels - 1)])
+    total = peel.z * weights[2 * peel.k]
+    for level, (idx, x, y) in enumerate(peel.levels, start=1):
+        bad[idx] |= (x < 0) | (x >= q ** (2 * level - 1) - 1)
+        inside = (y >= 0) & (y < len(admissible))
+        inside[inside] = admissible[y[inside]]
+        bad[idx] |= ~inside
+        term = x * weights[2 * level - 2]
+        term += np.multiply(y, weights[2 * level - 1], dtype=object)
+        total[idx] += term
+    return bad | (total != ms)
+
+
 def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
+    """Decompose samples m drawn uniformly from [3, q^120] and check each
+    result independently of the peel, a block of _DECOMPOSE_BLOCK samples
+    at a time (see _decompose_failures)."""
     params = seq.params
     q = params.q.q
     p = params.aux.p
     y_table = build_y_table(params.aux)
     bits_aaa = triple_sumset_bits(set(params.aux.A))
+    # y is admissible when y - 2, y - 1 and y all lie in A+A+A
+    admissible = np.array([y >= 2 and bits_aaa >> (y - 2) & 7 == 7 for y in range(2 * p)])
     top = q**120
+    base = mixed_radix(params)
     # m = z W_{2k} + (lower digits) with z >= 3 puts every correct
     # decomposition of m <= top below the first level k with W_{2k} >= top;
     # b_{2i-1} = q^{2i-1} - 1 >= q^{2i-2} makes W_{2k} >= q^{k(k-1)}, so
     # that level is at most 12
-    weights = mixed_radix(params).weights(25)
+    weights = base.weights(25)
     levels = next(k for k in range(1, 13) if weights[2 * k] >= top)
-    x_caps = [q ** (2 * i - 1) - 1 for i in range(1, levels + 1)]
-    z_caps = [6 * p * q ** (2 * k + 1) for k in range(levels)]
+    z_caps = np.array([6 * p * q ** (2 * k + 1) for k in range(levels)], dtype=object)
     rng = random.Random(f"decompose-verify|{params.seed}".encode())
     failures = []
-    for _ in range(samples):
-        m = rng.randint(3, top)
-        dec = decompose(m, params, y_table)
-        ok = dec.k < levels and _pack(weights, dec.x, dec.y, dec.z) == m
-        ok = ok and all(0 <= x < cap for x, cap in zip(dec.x, x_caps))
-        ok = ok and all(0 <= y < 2 * p and bits_aaa >> (y - 2) & 7 == 7 for y in dec.y)
-        ok = ok and 3 <= dec.z <= z_caps[dec.k]
-        if not ok:
-            failures.append(str(m))
+    failure_count = 0
+    for start in range(0, samples, _DECOMPOSE_BLOCK):
+        ms = np.array(
+            [rng.randint(3, top) for _ in range(min(_DECOMPOSE_BLOCK, samples - start))], dtype=object
+        )
+        bad = _decompose_failures(decompose_many(ms, params, y_table), ms, base, levels, z_caps, admissible)
+        failure_count += int(bad.sum())
+        failures += [str(m) for m in ms[bad][: 100 - len(failures)]]
     report = {
         "mode": "decompose",
         "samples": samples,
         "m_range": ["3", str(top)],
-        "failure_count": len(failures),
-        "failures": failures[:100],
-        "ok": not failures,
+        "failure_count": failure_count,
+        "failures": failures,
+        "ok": not failure_count,
     }
-    return report, not failures
+    return report, not failure_count
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ from sidonbasis.analyzer import (
     _window_triples,
     attribute_collision,
     decompose,
+    decompose_many,
     find_representations,
     monte_carlo_coverage,
     verify_sidon,
@@ -31,6 +32,7 @@ from sidonbasis.builder import (
     Params,
     SequenceEntry,
     SidonSequence,
+    _residues,
     build_moduli,
     build_sequence,
     draw_plan,
@@ -392,6 +394,43 @@ def test_decompose_peels_large_values(params307, ytable307):
     assert set(dec.y) <= set(ytable307.entries)
 
 
+def peel_loop(m, params, table):
+    """The peel of decompose written out for one m: (x digits, y digits, z)."""
+    q, p = params.q.q, params.aux.p
+    xs, ys, cur, power = [], [], m, q
+    while cur > 6 * p * power:
+        xs.append(cur % (power - 1))
+        cur //= power - 1
+        ys.append(table.entries[cur % p])
+        cur = (cur - ys[-1]) // p
+        power *= q * q
+    return xs, ys, cur
+
+
+def test_decompose_many_matches_loop(params307, ytable307):
+    # the stopping thresholds 6 p q^{2l-1} and their neighbours, where a
+    # sample leaves the array peel one level earlier or later
+    q, p = params307.q.q, params307.aux.p
+    ms = [3, 3**120]
+    for level in range(1, 9):
+        edge = 6 * p * q ** (2 * level - 1)
+        ms += [edge - 1, edge, edge + 1]
+    peel = decompose_many(ms, params307, ytable307)
+    assert len(peel.levels) == max(peel.k.tolist())
+    for u, m in enumerate(ms):
+        xs, ys, z = peel_loop(m, params307, ytable307)
+        assert peel.k[u] == len(xs) and peel.z[u] == z
+        got = [(x[idx == u], y[idx == u]) for idx, x, y in peel.levels if (idx == u).any()]
+        assert [int(x[0]) for x, _ in got] == xs and [int(y[0]) for _, y in got] == ys
+        dec = decompose(m, params307, ytable307)
+        assert (dec.k, list(dec.x), list(dec.y), dec.z) == (len(xs), xs, ys, z)
+        assert all(type(d) is int for d in (*dec.x, *dec.y, dec.z))
+    # the threshold itself stays whole at its level, one above it peels
+    first = 6 * p * q
+    assert decompose(first, params307, ytable307).k == 0
+    assert decompose(first + 1, params307, ytable307).k >= 1
+
+
 def test_find_representations_examples():
     vals = [1, 2, 3, 4, 5]
     assert find_representations(6, vals, order=3) == [(0, 0, 3), (0, 1, 2), (1, 1, 1)]
@@ -670,6 +709,35 @@ def test_draw_plan_matches_build(seq307, seq7, aux307):
             expected = reference_values(seq.params, seq.entries, seed)
             assert redrawn_values(plan, seed) == expected
             assert (expected == stored) == (seed % 2**64 == seq.params.seed)
+
+
+@pytest.mark.parametrize("m", [2**32 - 1, 2**32, 2**32 + 1, 13**9, 2**61 - 1, 5, 1])
+def test_residues_exact(m):
+    # 128-bit digests reduced from their uint64 halves, against Python
+    # integers; the extremes set every bit of one or both halves
+    rng = random.Random(m)
+    digests = [bytes(16), b"\xff" * 16, b"\xff" * 8 + bytes(8), bytes(8) + b"\xff" * 8]
+    digests += [rng.randbytes(16) for _ in range(200)]
+    words = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
+    got = _residues(words, m).tolist()
+    assert got == [int.from_bytes(d, "little") % m for d in digests]
+
+
+def test_draw_plan_q13_levels(aux307):
+    # q = 13: s ranges over 13^3, 13^6 and 13^9 > 2^32, so level 3 takes
+    # the Python-integer reduction; levels interleave in entry order, so
+    # a plan that grouped or ordered them wrongly misplaces values
+    q13 = PrimeModulus(13)
+    params = Params(q=q13, aux=aux307, k_min=1, k_max=3, seed=11)
+    rng = random.Random(13)
+    entries = []
+    for u, k in enumerate([3, 1, 3, 2, 1, 3, 2, 3, 3, 1]):
+        f = Poly(q13, tuple(rng.randrange(13) for _ in range(2 * k)) + (u + 1, 1))
+        e = tuple(rng.randrange(13 ** (2 * i - 1) - 1) for i in range(1, k + 1))
+        entries.append(SequenceEntry(f=f, k=k, e=e, r=(), s=0, n=u))
+    plan = draw_plan(params, entries)
+    for seed in (0, 11, 2**63 + 7):
+        assert redrawn_values(plan, seed) == reference_values(params, entries, seed)
 
 
 def brute_frequencies(params, entries, window, trials):

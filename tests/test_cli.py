@@ -1,10 +1,13 @@
 """End-to-end CLI tests: exit codes, manifests, determinism, formats."""
 
 import json
+import random
 
 import pytest
 
 from sidonbasis import cli
+from sidonbasis.auxset import YTable, triple_sumset_bits
+from sidonbasis.builder import mixed_radix, seq_from_json
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 
 
@@ -167,6 +170,112 @@ def test_verify_decompose(workdir, tmp_path):
     rep = read_json(out)
     assert rep["samples"] == 200
     assert rep["ok"] is True and rep["failure_count"] == 0
+
+
+def corrupted_y_table(monkeypatch, change):
+    """Make the decompose check use a y-table with entries changed by
+    change(list of entries) in place."""
+    real = cli.build_y_table
+
+    def build(aux):
+        table = real(aux)
+        entries = list(table.entries)
+        change(entries)
+        return YTable(table.p, tuple(entries))
+
+    monkeypatch.setattr(cli, "build_y_table", build)
+
+
+def expected_decompose_failures(params, samples):
+    """The m of samples that fail the decompose check, in sample order,
+    written out per sample: the peel loop, then every digit range, the
+    admissibility of y by the bits of A+A+A and the re-encode."""
+    q, p = params.q.q, params.aux.p
+    table = cli.build_y_table(params.aux)
+    bits = triple_sumset_bits(set(params.aux.A))
+    top = q**120
+    weights = mixed_radix(params).weights(40)
+    levels = next(k for k in range(1, 13) if weights[2 * k] >= top)
+    rng = random.Random(f"decompose-verify|{params.seed}".encode())
+    out = []
+    for _ in range(samples):
+        m = rng.randint(3, top)
+        cur, power, digits = m, q, []
+        while cur > 6 * p * power:
+            x = cur % (power - 1)
+            cur = (cur - x) // (power - 1)
+            y = table.entries[cur % p]
+            cur = (cur - y) // p
+            digits += [(x, y, power - 1)]
+            power *= q * q
+        k = len(digits)
+        ok = k < levels and 3 <= cur <= 6 * p * q ** (2 * k + 1)
+        for x, y, radix in digits:
+            ok = ok and 0 <= x < radix and 2 <= y < 2 * p and all(bits >> (y - d) & 1 for d in (0, 1, 2))
+        packed = sum(x * weights[2 * i] + y * weights[2 * i + 1] for i, (x, y, _) in enumerate(digits))
+        if not (ok and packed + cur * weights[2 * k] == m):
+            out.append(str(m))
+    return out
+
+
+def run_verify_decompose(workdir, out, samples):
+    return main(
+        ["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "decompose",
+         "--trials", str(samples), "--out", str(out)]
+    )
+
+
+@pytest.mark.parametrize("bad_y", [0, 1])
+def test_verify_decompose_counts_small_y(workdir, tmp_path, monkeypatch, bad_y):
+    # y < 2 has no y - 2 in A+A+A: a counted failure, not an error. In
+    # residue class bad_y itself the peel still re-encodes, so only the
+    # admissibility check can catch it
+    def change(entries):
+        entries[bad_y] = bad_y
+
+    corrupted_y_table(monkeypatch, change)
+    out = tmp_path / "dec.json"
+    assert run_verify_decompose(workdir, out, 2000) == 1
+    rep = read_json(out)
+    assert rep["ok"] is False and rep["failure_count"] > 0
+    params = seq_from_json(read_json(workdir / "seq.json")).params
+    expected = expected_decompose_failures(params, 2000)
+    assert rep["failure_count"] == len(expected)
+    assert rep["failures"] == expected[:100]
+
+
+def swap_admissible(entries):
+    # residue classes 3 and 4 trade their (admissible) y digits, so
+    # samples that meet either class no longer re-encode
+    entries[3], entries[4] = entries[4], entries[3]
+
+
+def test_verify_decompose_reports_failures(workdir, tmp_path, monkeypatch):
+    corrupted_y_table(monkeypatch, swap_admissible)
+    out = tmp_path / "dec.json"
+    assert run_verify_decompose(workdir, out, 4000) == 1
+    rep = read_json(out)
+    params = seq_from_json(read_json(workdir / "seq.json")).params
+    expected = expected_decompose_failures(params, 4000)
+    assert len(expected) > 100
+    assert rep["failure_count"] == len(expected)
+    assert rep["failures"] == expected[:100]
+    assert rep["ok"] is False
+    manifest = read_json(tmp_path / "dec.json.manifest.json")
+    assert manifest["warnings"] == [f"{len(expected)} decomposition failures"]
+
+
+def test_verify_decompose_block_size_invariant(workdir, tmp_path, monkeypatch):
+    corrupted_y_table(monkeypatch, swap_admissible)
+    texts = []
+    for block in (None, 1, 7):
+        if block is not None:
+            monkeypatch.setattr(cli, "_DECOMPOSE_BLOCK", block)
+        out = tmp_path / f"dec{block}.json"
+        assert run_verify_decompose(workdir, out, 300) == 1
+        texts.append(out.read_text().replace(out.name, "dec.json"))
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert read_json(tmp_path / "decNone.json")["failure_count"] > 0
 
 
 def test_verify_coverage_csv(workdir, tmp_path):
