@@ -17,9 +17,8 @@ matrix of the members' codes, one product mod q per g_i (reduction is
 F_q-linear) and one dlog_table gather. The r and s digits of a level
 are drawn at once too (_draw_level): one keyed blake2b state, a copy of
 it per hash message, the digests written into one uint64 word array and
-reduced exactly, and n formed in Python-integer array arithmetic. Build, the
-one-member compute_entry and the coverage re-draws (draw_plan,
-redrawn_values) all draw through it.
+reduced exactly, and n formed in Python-integer array arithmetic. Build and
+the coverage re-draws (draw_plan, redrawn_values) both draw through it.
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off, reads omega_i^{e_i} mod g_i from antilog_table,
@@ -211,7 +210,10 @@ def _residues(words: np.ndarray, m: int) -> np.ndarray:
     """(hi 2^64 + lo) mod m, exactly, for the little-endian 128-bit
     digests whose (lo, hi) uint64 halves are words[..., 0] and
     words[..., 1]. In uint64 while m < 2^32, where a product of two
-    residues still fits; in Python integers otherwise."""
+    residues still fits; in Python integers otherwise. The Python-integer
+    path alone is exact for every m, but it makes one integer object per
+    digest, which slows a desk coverage re-draw and raises the resident
+    peak of a desk pass."""
     lo, hi = words[..., 0], words[..., 1]
     if m < 2**32:
         m64 = np.uint64(m)
@@ -314,15 +316,6 @@ def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np
     return e
 
 
-def compute_entry(params: Params, f: Poly, k: int, e: tuple[int, ...]) -> SequenceEntry:
-    """The entry of member f at level k with e digits e (a row of
-    level_e_digits): r_i and s drawn from the keyed counter RNG
-    (independent across (f, digit), reproducible), then packed."""
-    a_elems = np.array(params.aux.A, dtype=object)
-    r, s, n = _draw_level(a_elems, _level_draw(params, k, [e]), _draw_row(f, k), _digit_hasher(params.seed))
-    return SequenceEntry(f=f, k=k, e=e, r=tuple(r[0]), s=s[0], n=n[0])
-
-
 def draw_plan(params: Params, entries) -> tuple:
     """The seed-invariant part of re-drawing the r and s digits of
     entries: A as an array, and per level present the positions of its
@@ -410,7 +403,7 @@ def _crt_matrix(moduli: tuple[Poly, ...]) -> np.ndarray:
 
 
 def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int]:
-    """Inverse of compute_entry on built sequences: recover (f, k) from n.
+    """Inverse of build_sequence's encoding: recover (f, k) from n.
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is

@@ -21,7 +21,6 @@ from sidonbasis.builder import (
     build_Fk,
     build_moduli,
     build_sequence,
-    compute_entry,
     decode_entry,
     digit_weights,
     fk_degrees,
@@ -223,15 +222,10 @@ def test_entry_digit_ranges(params307, seq307):
         assert encode(base, DigitVector(tuple(digits))) == ent.n
 
 
-def test_compute_entry_matches_build(params307, seq307, seq7):
-    # the one-member draw and the level-wide draw of the build agree, with
-    # plain Python integers in every digit
-    for params, seq in ((params307, seq307), (seq7.params, seq7)):
-        for ent in seq.entries[:: len(seq.entries) // 17]:
-            again = compute_entry(params, ent.f, ent.k, ent.e)
-            assert again == ent
-            assert all(type(x) is int for x in (*again.e, *again.r, again.s, again.n))
-    assert all(type(x) is int for ent in seq307.entries for x in (*ent.e, *ent.r, ent.s, ent.n))
+def test_built_digits_are_python_ints(seq307, seq7):
+    # the level-wide draw leaves plain Python integers in every digit
+    for seq in (seq307, seq7):
+        assert all(type(x) is int for ent in seq.entries for x in (*ent.e, *ent.r, ent.s, ent.n))
 
 
 def test_sequence_counts_and_injectivity(seq307):

@@ -1,8 +1,11 @@
-"""scripts/run_pipeline.py end to end, on the default desk configuration
-with few trials and samples."""
+"""scripts/run_pipeline.py end to end, with few trials and samples: on the
+default desk configuration, and at q = 7 so that --q reaches the build."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
 
@@ -14,9 +17,13 @@ def load_script():
     return module
 
 
-def test_run_pipeline_writes_every_output(tmp_path, capsys):
+@pytest.mark.parametrize("extra, q, levels", [
+    ([], 3, (3, 4)),
+    (["--q", "7", "--k-min", "3", "--k-max", "3"], 7, (3, 3)),
+])
+def test_run_pipeline_writes_every_output(tmp_path, capsys, extra, q, levels):
     out = tmp_path / "run"
-    argv = ["--outdir", str(out), "--q", "3", "--trials", "2", "--decompose-samples", "200"]
+    argv = ["--outdir", str(out), *extra, "--trials", "2", "--decompose-samples", "200"]
     assert load_script().main(argv) == 0
     assert "pipeline: all steps passed" in capsys.readouterr().out
     equidist = [f"equidist_d{d}_{g}.csv" for d in (3, 4) for g in ("1+t2", "2t+t3")]
@@ -29,3 +36,6 @@ def test_run_pipeline_writes_every_output(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [*reports, *(f"{n}.manifest.json" for n in reports), *(f"{n}.summary.json" for n in equidist)]
     )
+    params = json.loads((out / "seq.json").read_text())["params"]
+    assert params["q"] == q
+    assert (params["k_min"], params["k_max"]) == levels
