@@ -12,23 +12,29 @@ set A, and the top digit s is drawn from {1, ..., q^{3k}}. The r and s
 digits come from a keyed-hash counter RNG so every (f, digit) pair is an
 independent, reproducible draw.
 
+The members of each degree are one cached MemberTable per (q, degree):
+sieve codes, Poly objects and canonical names, with name -> position.
 level_e_digits gives the e digits of a whole level at once: one digit
 matrix of the members' codes, one product mod q per g_i (reduction is
 F_q-linear) and one dlog_table gather. The r and s digits of a level
-are drawn at once too (_draw_level): one keyed blake2b state, a copy of
-it per hash message, the digests written into one uint64 word array and
+are drawn at once too (_draw_level), with the members' names from their
+tables in the hash messages: one keyed blake2b state, a copy of it per
+hash message, the digests written into one uint64 word array and
 reduced exactly, and n formed in Python-integer array arithmetic. Build and
 the coverage re-draws (draw_plan, redrawn_values) both draw through it.
+seq_from_json looks every f up by name in the same tables and checks a
+level at a time.
 
 The map f -> n_f is injective and invertible: decode_entry peels the
-digits back off, reads omega_i^{e_i} mod g_i from antilog_table,
-recombines the residues by one cached CRT matrix over F_q (CRT is linear
-in the residues; the matrix is built from the k CRT idempotents), and
-tests irreducibility by lookup in the same sieve build_Fk enumerates
-from. The moduli are cached per (q, k_max); the mixed radix, level
-brackets and degree windows per Params. audit_preconditions reports the
-concrete degree margins that the collision-freeness argument needs at
-the configured parameters.
+digits back off and adds one row per g_i of the level's decode tables
+(row e of T_i is the CRT contribution of omega_i^e mod g_i: CRT is
+linear in the residues, and its matrix is built from the k CRT
+idempotents), and tests irreducibility by lookup in the same sieve the
+member tables enumerate from. The moduli are cached per (q, k_max), the
+decode tables per moduli, the member tables per (q, degree); the mixed
+radix, level brackets and degree windows per Params. audit_preconditions
+reports the concrete degree margins that the collision-freeness argument
+needs at the configured parameters.
 """
 
 from __future__ import annotations
@@ -48,14 +54,15 @@ from .ffpoly import (
     crt,
     digit_codes,
     enumerate_irreducibles,
-    is_irreducible_by_sieve,
+    irreducible_codes,
+    is_irreducible_code,
     mulmod_matrix,
     poly_from_string,
     poly_mul,
     poly_to_string,
     smallest_irreducible,
 )
-from .gbase import MixedRadix, decode
+from .gbase import MixedRadix
 from .unitgroup import Generator, antilog_table, dlog_table, find_generator
 
 # after the package modules, so that numpy first loads through ffpoly, as
@@ -181,12 +188,42 @@ def fk_degrees(params: Params, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class MemberTable:
+    """The monic irreducibles of one degree d over F_q in code order: their
+    sieve codes (without the leading q^d), Poly objects and canonical
+    names (poly_to_string), with name -> position."""
+
+    degree: int
+    codes: np.ndarray
+    polys: tuple[Poly, ...]
+    names: tuple[str, ...]
+    index: dict[str, int]
+
+
+@functools.lru_cache(maxsize=64)
+def member_table(q: PrimeModulus, d: int) -> MemberTable:
+    """The MemberTable of degree d over F_q, built once per process from
+    the cached sieve and shared by every Params with this q."""
+    polys = tuple(enumerate_irreducibles(q, d))
+    names = tuple(map(poly_to_string, polys))
+    return MemberTable(
+        d,
+        irreducible_codes(q, d),
+        polys,
+        names,
+        {name: i for i, name in enumerate(names)},
+    )
+
+
+def level_tables(params: Params, k: int) -> list[MemberTable]:
+    """The member tables of the degrees of the level k window."""
+    return [member_table(params.q, m) for m in fk_degrees(params, k)]
+
+
 def build_Fk(params: Params, k: int) -> list[Poly]:
     """All member polynomials at level k, degree-then-code order."""
-    out: list[Poly] = []
-    for m in fk_degrees(params, k):
-        out.extend(enumerate_irreducibles(params.q, m))
-    return out
+    return [f for table in level_tables(params, k) for f in table.polys]
 
 
 def _digit_hasher(seed: int):
@@ -195,15 +232,6 @@ def _digit_hasher(seed: int):
     copy, which gives the one-shot keyed digest without setting up the key
     again."""
     return hashlib.blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16)
-
-
-def _draw_row(f: Poly, k: int) -> tuple[bytes, ...]:
-    """The hash messages of the r and s draws of member f at level k:
-    "name|r1", ..., "name|rk" for the r digits and "name|s" for the top
-    digit."""
-    name = poly_to_string(f)
-    tags = [f"r{i}" for i in range(1, k + 1)] + ["s"]
-    return tuple(f"{name}|{tag}".encode() for tag in tags)
 
 
 def _residues(words: np.ndarray, m: int) -> np.ndarray:
@@ -248,10 +276,21 @@ def _level_draw(params: Params, k: int, e) -> _LevelDraw:
     return _LevelDraw(fixed, weights[1 : 2 * k : 2], weights[2 * k], params.q.q ** (3 * k))
 
 
-def _level_messages(members, k: int):
-    """The hash messages of members at level k, their draw rows one after
-    another."""
-    return (msg for f in members for msg in _draw_row(f, k))
+def _level_messages(names, k: int):
+    """The hash messages of the r and s draws of members at level k, given
+    their names: "name|r1", ..., "name|rk" for the r digits and "name|s"
+    for the top digit, member after member."""
+    tags = [f"|r{i}" for i in range(1, k + 1)] + ["|s"]
+    return ((name + tag).encode() for name in names for tag in tags)
+
+
+def _member_names(params: Params, k: int, members) -> list[str]:
+    """The names of members at level k: read from the level's member
+    tables, by poly_to_string for a polynomial that is not in them."""
+    name_of = {}
+    for table in level_tables(params, k):
+        name_of.update(zip(table.polys, table.names))
+    return [name_of.get(f) or poly_to_string(f) for f in members]
 
 
 def _draw_level(a_elems: np.ndarray, level: _LevelDraw, msgs, hasher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,13 +340,18 @@ def digit_weights(params: Params) -> tuple[int, ...]:
 def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np.ndarray:
     """The e digits of members at level k = len(generators): row u holds
     e_1..e_k of members[u], the table logs of members[u] mod g_1..g_k.
-    One digit matrix of the members' codes, one product mod q per g_i
-    (the reduction map mod g_i) and one log-table gather per g_i. Raises
-    ValueError when some g_i divides a member."""
-    q = generators[0].g.q
+    Raises ValueError when some g_i divides a member."""
     width = 1 + max(f.degree for f in members)
-    digits = code_digits(q.q, [f.code for f in members], width)
-    e = np.empty((len(members), len(generators)), dtype=np.int64)
+    return _code_e_digits(generators, np.array([f.code for f in members], dtype=np.int64), width)
+
+
+def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: int) -> np.ndarray:
+    """level_e_digits of the polynomials with codes below q^width: one
+    digit matrix of the codes, one product mod q per g_i (the reduction
+    map mod g_i) and one log-table gather per g_i."""
+    q = generators[0].g.q
+    digits = code_digits(q.q, codes, width)
+    e = np.empty((len(codes), len(generators)), dtype=np.int64)
     for i, gen in enumerate(generators):
         residues = digit_codes(q.q, digits @ mulmod_matrix(Poly.one(q), gen.g, width) % q.q)
         e[:, i] = dlog_table(gen)[residues]
@@ -327,7 +371,7 @@ def draw_plan(params: Params, entries) -> tuple:
     for k, positions in levels.items():
         members = [entries[pos] for pos in positions]
         draw = _level_draw(params, k, [ent.e for ent in members])
-        msgs = tuple(_level_messages([ent.f for ent in members], k))
+        msgs = tuple(_level_messages(_member_names(params, k, [ent.f for ent in members]), k))
         plan.append((np.array(positions, dtype=np.intp), draw, msgs))
     return np.array(params.aux.A, dtype=object), tuple(plan)
 
@@ -351,13 +395,16 @@ def build_sequence(params: Params) -> SidonSequence:
     a_elems = np.array(params.aux.A, dtype=object)
     hasher = _digit_hasher(params.seed)
     for k in range(params.k_min, params.k_max + 1):
-        members = build_Fk(params, k)
-        if not members:
+        tables = level_tables(params, k)
+        if not tables:
             warnings.append(f"level k={k} is empty (no even degree in its window)")
             continue
+        members = [f for table in tables for f in table.polys]
+        names = [name for table in tables for name in table.names]
+        codes = np.concatenate([table.codes + params.q.q**table.degree for table in tables])
         # one Python integer per digit, shared by the draw and the entries
-        e = level_e_digits(moduli.generators[:k], members).astype(object)
-        r, s, n = _draw_level(a_elems, _level_draw(params, k, e), _level_messages(members, k), hasher)
+        e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree).astype(object)
+        r, s, n = _draw_level(a_elems, _level_draw(params, k, e), _level_messages(names, k), hasher)
         entries.extend(
             SequenceEntry(f=f, k=k, e=tuple(e_u), r=tuple(r_u), s=s_u, n=n_u)
             for f, e_u, r_u, s_u, n_u in zip(members, e, r, s, n)
@@ -402,24 +449,56 @@ def _crt_matrix(moduli: tuple[Poly, ...]) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=64)
+def _decode_tables(generators: tuple[Generator, ...]) -> tuple[np.ndarray, ...]:
+    """Per generator (g_i, omega_i) of a level, the table T_i whose row e
+    is the CRT contribution of omega_i^e mod g_i: the digits of
+    antilog_table(gen_i) times the g_i block of _crt_matrix, mod q. CRT
+    is linear, so the coefficient vector of the f with f = omega_i^{e_i}
+    mod every g_i is sum_i T_i[e_i] mod q. Stored in the smallest
+    unsigned type that holds q - 1 (uint8 for q <= 256), read-only;
+    cached per moduli, so every Params with these moduli shares them.
+    The product runs in the smallest unsigned type that holds a row sum
+    of deg g_i terms below q^2, which is exact and faster than int64."""
+    q = generators[0].g.q.q
+    matrix = _crt_matrix(tuple(gen.g for gen in generators))
+    dtype = np.min_scalar_type(q - 1)
+    tables = []
+    row = 0
+    for gen in generators:
+        d = gen.g.degree
+        work = np.min_scalar_type(d * (q - 1) ** 2)
+        digits = code_digits(q, antilog_table(gen), d).astype(work)
+        table = (digits @ matrix[row : row + d].astype(work) % q).astype(dtype)
+        table.flags.writeable = False
+        tables.append(table)
+        row += d
+    return tuple(tables)
+
+
 def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int]:
     """Inverse of build_sequence's encoding: recover (f, k) from n.
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is
-    tried). The residues omega_i^{e_i} mod g_i are antilog_table codes,
-    and f is one CRT matrix product mod q of their digits. Foreign values
-    fail digit validation, land outside the degree window, or decode to a
-    reducible polynomial, and raise DecodeError.
+    tried). The digits are peeled off with digit_weights, the
+    coefficients of f are sum_i T_i[e_i] mod q over the level's
+    _decode_tables, and f is irreducible when its code is in the sieve.
+    Foreign values fail digit validation, land outside the degree window,
+    or decode to a reducible polynomial, and raise DecodeError.
     """
-    base = mixed_radix(params)
-    a_members = set(params.aux.A)
+    weights = digit_weights(params)
+    a_members = params.aux.A
     q = params.q.q
     for k in range(1, params.k_max + 1):
         lo, hi = level_value_range(params, k)
         if not lo <= n < hi:
             continue
-        digits = decode(base, n, 2 * k + 1).digits
+        digits = [0] * (2 * k + 1)
+        rest = n
+        for j in range(2 * k, 0, -1):
+            digits[j], rest = divmod(rest, weights[j])
+        digits[0] = rest
         e = digits[0 : 2 * k : 2]
         r = digits[1 : 2 * k : 2]
         s = digits[2 * k]
@@ -427,19 +506,19 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
             continue
         if any(x not in a_members for x in r):
             continue
-        gens = moduli.generators[:k]
-        x = np.concatenate(
-            [code_digits(q, antilog_table(gen)[e_i], gen.g.degree) for gen, e_i in zip(gens, e)]
-        )
-        matrix = _crt_matrix(tuple(gen.g for gen in gens))
-        f = Poly(params.q, tuple((x @ matrix % q).tolist()))
-        if not f.is_monic():
+        rows = [table[e_i].tolist() for table, e_i in zip(_decode_tables(moduli.generators[:k]), e)]
+        coeffs = [sum(column) % q for column in zip(*rows)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        degree = len(coeffs) - 1
+        if degree < 0 or coeffs[degree] != 1 or degree not in fk_degrees(params, k):
             continue
-        if f.degree not in fk_degrees(params, k):
+        code = 0
+        for c in reversed(coeffs[:degree]):
+            code = code * q + c
+        if not is_irreducible_code(params.q, degree, code):
             continue
-        if not is_irreducible_by_sieve(f):
-            continue
-        return f, k
+        return Poly(params.q, tuple(coeffs)), k
     raise DecodeError(f"{n} does not decode to any sequence entry")
 
 
@@ -544,8 +623,15 @@ def seq_to_json(seq: SidonSequence, manifest_ref: str | None = None) -> dict:
 
 def seq_from_json(obj: dict) -> SidonSequence:
     """Inverse of seq_to_json. Raises ValueError unless the moduli are
-    build_moduli(params) and every entry's k, digits, n, deg f and e (the
-    table logs of f, one level_e_digits call per level) are consistent."""
+    build_moduli(params), every entry's k, digits and n are consistent,
+    f is a monic irreducible of its level's window, e holds the table
+    logs of f and no member appears twice. A failure names the lowest
+    failing entry, and of its failures the first in that order.
+
+    Each f is looked up by name in the level's member tables; only a
+    spelling that is not a canonical name is parsed. The re-encoding and
+    the logs are checked a level at a time, by one object-array product
+    (as _level_draw forms n) and one level_e_digits comparison."""
     params = params_from_json(obj["params"])
     q = params.q
     moduli = build_moduli(params)
@@ -553,31 +639,76 @@ def seq_from_json(obj: dict) -> SidonSequence:
     if stored != [(gen.g, gen.omega) for gen in moduli.generators]:
         raise ValueError("moduli differ from the build's g_i and their generators")
     weights = digit_weights(params)
-    entries = []
-    windows = {k: fk_degrees(params, k) for k in range(params.k_min, params.k_max + 1)}
-    levels: dict[int, list[int]] = {}
+    tables = {k: level_tables(params, k) for k in range(params.k_min, params.k_max + 1)}
+    entries: list[SequenceEntry] = []
+    levels: dict[int, list[tuple]] = {}  # k -> (index, code of f, e, r, s, n) per entry
+    seen: dict[int, int] = {}  # code of f -> index of its first entry
+    # (entry index, rank of the check within the entry, error); the loop
+    # stops at the first entry that fails a check made in it
+    failures: list[tuple[int, int, Exception]] = []
     for idx, ent in enumerate(obj["entries"]):
-        entry = SequenceEntry(
-            f=poly_from_string(q, ent["f"]),
-            k=int(ent["k"]),
-            e=tuple(int(x) for x in ent["e"]),
-            r=tuple(int(x) for x in ent["r"]),
-            s=int(ent["s"]),
-            n=int(ent["n"]),
-        )
-        if entry.k not in windows:
-            raise ValueError(f"entry {idx}: level k = {entry.k} outside [k_min, k_max]")
-        if len(entry.e) != entry.k or len(entry.r) != entry.k:
-            raise ValueError(f"entry {idx}: digit count differs from k = {entry.k}")
-        if _pack(weights, entry.e, entry.r, entry.s) != entry.n:
-            raise ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
-        if entry.f.degree not in windows[entry.k]:
-            raise ValueError(f"entry {idx}: deg f outside the level k = {entry.k} window")
-        levels.setdefault(entry.k, []).append(idx)
-        entries.append(entry)
-    for k, idxs in levels.items():
-        e_rows = level_e_digits(moduli.generators[:k], [entries[i].f for i in idxs]).tolist()
-        for idx, e in zip(idxs, e_rows):
-            if tuple(e) != entries[idx].e:
-                raise ValueError(f"entry {idx}: e digits differ from the table logs of f")
+        try:
+            k = int(ent["k"])
+            if k not in tables:
+                raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
+            e = tuple(map(int, ent["e"]))
+            r = tuple(map(int, ent["r"]))
+            s, n = int(ent["s"]), int(ent["n"])
+            if len(e) != k or len(r) != k:
+                raise ValueError(f"entry {idx}: digit count differs from k = {k}")
+            found = _member_position(tables[k], ent["f"])
+            if found is None:
+                f = poly_from_string(q, ent["f"])
+                found = _member_position(tables[k], poly_to_string(f))
+        except (ValueError, KeyError) as exc:
+            failures.append((idx, 0, exc))
+            break
+        if found is None:
+            if _pack(weights, e, r, s) != n:
+                failures.append((idx, 1, _reencode_error(idx)))
+            elif f.degree not in fk_degrees(params, k):
+                msg = f"entry {idx}: deg f outside the level k = {k} window"
+                failures.append((idx, 2, ValueError(msg)))
+            else:
+                failures.append((idx, 2, ValueError(f"entry {idx}: f is not a monic irreducible")))
+            break
+        table, pos = found
+        code = int(table.codes[pos]) + q.q**table.degree
+        first = seen.setdefault(code, idx)
+        if first != idx:
+            failures.append((idx, 4, ValueError(f"entry {idx}: f repeats entry {first}")))
+        entries.append(SequenceEntry(f=table.polys[pos], k=k, e=e, r=r, s=s, n=n))
+        levels.setdefault(k, []).append((idx, code, e, r, s, n))
+    for k, rows in levels.items():
+        idx_col, code_col, e_col, r_col, s_col, n_col = zip(*rows)
+        idxs = np.array(idx_col)
+        e_rows = np.array(e_col, dtype=object).reshape(-1, k)
+        draw = _level_draw(params, k, e_rows)
+        n_calc = draw.fixed + np.array(r_col, dtype=object).reshape(-1, k) @ draw.r_weights
+        n_calc += np.array(s_col, dtype=object) * draw.s_weight
+        bad = idxs[n_calc != np.array(n_col, dtype=object)]
+        if bad.size:
+            failures.append((int(bad[0]), 1, _reencode_error(bad[0])))
+        width = 1 + fk_degrees(params, k)[-1]
+        logs = _code_e_digits(moduli.generators[:k], np.array(code_col, dtype=np.int64), width)
+        bad = idxs[(logs != e_rows).any(axis=1)]
+        if bad.size:
+            msg = f"entry {bad[0]}: e digits differ from the table logs of f"
+            failures.append((int(bad[0]), 3, ValueError(msg)))
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
     return SidonSequence(params, moduli, tuple(entries), tuple(obj.get("warnings", ())))
+
+
+def _reencode_error(idx: int) -> ValueError:
+    return ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
+
+
+def _member_position(tables: list[MemberTable], name: str) -> tuple[MemberTable, int] | None:
+    """(table, position) of the member whose canonical name is name, None
+    when no table holds it."""
+    for table in tables:
+        pos = table.index.get(name)
+        if pos is not None:
+            return table, pos
+    return None

@@ -306,38 +306,48 @@ def _irreducible_codes(q: int, d: int) -> np.ndarray:
     return out
 
 
-def _capped_sieve(q: PrimeModulus, d: int, cap: int) -> np.ndarray:
-    """_irreducible_codes(q, d), refused when q^d exceeds cap."""
+def _check_enum_cap(q: PrimeModulus, d: int, cap: int) -> None:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if q.q**d > cap:
         raise ValueError(f"enumeration cap exceeded: {q.q}^{d} > {cap}")
+
+
+def irreducible_codes(q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """Codes of all monic irreducibles of degree d, ascending (the cached,
+    read-only sieve), refused when q^d exceeds cap."""
+    _check_enum_cap(q, d, cap)
     return _irreducible_codes(q.q, d)
 
 
 def enumerate_irreducibles(q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP) -> list[Poly]:
     """All monic irreducibles of degree d, ascending code order."""
-    digits = code_digits(q.q, _capped_sieve(q, d, cap) + q.q**d, d + 1)
+    digits = code_digits(q.q, irreducible_codes(q, d, cap) + q.q**d, d + 1)
     return [Poly(q, tuple(row)) for row in digits.tolist()]
 
 
 def smallest_irreducible(q: PrimeModulus, d: int) -> Poly:
-    """enumerate_irreducibles(q, d)[0], built from the first sieve code
-    alone."""
-    return Poly.from_code(q, int(_capped_sieve(q, d, DEFAULT_ENUM_CAP)[0]) + q.q**d)
+    """enumerate_irreducibles(q, d)[0]: the first monic of degree d, in
+    ascending code order, that passes the distinct-degree test. About
+    one monic in d is irreducible, so the scan stops after a few tests,
+    where the sieve would cover all q^d codes."""
+    _check_enum_cap(q, d, DEFAULT_ENUM_CAP)
+    for u in range(q.q**d, 2 * q.q**d):
+        f = Poly.from_code(q, u)
+        if is_irreducible(f):
+            return f
+    # unreachable: every degree has a monic irreducible
+    raise ArithmeticError(f"no monic irreducible of degree {d}")
 
 
-def is_irreducible_by_sieve(f: Poly) -> bool:
-    """is_irreducible(f), answered by a binary search of the cached sieve
-    that enumerate_irreducibles reads while q^deg f <= DEFAULT_ENUM_CAP,
-    and by the distinct-degree test above the cap."""
-    if not f.is_monic() or f.degree < 1:
-        return is_irreducible(f)  # raises its ValueError
-    q, d = f.q.q, f.degree
-    if q**d > DEFAULT_ENUM_CAP:
-        return is_irreducible(f)
-    codes = _irreducible_codes(q, d)
-    u = f.code - q**d
+def is_irreducible_code(q: PrimeModulus, d: int, u: int) -> bool:
+    """Whether the monic of degree d >= 1 with code q^d + u, 0 <= u < q^d,
+    is irreducible: a binary search of the cached sieve that
+    enumerate_irreducibles reads while q^d <= DEFAULT_ENUM_CAP, the
+    distinct-degree test above the cap."""
+    if q.q**d > DEFAULT_ENUM_CAP:
+        return is_irreducible(Poly.from_code(q, q.q**d + u))
+    codes = _irreducible_codes(q.q, d)
     i = int(np.searchsorted(codes, u))
     return i < codes.size and int(codes[i]) == u
 

@@ -5,11 +5,12 @@ Generators are found by the order test against the factored N.
 
 Both directions are tables while N <= DLOG_SCAN_LIMIT = 2^20, that is
 for up to 2^20 + 1 residues (13^5 = 371,293 among them), and neither is
-built above it. dlog_table walks the orbit of 1 under one vectorized
-multiply-by-omega map (ffpoly.mulmod_matrix); antilog_table is one
-scatter from it. Each takes 8 bytes per residue, about 6 MB for the pair
-at 13^5. dlog, the scalar API and the tests' oracle, reads the table or
-runs Pohlig-Hellman with baby-step giant-step per prime power.
+built above it. dlog_table builds the powers of omega by doubling, one
+product by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared
+from step to step) per step, and scatters them; antilog_table is one
+scatter from it. Each takes 8 bytes per residue, about 6 MB for the
+pair at 13^5. dlog, the scalar API and the tests' oracle, reads the
+table or runs Pohlig-Hellman with baby-step giant-step per prime power.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from . import primes
 from .ffpoly import (
     Poly,
-    code_digits,
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
@@ -93,6 +93,13 @@ class Generator:
             raise ValueError("generator must be a unit")
         if not _passes_order_test(omega, g, n, set(factor_integer(n))):
             raise ValueError(f"{omega} does not have order {n} mod {g}")
+        # the caches keyed by generators (builder._decode_tables, read per
+        # decoded value) hash them on every lookup; hashing g and omega
+        # field by field costs microseconds
+        object.__setattr__(self, "_hash", hash((g, omega)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -127,7 +134,13 @@ _ANTILOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndar
 def dlog_table(gen: Generator) -> np.ndarray:
     """Full log table T with T[code(x)] = dlog(x) for every unit x,
     -1 elsewhere. Cached per (q, g, omega). Raises ValueError when the
-    group order exceeds DLOG_SCAN_LIMIT, before allocating anything."""
+    group order exceeds DLOG_SCAN_LIMIT, before allocating anything.
+
+    The powers are built by doubling: with the digit rows of omega^0..
+    omega^{m-1} in hand, those of omega^m..omega^{2m-1} are one product
+    by the matrix of x -> omega^m x mod g, so about log2(order) products;
+    squaring that matrix gives the next step's. T is then one scatter
+    from the power codes."""
     key = (gen.g.q.q, gen.g.coeffs, gen.omega.coeffs)
     cached = _LOG_TABLE_CACHE.get(key)
     if cached is not None:
@@ -135,17 +148,24 @@ def dlog_table(gen: Generator) -> np.ndarray:
     n = gen.order
     if n > DLOG_SCAN_LIMIT:
         raise ValueError(f"unit group of order {n} exceeds DLOG_SCAN_LIMIT = {DLOG_SCAN_LIMIT}")
-    qv, d = gen.g.q.q, gen.g.degree
-    size = qv**d
-    digits = code_digits(qv, np.arange(size), d)
-    mul = digit_codes(qv, digits @ mulmod_matrix(gen.omega, gen.g, d) % qv).tolist()
-    table = np.full(size, -1, dtype=np.int64)
-    x = 1  # code of the constant 1
-    for e in range(n):
-        table[x] = e
-        x = mul[x]
-    if x != 1:
+    g = gen.g
+    qv, d = g.q.q, g.degree
+    powers = np.zeros((n, d), dtype=np.int64)
+    powers[0, 0] = 1
+    step = mulmod_matrix(gen.omega, g, d)  # x -> omega^m x for the m rows filled so far
+    m = 1
+    while m < n:
+        stop = min(2 * m, n)
+        np.matmul(powers[: stop - m], step, out=powers[m:stop])
+        powers[m:stop] %= qv
+        step = step @ step % qv
+        m = stop
+    codes = digit_codes(qv, powers)
+    last = Poly.from_code(g.q, int(codes[-1]))
+    if poly_mod(poly_mul(last, gen.omega), g) != poly_mod(Poly.one(g.q), g):
         raise AssertionError("generator orbit did not close")
+    table = np.full(qv**d, -1, dtype=np.int64)
+    table[codes] = np.arange(n, dtype=np.int64)
     if int(table[1:].min()) < 0:
         raise AssertionError("generator orbit missed a unit")
     table.flags.writeable = False

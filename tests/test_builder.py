@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sidonbasis.auxset import AuxSet
@@ -16,6 +17,7 @@ from sidonbasis.builder import (
     DecodeError,
     Params,
     _crt_matrix,
+    _decode_tables,
     _pack,
     audit_preconditions,
     build_Fk,
@@ -25,6 +27,7 @@ from sidonbasis.builder import (
     digit_weights,
     fk_degrees,
     level_e_digits,
+    level_tables,
     level_value_range,
     mixed_radix,
     params_from_json,
@@ -46,6 +49,13 @@ from sidonbasis.gbase import DigitVector, decode, encode, fmod
 from sidonbasis.unitgroup import dlog, find_generator
 
 Q3 = PrimeModulus(3)
+
+
+@pytest.fixture(scope="module")
+def seq11(aux307):
+    # q = 11, k = 3: 3,630 members, and the decode table of g_3 has
+    # 161,050 rows
+    return build_sequence(Params(q=PrimeModulus(11), aux=aux307, k_min=3, k_max=3, seed=3))
 
 
 def reference_decode(n, params, moduli):
@@ -296,13 +306,22 @@ def test_decode_detects_tampering(params307, seq307):
         assert decoded != (ent.f, ent.k)
 
 
-def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7):
+def test_decode_q11_matches_reference(seq11):
+    # every q = 11 entry decodes by its tables; a sample also by the Poly
+    # arithmetic oracle
+    for ent in seq11.entries:
+        assert decode_entry(ent.n, seq11.params, seq11.moduli) == (ent.f, ent.k)
+    for ent in random.Random(19).sample(seq11.entries, 150):
+        assert reference_decode(ent.n, seq11.params, seq11.moduli) == (ent.f, ent.k)
+
+
+def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7, seq11):
     # tampered entries (one digit changed: r to another element of A or
     # outside it, e_i by +-1, s to and past its edges), random digit
     # vectors at every level, below k_min too, and random integers
     rng = random.Random(17)
     seen = {"accepted": 0, "rejected": 0}
-    for seq in (seq307, seq7):
+    for seq in (seq307, seq7, seq11):
         params, moduli = seq.params, seq.moduli
         weights = digit_weights(params)
         q, a_elems = params.q.q, params.aux.A
@@ -359,6 +378,38 @@ def test_decode_rejects_reducible_crt_result(params307, seq307):
                 decode_entry(n, params307, moduli)
             rejected += 1
     assert rejected == len(quads) ** 2
+
+
+def test_tables_shared_across_seeds(params307, aux307):
+    # the member and decode tables are keyed by (q, degree) and by the
+    # moduli, so builds that differ only in their digit seed share them
+    other = Params(q=params307.q, aux=aux307, c=params307.c, k_min=3, k_max=4, seed=99)
+    for k in (3, 4):
+        ours, theirs = level_tables(params307, k), level_tables(other, k)
+        assert len(ours) == len(theirs) and all(a is b for a, b in zip(ours, theirs))
+        gens = build_moduli(params307).generators[:k]
+        assert _decode_tables(gens) is _decode_tables(build_moduli(other).generators[:k])
+    decode_entry(build_sequence(other).values[0], other, build_moduli(other))
+    hits = _decode_tables.cache_info().hits
+    decode_entry(build_sequence(params307).values[0], params307, build_moduli(params307))
+    assert _decode_tables.cache_info().hits == hits + 1
+
+
+def test_decode_tables_are_crt_contributions(seq307, seq11):
+    # row e of T_i is the CRT of omega_i^e mod g_i and 0 mod the other g_j
+    rng = random.Random(37)
+    for seq in (seq307, seq11):
+        gens = seq.moduli.generators
+        q = gens[0].g.q
+        tables = _decode_tables(gens)
+        assert all(t.dtype == np.uint8 and not t.flags.writeable for t in tables)
+        for i, (gen, table) in enumerate(zip(gens, tables)):
+            assert table.shape == (gen.order, sum(g.g.degree for g in gens))
+            for e in [0, gen.order - 1] + [rng.randrange(gen.order) for _ in range(10)]:
+                residues = [Poly.zero(q)] * len(gens)
+                residues[i] = poly_powmod(gen.omega, e, gen.g)
+                f = crt(residues, [g.g for g in gens])
+                assert Poly(q, tuple(table[e].tolist())) == f
 
 
 def test_crt_matrix_matches_crt(seq307, seq7):
@@ -467,3 +518,74 @@ def test_json_roundtrip(params307, seq307):
     obj["entries"][2]["f"] = "1+t^2"  # irreducible, but below the k = 3 window
     with pytest.raises(ValueError, match="entry 2: deg f outside"):
         seq_from_json(obj)
+
+
+def test_json_roundtrip_q11_and_spellings(seq11):
+    assert seq_from_json(seq_to_json(seq11)) == seq11
+    # a member spelled other than canonically loads as that member
+    obj = seq_to_json(seq11)
+    name = obj["entries"][4]["f"]
+    assert "+" in name
+    obj["entries"][4]["f"] = " + ".join(reversed(name.split("+")))
+    assert seq_from_json(obj) == seq11
+
+
+def test_seq_from_json_rejects_reducible_member(params307, seq307):
+    # 2+2t+2t^3+t^4 is the product of two irreducible quadratics: monic,
+    # of degree 4 in the k = 3 window, with e digits and n made consistent
+    f = Poly(Q3, (2, 2, 0, 2, 1))
+    assert not is_irreducible(f)
+    obj = seq_to_json(seq307)
+    idx = next(i for i, ent in enumerate(seq307.entries) if ent.k == 3)
+    ent = seq307.entries[idx]
+    e = tuple(level_e_digits(seq307.moduli.generators[:3], [f])[0].tolist())
+    n = _pack(digit_weights(params307), e, ent.r, ent.s)
+    obj["entries"][idx].update(f=str(f), e=list(e), n=str(n))
+    with pytest.raises(ValueError, match=f"entry {idx}: f is not a monic irreducible"):
+        seq_from_json(obj)
+    obj["entries"][idx]["f"] = "2+2*t+2*t^3+2*t^4"  # not monic
+    with pytest.raises(ValueError, match=f"entry {idx}: f is not a monic irreducible"):
+        seq_from_json(obj)
+
+
+def test_seq_from_json_rejects_repeated_member(params307, seq307):
+    # a later k = 3 entry takes the f, e digits and n of an earlier one
+    # but keeps its r and s digits, so n re-encodes and the logs match
+    obj = seq_to_json(seq307)
+    first, later = [i for i, ent in enumerate(seq307.entries) if ent.k == 3][2:4]
+    src, ent = seq307.entries[first], seq307.entries[later]
+    n = _pack(digit_weights(params307), src.e, ent.r, ent.s)
+    obj["entries"][later].update(f=str(src.f), e=list(src.e), n=str(n))
+    with pytest.raises(ValueError, match=f"entry {later}: f repeats entry {first}"):
+        seq_from_json(obj)
+
+
+def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
+    # faults found by the per-entry pass and by the level-wide checks are
+    # reported by the lowest entry index, whichever check finds them
+    weights = digit_weights(params307)
+
+    def flip_e1(obj, idx):
+        ent = seq307.entries[idx]
+        e = (1 - ent.e[0],) + ent.e[1:]  # e_1 lives in {0, 1} for q = 3
+        obj["entries"][idx].update(e=list(e), n=str(_pack(weights, e, ent.r, ent.s)))
+
+    def bump_n(obj, idx):
+        obj["entries"][idx]["n"] = str(seq307.entries[idx].n + 1)
+
+    def bad_k(obj, idx):
+        obj["entries"][idx]["k"] = params307.k_max + 1
+
+    cases = [
+        ((bump_n, 30), (flip_e1, 12), "entry 12: e digits"),
+        ((flip_e1, 30), (bump_n, 12), "entry 12: n does not re-encode"),
+        ((bad_k, 30), (flip_e1, 12), "entry 12: e digits"),
+        ((flip_e1, 30), (bad_k, 12), "entry 12: level k"),
+        ((bump_n, 12), (bump_n, 30), "entry 12: n does not re-encode"),
+    ]
+    for (fault_a, at_a), (fault_b, at_b), message in cases:
+        obj = seq_to_json(seq307)
+        fault_a(obj, at_a)
+        fault_b(obj, at_b)
+        with pytest.raises(ValueError, match=message):
+            seq_from_json(obj)

@@ -7,8 +7,9 @@ import pytest
 
 from sidonbasis import cli
 from sidonbasis.auxset import YTable, triple_sumset_bits
-from sidonbasis.builder import mixed_radix, seq_from_json
+from sidonbasis.builder import _pack, digit_weights, level_e_digits, mixed_radix, seq_from_json
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
+from sidonbasis.ffpoly import Poly
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +369,27 @@ def test_verify_rejects_foreign_moduli_and_logs(workdir, tmp_path, capsys, field
     assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: entry 7: e digits" if field == "e" else "error: moduli differ")
+
+
+@pytest.mark.parametrize("fault", ["reducible", "repeat"])
+def test_verify_rejects_non_members(workdir, tmp_path, capsys, fault):
+    seq = seq_from_json(read_json(workdir / "seq.json"))
+    obj = read_json(workdir / "seq.json")
+    weights = digit_weights(seq.params)
+    ent = seq.entries[7]
+    if fault == "reducible":
+        f = Poly(seq.params.q, (2, 2, 0, 2, 1))  # (quadratic)(quadratic) over F_3
+        e = level_e_digits(seq.moduli.generators[: ent.k], [f])[0].tolist()
+    else:
+        f, e = seq.entries[5].f, list(seq.entries[5].e)
+        assert seq.entries[5].k == ent.k
+    obj["entries"][7].update(f=str(f), e=e, n=str(_pack(weights, e, ent.r, ent.s)))
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    expected = "f is not a monic irreducible" if fault == "reducible" else "f repeats entry 5"
+    assert err.startswith("error: entry 7: " + expected)
 
 
 def test_equidist_files(tmp_path):

@@ -18,7 +18,7 @@ from sidonbasis.ffpoly import (
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
-    is_irreducible_by_sieve,
+    is_irreducible_code,
     mulmod_matrix,
     poly_add,
     poly_divmod,
@@ -184,11 +184,7 @@ def test_irreducible_by_sieve_matches_distinct_degree(monkeypatch, cap):
         monkeypatch.setattr(ffpoly, "_irreducible_codes", no_sieve)
     for q, d in ((Q2, 1), (Q2, 6), (Q3, 4), (Q5, 3)):
         for u in range(q.q**d):
-            f = Poly.from_code(q, u + q.q**d)
-            assert is_irreducible_by_sieve(f) == is_irreducible(f)
-    for bad in (Poly(Q3, (1, 0, 2)), Poly(Q3, (1,))):  # non-monic, degree 0
-        with pytest.raises(ValueError):
-            is_irreducible_by_sieve(bad)
+            assert is_irreducible_code(q, d, u) == is_irreducible(Poly.from_code(q, u + q.q**d))
 
 
 def test_enumerate_examples():
@@ -319,7 +315,8 @@ def test_mulmod_matrix_matches_poly_arithmetic(data):
 
 
 def test_smallest_irreducible():
-    for q, d in ((Q2, 1), (Q2, 6), (Q3, 5), (Q5, 3), (PrimeModulus(13), 3)):
+    cases = [(Q2, 1), (Q2, 6)] + [(PrimeModulus(q), d) for q in (3, 5, 11, 13) for d in range(1, 6)]
+    for q, d in cases:
         assert smallest_irreducible(q, d) == enumerate_irreducibles(q, d)[0]
     with pytest.raises(ValueError):
         smallest_irreducible(Q3, 13)  # 3^13 > DEFAULT_ENUM_CAP

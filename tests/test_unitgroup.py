@@ -175,6 +175,21 @@ def test_dlog_table_matches_pohlig_hellman_above_old_limit():
         assert antilog_table(gen)[e] == f.code
 
 
+@pytest.mark.parametrize("q, d", [(11, 5), (3, 7)])
+def test_dlog_table_by_doubling_matches_pohlig_hellman(q, d):
+    # the doubled power table, scattered into logs, against dlog forced
+    # onto Pohlig-Hellman, on the last irreducible of the degree (the
+    # test above takes the first one at q = 11)
+    field = PrimeModulus(q)
+    gen = find_generator(enumerate_irreducibles(field, d)[-1])
+    logs = dlog_table(gen)
+    assert np.array_equal(np.sort(logs[1:]), np.arange(gen.order))
+    rng = random.Random(q * 100 + d)
+    for code in [1, q**d - 1] + [rng.randrange(1, q**d) for _ in range(60)]:
+        f = Poly.from_code(field, code)
+        assert int(logs[code]) == dlog(gen, f, scan_limit=1)
+
+
 def test_euler_phi_examples():
     assert euler_phi_poly(Poly(Q3, (0, 1, 1))) == 4  # t(t+1)
     assert euler_phi_poly(G_QUAD) == 8
