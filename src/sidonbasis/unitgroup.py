@@ -8,9 +8,10 @@ for up to 2^20 + 1 residues (13^5 = 371,293 among them), and neither is
 built above it. dlog_table builds the powers of omega by doubling, one
 product by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared
 from step to step) per step, and scatters them; antilog_table is one
-scatter from it. Each takes 8 bytes per residue, about 6 MB for the
-pair at 13^5. dlog, the scalar API and the tests' oracle, reads the
-table or runs Pohlig-Hellman with baby-step giant-step per prime power.
+scatter from it. Each takes 8 bytes per residue, about 3 MB at 13^5;
+only the log table is cached. dlog, the scalar API and the tests'
+oracle, reads the table or runs Pohlig-Hellman with baby-step giant-step
+per prime power.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ def find_generator(g: Poly, cap: int = DEFAULT_FACTOR_CAP) -> Generator:
 
 
 _LOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-_ANTILOG_TABLE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
 
 
 def dlog_table(gen: Generator) -> np.ndarray:
@@ -175,17 +175,11 @@ def dlog_table(gen: Generator) -> np.ndarray:
 
 def antilog_table(gen: Generator) -> np.ndarray:
     """Power table P with P[e] = code(omega^e mod g) for 0 <= e < order,
-    the inverse of dlog_table on the units: one scatter from it. Cached
-    per (q, g, omega)."""
-    key = (gen.g.q.q, gen.g.coeffs, gen.omega.coeffs)
-    cached = _ANTILOG_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    the inverse of dlog_table on the units: one scatter from it. Not
+    cached: its callers keep what they derive from it."""
     logs = dlog_table(gen)
     table = np.empty(gen.order, dtype=np.int64)
     table[logs[1:]] = np.arange(1, logs.size, dtype=np.int64)
-    table.flags.writeable = False
-    _ANTILOG_TABLE_CACHE[key] = table
     return table
 
 

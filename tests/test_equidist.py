@@ -4,9 +4,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.equidist import (
+    _distinct_triples,
+    _exponent_coordinates,
     deviation_csv_rows,
     deviation_report,
     deviation_summary,
@@ -17,6 +21,7 @@ from sidonbasis.ffpoly import (
     Poly,
     PrimeModulus,
     enumerate_irreducibles,
+    poly_from_string,
     poly_gcd,
     poly_mod,
     poly_mul,
@@ -139,6 +144,84 @@ def test_unit_codes_match_gcd_scan():
 def test_histogram_full_counts_match_brute_force(q, d, g, nonunit_members):
     assert sum(poly_mod(g, f).is_zero() for f in enumerate_irreducibles(q, d)) == nonunit_members
     assert triple_histogram(q, d, g).counts == brute_counts(q, d, g)
+
+
+def shifted_copy_triples(points, shape):
+    """Oracle for _distinct_triples: the same formula, with each
+    convolution by h exact in int64, one shifted copy per occupied
+    position of h."""
+    size = math.prod(shape)
+    mods = np.array(shape, dtype=np.int64)
+
+    def hist(k):
+        flat = np.ravel_multi_index(tuple((k * points % mods).T), shape)
+        return np.bincount(flat, minlength=size).reshape(shape)
+
+    h = hist(1)
+    axes = tuple(range(len(shape)))
+    occupied = [(tuple(int(c) for c in p), int(h[tuple(p)])) for p in np.argwhere(h)]
+
+    def convolve_h(a):
+        out = np.zeros(shape, dtype=np.int64)
+        for shift, weight in occupied:
+            out += weight * np.roll(a, shift, axis=axes)
+        return out
+
+    six = convolve_h(convolve_h(h) - 3 * hist(2)) + 2 * hist(3)
+    assert not (six % 6).any()
+    return six // 6
+
+
+@pytest.mark.parametrize(
+    "d, g, units",
+    [(8, "1+t^2", 810), (6, "2+t+t^6", 115), (6, "2+t^2+t^8", 116), (7, "2+t^2+t^8", 312)],
+)
+def test_fft_triples_match_shifted_copies(d, g, units):
+    g = poly_from_string(Q3, g)
+    shape, coords = _exponent_coordinates(g)
+    member = coords[[poly_mod(f, g).code for f in enumerate_irreducibles(Q3, d)]]
+    points = member[(member < shape).all(axis=1)]
+    assert len(points) == units
+    assert np.array_equal(_distinct_triples(points, shape), shifted_copy_triples(points, shape))
+
+
+def test_roundoff_bound_refuses_before_transforms(monkeypatch, tmp_path, capsys):
+    # 44,220 irreducibles of degree 12: 200 u log2(8) N^3 is about 5.8
+    def no_transform(*args, **kwargs):
+        raise RuntimeError("a transform ran")
+
+    monkeypatch.setattr(np.fft, "rfftn", no_transform)
+    monkeypatch.setattr(np.fft, "irfftn", no_transform)
+    with pytest.raises(AssertionError, match="round-off bound"):
+        triple_histogram(Q3, 12, G_QUAD, cap=50000)
+    out = tmp_path / "eq.csv"
+    argv = ["equidist", "--q", "3", "--d", "12", "--g", "1+t^2", "--cap", "50000", "--out", str(out)]
+    assert main(argv) == EXIT_INTERNAL_ERROR == 3
+    assert "round-off bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "q, d, g",
+    [(Q3, 3, Poly(Q3, (2, 0, 1, 0, 0, 0, 0, 0, 1))), (Q3, 2, G_MIXED), (Q3, 5, Poly(Q3, (2, 1, 0, 0, 0, 0, 1)))],
+    ids=["d3-deg8", "mixed-d2", "d5-deg6"],
+)
+def test_deviation_report_equals_fraction_formulas(q, d, g):
+    # at d = 5, mod 2+t+t^6, c - float(B / phi) misses the correctly
+    # rounded deviation on 704 of the 728 classes
+    rep = triple_histogram(q, d, g)
+    dev = deviation_report(rep)
+    expected = Fraction(math.comb(rep.pool_size, 3), euler_phi_poly(g))
+    normalizer = math.sqrt(q.q ** (3 * d - g.degree))
+    units = set(rep.units)
+    deviations = [rep.counts[u] - expected for u in sorted(rep.counts) if u in units]
+    ratios = [abs(float(x)) / normalizer for x in deviations]
+    assert dev.expected == expected
+    assert [row.deviation for row in dev.rows] == [float(x) for x in deviations]
+    assert [row.ratio for row in dev.rows] == ratios
+    assert dev.max_ratio == max(ratios)
+    assert dev.mean_ratio == sum(ratios) / len(ratios)
+    assert dev.chi2 == float(sum(x * x / expected for x in deviations))
 
 
 def test_deviation_report_quadratic_d3():
