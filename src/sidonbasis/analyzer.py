@@ -59,12 +59,17 @@ on a key.
 
 A coverage trial re-draws the r and s digits of every entry from a draw
 plan built once per run (builder.draw_plan): the e-digit part of n, the
-hash messages and the digit weights do not change between trials, and
-builder.redrawn_values draws as the build does, a level at a time. A
-trial therefore costs one keyed blake2b state, one copy of it per hash
-message, a few array passes per level that reduce the digests and form
-n, then the pruned window search; with threads > 1 each worker process
-receives the plan once.
+hash messages and the digit weights do not change between trials. It
+draws in two stages. builder.draw_bounds hashes only r_k and s of each
+entry, two digests instead of k + 1, and bounds n exactly: the r_i with
+i < k add between (min A) S_k and (max A) S_k, S_k = sum_{i<k}
+W_{2i-1}. A triple whose exact sum lies in [lo, hi] has lower bounds
+summing to at most hi and at least lo - 3 w, w the largest bound width,
+so _window_triples over the sorted lower bounds and [lo - 3 w, hi] finds
+every hitting triple among its candidates. builder.complete_draw then
+hashes r_1..r_{k-1} of the candidates' entries only, and each candidate
+sum is checked against [lo, hi] in Python integers. With threads > 1
+each worker process receives the plan once.
 """
 
 from __future__ import annotations
@@ -81,10 +86,11 @@ from .builder import (
     SidonSequence,
     audit_preconditions,
     build_sequence,
+    complete_draw,
     decode_entry,
+    draw_bounds,
     draw_plan,
     mixed_radix,
-    redrawn_values,
 )
 from .ffpoly import Poly, poly_mod, poly_mul
 from .gbase import DigitVector, decode, fmod
@@ -116,6 +122,11 @@ def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
     shift = max(0, (mult * top).bit_length() - 62)
     return shift, np.array([v >> shift for v in vals], dtype=np.int64)
 
+
+# the most pair sums verify_sidon forms: one int64 array of this many
+# entries is 1 GiB. q = 13, k = 3 (25,194,351 sums) fits; q = 3, k = 5
+# (1,255,030,050 sums, 10 GB) is refused before anything is allocated
+SIDON_PAIR_LIMIT = 1 << 27
 
 # pairs per block where the engine works in blocks. Freed heap memory
 # below the allocator's trim threshold stays resident, so temporaries of
@@ -157,8 +168,16 @@ def _tie_values(sums: np.ndarray, tol: int) -> np.ndarray:
 def verify_sidon(values) -> list[CollisionWitness]:
     """Empty iff all pairwise sums (i <= j) are distinct. Each collision is
     reported against the first pair holding that sum in the walk j = 0,
-    1, ..., i = 0..j, and the witnesses come in the order of that walk."""
+    1, ..., i = 0..j, and the witnesses come in the order of that walk.
+    Raises ValueError, before allocating, when there are more than
+    SIDON_PAIR_LIMIT pair sums."""
     vals = list(values)
+    pairs = len(vals) * (len(vals) + 1) // 2
+    if pairs > SIDON_PAIR_LIMIT:
+        raise ValueError(
+            f"{len(vals)} values have {pairs:,} pair sums, above SIDON_PAIR_LIMIT = "
+            f"{SIDON_PAIR_LIMIT:,}: their int64 key sums would need {8 * pairs:,} bytes"
+        )
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
     shift, keys = _coarse_keys(vals, 2)
@@ -554,8 +573,19 @@ def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, i
 
 
 def _trial_covered(plan: tuple, trial_seed: int, w_start: int, w_len: int) -> list[bool]:
-    vals = sorted(redrawn_values(plan, trial_seed))
-    hit = {sum(vals[x] for x in t) for t in _window_triples(vals, w_start, w_start + w_len - 1)}
+    """Which m of the window a re-draw under trial_seed covers. Stage one
+    draws only r_k and s of every entry (builder.draw_bounds), so each n
+    is known up to its width; the triples of the sorted lower bounds in
+    the window widened down by 3 widths are the candidates, and only
+    their entries draw the rest of their digits (builder.complete_draw)
+    before each candidate sum is checked exactly."""
+    w_end = w_start + w_len - 1
+    low, width = draw_bounds(plan, trial_seed)
+    order = sorted(range(len(low)), key=low.__getitem__)
+    near = _window_triples([low[u] for u in order], w_start - 3 * width, w_end)
+    wanted = sorted({order[x] for t in near for x in t})
+    value = dict(zip(wanted, complete_draw(plan, trial_seed, low, wanted)))
+    hit = {m for t in near if w_start <= (m := sum(value[order[x]] for x in t)) <= w_end}
     return [w_start + off in hit for off in range(w_len)]
 
 
@@ -588,6 +618,8 @@ def monte_carlo_coverage(
     w_start, w_len = m_window
     if w_len < 0:
         raise ValueError("window length must be >= 0")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if seq is None:
         seq = build_sequence(params)
     vals = list(seq.values)

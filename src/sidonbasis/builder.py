@@ -16,14 +16,20 @@ The members of each degree are one cached MemberTable per (q, degree):
 sieve codes, Poly objects and canonical names, with name -> position.
 level_e_digits gives the e digits of a whole level at once: one digit
 matrix of the members' codes, one product mod q per g_i (reduction is
-F_q-linear) and one dlog_table gather. The r and s digits of a level
-are drawn at once too (_draw_level), with the members' names from their
-tables in the hash messages: one keyed blake2b state, a copy of it per
-hash message, the digests written into one uint64 word array and
-reduced exactly, and n formed in Python-integer array arithmetic. Build and
-the coverage re-draws (draw_plan, redrawn_values) both draw through it.
+F_q-linear) and one dlog_table gather. The r and s digits are drawn by
+one routine, _draw_digits, over chosen rows (members) and tags (digits)
+of a level's table of hash messages, which carry the members' names
+from their tables: one keyed blake2b state, a copy of it per chosen
+message, the digests written into one uint64 word array and reduced
+exactly. The build draws every digit of a level through it and forms n
+in Python-integer array arithmetic. A coverage trial (draw_plan) draws
+in two stages through the same routine: draw_bounds hashes only r_k
+and s of every entry, which puts n in [low, low + (max A - min A) S_k]
+with S_k = W_1 + W_3 + ... + W_{2k-3}, and complete_draw hashes
+r_1..r_{k-1} of the entries whose bounds can reach the window only.
 seq_from_json looks every f up by name in the same tables and checks a
-level at a time.
+level at a time, and seq_json_text writes a sequence file by template,
+byte for byte as json.dumps(indent=2).
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off and adds one row per g_i of the level's decode tables
@@ -42,9 +48,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .auxset import AuxSet, aux_from_json, aux_to_json
 from .ffpoly import (
@@ -276,43 +284,52 @@ def _level_draw(params: Params, k: int, e) -> _LevelDraw:
     return _LevelDraw(fixed, weights[1 : 2 * k : 2], weights[2 * k], params.q.q ** (3 * k))
 
 
-def _level_messages(names, k: int):
+def _level_messages(names, k: int) -> np.ndarray:
     """The hash messages of the r and s draws of members at level k, given
-    their names: "name|r1", ..., "name|rk" for the r digits and "name|s"
-    for the top digit, member after member."""
+    their names, as a (members, k + 1) object array: row u holds
+    "name|r1", ..., "name|rk" and "name|s" of member u."""
     tags = [f"|r{i}" for i in range(1, k + 1)] + ["|s"]
-    return ((name + tag).encode() for name in names for tag in tags)
+    msgs = ((name + tag).encode() for name in names for tag in tags)
+    return np.fromiter(msgs, dtype=object, count=len(names) * (k + 1)).reshape(-1, k + 1)
 
 
-def _member_names(params: Params, k: int, members) -> list[str]:
-    """The names of members at level k: read from the level's member
-    tables, by poly_to_string for a polynomial that is not in them."""
+def _member_names(params: Params, entries) -> list[str]:
+    """The canonical names of the f of entries: read from the member
+    tables of their levels, by poly_to_string for an f that is not in
+    them."""
     name_of = {}
-    for table in level_tables(params, k):
-        name_of.update(zip(table.polys, table.names))
-    return [name_of.get(f) or poly_to_string(f) for f in members]
+    for k in {ent.k for ent in entries}:
+        for table in level_tables(params, k):
+            name_of.update(zip(table.polys, table.names))
+    return [name_of.get(ent.f) or poly_to_string(ent.f) for ent in entries]
 
 
-def _draw_level(a_elems: np.ndarray, level: _LevelDraw, msgs, hasher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, s, n) of the members of level whose hash messages are msgs,
-    drawn by the keyed counter RNG whose state is hasher (see
-    _digit_hasher): r_i = A[h mod |A|] and s = 1 + h mod q^{3k} for the
-    128-bit digest h of each message, and n = fixed + sum r_i W_{2i-1} +
-    s W_{2k}, all in Python integers: r is a (members, k) object
-    array."""
+def _draw_digits(a_elems: np.ndarray, level: _LevelDraw, hasher, msgs: np.ndarray, rows, tags: slice) -> np.ndarray:
+    """The digits of the members `rows` of level whose tags (column
+    positions of _level_messages: i - 1 for r_i, k for s) lie in the
+    slice tags, drawn by the keyed counter RNG whose state is hasher (see
+    _digit_hasher) from their hash messages msgs[rows, tags]: r_i =
+    A[h mod |A|] and s = 1 + h mod q^{3k} for the 128-bit digest h of
+    each message. One object array of Python integers, a row per member
+    and a column per tag. Only the chosen messages are hashed."""
     k = len(level.r_weights)
+    chosen = msgs[rows, tags]
     # the digests go straight into the word array: a buffer grown digest
     # by digest is reallocated as it grows, and the holes it leaves in the
     # heap keep the resident set of the later stages larger
-    words = np.empty((len(level.fixed), k + 1, 2), dtype="<u8")
+    words = np.empty((*chosen.shape, 2), dtype="<u8")
     view = memoryview(words).cast("B")
-    for at, msg in zip(range(0, view.nbytes, 16), msgs, strict=True):
+    for at, msg in zip(range(0, view.nbytes, 16), chosen.flat, strict=True):
         h = hasher.copy()
         h.update(msg)
         view[at : at + 16] = h.digest()
-    r = a_elems[_residues(words[:, :k], len(a_elems)).astype(np.intp)]
-    s = (1 + _residues(words[:, k], level.s_range)).astype(object)
-    return r, s, level.fixed + r @ level.r_weights + s * level.s_weight
+    # the tags are consecutive, so the r columns come first
+    n_r = len(range(k)[tags])
+    out = np.empty(chosen.shape, dtype=object)
+    out[:, :n_r] = a_elems[_residues(words[:, :n_r], len(a_elems)).astype(np.intp)]
+    if n_r < chosen.shape[1]:
+        out[:, n_r] = 1 + _residues(words[:, n_r], level.s_range)
+    return out
 
 
 def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
@@ -363,7 +380,9 @@ def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: 
 def draw_plan(params: Params, entries) -> tuple:
     """The seed-invariant part of re-drawing the r and s digits of
     entries: A as an array, and per level present the positions of its
-    entries, their _LevelDraw and their hash messages."""
+    entries, their _LevelDraw and their hash messages (_level_messages).
+    A coverage trial draws from it in two stages, draw_bounds and
+    complete_draw."""
     levels: dict[int, list[int]] = {}
     for pos, ent in enumerate(entries):
         levels.setdefault(ent.k, []).append(pos)
@@ -371,20 +390,49 @@ def draw_plan(params: Params, entries) -> tuple:
     for k, positions in levels.items():
         members = [entries[pos] for pos in positions]
         draw = _level_draw(params, k, [ent.e for ent in members])
-        msgs = tuple(_level_messages(_member_names(params, k, [ent.f for ent in members]), k))
+        msgs = _level_messages(_member_names(params, members), k)
         plan.append((np.array(positions, dtype=np.intp), draw, msgs))
     return np.array(params.aux.A, dtype=object), tuple(plan)
 
 
-def redrawn_values(plan: tuple, seed: int) -> list[int]:
-    """n per entry of a draw_plan with its e digits kept and r, s drawn
-    under seed, as build_sequence draws them: under the build's own seed
-    these are the stored values."""
+def draw_bounds(plan: tuple, seed: int) -> tuple[list[int], int]:
+    """(low, width): the first stage of re-drawing the entries of plan
+    under seed, as build_sequence draws them. Only r_k and s are hashed;
+    with S_k = W_1 + W_3 + ... + W_{2k-3}, the weight of the digits r_1..
+    r_{k-1} that are not drawn yet, an entry's n lies in [low, low + (max
+    A - min A) S_k] with low = fixed + r_k W_{2k-1} + s W_{2k} + (min A)
+    S_k. low is per entry and width the largest (max A - min A) S_k of
+    the levels present."""
     a_elems, levels = plan
     hasher = _digit_hasher(seed)
-    out = np.empty(sum(len(positions) for positions, _, _ in levels), dtype=object)
+    a_min, a_max = min(a_elems), max(a_elems)
+    low = np.empty(sum(len(positions) for positions, _, _ in levels), dtype=object)
+    width = 0
     for positions, draw, msgs in levels:
-        out[positions] = _draw_level(a_elems, draw, msgs, hasher)[2]
+        k = len(draw.r_weights)
+        top = _draw_digits(a_elems, draw, hasher, msgs, slice(None), slice(k - 1, k + 1))
+        rest = sum(draw.r_weights[: k - 1].tolist())
+        top_weights = np.array([draw.r_weights[k - 1], draw.s_weight], dtype=object)
+        low[positions] = draw.fixed + top @ top_weights + a_min * rest
+        width = max(width, (a_max - a_min) * rest)
+    return low.tolist(), width
+
+
+def complete_draw(plan: tuple, seed: int, low: list[int], wanted: list[int]) -> list[int]:
+    """The second stage: n of the entries of plan at the ascending
+    positions wanted, from their draw_bounds lows under the same seed,
+    with r_1..r_{k-1} hashed for those entries only: n = low +
+    sum_{i<k} (r_i - min A) W_{2i-1}."""
+    a_elems, levels = plan
+    hasher = _digit_hasher(seed)
+    a_min = min(a_elems)
+    out = np.array([low[pos] for pos in wanted], dtype=object)
+    for positions, draw, msgs in levels:
+        k = len(draw.r_weights)
+        rows = np.flatnonzero(np.isin(positions, wanted))
+        if k > 1 and rows.size:
+            r = _draw_digits(a_elems, draw, hasher, msgs, rows, slice(0, k - 1))
+            out[np.searchsorted(wanted, positions[rows])] += (r - a_min) @ draw.r_weights[: k - 1]
     return out.tolist()
 
 
@@ -404,7 +452,10 @@ def build_sequence(params: Params) -> SidonSequence:
         codes = np.concatenate([table.codes + params.q.q**table.degree for table in tables])
         # one Python integer per digit, shared by the draw and the entries
         e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree).astype(object)
-        r, s, n = _draw_level(a_elems, _level_draw(params, k, e), _level_messages(names, k), hasher)
+        draw = _level_draw(params, k, e)
+        digits = _draw_digits(a_elems, draw, hasher, _level_messages(names, k), slice(None), slice(None))
+        r, s = digits[:, :k], digits[:, k]
+        n = draw.fixed + r @ draw.r_weights + s * draw.s_weight
         entries.extend(
             SequenceEntry(f=f, k=k, e=tuple(e_u), r=tuple(r_u), s=s_u, n=n_u)
             for f, e_u, r_u, s_u, n_u in zip(members, e, r, s, n)
@@ -605,20 +656,56 @@ def seq_to_json(seq: SidonSequence, manifest_ref: str | None = None) -> dict:
         ],
         "entries": [
             {
-                "f": poly_to_string(ent.f),
+                "f": name,
                 "k": ent.k,
                 "e": list(ent.e),
                 "r": list(ent.r),
                 "s": str(ent.s),
                 "n": str(ent.n),
             }
-            for ent in seq.entries
+            for ent, name in zip(seq.entries, _member_names(seq.params, seq.entries))
         ],
         "warnings": list(seq.warnings),
     }
     if manifest_ref is not None:
         out["manifest"] = manifest_ref
     return out
+
+
+_ENTRY_TEXT = (
+    '    {\n      "f": %s,\n      "k": %d,\n      "e": %s,\n      "r": %s,\n'
+    '      "s": "%d",\n      "n": "%d"\n    }'
+)
+
+
+def _digit_list_text(digits) -> str:
+    """json.dumps(list(digits), indent=2) for a non-empty list nested three
+    deep (every level k >= 1 has k digits e and r)."""
+    return "[\n        " + ",\n        ".join(map(str, digits)) + "\n      ]"
+
+
+def seq_json_text(seq: SidonSequence, manifest_ref: str | None = None) -> str:
+    """json.dumps(seq_to_json(seq, manifest_ref), indent=2) + "\n", byte
+    for byte, without the pure-Python encoder that indent selects: every
+    top-level value but the entries is dumped with indent and moved in a
+    level (JSON text has no raw newline inside a string), and each entry
+    is filled into _ENTRY_TEXT. All pieces are joined once, as json.dumps
+    joins its chunks: intermediate copies of the text would leave the
+    heap of the later stages larger."""
+    head = seq_to_json(dataclasses.replace(seq, entries=()), manifest_ref)
+    chunks = []
+    for key, value in head.items():
+        chunks += [",\n" if chunks else "{\n", f'  "{key}": ']
+        if key != "entries" or not seq.entries:
+            chunks.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        chunks.append("[\n")
+        for ent, name in zip(seq.entries, _member_names(seq.params, seq.entries)):
+            e, r = _digit_list_text(ent.e), _digit_list_text(ent.r)
+            chunks += [_ENTRY_TEXT % (encode_basestring_ascii(name), ent.k, e, r, ent.s, ent.n), ",\n"]
+        chunks[-1] = "\n  ]"
+    chunks.append("\n}\n")
+    return "".join(chunks)
 
 
 def seq_from_json(obj: dict) -> SidonSequence:

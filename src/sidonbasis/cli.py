@@ -40,7 +40,7 @@ from .builder import (
     build_sequence,
     mixed_radix,
     seq_from_json,
-    seq_to_json,
+    seq_json_text,
 )
 from .equidist import deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
@@ -155,12 +155,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     seq = build_sequence(params)
     audit = audit_preconditions(params)
     manifest_ref = None if args.out == "-" else _manifest_name(args.out)
-    obj = seq_to_json(seq, manifest_ref=manifest_ref)
     manifest = _manifest(
         args, inputs=[args.aux_file], outputs=[args.out], warnings=list(seq.warnings)
     )
     manifest["audit"] = list(audit.lines)
-    _write_report(args.out, _json_text(obj), manifest)
+    _write_report(args.out, seq_json_text(seq, manifest_ref), manifest)
     return 0
 
 
@@ -273,6 +272,8 @@ def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seq = seq_from_json(_load_json(args.seq_file))
     manifest_ref = None if args.out == "-" else _manifest_name(args.out)
     if args.mode == "sidon":

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidonbasis.analyzer import (
+    SIDON_PAIR_LIMIT,
     CollisionWitness,
     _coarse_keys,
     _key_directory,
     _pair_key_sums,
     _reaching_pairs,
     _tie_values,
+    _trial_covered,
     _trial_seed,
     _window_triples,
     attribute_collision,
@@ -32,17 +34,35 @@ from sidonbasis.builder import (
     Params,
     SequenceEntry,
     SidonSequence,
+    _digit_hasher,
+    _draw_digits,
     _residues,
     build_moduli,
     build_sequence,
+    digit_weights,
+    draw_bounds,
     draw_plan,
     mixed_radix,
-    redrawn_values,
 )
 from sidonbasis.ffpoly import Poly, PrimeModulus, poly_to_string
 from sidonbasis.gbase import DigitVector, encode
 
 Q3 = PrimeModulus(3)
+
+
+def test_verify_sidon_refuses_before_allocating():
+    # 50,100 values, as many as the q = 3, k = 5 build has entries:
+    # 1,255,030,050 pair sums, about 10 GB of int64 key sums
+    vals = list(range(50_100))
+    assert len(vals) * (len(vals) + 1) // 2 > SIDON_PAIR_LIMIT >= 7098 * 7099 // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1,255,030,050 pair sums.*10,040,240,400 bytes"):
+            verify_sidon(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_sidon_examples():
@@ -693,12 +713,32 @@ def reference_values(params, entries, trial_seed):
     return out
 
 
+def redrawn_values(plan, seed):
+    """n per entry of a draw plan with every r and s digit drawn under
+    seed through builder._draw_digits, as build_sequence draws: the full
+    re-draw that the two stages of a coverage trial replace."""
+    a_elems, levels = plan
+    hasher = _digit_hasher(seed)
+    out = [None] * sum(len(positions) for positions, _, _ in levels)
+    for positions, draw, msgs in levels:
+        k = len(draw.r_weights)
+        digits = _draw_digits(a_elems, draw, hasher, msgs, slice(None), slice(None))
+        n = draw.fixed + digits[:, :k] @ draw.r_weights + digits[:, k] * draw.s_weight
+        for pos, value in zip(positions.tolist(), n.tolist()):
+            out[pos] = value
+    return out
+
+
+def three_level_build(aux307):
+    return build_sequence(Params(q=Q3, aux=aux307, k_min=2, k_max=4, seed=7))
+
+
 def test_draw_plan_matches_build(seq307, seq7, aux307):
     # under the build's own seed the plan redraws every stored n; under
     # other seeds it agrees with the written-out draw entry by entry. The
     # three-level build (k = 2, 3, 4) puts level boundaries inside the
     # plan, so a message or digest misaligned at one fails
-    levels = build_sequence(Params(q=Q3, aux=aux307, k_min=2, k_max=4, seed=7))
+    levels = three_level_build(aux307)
     assert len({ent.k for ent in levels.entries}) == 3
     for seq in (seq307, seq7, levels):
         plan = draw_plan(seq.params, seq.entries)
@@ -723,10 +763,9 @@ def test_residues_exact(m):
     assert got == [int.from_bytes(d, "little") % m for d in digests]
 
 
-def test_draw_plan_q13_levels(aux307):
-    # q = 13: s ranges over 13^3, 13^6 and 13^9 > 2^32, so level 3 takes
-    # the Python-integer reduction; levels interleave in entry order, so
-    # a plan that grouped or ordered them wrongly misplaces values
+def q13_levels(aux307):
+    """(params, entries) at q = 13, levels 1..3 interleaved in entry
+    order, with made-up f and e digits."""
     q13 = PrimeModulus(13)
     params = Params(q=q13, aux=aux307, k_min=1, k_max=3, seed=11)
     rng = random.Random(13)
@@ -735,9 +774,102 @@ def test_draw_plan_q13_levels(aux307):
         f = Poly(q13, tuple(rng.randrange(13) for _ in range(2 * k)) + (u + 1, 1))
         e = tuple(rng.randrange(13 ** (2 * i - 1) - 1) for i in range(1, k + 1))
         entries.append(SequenceEntry(f=f, k=k, e=e, r=(), s=0, n=u))
+    return params, entries
+
+
+def test_draw_plan_q13_levels(aux307):
+    # q = 13: s ranges over 13^3, 13^6 and 13^9 > 2^32, so level 3 takes
+    # the Python-integer reduction; levels interleave in entry order, so
+    # a plan that grouped or ordered them wrongly misplaces values
+    params, entries = q13_levels(aux307)
     plan = draw_plan(params, entries)
     for seed in (0, 11, 2**63 + 7):
         assert redrawn_values(plan, seed) == reference_values(params, entries, seed)
+
+
+def full_redraw_covered(plan, trial_seed, w_start, w_len):
+    """_trial_covered by the full re-draw and the exact window search."""
+    vals = sorted(redrawn_values(plan, trial_seed))
+    hit = {sum(vals[x] for x in t) for t in _window_triples(vals, w_start, w_start + w_len - 1)}
+    return [w_start + off in hit for off in range(w_len)]
+
+
+@pytest.mark.parametrize("which", ["three-level", "q13"])
+def test_trial_matches_full_redraw(aux307, which):
+    # windows centred on exact triple sums of a trial's full draw (hit),
+    # one past them (the bounds admit the triple, the exact check must
+    # not), at 3 min and 3 max, and of length 1
+    if which == "q13":
+        params, entries = q13_levels(aux307)
+    else:
+        seq = three_level_build(aux307)
+        params, entries = seq.params, seq.entries
+    plan = draw_plan(params, entries)
+    rng = random.Random(which)
+    for tau in range(3):
+        trial_seed = _trial_seed(params.seed, tau)
+        vals = redrawn_values(plan, trial_seed)
+        low, width = draw_bounds(plan, trial_seed)
+        # S_k = W_1 + W_3 + ... + W_{2k-3}
+        spread = max(params.aux.A) - min(params.aux.A)
+        widths = {ent.k: spread * sum(digit_weights(params)[1 : 2 * ent.k - 2 : 2]) for ent in entries}
+        assert width == max(widths.values())
+        assert all(lo <= v <= lo + widths[ent.k] for lo, v, ent in zip(low, vals, entries))
+        tv = sorted(vals)
+        windows = [(3 * tv[0], 1), (3 * tv[0], 4), (3 * tv[-1] - 3, 4), (3 * tv[-1], 1)]
+        for _ in range(4):
+            m = sum(sorted(rng.sample(tv, 3)))
+            windows += [(m - 5, 11), (m, 1), (m + 1, 1), (m - 1, 1)]
+        for w_start, w_len in windows:
+            got = _trial_covered(plan, trial_seed, w_start, w_len)
+            assert got == full_redraw_covered(plan, trial_seed, w_start, w_len)
+        assert _trial_covered(plan, trial_seed, m - 5, 11)[5]
+
+
+class CountingHasher:
+    """A keyed blake2b state that logs every message hashed on its copies."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    def copy(self):
+        return CountingHasher(self.inner.copy(), self.log)
+
+    def update(self, msg):
+        self.log.append(msg)
+        self.inner.update(msg)
+
+    def digest(self):
+        return self.inner.digest()
+
+
+def test_trial_hashes_only_reaching_digits(seq307, monkeypatch):
+    # a trial hashes r_k and s of every entry, and the other r digits of
+    # the entries of candidate triples only
+    from sidonbasis import builder
+
+    log = []
+    monkeypatch.setattr(builder, "_digit_hasher", lambda seed: CountingHasher(_digit_hasher(seed), log))
+    plan = draw_plan(seq307.params, seq307.entries)
+    trial_seed = _trial_seed(seq307.params.seed, 0)
+    vals = seq307.values
+    centre = (3 * vals[0] + 3 * vals[-1]) // 2
+    covered = _trial_covered(plan, trial_seed, centre - 100, 200)
+    assert not any(covered)
+    expected = [f"{poly_to_string(ent.f)}|{tag}".encode() for ent in seq307.entries for tag in (f"r{ent.k}", "s")]
+    assert sorted(log) == sorted(expected)
+    # a window on a triple sum hashes, besides, r_1..r_{k-1} of every
+    # entry of a triple whose lower bounds reach the window
+    tv = sorted(redrawn_values(plan, trial_seed))
+    m = tv[10] + tv[500] + tv[900]
+    low, width = draw_bounds(plan, trial_seed)
+    order = sorted(range(len(low)), key=low.__getitem__)
+    near = _window_triples([low[u] for u in order], m - 3 * width, m)
+    wanted = {order[x] for t in near for x in t}
+    assert len(wanted) >= 3
+    log.clear()
+    assert _trial_covered(plan, trial_seed, m, 1) == [True]
+    assert len(log) == 2 * len(seq307.entries) + sum(seq307.entries[u].k - 1 for u in wanted)
 
 
 def brute_frequencies(params, entries, window, trials):
@@ -839,3 +971,5 @@ def test_coverage_window_validation(params307, seq307):
         monte_carlo_coverage(params307, (3 * seq307.values[-1], 2), trials=1, seq=seq307)
     with pytest.raises(ValueError):
         monte_carlo_coverage(params307, (0, -1), trials=1, seq=seq307)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        monte_carlo_coverage(params307, coverage_args(seq307), trials=-3, seq=seq307)

@@ -1,5 +1,7 @@
 """Sequence assembly tests: member windows, digits, injectivity, decode."""
 
+import dataclasses
+import json
 import math
 import os
 import pickle
@@ -33,6 +35,7 @@ from sidonbasis.builder import (
     params_from_json,
     params_to_json,
     seq_from_json,
+    seq_json_text,
     seq_to_json,
 )
 from sidonbasis.ffpoly import (
@@ -518,6 +521,29 @@ def test_json_roundtrip(params307, seq307):
     obj["entries"][2]["f"] = "1+t^2"  # irreducible, but below the k = 3 window
     with pytest.raises(ValueError, match="entry 2: deg f outside"):
         seq_from_json(obj)
+
+
+@pytest.mark.parametrize("manifest_ref", [None, "seq.json.manifest.json"])
+def test_seq_json_text_matches_indented_dumps(seq307, manifest_ref):
+    # the template writer against json.dumps(indent=2): a built desk
+    # sequence, no warnings, and an f outside the member tables (t^4 is
+    # reducible), which is named by poly_to_string
+    foreign = Poly(Q3, (0, 0, 0, 0, 1))
+    assert not is_irreducible(foreign)
+    odd = list(seq307.entries)
+    odd[7] = dataclasses.replace(odd[7], f=foreign)
+    cases = [
+        seq307,
+        dataclasses.replace(seq307, warnings=()),
+        dataclasses.replace(seq307, entries=tuple(odd)),
+        dataclasses.replace(seq307, entries=()),
+    ]
+    assert seq307.warnings
+    for seq in cases:
+        obj = seq_to_json(seq, manifest_ref)
+        assert seq_json_text(seq, manifest_ref) == json.dumps(obj, indent=2) + "\n"
+    assert obj.get("manifest") == manifest_ref
+    assert seq_to_json(cases[2])["entries"][7]["f"] == "t^4"
 
 
 def test_json_roundtrip_q11_and_spellings(seq11):

@@ -309,6 +309,38 @@ def test_verify_coverage_csv(workdir, tmp_path):
     assert any("uncovered" in w for w in manifest["warnings"])
 
 
+@pytest.mark.parametrize("mode", ["coverage", "decompose", "sidon"])
+def test_verify_rejects_negative_trials(workdir, tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    argv = ["verify", "--seq-file", str(workdir / "seq.json"), "--mode", mode, "--trials", "-3"]
+    assert main(argv + ["--window", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --trials must be >= 0")
+    assert not out.exists()
+
+
+def test_verify_zero_trials(workdir, tmp_path):
+    seq = str(workdir / "seq.json")
+    out = tmp_path / "dec.json"
+    assert main(["verify", "--seq-file", seq, "--mode", "decompose", "--trials", "0", "--out", str(out)]) == 0
+    assert read_json(out)["samples"] == 0 and read_json(out)["ok"] is True
+    out = tmp_path / "cov.csv"
+    argv = ["verify", "--seq-file", seq, "--mode", "coverage", "--window", "20", "--trials", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 20 and all(row.endswith(",0.0") for row in rows)
+
+
+def test_verify_sidon_refuses_above_pair_limit(workdir, tmp_path, capsys, monkeypatch):
+    from sidonbasis import analyzer
+
+    monkeypatch.setattr(analyzer, "SIDON_PAIR_LIMIT", 1000)
+    out = tmp_path / "sidon.json"
+    assert main(["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "sidon", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 944 values have 446,040 pair sums") and "3,568,320 bytes" in err
+    assert not out.exists()
+
+
 def test_verify_coverage_requires_window(workdir, capsys):
     rc = main(["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "coverage", "--out", "-"])
     assert rc == 2
