@@ -80,7 +80,6 @@ from dataclasses import dataclass
 
 from .auxset import YTable, _bits_of, _shift_sumset
 from .builder import (
-    ModuliTable,
     Params,
     SequenceEntry,
     SidonSequence,
@@ -92,7 +91,7 @@ from .builder import (
     draw_plan,
     mixed_radix,
 )
-from .ffpoly import Poly, poly_mod, poly_mul
+from .ffpoly import poly_mod, poly_mul
 from .gbase import DigitVector, decode, fmod
 
 # after the package modules, so that numpy first loads through ffpoly:
@@ -623,6 +622,8 @@ def monte_carlo_coverage(
     if seq is None:
         seq = build_sequence(params)
     vals = list(seq.values)
+    if w_len and not vals:
+        raise ValueError("the sequence is empty: no three-fold sum reaches the window")
     if w_len and not (3 * vals[0] <= w_start and w_start + w_len - 1 <= 3 * vals[-1]):
         raise ValueError("window outside the three-fold sum range of the build")
 

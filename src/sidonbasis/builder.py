@@ -32,15 +32,14 @@ level at a time, and seq_json_text writes a sequence file by template,
 byte for byte as json.dumps(indent=2).
 
 The map f -> n_f is injective and invertible: decode_entry peels the
-digits back off and adds one row per g_i of the level's decode tables
-(row e of T_i is the CRT contribution of omega_i^e mod g_i: CRT is
-linear in the residues, and its matrix is built from the k CRT
-idempotents), and tests irreducibility by lookup in the same sieve the
-member tables enumerate from. The moduli are cached per (q, k_max), the
-decode tables per moduli, the member tables per (q, degree); the mixed
-radix, level brackets and degree windows per Params. audit_preconditions
-reports the concrete degree margins that the collision-freeness argument
-needs at the configured parameters.
+digits back off and looks the e digits up in its level's decode index,
+the members of the window below degree k^2 keyed by their e digits (by
+CRT, a polynomial of degree < k^2 = sum deg g_i is determined by its
+residues mod g_1..g_k). The moduli are cached per (q, k_max), the decode
+indexes per (moduli, q, window), the member tables per (q, degree); the
+mixed radix, level brackets and degree windows per Params.
+audit_preconditions reports the concrete degree margins that the
+collision-freeness argument needs at the configured parameters.
 """
 
 from __future__ import annotations
@@ -59,19 +58,16 @@ from .ffpoly import (
     Poly,
     PrimeModulus,
     code_digits,
-    crt,
     digit_codes,
     enumerate_irreducibles,
     irreducible_codes,
-    is_irreducible_code,
     mulmod_matrix,
     poly_from_string,
-    poly_mul,
     poly_to_string,
     smallest_irreducible,
 )
 from .gbase import MixedRadix
-from .unitgroup import Generator, antilog_table, dlog_table, find_generator
+from .unitgroup import Generator, dlog_table, find_generator
 
 # after the package modules, so that numpy first loads through ffpoly, as
 # in analyzer
@@ -481,50 +477,24 @@ def level_value_range(params: Params, k: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _crt_matrix(moduli: tuple[Poly, ...]) -> np.ndarray:
-    """The F_q-linear CRT map as a (D, D) matrix, D = sum of deg g_i. With
-    G = prod g_i and the idempotent e_i = crt of 1 mod g_i and 0 mod every
-    other modulus, the CRT of residues x_i is sum x_i e_i mod G, so the
-    rows for g_i are mulmod_matrix(e_i, G, deg g_i): k crt calls in all.
-    The CRT of residues whose coefficient vectors, each padded to deg g_i,
-    concatenate to x is x @ M mod q."""
-    q = moduli[0].q
-    product = functools.reduce(poly_mul, moduli)
-    blocks = []
-    for i, g in enumerate(moduli):
-        residues = [Poly.zero(q)] * len(moduli)
-        residues[i] = Poly.one(q)
-        blocks.append(mulmod_matrix(crt(residues, list(moduli)), product, g.degree))
-    matrix = np.concatenate(blocks)
-    matrix.flags.writeable = False
-    return matrix
-
-
-@functools.lru_cache(maxsize=64)
-def _decode_tables(generators: tuple[Generator, ...]) -> tuple[np.ndarray, ...]:
-    """Per generator (g_i, omega_i) of a level, the table T_i whose row e
-    is the CRT contribution of omega_i^e mod g_i: the digits of
-    antilog_table(gen_i) times the g_i block of _crt_matrix, mod q. CRT
-    is linear, so the coefficient vector of the f with f = omega_i^{e_i}
-    mod every g_i is sum_i T_i[e_i] mod q. Stored in the smallest
-    unsigned type that holds q - 1 (uint8 for q <= 256), read-only;
-    cached per moduli, so every Params with these moduli shares them.
-    The product runs in the smallest unsigned type that holds a row sum
-    of deg g_i terms below q^2, which is exact and faster than int64."""
-    q = generators[0].g.q.q
-    matrix = _crt_matrix(tuple(gen.g for gen in generators))
-    dtype = np.min_scalar_type(q - 1)
-    tables = []
-    row = 0
-    for gen in generators:
-        d = gen.g.degree
-        work = np.min_scalar_type(d * (q - 1) ** 2)
-        digits = code_digits(q, antilog_table(gen), d).astype(work)
-        table = (digits @ matrix[row : row + d].astype(work) % q).astype(dtype)
-        table.flags.writeable = False
-        tables.append(table)
-        row += d
-    return tuple(tables)
+def _decode_index(generators: tuple[Generator, ...], q: PrimeModulus, degrees: tuple[int, ...]) -> dict:
+    """e digits -> member, for the members of the degrees in the window
+    degrees of level k = len(generators) that lie below k^2 = sum deg g_i:
+    their e digits by _code_e_digits, as build_sequence computes them. By
+    CRT a polynomial of degree < k^2 is determined by its residues mod
+    g_1..g_k, so no two of these members share their e digits. Cached per
+    (generators, q, degrees), so every Params that differs only in its
+    seed shares it."""
+    tables = [member_table(q, m) for m in degrees if m < len(generators) ** 2]
+    if not tables:
+        return {}
+    codes = np.concatenate([table.codes + q.q**table.degree for table in tables])
+    e = _code_e_digits(generators, codes, 1 + tables[-1].degree)
+    members = [f for table in tables for f in table.polys]
+    index = dict(zip(map(tuple, e.tolist()), members))
+    if len(index) != len(members):
+        raise AssertionError("two members of degree < k^2 share their e digits")
+    return index
 
 
 def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int]:
@@ -532,11 +502,12 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is
-    tried). The digits are peeled off with digit_weights, the
-    coefficients of f are sum_i T_i[e_i] mod q over the level's
-    _decode_tables, and f is irreducible when its code is in the sieve.
-    Foreign values fail digit validation, land outside the degree window,
-    or decode to a reducible polynomial, and raise DecodeError.
+    tried). The digits are peeled off with digit_weights, and f is the
+    member of the level's window with degree < k^2 whose e digits they
+    are, looked up in _decode_index. Foreign values fail digit validation
+    or name no such member, and raise DecodeError. A member of degree >=
+    k^2 (margin (b) fails) decodes to the member of degree < k^2 with its
+    e digits, if there is one.
     """
     weights = digit_weights(params)
     a_members = params.aux.A
@@ -557,19 +528,9 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
             continue
         if any(x not in a_members for x in r):
             continue
-        rows = [table[e_i].tolist() for table, e_i in zip(_decode_tables(moduli.generators[:k]), e)]
-        coeffs = [sum(column) % q for column in zip(*rows)]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        degree = len(coeffs) - 1
-        if degree < 0 or coeffs[degree] != 1 or degree not in fk_degrees(params, k):
-            continue
-        code = 0
-        for c in reversed(coeffs[:degree]):
-            code = code * q + c
-        if not is_irreducible_code(params.q, degree, code):
-            continue
-        return Poly(params.q, tuple(coeffs)), k
+        f = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k)).get(tuple(e))
+        if f is not None:
+            return f, k
     raise DecodeError(f"{n} does not decode to any sequence entry")
 
 

@@ -169,6 +169,8 @@ def _parse_window(spec_str: str, values: list[int]) -> tuple[int, int]:
         start_s, len_s = spec_str.split(":", 1)
         return int(start_s), int(len_s)
     length = int(spec_str)
+    if not values:
+        raise ValueError("cannot center --window: the sequence is empty")
     center = (3 * values[0] + 3 * values[-1]) // 2
     return center - length // 2, length
 

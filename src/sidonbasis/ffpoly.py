@@ -340,18 +340,6 @@ def smallest_irreducible(q: PrimeModulus, d: int) -> Poly:
     raise ArithmeticError(f"no monic irreducible of degree {d}")
 
 
-def is_irreducible_code(q: PrimeModulus, d: int, u: int) -> bool:
-    """Whether the monic of degree d >= 1 with code q^d + u, 0 <= u < q^d,
-    is irreducible: a binary search of the cached sieve that
-    enumerate_irreducibles reads while q^d <= DEFAULT_ENUM_CAP, the
-    distinct-degree test above the cap."""
-    if q.q**d > DEFAULT_ENUM_CAP:
-        return is_irreducible(Poly.from_code(q, q.q**d + u))
-    codes = _irreducible_codes(q.q, d)
-    i = int(np.searchsorted(codes, u))
-    return i < codes.size and int(codes[i]) == u
-
-
 def crt(residues: list[Poly], moduli: list[Poly]) -> Poly:
     """Unique f with f == residues[i] mod moduli[i], deg f < sum deg moduli."""
     if len(residues) != len(moduli) or not moduli:

@@ -3,15 +3,13 @@
 For irreducible g the units form a cyclic group of order N = q^deg(g) - 1.
 Generators are found by the order test against the factored N.
 
-Both directions are tables while N <= DLOG_SCAN_LIMIT = 2^20, that is
-for up to 2^20 + 1 residues (13^5 = 371,293 among them), and neither is
-built above it. dlog_table builds the powers of omega by doubling, one
-product by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared
-from step to step) per step, and scatters them; antilog_table is one
-scatter from it. Each takes 8 bytes per residue, about 3 MB at 13^5;
-only the log table is cached. dlog, the scalar API and the tests'
-oracle, reads the table or runs Pohlig-Hellman with baby-step giant-step
-per prime power.
+The discrete log is a table while N <= DLOG_SCAN_LIMIT = 2^20, that is
+for up to 2^20 + 1 residues (13^5 = 371,293 among them), and is not built
+above it. dlog_table builds the powers of omega by doubling, one product
+by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared from step
+to step) per step, and scatters them: 8 bytes per residue, about 3 MB at
+13^5, cached. dlog, the scalar API and the tests' oracle, reads the table
+or runs Pohlig-Hellman with baby-step giant-step per prime power.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class Generator:
             raise ValueError("generator must be a unit")
         if not _passes_order_test(omega, g, n, set(factor_integer(n))):
             raise ValueError(f"{omega} does not have order {n} mod {g}")
-        # the caches keyed by generators (builder._decode_tables, read per
+        # the caches keyed by generators (builder._decode_index, read per
         # decoded value) hash them on every lookup; hashing g and omega
         # field by field costs microseconds
         object.__setattr__(self, "_hash", hash((g, omega)))
@@ -170,16 +168,6 @@ def dlog_table(gen: Generator) -> np.ndarray:
         raise AssertionError("generator orbit missed a unit")
     table.flags.writeable = False
     _LOG_TABLE_CACHE[key] = table
-    return table
-
-
-def antilog_table(gen: Generator) -> np.ndarray:
-    """Power table P with P[e] = code(omega^e mod g) for 0 <= e < order,
-    the inverse of dlog_table on the units: one scatter from it. Not
-    cached: its callers keep what they derive from it."""
-    logs = dlog_table(gen)
-    table = np.empty(gen.order, dtype=np.int64)
-    table[logs[1:]] = np.arange(1, logs.size, dtype=np.int64)
     return table
 
 

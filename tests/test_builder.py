@@ -10,7 +10,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from sidonbasis.auxset import AuxSet
@@ -18,8 +17,7 @@ from sidonbasis.builder import (
     SCALED_MODE_WARNING,
     DecodeError,
     Params,
-    _crt_matrix,
-    _decode_tables,
+    _decode_index,
     _pack,
     audit_preconditions,
     build_Fk,
@@ -56,8 +54,8 @@ Q3 = PrimeModulus(3)
 
 @pytest.fixture(scope="module")
 def seq11(aux307):
-    # q = 11, k = 3: 3,630 members, and the decode table of g_3 has
-    # 161,050 rows
+    # q = 11, k = 3: 3,630 members of degree 4, all in the level's decode
+    # index, and g_3 has 161,050 units
     return build_sequence(Params(q=PrimeModulus(11), aux=aux307, k_min=3, k_max=3, seed=3))
 
 
@@ -360,10 +358,56 @@ def test_decode_matches_reference_on_foreign_digits(params307, seq307, seq7, seq
     assert seen["accepted"] >= 100 and seen["rejected"] >= 500
 
 
+def test_decode_where_margin_b_fails(aux307):
+    # q = 3, c = 1/2: level 2 has degrees (2, 4) and k^2 = 4, so the e
+    # digits need not tell its members apart (the audit's "(b) fail"). A
+    # member of degree < k^2 round-trips; one of degree >= k^2 raises or
+    # decodes to the member of degree < k^2 with its e digits. The e
+    # digits do not depend on the seed, so neither do the counts.
+    params = Params(q=Q3, aux=aux307, c=Fraction(1, 2), k_min=2, k_max=3, seed=4)
+    seq = build_sequence(params)
+    moduli = seq.moduli
+    assert fk_degrees(params, 2) == (2, 4)
+    assert any(w.startswith("k=2:") and "(b) 4 < 4 fail" in w for w in seq.warnings)
+    below = {ent.e: ent.f for ent in seq.entries if ent.f.degree < ent.k**2}
+    outcomes = {"raises": 0, "another member": 0}
+    for ent in seq.entries:
+        got = decode_outcome(decode_entry, ent.n, params, moduli)
+        assert got == decode_outcome(reference_decode, ent.n, params, moduli)
+        if ent.f.degree < ent.k**2:
+            assert got == (ent.f, ent.k)
+        elif got is None:
+            outcomes["raises"] += 1
+        else:
+            assert got == (below[ent.e], ent.k) and got[0].degree == 2
+            outcomes["another member"] += 1
+    assert outcomes == {"raises": 17, "another member": 1}
+    # foreign digits: every e at level 2 (3 of its 52 vectors name a
+    # member of degree 2), random e at level 3, r inside and outside A
+    # and s at and past its edges
+    rng = random.Random(41)
+    weights = digit_weights(params)
+    a_elems = params.aux.A
+    candidates = [
+        _pack(weights, (e1, e2), (rng.choice(a_elems), rng.choice(a_elems)), 5)
+        for e1 in range(2)
+        for e2 in range(26)
+    ]
+    assert sum(decode_outcome(decode_entry, n, params, moduli) is not None for n in candidates) == 3
+    for _ in range(300):
+        e = [rng.randrange(2), rng.randrange(26), rng.randrange(242)]
+        r = [rng.choice(a_elems + (0, 1, params.aux.p - 1)) for _ in range(3)]
+        s = rng.choice([0, 1, rng.randrange(1, 3**9), 3**9, 3**9 + 1])
+        candidates.append(_pack(weights, e, r, s))
+    for n in candidates:
+        expected = decode_outcome(reference_decode, n, params, moduli)
+        assert decode_outcome(decode_entry, n, params, moduli) == expected
+
+
 def test_decode_rejects_reducible_crt_result(params307, seq307):
     # digits of a reducible monic quartic (two irreducible quadratics): CRT
-    # gives it back, monic and in the k = 3 degree window, so only the
-    # irreducibility sieve can reject it
+    # gives it back, monic and in the k = 3 degree window, so only a test
+    # of irreducibility can reject it; no member has its e digits
     moduli = seq307.moduli
     quads = enumerate_irreducibles(Q3, 2)
     rejected = 0
@@ -384,50 +428,20 @@ def test_decode_rejects_reducible_crt_result(params307, seq307):
 
 
 def test_tables_shared_across_seeds(params307, aux307):
-    # the member and decode tables are keyed by (q, degree) and by the
-    # moduli, so builds that differ only in their digit seed share them
+    # the member tables are keyed by (q, degree) and the decode indexes by
+    # the moduli, q and the window, so builds that differ only in their
+    # digit seed share them
     other = Params(q=params307.q, aux=aux307, c=params307.c, k_min=3, k_max=4, seed=99)
     for k in (3, 4):
         ours, theirs = level_tables(params307, k), level_tables(other, k)
         assert len(ours) == len(theirs) and all(a is b for a, b in zip(ours, theirs))
-        gens = build_moduli(params307).generators[:k]
-        assert _decode_tables(gens) is _decode_tables(build_moduli(other).generators[:k])
+        index = _decode_index(build_moduli(params307).generators[:k], params307.q, fk_degrees(params307, k))
+        assert index is _decode_index(build_moduli(other).generators[:k], other.q, fk_degrees(other, k))
+        assert len(index) == sum(len(table.polys) for table in ours)
     decode_entry(build_sequence(other).values[0], other, build_moduli(other))
-    hits = _decode_tables.cache_info().hits
+    hits = _decode_index.cache_info().hits
     decode_entry(build_sequence(params307).values[0], params307, build_moduli(params307))
-    assert _decode_tables.cache_info().hits == hits + 1
-
-
-def test_decode_tables_are_crt_contributions(seq307, seq11):
-    # row e of T_i is the CRT of omega_i^e mod g_i and 0 mod the other g_j
-    rng = random.Random(37)
-    for seq in (seq307, seq11):
-        gens = seq.moduli.generators
-        q = gens[0].g.q
-        tables = _decode_tables(gens)
-        assert all(t.dtype == np.uint8 and not t.flags.writeable for t in tables)
-        for i, (gen, table) in enumerate(zip(gens, tables)):
-            assert table.shape == (gen.order, sum(g.g.degree for g in gens))
-            for e in [0, gen.order - 1] + [rng.randrange(gen.order) for _ in range(10)]:
-                residues = [Poly.zero(q)] * len(gens)
-                residues[i] = poly_powmod(gen.omega, e, gen.g)
-                f = crt(residues, [g.g for g in gens])
-                assert Poly(q, tuple(table[e].tolist())) == f
-
-
-def test_crt_matrix_matches_crt(seq307, seq7):
-    rng = random.Random(23)
-    for seq in (seq307, seq7):
-        gs = tuple(gen.g for gen in seq.moduli.generators)
-        q = gs[0].q
-        matrix = _crt_matrix(gs)
-        assert matrix.shape == (sum(g.degree for g in gs),) * 2
-        for _ in range(30):
-            residues = [Poly(q, [rng.randrange(q.q) for _ in range(g.degree)]) for g in gs]
-            x = []
-            for res, g in zip(residues, gs):
-                x.extend(res.coeffs + (0,) * (g.degree - len(res.coeffs)))
-            assert Poly(q, tuple(int(c) for c in x @ matrix % q.q)) == crt(residues, list(gs))
+    assert _decode_index.cache_info().hits == hits + 1
 
 
 def test_homomorphic_digit_law(params307, seq307):

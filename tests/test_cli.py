@@ -365,6 +365,26 @@ def test_verify_coverage_window_outside_range(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def empty_seq(workdir):
+    """A build whose only level has no even degree in its window."""
+    seq = workdir / "empty.json"
+    argv = ["build", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--c", "1/100"]
+    assert main(argv + ["--k-min", "3", "--k-max", "3", "--out", str(seq)]) == 0
+    assert read_json(seq)["entries"] == []
+    return seq
+
+
+@pytest.mark.parametrize("window", ["200", "0:10"])
+def test_verify_coverage_empty_sequence(empty_seq, tmp_path, capsys, window):
+    out = tmp_path / "cov.csv"
+    argv = ["verify", "--seq-file", str(empty_seq), "--mode", "coverage", "--window", window]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sequence is empty" in err
+    assert not out.exists()
+
+
 def test_verify_rejects_malformed_seq(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,13 +1,10 @@
 """Polynomial arithmetic over F_q against naive convolution oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonbasis import ffpoly
 from sidonbasis.ffpoly import (
     MINUS_INFINITY,
     Poly,
@@ -18,7 +15,6 @@ from sidonbasis.ffpoly import (
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
-    is_irreducible_code,
     mulmod_matrix,
     poly_add,
     poly_divmod,
@@ -171,20 +167,6 @@ def test_irreducible_examples():
 def test_irreducible_matches_trial_division(f):
     # f is monic of degree 6 by construction
     assert is_irreducible(f) == brute_irreducible(f)
-
-
-@pytest.mark.parametrize("cap", [ffpoly.DEFAULT_ENUM_CAP, 0])
-def test_irreducible_by_sieve_matches_distinct_degree(monkeypatch, cap):
-    # cap 0 sends every degree past the sieve, to the distinct-degree test
-    monkeypatch.setattr(ffpoly, "DEFAULT_ENUM_CAP", cap)
-    if cap == 0:
-        def no_sieve(q, d):
-            raise AssertionError("sieve built above the enumeration cap")
-
-        monkeypatch.setattr(ffpoly, "_irreducible_codes", no_sieve)
-    for q, d in ((Q2, 1), (Q2, 6), (Q3, 4), (Q5, 3)):
-        for u in range(q.q**d):
-            assert is_irreducible_code(q, d, u) == is_irreducible(Poly.from_code(q, u + q.q**d))
 
 
 def test_enumerate_examples():
