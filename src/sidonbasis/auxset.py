@@ -345,33 +345,55 @@ def aux_to_json(aux: AuxSet) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"aux {what} must be an integer, got {value!r}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object", bool: "a boolean"}
+
+
+def json_value(value, kind: type, what: str):
+    """value when its type is exactly kind, one of the types json.load
+    returns (so a boolean is no integer); otherwise ValueError naming what.
+    The loaders of untrusted files check each field with it before using
+    it."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def aux_from_json(obj: dict) -> AuxSet:
-    """Load an aux file as untrusted input: ValueError unless p is a prime,
-    A a nonempty list of distinct integers in [0, p) and window_start an
-    integer."""
-    p = _json_int(obj["p"], "p")
+    """Load an aux file as untrusted input. ValueError, naming the field or
+    the property, unless p is a prime, A a nonempty list of distinct
+    integers in [0, p), window_start, seed and attempt integers, and A
+    has what the construction rests on: A inside {1..floor(p/2)-1},
+    A cap (A+A+{0,1}) empty, and a run of p+2 in A+A+A that starts at
+    window_start. That run completes the y-table: A+A+A lies in
+    [3, 3p/2), so its p values y with y-2, y-1, y in the run lie below 2p,
+    one in each residue class mod p."""
+    json_value(obj, dict, "aux")
+    p = json_value(obj["p"], int, "aux p")
     if not primes.is_prime(p):
         raise ValueError(f"aux p = {p} is not prime")
     if not isinstance(obj["A"], list) or not obj["A"]:
         raise ValueError("aux A must be a nonempty list")
-    elems = [_json_int(a, "element") for a in obj["A"]]
+    elems = [json_value(a, int, "aux element") for a in obj["A"]]
     outside = [a for a in elems if not 0 <= a < p]
     if outside:
         raise ValueError(f"aux A has elements outside [0, {p}): {outside}")
     if len(set(elems)) != len(elems):
         raise ValueError("aux A has repeated elements")
+    window_start = json_value(obj["window_start"], int, "aux window_start")
+    covered, start = verify_coverage(elems, p)  # ValueError outside {1..floor(p/2)-1}
+    disjoint, witness = verify_disjoint(elems)
+    if not disjoint:
+        raise ValueError("aux A meets A+A+{0,1}: %d = %d + %d + %d" % witness)
+    if not covered:
+        raise ValueError(f"aux A+A+A holds no run of p+2 = {p + 2} consecutive integers")
+    if window_start != start:
+        raise ValueError(f"aux window_start = {window_start} differs from the run start {start} in A+A+A")
     return AuxSet(
         p=p,
         A=tuple(elems),
-        seed=int(obj.get("seed", 0)),
-        attempt=int(obj.get("attempt", 0)),
-        window_start=_json_int(obj["window_start"], "window_start"),
+        seed=json_value(obj.get("seed", 0), int, "aux seed"),
+        attempt=json_value(obj.get("attempt", 0), int, "aux attempt"),
+        window_start=window_start,
         method=str(obj.get("method", "random")),
     )
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .auxset import AuxSet, aux_from_json, aux_to_json
+from .auxset import AuxSet, aux_from_json, aux_to_json, json_value
 from .ffpoly import (
     Poly,
     PrimeModulus,
@@ -98,7 +98,11 @@ class Params:
         if self.q.q < 3:
             raise ValueError("q must be >= 3")
         if not isinstance(self.c, Fraction):
-            object.__setattr__(self, "c", Fraction(self.c))
+            try:
+                c = Fraction(self.c)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"c = {self.c!r} is not a fraction") from None
+            object.__setattr__(self, "c", c)
         if not 1 <= self.k_min <= self.k_max:
             raise ValueError(f"bad level range [{self.k_min}, {self.k_max}]")
         if self.strict:
@@ -597,14 +601,17 @@ def params_to_json(params: Params) -> dict:
 
 
 def params_from_json(obj: dict) -> Params:
+    """Inverse of params_to_json; ValueError naming the field when one has
+    the wrong type."""
+    json_value(obj, dict, "params")
     return Params(
-        q=PrimeModulus(int(obj["q"])),
+        q=PrimeModulus(json_value(obj["q"], int, "params q")),
         aux=aux_from_json(obj["aux"]),
-        c=Fraction(obj["c"]),
-        k_min=int(obj["k_min"]),
-        k_max=int(obj["k_max"]),
-        seed=int(obj["seed"]),
-        strict=bool(obj["strict"]),
+        c=json_value(obj["c"], str, "params c"),
+        k_min=json_value(obj["k_min"], int, "params k_min"),
+        k_max=json_value(obj["k_max"], int, "params k_max"),
+        seed=json_value(obj["seed"], int, "params seed"),
+        strict=json_value(obj["strict"], bool, "params strict"),
     )
 
 
@@ -679,11 +686,17 @@ def seq_from_json(obj: dict) -> SidonSequence:
     Each f is looked up by name in the level's member tables; only a
     spelling that is not a canonical name is parsed. The re-encoding and
     the logs are checked a level at a time, by one object-array product
-    (as _level_draw forms n) and one level_e_digits comparison."""
+    (as _level_draw forms n) and one level_e_digits comparison. A field
+    of the wrong JSON type is a ValueError naming it."""
+    json_value(obj, dict, "sequence file")
     params = params_from_json(obj["params"])
     q = params.q
     moduli = build_moduli(params)
-    stored = [(poly_from_string(q, m["g"]), poly_from_string(q, m["omega"])) for m in obj["moduli"]]
+    stored = []
+    for m in json_value(obj["moduli"], list, "moduli"):
+        json_value(m, dict, "moduli entry")
+        g, omega = (json_value(m[key], str, f"moduli {key}") for key in ("g", "omega"))
+        stored.append((poly_from_string(q, g), poly_from_string(q, omega)))
     if stored != [(gen.g, gen.omega) for gen in moduli.generators]:
         raise ValueError("moduli differ from the build's g_i and their generators")
     weights = digit_weights(params)
@@ -694,19 +707,22 @@ def seq_from_json(obj: dict) -> SidonSequence:
     # (entry index, rank of the check within the entry, error); the loop
     # stops at the first entry that fails a check made in it
     failures: list[tuple[int, int, Exception]] = []
-    for idx, ent in enumerate(obj["entries"]):
+    for idx, ent in enumerate(json_value(obj["entries"], list, "entries")):
         try:
-            k = int(ent["k"])
+            json_value(ent, dict, f"entry {idx}")
+            k = json_value(ent["k"], int, f"entry {idx}: k")
             if k not in tables:
                 raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
-            e = tuple(map(int, ent["e"]))
-            r = tuple(map(int, ent["r"]))
-            s, n = int(ent["s"]), int(ent["n"])
+            e = _json_ints(ent["e"], f"entry {idx}: e")
+            r = _json_ints(ent["r"], f"entry {idx}: r")
+            s = int(json_value(ent["s"], str, f"entry {idx}: s"))
+            n = int(json_value(ent["n"], str, f"entry {idx}: n"))
             if len(e) != k or len(r) != k:
                 raise ValueError(f"entry {idx}: digit count differs from k = {k}")
-            found = _member_position(tables[k], ent["f"])
+            name = json_value(ent["f"], str, f"entry {idx}: f")
+            found = _member_position(tables[k], name)
             if found is None:
-                f = poly_from_string(q, ent["f"])
+                f = poly_from_string(q, name)
                 found = _member_position(tables[k], poly_to_string(f))
         except (ValueError, KeyError) as exc:
             failures.append((idx, 0, exc))
@@ -745,7 +761,15 @@ def seq_from_json(obj: dict) -> SidonSequence:
             failures.append((int(bad[0]), 3, ValueError(msg)))
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
-    return SidonSequence(params, moduli, tuple(entries), tuple(obj.get("warnings", ())))
+    warnings = json_value(obj.get("warnings", []), list, "warnings")
+    return SidonSequence(params, moduli, tuple(entries), tuple(warnings))
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    digits = tuple(json_value(value, list, what))
+    if not set(map(type, digits)) <= {int}:
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return digits
 
 
 def _reencode_error(idx: int) -> ValueError:

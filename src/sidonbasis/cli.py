@@ -42,7 +42,7 @@ from .builder import (
     seq_from_json,
     seq_json_text,
 )
-from .equidist import deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
+from .equidist import check_theta, deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
 from .gbase import encode
 
@@ -146,7 +146,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     params = Params(
         q=PrimeModulus(args.q),
         aux=aux,
-        c=Fraction(args.c),
+        c=args.c,
         k_min=args.k_min,
         k_max=args.k_max,
         seed=args.seed,
@@ -313,7 +313,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_equidist(args: argparse.Namespace) -> int:
     q = PrimeModulus(args.q)
     g = poly_from_string(q, args.g)
-    hist = triple_histogram(q, args.d, g, cap=args.cap)
+    check_theta(args.d, g)
+    hist = triple_histogram(q, args.d, g)
     dev = deviation_report(hist)
     manifest_ref = None if args.out == "-" else _manifest_name(args.out)
     ok = dev.conservation_ok and dev.max_ratio < args.threshold
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", required=True, help='modulus polynomial, e.g. "1+t^2"')
-    p.add_argument("--cap", type=int, default=1000, help="largest allowed irreducible pool")
     p.add_argument("--threshold", type=float, default=10.0, help="alarm on max normalized ratio")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_equidist)

@@ -19,6 +19,9 @@ member is one of the degree-d factors of g, and the triples holding one
 take one array pass per (non-unit, first partner). The cost is
 O(N + q^deg g log q^deg g) for a pool of N plus O(N^2) per non-unit
 member, against O(N^3) products for the triples one by one.
+
+The one size limit is ffpoly.ENUM_CAP on q^deg g and on q^d, checked
+before allocating (see triple_histogram); no function takes a limit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffpoly import (
+    ENUM_CAP,
     MINUS_INFINITY,
     PrimeModulus,
     Poly,
@@ -56,8 +60,11 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     """The unit group's shape (n = q^deg(pi) - 1 per irreducible factor
     pi, in factor_squarefree_poly order) and an array C of shape
     (q^deg g, factors) with C[code(x)] the discrete logs of x mod each
-    factor, n where the factor divides x."""
+    factor, n where the factor divides x. Raises ValueError when
+    q^deg g exceeds ENUM_CAP, before allocating anything."""
     qv = g.q.q
+    if qv**g.degree > ENUM_CAP:
+        raise ValueError(f"{qv}^{g.degree} residues mod g exceed ENUM_CAP = {ENUM_CAP}")
     digits = code_digits(qv, np.arange(qv**g.degree), g.degree)
     shape = []
     columns = []
@@ -140,12 +147,17 @@ class TripleCountReport:
     units: tuple[int, ...]  # codes of the residues coprime to g, ascending
 
 
-def triple_histogram(q: PrimeModulus, d: int, g: Poly, cap: int = 1000) -> TripleCountReport:
+def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     """Count, for every residue class mod g, the unordered 3-subsets of
     I_d whose product lands there. Every unit class is present in the
     result (zero-filled); non-unit classes appear when hit, which happens
     exactly when a subset shares an irreducible factor with g, so the
-    totals always partition C(|I_d|, 3)."""
+    totals always partition C(|I_d|, 3).
+
+    The pool has no cap of its own: irreducible_codes refuses q^d above
+    ENUM_CAP, and _distinct_triples refuses, before any transform, a pool
+    whose round-off bound reaches 1/2. q^deg g above ENUM_CAP is refused
+    by _exponent_coordinates."""
     if g.q != q:
         raise ValueError("modulus field differs from q")
     if d < 1:
@@ -153,8 +165,6 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly, cap: int = 1000) -> Tripl
     _validate_modulus(g)
     codes = irreducible_codes(q, d)
     n = len(codes)
-    if n > cap:
-        raise ValueError(f"pool of {n} irreducibles exceeds cap {cap}")
     shape, coords = _exponent_coordinates(g)
     qv = q.q
     digits = code_digits(qv, codes + qv**d, d + 1)
@@ -211,14 +221,24 @@ class DeviationReport:
     rows: tuple[DeviationRow, ...]  # unit classes only
 
 
+def check_theta(d: int, g: Poly) -> Fraction:
+    """theta = deg g / (3d), refused by ValueError unless it lies in
+    (0, 1), where the deviation report's normalization applies."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    _validate_modulus(g)
+    theta = Fraction(g.degree, 3 * d)
+    if not 0 < theta < 1:
+        raise ValueError(f"deg g / (3d) = {theta} outside (0, 1)")
+    return theta
+
+
 def deviation_report(report: TripleCountReport) -> DeviationReport:
     """Deviations c - B / phi of the unit-class counts, B = C(|I_d|, 3),
     each the correctly rounded (c phi - B) / phi. chi2, the sum of
     (c - B / phi)^2 / (B / phi), is phi sum(c^2) / B - 2 sum(c) + B."""
     q, d, g = report.q, report.d, report.g
-    theta = Fraction(g.degree, 3 * d)
-    if not 0 < theta < 1:
-        raise ValueError(f"deg g / (3d) = {theta} outside (0, 1)")
+    theta = check_theta(d, g)
     phi_g = euler_phi_poly(g)
     binom = math.comb(report.pool_size, 3)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))

@@ -25,7 +25,7 @@ from . import primes
 
 MINUS_INFINITY = float("-inf")
 
-DEFAULT_ENUM_CAP = 1 << 20
+ENUM_CAP = 1 << 20
 
 
 @dataclass(frozen=True, order=True)
@@ -306,23 +306,23 @@ def _irreducible_codes(q: int, d: int) -> np.ndarray:
     return out
 
 
-def _check_enum_cap(q: PrimeModulus, d: int, cap: int) -> None:
+def _check_enum_cap(q: PrimeModulus, d: int) -> None:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if q.q**d > cap:
-        raise ValueError(f"enumeration cap exceeded: {q.q}^{d} > {cap}")
+    if q.q**d > ENUM_CAP:
+        raise ValueError(f"enumeration cap exceeded: {q.q}^{d} > ENUM_CAP = {ENUM_CAP}")
 
 
-def irreducible_codes(q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def irreducible_codes(q: PrimeModulus, d: int) -> np.ndarray:
     """Codes of all monic irreducibles of degree d, ascending (the cached,
-    read-only sieve), refused when q^d exceeds cap."""
-    _check_enum_cap(q, d, cap)
+    read-only sieve), refused when q^d exceeds ENUM_CAP."""
+    _check_enum_cap(q, d)
     return _irreducible_codes(q.q, d)
 
 
-def enumerate_irreducibles(q: PrimeModulus, d: int, cap: int = DEFAULT_ENUM_CAP) -> list[Poly]:
+def enumerate_irreducibles(q: PrimeModulus, d: int) -> list[Poly]:
     """All monic irreducibles of degree d, ascending code order."""
-    digits = code_digits(q.q, irreducible_codes(q, d, cap) + q.q**d, d + 1)
+    digits = code_digits(q.q, irreducible_codes(q, d) + q.q**d, d + 1)
     return [Poly(q, tuple(row)) for row in digits.tolist()]
 
 
@@ -331,7 +331,7 @@ def smallest_irreducible(q: PrimeModulus, d: int) -> Poly:
     ascending code order, that passes the distinct-degree test. About
     one monic in d is irreducible, so the scan stops after a few tests,
     where the sieve would cover all q^d codes."""
-    _check_enum_cap(q, d, DEFAULT_ENUM_CAP)
+    _check_enum_cap(q, d)
     for u in range(q.q**d, 2 * q.q**d):
         f = Poly.from_code(q, u)
         if is_irreducible(f):

@@ -8,8 +8,14 @@ for up to 2^20 + 1 residues (13^5 = 371,293 among them), and is not built
 above it. dlog_table builds the powers of omega by doubling, one product
 by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared from step
 to step) per step, and scatters them: 8 bytes per residue, about 3 MB at
-13^5, cached. dlog, the scalar API and the tests' oracle, reads the table
-or runs Pohlig-Hellman with baby-step giant-step per prime power.
+13^5, cached. dlog, the scalar API, reads the table exactly when
+dlog_table can build one and runs Pohlig-Hellman with baby-step
+giant-step per prime power above it; the tests call _pohlig_hellman
+directly as the oracle for the table.
+
+The size limits are module constants checked before any allocation:
+DLOG_SCAN_LIMIT for the log table and FACTOR_CAP for the integers
+factor_integer accepts. No function takes a limit as an argument.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .ffpoly import (
     poly_powmod,
 )
 
-DEFAULT_FACTOR_CAP = 10**18
+FACTOR_CAP = 10**18
 
 DLOG_SCAN_LIMIT = 1 << 20
 
@@ -45,12 +51,13 @@ def _factorize_cached(n: int) -> tuple[int, ...]:
     return tuple(primes.factorize(n))
 
 
-def factor_integer(n: int, cap: int = DEFAULT_FACTOR_CAP) -> tuple[int, ...]:
-    """Prime factors with multiplicity, ascending. n = 1 gives ()."""
+def factor_integer(n: int) -> tuple[int, ...]:
+    """Prime factors with multiplicity, ascending. n = 1 gives ().
+    Refused above FACTOR_CAP."""
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"factoring cap exceeded: {n} > {cap}")
+    if n > FACTOR_CAP:
+        raise ValueError(f"factoring cap exceeded: {n} > FACTOR_CAP = {FACTOR_CAP}")
     return _factorize_cached(n)
 
 
@@ -105,7 +112,7 @@ class Generator:
         return group_order(self.g)
 
 
-def find_generator(g: Poly, cap: int = DEFAULT_FACTOR_CAP) -> Generator:
+def find_generator(g: Poly) -> Generator:
     """Smallest monic-or-constant residue of full order, in code order.
 
     The trivial group (order 1) accepts the constant 1 vacuously.
@@ -115,7 +122,7 @@ def find_generator(g: Poly, cap: int = DEFAULT_FACTOR_CAP) -> Generator:
     if not is_irreducible(g):
         raise ValueError(f"{g} is reducible")
     n = group_order(g)
-    prime_factors = set(factor_integer(n, cap=cap))
+    prime_factors = set(factor_integer(n))
     qv = g.q.q
     for code in range(1, qv**g.degree):
         omega = Poly.from_code(g.q, code)
@@ -215,17 +222,19 @@ def _pohlig_hellman(gen: Generator, f: Poly) -> int:
     return primes.crt_int(residues, moduli)
 
 
-def dlog(gen: Generator, f: Poly, scan_limit: int = DLOG_SCAN_LIMIT) -> int:
-    """The unique e in [0, order) with omega^e == f mod g."""
+def dlog(gen: Generator, f: Poly) -> int:
+    """The unique e in [0, order) with omega^e == f mod g: read from
+    dlog_table when the order is at most DLOG_SCAN_LIMIT, by
+    Pohlig-Hellman above it."""
     r = poly_mod(f, gen.g)
     if r.is_zero():
         raise ValueError(f"{f} is divisible by the modulus {gen.g}")
-    if gen.order <= scan_limit:
+    if gen.order <= DLOG_SCAN_LIMIT:
         return int(dlog_table(gen)[r.code])
     return _pohlig_hellman(gen, r)
 
 
-def factor_squarefree_poly(g: Poly, cap: int = 1 << 20) -> tuple[Poly, ...]:
+def factor_squarefree_poly(g: Poly) -> tuple[Poly, ...]:
     """Irreducible factors of monic squarefree g, ascending code order,
     by trial division over enumerated irreducibles."""
     if not g.is_monic():
@@ -239,7 +248,7 @@ def factor_squarefree_poly(g: Poly, cap: int = 1 << 20) -> tuple[Poly, ...]:
         if 2 * d > rest.degree:
             factors.append(rest)
             break
-        for pi in enumerate_irreducibles(g.q, d, cap=cap):
+        for pi in enumerate_irreducibles(g.q, d):
             if rest.degree < d or 2 * d > rest.degree:
                 break
             quot, rem = poly_divmod(rest, pi)

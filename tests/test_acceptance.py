@@ -30,6 +30,7 @@ from sidonbasis.ffpoly import (
     poly_powmod,
 )
 from sidonbasis.gbase import DigitVector, decode, encode
+from sidonbasis import unitgroup
 from sidonbasis.unitgroup import dlog, dlog_table, find_generator
 
 Q3 = PrimeModulus(3)
@@ -43,7 +44,7 @@ def test_acceptance_1_count_formula_vs_enumeration():
         q = PrimeModulus(qv)
         d = 1
         while qv**d <= 10**5:
-            if len(enumerate_irreducibles(q, d, cap=2 * 10**5)) != count_irreducibles(q, d):
+            if len(enumerate_irreducibles(q, d)) != count_irreducibles(q, d):
                 mismatches.append((qv, d))
             pairs += 1
             d += 1
@@ -93,7 +94,7 @@ def test_acceptance_2_dlog_roundtrip_every_unit():
                 f = Poly.from_code(Q3, rng.randrange(1, size))
                 e = dlog(gen, f)
                 assert poly_powmod(gen.omega, e, gen.g) == f
-                assert dlog(gen, f, scan_limit=1) == e
+                assert unitgroup._pohlig_hellman(gen, poly_mod(f, gen.g)) == e
         moduli_checked += len(mods)
     elapsed = time.perf_counter() - t0
     ok = moduli_checked == 1318 and elapsed < 30.0

@@ -11,6 +11,7 @@ from sidonbasis.auxset import (
     CLASS_MODULUS,
     AuxSet,
     SearchExhausted,
+    _y_table_complete,
     alteration,
     aux_from_json,
     aux_to_json,
@@ -168,6 +169,17 @@ def test_y_table_window_class(aux307, ytable307):
 def test_y_table_rejects_thin_set():
     with pytest.raises(ValueError):
         build_y_table(AuxSet(p=11, A=(1,), seed=0, attempt=0, window_start=None, method="random"))
+
+
+@given(st.sampled_from([11, 13, 17, 19, 23, 29, 31, 37, 41, 43]), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_coverage_completes_the_y_table(p, seed):
+    # aux_from_json checks coverage but not the y-table: a run of p+2 in
+    # A+A+A, which lies below 3p/2, gives every class an admissible y < 2p
+    rng = random.Random(seed)
+    a_set = {a for a in range(1, p // 2) if rng.random() < 0.6}
+    if verify_coverage(a_set, p)[0]:
+        assert _y_table_complete(p, a_set)
 
 
 def test_search_finds_307_deterministically():

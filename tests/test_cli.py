@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sidonbasis import cli
-from sidonbasis.auxset import YTable, triple_sumset_bits
+from sidonbasis.auxset import YTable, default_aux, triple_sumset_bits
 from sidonbasis.builder import _pack, digit_weights, level_e_digits, mixed_radix, seq_from_json
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.ffpoly import Poly
@@ -118,6 +118,11 @@ def test_build_rejects_q2(workdir, tmp_path, capsys):
         ("A", [3, 4, 4, 5], "repeated"),
         ("window_start", 75.5, "window_start must be an integer"),
         ("window_start", None, "window_start must be an integer"),
+        ("A", [3, 4, 200], "A must lie inside {1..floor(p/2)-1}"),
+        ("A", [*default_aux().A, 7], "aux A meets A+A+{0,1}: 7 = 3 + 4 + 0"),
+        ("A", [1], "aux A+A+A holds no run of p+2 = 309"),  # its y-table is incomplete too
+        ("window_start", 0, "aux window_start = 0 differs from the run start 75"),
+        ("seed", None, "aux seed must be an integer"),
     ],
 )
 def test_build_rejects_invalid_aux_file(workdir, tmp_path, capsys, key, value, message):
@@ -131,6 +136,12 @@ def test_build_rejects_invalid_aux_file(workdir, tmp_path, capsys, key, value, m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_build_rejects_zero_denominator(workdir, capsys):
+    argv = ["build", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--c", "1/0", "--out", "-"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: c = '1/0' is not a fraction")
 
 
 def test_build_strict_rejected_at_desk_scale(workdir, tmp_path, capsys):
@@ -396,6 +407,39 @@ def test_verify_rejects_malformed_seq(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("entries", 0, "f"), 123, "entry 0: f must be a string, got 123"),
+        (("entries", 0, "f"), None, "entry 0: f must be a string"),
+        (("entries", 0, "f"), ["x"], "entry 0: f must be a string"),
+        (("entries", 0, "e"), None, "entry 0: e must be a list"),
+        (("entries", 0, "k"), None, "entry 0: k must be an integer"),
+        (("params", "seed"), None, "params seed must be an integer"),
+        (("params", "aux", "seed"), None, "aux seed must be an integer"),
+        (("entries",), 5, "entries must be a list"),
+        (("moduli",), [1], "moduli entry must be an object"),
+        (("params", "c"), "1/0", "c = '1/0' is not a fraction"),
+        (("params", "aux", "A"), [*default_aux().A, 7], "aux A meets A+A+{0,1}"),
+    ],
+    ids=["f-int", "f-null", "f-list", "e-null", "k-null", "seed-null", "aux-seed-null", "entries-int",
+         "moduli-int", "c-zero-denominator", "aux-A-plus-7"],
+)
+def test_verify_rejects_mistyped_field(workdir, tmp_path, capsys, path, value, message):
+    # each of these once escaped main as a TypeError, AttributeError or
+    # ZeroDivisionError traceback (exit 1), or was accepted (A with 7 = 3 + 4)
+    obj = read_json(workdir / "seq.json")
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
     obj = read_json(workdir / "seq.json")
     obj["entries"][7]["n"] = str(int(obj["entries"][7]["n"]) + 1)
@@ -479,7 +523,7 @@ def test_equidist_alarm_threshold(tmp_path, capsys):
 
 def test_equidist_rejects_bad_modulus(capsys):
     assert main(["equidist", "--q", "3", "--d", "3", "--g", "t^2", "--out", "-"]) == 2
-    assert main(["equidist", "--q", "3", "--d", "8", "--g", "1+t^2", "--cap", "5", "--out", "-"]) == 2
+    assert main(["equidist", "--q", "3", "--d", "13", "--g", "1+t^2", "--out", "-"]) == 2  # 3^13 > ENUM_CAP
     capsys.readouterr()
 
 

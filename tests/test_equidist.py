@@ -1,12 +1,14 @@
 """Product-distribution tests: triple histograms and deviation reports."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sidonbasis import cli, equidist
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.equidist import (
     _distinct_triples,
@@ -58,8 +60,39 @@ def test_modulus_validation():
         triple_histogram(Q3, 3, Poly(Q3, (0, 0, 2)))  # non-monic
     with pytest.raises(ValueError):
         triple_histogram(Q3, 3, Poly(Q3, (0, 0, 1)))  # t^2 not squarefree
-    with pytest.raises(ValueError):
-        triple_histogram(Q3, 8, G_QUAD, cap=10)  # pool larger than cap
+    with pytest.raises(ValueError, match="ENUM_CAP"):
+        triple_histogram(Q3, 13, G_QUAD)  # 3^13 > ENUM_CAP monics to sieve
+
+
+def test_residue_table_refused_before_allocating(monkeypatch, capsys):
+    # g = (degree 6)(degree 7), the smallest irreducibles over F_3: a pool
+    # of 48 at d = 5, but 3^13 > ENUM_CAP residues mod g
+    g = "1+2*t+2*t^2+t^3+2*t^6+2*t^7+2*t^8+t^13"
+
+    def no_digits(*args, **kwargs):
+        raise RuntimeError("code_digits ran")
+
+    monkeypatch.setattr(equidist, "code_digits", no_digits)
+    with pytest.raises(ValueError, match="ENUM_CAP"):
+        triple_histogram(Q3, 5, poly_from_string(Q3, g))
+    assert main(["equidist", "--q", "3", "--d", "5", "--g", g, "--out", "-"]) == 2
+    assert "ENUM_CAP" in capsys.readouterr().err
+
+
+def test_pool_past_the_old_cap(capsys):
+    # 2,184 irreducibles of degree 9
+    assert main(["equidist", "--q", "3", "--d", "9", "--g", "1+t^2", "--out", "-"]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["conservation_ok"] and summary["binom"] == math.comb(2184, 3)
+
+
+def test_theta_checked_before_counting(monkeypatch, capsys):
+    def no_count(*args, **kwargs):
+        raise RuntimeError("triple_histogram ran")
+
+    monkeypatch.setattr(cli, "triple_histogram", no_count)
+    assert main(["equidist", "--q", "3", "--d", "4", "--g", "2+t+t^12", "--out", "-"]) == 2
+    assert "outside (0, 1)" in capsys.readouterr().err
 
 
 def test_histogram_quadratic_modulus_d3():
@@ -193,9 +226,9 @@ def test_roundoff_bound_refuses_before_transforms(monkeypatch, tmp_path, capsys)
     monkeypatch.setattr(np.fft, "rfftn", no_transform)
     monkeypatch.setattr(np.fft, "irfftn", no_transform)
     with pytest.raises(AssertionError, match="round-off bound"):
-        triple_histogram(Q3, 12, G_QUAD, cap=50000)
+        triple_histogram(Q3, 12, G_QUAD)
     out = tmp_path / "eq.csv"
-    argv = ["equidist", "--q", "3", "--d", "12", "--g", "1+t^2", "--cap", "50000", "--out", str(out)]
+    argv = ["equidist", "--q", "3", "--d", "12", "--g", "1+t^2", "--out", str(out)]
     assert main(argv) == EXIT_INTERNAL_ERROR == 3
     assert "round-off bound" in capsys.readouterr().err
     assert not out.exists()

@@ -188,7 +188,7 @@ def test_enumerate_order_and_contents():
 
 def test_enumerate_cap():
     with pytest.raises(ValueError):
-        enumerate_irreducibles(Q2, 8, cap=10)
+        enumerate_irreducibles(Q2, 21)  # 2^21 > ENUM_CAP
 
 
 def test_count_examples():
@@ -301,4 +301,4 @@ def test_smallest_irreducible():
     for q, d in cases:
         assert smallest_irreducible(q, d) == enumerate_irreducibles(q, d)[0]
     with pytest.raises(ValueError):
-        smallest_irreducible(Q3, 13)  # 3^13 > DEFAULT_ENUM_CAP
+        smallest_irreducible(Q3, 13)  # 3^13 > ENUM_CAP
