@@ -361,12 +361,12 @@ def json_value(value, kind: type, what: str):
 def aux_from_json(obj: dict) -> AuxSet:
     """Load an aux file as untrusted input. ValueError, naming the field or
     the property, unless p is a prime, A a nonempty list of distinct
-    integers in [0, p), window_start, seed and attempt integers, and A
-    has what the construction rests on: A inside {1..floor(p/2)-1},
-    A cap (A+A+{0,1}) empty, and a run of p+2 in A+A+A that starts at
-    window_start. That run completes the y-table: A+A+A lies in
-    [3, 3p/2), so its p values y with y-2, y-1, y in the run lie below 2p,
-    one in each residue class mod p."""
+    integers in [0, p), window_start, seed and attempt integers, method a
+    string, and A has what the construction rests on: A inside
+    {1..floor(p/2)-1}, A cap (A+A+{0,1}) empty, and a run of p+2 in A+A+A
+    that starts at window_start. That run completes the y-table: A+A+A
+    lies in [3, 3p/2), so its p values y with y-2, y-1, y in the run lie
+    below 2p, one in each residue class mod p."""
     json_value(obj, dict, "aux")
     p = json_value(obj["p"], int, "aux p")
     if not primes.is_prime(p):
@@ -394,7 +394,7 @@ def aux_from_json(obj: dict) -> AuxSet:
         seed=json_value(obj.get("seed", 0), int, "aux seed"),
         attempt=json_value(obj.get("attempt", 0), int, "aux attempt"),
         window_start=window_start,
-        method=str(obj.get("method", "random")),
+        method=json_value(obj.get("method", "random"), str, "aux method"),
     )
 
 

@@ -123,6 +123,7 @@ def test_build_rejects_q2(workdir, tmp_path, capsys):
         ("A", [1], "aux A+A+A holds no run of p+2 = 309"),  # its y-table is incomplete too
         ("window_start", 0, "aux window_start = 0 differs from the run start 75"),
         ("seed", None, "aux seed must be an integer"),
+        ("method", ["x"], "aux method must be a string"),
     ],
 )
 def test_build_rejects_invalid_aux_file(workdir, tmp_path, capsys, key, value, message):
