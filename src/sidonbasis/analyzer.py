@@ -29,13 +29,23 @@ three (coverage) keys below 2^62 in magnitude, so keys and their sums
 fit int64. Shifting floors, so keys keep the order of the values, the
 keys of two equal pair sums differ by at most 1, and a triple summing
 into [lo, hi] has its key sum in [(lo >> S) - 2, hi >> S] (S = 0 makes
-the keys exact and both slacks 0). verify_sidon forms the key sums of
-all N(N+1)/2 pairs in numpy, sorts them in place and takes neighbour
-differences in blocks, keeping only the key values at most 1 from a
-neighbour. A Sidon set has none, so the check ends there: O(N^2 log N)
-time and one int64 array of N(N+1)/2 entries. Otherwise the sums are
-formed again in walk order, and a searchsorted per block into the small
-sorted array of tie values locates the candidate pairs, in walk order.
+the keys exact and both slacks 0). verify_sidon sorts the keys once and
+cuts the key sums of the N(N+1)/2 pairs into value buckets of at most
+_BUCKET_PAIRS sums, with edges from the quantiles of a strided sample of
+pair sums. Per bucket it counts the sums before forming any (a
+searchsorted per bound gives each j its i-range) and cuts a bucket over
+budget shorter, then forms the sums into one reused buffer, sorts them in
+place and takes neighbour differences in blocks, keeping only the key
+values at most 1 from a neighbour. A bucket also takes the sums within
+that tolerance of its range, so no edge separates two sums that may
+tie. With at most _BUCKET_PAIRS pairs there is one bucket, all of them.
+A Sidon set has no tie values, so the check ends there: O(N^2 log N)
+time and O(N + _BUCKET_PAIRS) memory for every N. The pairs whose key
+is a tie value are the candidates; the scan counts them and refuses
+more than _CANDIDATE_LIMIT, which bounds the witness list. Otherwise the
+sums are formed again in walk order, in blocks of whole j, and a
+searchsorted per block into the sorted tie values locates the
+candidate pairs in walk order.
 
 The coverage window search keeps only the pairs i <= j that some
 c >= j can complete into the window. The least such sum is
@@ -75,6 +85,7 @@ each worker process receives the plan once.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -122,10 +133,14 @@ def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
     return shift, np.array([v >> shift for v in vals], dtype=np.int64)
 
 
-# the most pair sums verify_sidon forms: one int64 array of this many
-# entries is 1 GiB. q = 13, k = 3 (25,194,351 sums) fits; q = 3, k = 5
-# (1,255,030,050 sums, 10 GB) is refused before anything is allocated
-SIDON_PAIR_LIMIT = 1 << 27
+# the most key sums one bucket of verify_sidon holds: 4 MiB of int64.
+# A bucket one key sum wide is never split, so it alone may hold more
+_BUCKET_PAIRS = 1 << 19
+
+# the most candidate pairs (pairs whose key sum lies at most the key
+# tolerance from another pair's) verify_sidon re-checks: each may become
+# a witness, so past this count the report would grow with N^2
+_CANDIDATE_LIMIT = 1 << 18
 
 # pairs per block where the engine works in blocks. Freed heap memory
 # below the allocator's trim threshold stays resident, so temporaries of
@@ -133,75 +148,148 @@ SIDON_PAIR_LIMIT = 1 << 27
 _PAIR_BLOCK = 1 << 13
 
 
-def _pair_key_sums(keys: np.ndarray) -> np.ndarray:
-    """keys[i] + keys[j] for every i <= j in walk order (j outer, i
-    inner), so pair (i, j) sits at position j (j + 1) / 2 + i."""
-    n = len(keys)
-    out = np.empty(n * (n + 1) // 2, dtype=np.int64)
-    start = 0
-    for j in range(n):
-        np.add(keys[: j + 1], keys[j], out=out[start : start + j + 1])
-        start += j + 1
-    return out
-
-
-def _pairs_at(pos: np.ndarray, n: int) -> tuple[list[int], list[int]]:
-    """(i, j) of the pairs at walk positions pos, as two lists."""
-    starts = np.arange(n, dtype=np.int64) * np.arange(1, n + 1) // 2
-    j = np.searchsorted(starts, pos, side="right") - 1
-    return (pos - starts[j]).tolist(), j.tolist()
-
-
 def _tie_values(sums: np.ndarray, tol: int) -> np.ndarray:
     """The sorted distinct values of the ascending sums that lie at most
-    tol from a neighbour, from neighbour differences taken in blocks."""
+    tol from a neighbour, from neighbour differences taken in blocks;
+    each block keeps its distinct values only, so that sums that nearly
+    all tie hold no more than their tie values."""
     found = []
     for k in range(0, len(sums) - 1, _PAIR_BLOCK):
         block = sums[k : k + _PAIR_BLOCK + 1]
         # a difference past int64 wraps negative and only adds candidates
         near = np.flatnonzero(np.diff(block) <= tol)
-        found += [block[near], block[near + 1]]
+        if len(near):
+            found.append(np.union1d(block[near], block[near + 1]))
     return np.unique(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
+
+
+def _bucket_edges(sk: np.ndarray) -> list[int]:
+    """Ascending key-sum edges from 2 sk[0] to 2 sk[-1] + 1 that cut the
+    pair sums sk[i] + sk[j] (i <= j) of the ascending keys sk into
+    buckets [e_b, e_{b+1}) of about 7/8 of _BUCKET_PAIRS sums (one bucket
+    when all fit): the quantiles of the pair sums of a strided sample of
+    sk, 64 sample sums per bucket but no more than _BUCKET_PAIRS in all."""
+    n = len(sk)
+    lo, hi = 2 * int(sk[0]), 2 * int(sk[-1]) + 1
+    pairs = n * (n + 1) // 2
+    if pairs <= _BUCKET_PAIRS:
+        return [lo, hi]
+    # below the budget, as the quantiles are estimates
+    buckets = -(-8 * pairs // (7 * _BUCKET_PAIRS))
+    size = min(n, 8 * math.isqrt(buckets) + 8, math.isqrt(_BUCKET_PAIRS))
+    sample = sk[np.linspace(0, n - 1, size).astype(np.int64)]
+    sums = np.sort(np.add.outer(sample, sample), axis=None)
+    inner = sums[np.arange(1, buckets) * len(sums) // buckets].tolist()
+    return sorted({lo, hi, *(v for v in inner if lo < v < hi)})
+
+
+def _candidate_error(n: int, count: int) -> ValueError:
+    return ValueError(
+        f"{n} values have at least {count:,} candidate pairs, pair sums whose keys lie within the "
+        f"key tolerance of another pair's, above the limit of {_CANDIDATE_LIMIT:,}"
+    )
+
+
+def _tie_sums(keys: np.ndarray, tol: int) -> np.ndarray:
+    """The sorted distinct key sums keys[i] + keys[j] (i <= j) that lie
+    at most tol from another pair's, one bucket of key sums at a time.
+
+    Bucket [lo, hi) also takes the sums within tol of it, so each sum of
+    the bucket meets every sum it may tie with, and keeps the tie values
+    in [lo, hi). Per j of the ascending keys sk, two searchsorteds give
+    the i-range [a_j, b_j), i <= j, of its sums in [lo - tol, hi + tol);
+    a bucket with more than _BUCKET_PAIRS sums is cut shorter before
+    anything is allocated. The sums fill one reused buffer, one np.add
+    per j, and are sorted in place and differenced by _tie_values. With
+    at most _BUCKET_PAIRS pair sums there is one bucket, all of them.
+    Raises ValueError once more than _CANDIDATE_LIMIT pairs have a tie
+    value."""
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    sk = np.sort(keys)
+    # |sk| < 2^61 and every edge lies in [2 sk[0], 2 sk[-1] + 1], so no
+    # edge -+ tol - sk below overflows int64
+    top = np.arange(1, n + 1)
+    buf = np.empty(min(n * (n + 1) // 2, _BUCKET_PAIRS), dtype=np.int64)
+    found = []
+    candidates = 0
+    edges = _bucket_edges(sk)
+    lo, uppers = edges[0], edges[:0:-1]  # the next bucket's upper edge last
+    while uppers:
+        hi = uppers[-1]
+        a = np.searchsorted(sk, lo - tol - sk)
+        b = np.minimum(np.searchsorted(sk, hi + tol - sk), top)
+        width = np.maximum(b - a, 0)
+        size = int(width.sum())
+        if size > _BUCKET_PAIRS and hi - lo > 1:
+            # cut where 7/8 of the budget would lie if the sums were even;
+            # the rest joins the next bucket
+            cut = lo + max(1, (hi - lo) * 7 * _BUCKET_PAIRS // (8 * size))
+            if len(uppers) > 1:
+                uppers[-1] = cut
+            else:
+                uppers.append(cut)
+            continue
+        if size > len(buf):
+            # one key sum wide: its sums lie in 2 tol + 1 values, so that
+            # many of them are equal and therefore candidates
+            if size // (2 * tol + 1) > _CANDIDATE_LIMIT:
+                raise _candidate_error(n, size // (2 * tol + 1))
+            buf = np.empty(size, dtype=np.int64)
+        js = np.flatnonzero(width)
+        ends = np.cumsum(width[js]).tolist()
+        for j, i0, i1, end in zip(js.tolist(), a[js].tolist(), b[js].tolist(), ends):
+            np.add(sk[i0:i1], sk[j], out=buf[end - (i1 - i0) : end])
+        sums = buf[:size]
+        sums.sort()
+        ties = _tie_values(sums, tol)
+        ties = ties[(ties >= lo) & (ties < hi)]
+        candidates += int((np.searchsorted(sums, ties, side="right") - np.searchsorted(sums, ties)).sum())
+        if candidates > _CANDIDATE_LIMIT:
+            raise _candidate_error(n, candidates)
+        found.append(ties)
+        lo = uppers.pop()
+    return np.concatenate(found)
 
 
 def verify_sidon(values) -> list[CollisionWitness]:
     """Empty iff all pairwise sums (i <= j) are distinct. Each collision is
     reported against the first pair holding that sum in the walk j = 0,
     1, ..., i = 0..j, and the witnesses come in the order of that walk.
-    Raises ValueError, before allocating, when there are more than
-    SIDON_PAIR_LIMIT pair sums."""
+    Memory is O(N + _BUCKET_PAIRS) beside the witnesses; raises
+    ValueError when more than _CANDIDATE_LIMIT pairs are candidates."""
     vals = list(values)
-    pairs = len(vals) * (len(vals) + 1) // 2
-    if pairs > SIDON_PAIR_LIMIT:
-        raise ValueError(
-            f"{len(vals)} values have {pairs:,} pair sums, above SIDON_PAIR_LIMIT = "
-            f"{SIDON_PAIR_LIMIT:,}: their int64 key sums would need {8 * pairs:,} bytes"
-        )
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
     shift, keys = _coarse_keys(vals, 2)
-    sums = _pair_key_sums(keys)
-    sums.sort()
-    ties = _tie_values(sums, 1 if shift else 0)
-    del sums
+    ties = _tie_sums(keys, 1 if shift else 0)
     if not len(ties):
         return []
     # the candidates are the pairs whose key is a tie value; formed again
-    # in walk order, a searchsorted per block finds them in that order
-    sums = _pair_key_sums(keys)
-    pos = []
-    for k in range(0, len(sums), _PAIR_BLOCK):
-        block = sums[k : k + _PAIR_BLOCK]
-        at = np.minimum(np.searchsorted(ties, block), len(ties) - 1)
-        pos.append(k + np.flatnonzero(ties[at] == block))
-    del sums
+    # in walk order, in blocks of whole j of at most _BUCKET_PAIRS pairs
+    # (one j at least), a searchsorted per block finds them in that order
+    n = len(vals)
+    starts = np.arange(n + 1, dtype=np.int64) * np.arange(1, n + 2) // 2  # pairs before j
     first: dict[int, tuple[int, int]] = {}
     out = []
-    for i, j in zip(*_pairs_at(np.concatenate(pos), len(vals))):
-        pair = (vals[i], vals[j])
-        prior = first.setdefault(pair[0] + pair[1], pair)
-        if prior != pair:
-            out.append(CollisionWitness(*prior, *pair))
+    j0 = 0
+    while j0 < n:
+        j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BUCKET_PAIRS, side="right")) - 1)
+        block = np.empty(int(starts[j1] - starts[j0]), dtype=np.int64)
+        off = 0
+        for j in range(j0, j1):
+            np.add(keys[: j + 1], keys[j], out=block[off : off + j + 1])
+            off += j + 1
+        at = np.minimum(np.searchsorted(ties, block), len(ties) - 1)
+        pos = np.flatnonzero(ties[at] == block) + starts[j0]
+        jj = np.searchsorted(starts, pos, side="right") - 1
+        for i, j in zip((pos - starts[jj]).tolist(), jj.tolist()):
+            pair = (vals[i], vals[j])
+            prior = first.setdefault(pair[0] + pair[1], pair)
+            if prior != pair:
+                out.append(CollisionWitness(*prior, *pair))
+        j0 = j1
     return out
 
 

@@ -233,11 +233,6 @@ def build_y_table(aux: AuxSet) -> YTable:
     return YTable(aux.p, tuple(entries))
 
 
-def _y_table_complete(p: int, a_set) -> bool:
-    bits_aaa = triple_sumset_bits(a_set)
-    return all(y is not None for y in _y_table_entries(p, bits_aaa))
-
-
 def deterministic_aux(p: int, seed: int = 0) -> AuxSet | None:
     """Lift the residue-class design to the top of {1..floor(p/2)-1}.
 
@@ -260,7 +255,7 @@ def deterministic_aux(p: int, seed: int = 0) -> AuxSet | None:
     if not ok_d:
         raise AssertionError(f"class design produced a violation: {wit}")
     ok_c, start = verify_coverage(a_set, p)
-    if not ok_c or not _y_table_complete(p, a_set):
+    if not ok_c:
         return None
     return AuxSet(
         p=p,
@@ -280,10 +275,11 @@ def search(
     method: str = "both",
     collect: list | None = None,
 ) -> AuxSet:
-    """First (p, A) passing both verifiers with a complete y-table,
-    scanning primes ascending. For each p the randomized path gets
-    max_attempts_per_p tries, then the deterministic construction is
-    tried once (method: "random" | "deterministic" | "both").
+    """First (p, A) passing both verifiers, scanning primes ascending; its
+    coverage run completes the y-table (see aux_from_json). For each p
+    the randomized path gets max_attempts_per_p tries, then the
+    deterministic construction is tried once (method: "random" |
+    "deterministic" | "both").
 
     Raises SearchExhausted when the whole range fails.
     """
@@ -297,7 +293,6 @@ def search(
                 r_set = sample_candidate(p, _derive_seed("attempt", seed, p, attempt))
                 x_set, a_set = alteration(r_set)
                 ok_c, start = verify_coverage(a_set, p)
-                ok = ok_c and _y_table_complete(p, a_set)
                 if collect is not None:
                     collect.append(
                         AttemptRecord(
@@ -312,7 +307,7 @@ def search(
                             window_start=start,
                         )
                     )
-                if ok:
+                if ok_c:
                     return AuxSet(
                         p=p,
                         A=tuple(sorted(a_set)),

@@ -38,6 +38,7 @@ from .ffpoly import (
     PrimeModulus,
     Poly,
     code_digits,
+    code_names,
     digit_codes,
     irreducible_codes,
     mulmod_matrix,
@@ -197,7 +198,7 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
 @dataclass(frozen=True)
 class DeviationRow:
     code: int
-    residue: Poly
+    residue: str  # poly_to_string of the class's residue
     count: int
     deviation: float  # count - expected, correctly rounded
     ratio: float  # |deviation| / normalizer
@@ -242,17 +243,17 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
     phi_g = euler_phi_poly(g)
     binom = math.comb(report.pool_size, 3)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
-    unit_set = set(report.units)
+    names = dict(zip(report.units, code_names(q.q, report.units, g.degree)))
     rows = []
     nonunit_total = unit_sum = square_sum = 0
     for u, c in sorted(report.counts.items()):
-        if u not in unit_set:
+        if u not in names:
             nonunit_total += c
             continue
         unit_sum += c
         square_sum += c * c
         dev = (c * phi_g - binom) / phi_g
-        rows.append(DeviationRow(u, Poly.from_code(q, u), c, dev, abs(dev) / normalizer))
+        rows.append(DeviationRow(u, names[u], c, dev, abs(dev) / normalizer))
     ratios = [row.ratio for row in rows]
     chi2 = Fraction(phi_g * square_sum, binom) - 2 * unit_sum + binom if binom else 0
     return DeviationReport(
@@ -277,7 +278,7 @@ def deviation_csv_rows(report: DeviationReport):
     """(a, count, expected, deviation, normalized_ratio) per unit class."""
     expected = float(report.expected)
     for row in report.rows:
-        yield (str(row.residue), row.count, expected, row.deviation, row.ratio)
+        yield (row.residue, row.count, expected, row.deviation, row.ratio)
 
 
 def deviation_summary(report: DeviationReport) -> dict:

@@ -362,21 +362,26 @@ def crt(residues: list[Poly], moduli: list[Poly]) -> Poly:
     return acc
 
 
+def _term(c: int, i: int) -> str:
+    """The text of the nonzero term c t^i: "c", "t", "c*t", "t^i" or "c*t^i"."""
+    if i == 0:
+        return str(c)
+    power = "t" if i == 1 else f"t^{i}"
+    return power if c == 1 else f"{c}*{power}"
+
+
 def poly_to_string(f: Poly) -> str:
     """Text format "c0+c1*t+c2*t^2+..." with zero terms omitted, e.g. "1+t^2"."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append("t" if c == 1 else f"{c}*t")
-        else:
-            parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-    return "+".join(parts)
+    return "+".join(_term(c, i) for i, c in enumerate(f.coeffs) if c) or "0"
+
+
+def code_names(q: int, codes, width: int) -> list[str]:
+    """poly_to_string(Poly.from_code(q, c)) for each of the codes, which
+    must lie in [0, q^width): their digit matrix picks each term from one
+    table of the q - 1 nonzero terms per position."""
+    terms = np.array([["", *(_term(c, i) for c in range(1, q))] for i in range(width)], dtype=object)
+    rows = terms[np.arange(width), code_digits(q, codes, width)].tolist()
+    return ["+".join(filter(None, row)) or "0" for row in rows]
 
 
 def poly_from_string(q: PrimeModulus, s: str) -> Poly:

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonbasis import analyzer
 from sidonbasis.analyzer import (
-    SIDON_PAIR_LIMIT,
     CollisionWitness,
+    _bucket_edges,
     _coarse_keys,
     _key_directory,
-    _pair_key_sums,
     _reaching_pairs,
+    _tie_sums,
     _tie_values,
     _trial_covered,
     _trial_seed,
@@ -51,18 +52,21 @@ Q3 = PrimeModulus(3)
 
 
 def test_verify_sidon_refuses_before_allocating():
-    # 50,100 values, as many as the q = 3, k = 5 build has entries:
-    # 1,255,030,050 pair sums, about 10 GB of int64 key sums
-    vals = list(range(50_100))
-    assert len(vals) * (len(vals) + 1) // 2 > SIDON_PAIR_LIMIT >= 7098 * 7099 // 2
+    # 50,100 values, as many as the q = 3, k = 5 build has entries, in an
+    # arithmetic progression: nearly every one of the 1,255,030,050 pair
+    # sums ties, so the witness list would grow with N^2. The first bucket
+    # passes the candidate limit, and memory stays within the bucket budget
+    n = 50_100
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"1,255,030,050 pair sums.*10,040,240,400 bytes"):
-            verify_sidon(vals)
+        with pytest.raises(ValueError, match=r"50100 values have at least [\d,]+ candidate pairs") as err:
+            verify_sidon(range(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    count = int(err.value.args[0].split("at least ")[1].split(" ")[0].replace(",", ""))
+    assert analyzer._CANDIDATE_LIMIT < count <= analyzer._BUCKET_PAIRS
+    assert peak < 8 * analyzer._BUCKET_PAIRS + 256 * n
 
 
 def test_verify_sidon_examples():
@@ -218,19 +222,20 @@ def test_verify_sidon_rejects_near_ties():
     vals = [2**76, x, y + 1, x + unit, y - unit + 2, z, z - 3, y + unit + 5]
     shift, keys = _coarse_keys(vals, 2)
     assert shift == 16
-    sums = _pair_key_sums(keys)
-    sums.sort()
-    ties = _tie_values(sums, 1).tolist()
+    ties = _tie_sums(keys, 1).tolist()
     key = dict(zip(vals, keys.tolist()))
     assert key[x] + key[y + 1] in ties and key[z] + key[y + 1] in ties
     assert brute_witnesses(vals) == [] and verify_sidon(vals) == []
 
 
 def test_verify_sidon_memory():
-    # at most one int64 array of the N (N + 1) / 2 key sums at a time
+    # the key sums of one bucket at a time: a buffer of _BUCKET_PAIRS
+    # int64 plus O(N) per-j ranges, where one array of all 4.5 M key sums
+    # would take 36 MB
     rng = random.Random(5)
     vals = list({rng.getrandbits(80) for _ in range(3000)})
     n = len(vals)
+    assert n * (n + 1) // 2 > 8 * analyzer._BUCKET_PAIRS
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -242,7 +247,119 @@ def test_verify_sidon_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 1.25 * 8 * n * (n + 1) // 2
+    assert peak < 8 * analyzer._BUCKET_PAIRS + 256 * n
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 64])
+def test_verify_sidon_across_buckets(monkeypatch, budget):
+    # tiny budgets cut the key sums into many buckets, down to one key
+    # sum wide where sums tie; the witnesses and their order hold
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", budget)
+    for seed in range(25):
+        for scale in (500, 2**70, 2**130):
+            vals = planted_set(random.Random(seed), scale)
+            assert witness_tuples(vals) == brute_witnesses(vals)
+    vals = [-500 + 7 * i for i in range(40)]
+    assert witness_tuples(vals) == brute_witnesses(vals)
+
+
+def test_verify_sidon_one_key_sum_past_the_budget(monkeypatch):
+    # at shift 40 the 40 values 2^100 + i share one key, so all 820 pair
+    # sums share one key sum: a bucket one key sum wide, never cut, holds
+    # them all past the budget of 64 (an arithmetic progression, 741
+    # witnesses). Under a candidate limit of 100 it is refused before its
+    # sums are formed: 820 sums in 3 values put 273 on one of them
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", 64)
+    vals = [2**100 + i for i in range(40)]
+    assert len(set(_coarse_keys(vals, 2)[1].tolist())) == 1
+    got = witness_tuples(vals)
+    assert got == brute_witnesses(vals) and len(got) == 820 - 79
+    monkeypatch.setattr(analyzer, "_CANDIDATE_LIMIT", 100)
+    monkeypatch.setattr(analyzer, "_tie_values", None)  # nothing is formed or differenced
+    with pytest.raises(ValueError, match=r"40 values have at least 273 candidate pairs"):
+        verify_sidon(vals)
+
+
+def edge_at(monkeypatch, edge):
+    """Make edge one of the bucket edges verify_sidon starts from."""
+    real = analyzer._bucket_edges
+    monkeypatch.setattr(analyzer, "_bucket_edges", lambda sk: sorted({*real(sk), edge}))
+
+
+@pytest.mark.parametrize("budget", [2, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_verify_sidon_collisions_on_bucket_edges(monkeypatch, budget, offset):
+    # exact keys (shift 0): two pairs with the sum e, planted with a bucket
+    # edge at e + offset, so the tied sums sit on the edge, just above it
+    # and just below it
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", budget)
+    rng = random.Random(budget + offset)
+    for _ in range(10):
+        vals = list({rng.randrange(-500, 500) for _ in range(20)})
+        a, b, c = rng.sample(vals, 3)
+        if a + b - c not in vals:
+            vals.append(a + b - c)
+        rng.shuffle(vals)
+        with monkeypatch.context() as mp:
+            edge_at(mp, a + b + offset)
+            assert _coarse_keys(vals, 2)[0] == 0
+            got = witness_tuples(vals)
+        assert got == brute_witnesses(vals) and got
+
+
+def straddling_pairs(rng, unit, carry):
+    """Two pairs of values v = K unit + r (key K at shift log2 unit) in
+    general position whose key sums are U and U + 1: with carry, their
+    exact sums agree ((A unit + unit - 1) + (B unit + 1) = C unit + D unit
+    with C + D = A + B + 1); without, they differ."""
+    a, b, d = (rng.randrange(2**57, 2**58) for _ in range(3))
+    if carry:
+        return [a * unit + unit - 1, b * unit + 1, (a + 1 + d) * unit, (b - d) * unit]
+    low = [rng.randrange(unit // 2) for _ in range(4)]
+    return [a * unit + low[0], b * unit + low[1], (a + 1 + d) * unit + low[2], (b - d) * unit + low[3]]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_verify_sidon_near_ties_on_bucket_edges(monkeypatch, budget, offset):
+    # coarse keys (shift 16, tol 1): a collision whose key sums are U and
+    # U + 1 (a carry) and a near tie with key sums V and V + 1 whose exact
+    # sums differ, with a bucket edge at U + offset or V + offset: the
+    # pairs straddle the edge or share a bucket on either side of it
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", budget)
+    unit = 2**16
+    rng = random.Random(10 * budget + offset)
+    for _ in range(5):
+        collide, near = straddling_pairs(rng, unit, True), straddling_pairs(rng, unit, False)
+        vals = [2**76, -(2**75), *collide, *near, *(rng.randrange(2**75) for _ in range(6))]
+        rng.shuffle(vals)
+        shift, keys = _coarse_keys(vals, 2)
+        assert shift == 16
+        u, v = (sum(w >> shift for w in pair[:2]) for pair in (collide, near))
+        assert sum(w >> shift for w in collide[2:]) == u + 1 and sum(w >> shift for w in near[2:]) == v + 1
+        for edge in (u + offset, v + offset):
+            with monkeypatch.context() as mp:
+                edge_at(mp, edge)
+                assert _tie_sums(keys, 1).tolist() == sorted({u, u + 1, v, v + 1})
+                got = witness_tuples(vals)
+            assert got == brute_witnesses(vals) and len(got) == 1
+            assert sum(got[0][:2]) == sum(collide[:2])
+
+
+def test_bucket_edges_cut_the_pair_sums():
+    # ascending integer edges from the least key sum to one past the
+    # largest; one bucket when every pair sum fits the budget
+    rng = random.Random(3)
+    sk = np.sort(np.array([rng.randrange(-(2**60), 2**60) for _ in range(3000)], dtype=np.int64))
+    edges = _bucket_edges(sk)
+    assert edges[0] == 2 * int(sk[0]) and edges[-1] == 2 * int(sk[-1]) + 1
+    assert edges == sorted(set(edges))
+    assert len(edges) - 1 == -(-8 * 3000 * 3001 // 2 // (7 * analyzer._BUCKET_PAIRS))
+    # on evenly spread keys the sampled quantiles keep every bucket in budget
+    sums = np.add.outer(sk, sk)[np.triu_indices(len(sk))]
+    sizes = np.diff(np.searchsorted(np.sort(sums), edges))
+    assert sizes.sum() == len(sums) and sizes.max() <= analyzer._BUCKET_PAIRS
+    assert _bucket_edges(sk[:1000]) == [2 * int(sk[0]), 2 * int(sk[999]) + 1]
 
 
 def test_verify_sidon_on_built_prefix(seq307):

@@ -11,7 +11,7 @@ from sidonbasis.auxset import (
     CLASS_MODULUS,
     AuxSet,
     SearchExhausted,
-    _y_table_complete,
+    _y_table_entries,
     alteration,
     aux_from_json,
     aux_to_json,
@@ -171,11 +171,17 @@ def test_y_table_rejects_thin_set():
         build_y_table(AuxSet(p=11, A=(1,), seed=0, attempt=0, window_start=None, method="random"))
 
 
+def _y_table_complete(p: int, a_set) -> bool:
+    """The oracle: every residue class mod p has an admissible y."""
+    return None not in _y_table_entries(p, triple_sumset_bits(a_set))
+
+
 @given(st.sampled_from([11, 13, 17, 19, 23, 29, 31, 37, 41, 43]), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_coverage_completes_the_y_table(p, seed):
-    # aux_from_json checks coverage but not the y-table: a run of p+2 in
-    # A+A+A, which lies below 3p/2, gives every class an admissible y < 2p
+    # aux_from_json, search and deterministic_aux check coverage but not
+    # the y-table: a run of p+2 in A+A+A, which lies below 3p/2, gives
+    # every class an admissible y < 2p
     rng = random.Random(seed)
     a_set = {a for a in range(1, p // 2) if rng.random() < 0.6}
     if verify_coverage(a_set, p)[0]:

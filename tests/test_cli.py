@@ -342,15 +342,63 @@ def test_verify_zero_trials(workdir, tmp_path):
     assert len(rows) == 20 and all(row.endswith(",0.0") for row in rows)
 
 
-def test_verify_sidon_refuses_above_pair_limit(workdir, tmp_path, capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def colliding_seq(workdir):
+    """The desk seq.json with the r_1 digit of one level-3 entry d moved so
+    that n_a + n_b = n_c + n_d for three other level-3 entries.
+    seq_from_json checks that each n re-encodes from its digits, not that
+    the r digits are the drawn ones, so the file loads."""
+    obj = read_json(workdir / "seq.json")
+    seq = seq_from_json(obj)
+    weights = digit_weights(seq.params)
+    a, b, c, *rest = [ent for ent in seq.entries if ent.k == 3]
+    for d in rest:
+        step = _pack(weights, d.e, (d.r[0] + 1, *d.r[1:]), d.s) - d.n  # the weight of r_1
+        gap = a.n + b.n - c.n - d.n
+        if gap % step == 0:
+            break
+    r = [d.r[0] + gap // step, *d.r[1:]]
+    obj["entries"][seq.entries.index(d)].update(r=r, n=str(a.n + b.n - c.n))
+    obj["entries"].sort(key=lambda ent: int(ent["n"]))
+    path = workdir / "colliding.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_verify_sidon_reports_a_planted_collision(colliding_seq, tmp_path):
+    out = tmp_path / "sidon.json"
+    assert main(["verify", "--seq-file", str(colliding_seq), "--mode", "sidon", "--out", str(out)]) == 1
+    rep = read_json(out)
+    assert rep["ok"] is False and rep["witness_count"] == 1
+    w = rep["witnesses"][0]
+    assert int(w["n1"]) + int(w["n2"]) == int(w["n3"]) + int(w["n4"])
+
+
+def test_verify_sidon_refuses_above_candidate_limit(colliding_seq, tmp_path, capsys, monkeypatch):
+    # the two pairs of the planted collision are candidates; a limit of
+    # one refuses the run once the buckets are scanned, before any witness
     from sidonbasis import analyzer
 
-    monkeypatch.setattr(analyzer, "SIDON_PAIR_LIMIT", 1000)
+    monkeypatch.setattr(analyzer, "_CANDIDATE_LIMIT", 1)
     out = tmp_path / "sidon.json"
-    assert main(["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "sidon", "--out", str(out)]) == 2
+    assert main(["verify", "--seq-file", str(colliding_seq), "--mode", "sidon", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 944 values have 446,040 pair sums") and "3,568,320 bytes" in err
+    assert err.startswith("error: 944 values have at least 2 candidate pairs") and "limit of 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["seq.json", "colliding.json"])
+def test_verify_sidon_bytes_under_a_small_bucket_budget(workdir, colliding_seq, tmp_path, monkeypatch, name):
+    # 446,040 pair sums in one bucket, or in buckets of at most 1,024
+    from sidonbasis import analyzer
+
+    one, many = tmp_path / "one" / "sidon.json", tmp_path / "many" / "sidon.json"
+    one.parent.mkdir(), many.parent.mkdir()
+    argv = ["verify", "--seq-file", str(workdir / name), "--mode", "sidon", "--out"]
+    rc = main(argv + [str(one)])
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", 1024)
+    assert main(argv + [str(many)]) == rc
+    assert one.read_bytes() == many.read_bytes()
 
 
 def test_verify_coverage_requires_window(workdir, capsys):

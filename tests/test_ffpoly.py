@@ -12,6 +12,7 @@ from sidonbasis.ffpoly import (
     code_digits,
     count_irreducibles,
     crt,
+    code_names,
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
@@ -249,6 +250,15 @@ def test_string_rejects_malformed():
     for bad in ("", "t^1", "t^0", "3+t", "t+t", "1+1", "x^2", "t^-1"):
         with pytest.raises(ValueError):
             poly_from_string(Q3, bad)
+
+
+@pytest.mark.parametrize("qv, width", [(2, 7), (3, 5), (5, 3), (11, 2)])
+def test_code_names_match_poly_to_string(qv, width):
+    codes = list(range(qv**width))
+    names = [poly_to_string(Poly.from_code(PrimeModulus(qv), u)) for u in codes]
+    assert code_names(qv, codes, width) == names
+    assert code_names(qv, codes[::-3], width) == names[::-3]
+    assert code_names(qv, [], width) == []
 
 
 @given(st.sampled_from([Q2, Q3, Q5]).flatmap(polys))
