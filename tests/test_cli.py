@@ -357,6 +357,8 @@ def colliding_seq(workdir):
         gap = a.n + b.n - c.n - d.n
         if gap % step == 0:
             break
+    else:
+        pytest.fail("no level-3 entry can take up the gap with its r_1 digit")
     r = [d.r[0] + gap // step, *d.r[1:]]
     obj["entries"][seq.entries.index(d)].update(r=r, n=str(a.n + b.n - c.n))
     obj["entries"].sort(key=lambda ent: int(ent["n"]))
