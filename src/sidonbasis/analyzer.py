@@ -134,7 +134,7 @@ def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
 
 
 # the most key sums one bucket of verify_sidon holds: 4 MiB of int64.
-# A bucket one key sum wide is never split, so it alone may hold more
+# A bucket one key sum wide is never cut, so it alone may hold more
 _BUCKET_PAIRS = 1 << 19
 
 # the most candidate pairs (pairs whose key sum lies at most the key
