@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io
 import json
 import os
 import random
@@ -42,7 +41,7 @@ from .builder import (
     seq_from_json,
     seq_json_text,
 )
-from .equidist import check_theta, deviation_csv_rows, deviation_report, deviation_summary, triple_histogram
+from .equidist import check_theta, deviation_csv_lines, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
 from .gbase import encode
 
@@ -97,14 +96,11 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows, manifest_ref: str | None) -> str:
-    buf = io.StringIO()
-    if manifest_ref is not None:
-        buf.write(f"# manifest: {manifest_ref}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+def _csv_text(header: list[str], lines, manifest_ref: str | None) -> str:
+    """The CSV text: the manifest comment when manifest_ref is given, the
+    header, then the lines, each already formatted and newline-terminated."""
+    head = "" if manifest_ref is None else f"# manifest: {manifest_ref}\n"
+    return head + ",".join(header) + "\n" + "".join(lines)
 
 
 def _load_json(path: str) -> dict:
@@ -300,7 +296,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rep = monte_carlo_coverage(
             seq.params, window, trials, threads=args.threads, seq=seq
         )
-        text = _csv_text(["m", "count", "frequency"], rep.rows(), manifest_ref)
+        lines = (f"{m},{count},{frequency}\n" for m, count, frequency in rep.rows())
+        text = _csv_text(["m", "count", "frequency"], lines, manifest_ref)
         ok = True
         warnings = [f"{len(rep.uncovered)} of {rep.window_length} window values uncovered in the base build"]
     else:  # pragma: no cover - argparse restricts choices
@@ -324,7 +321,7 @@ def cmd_equidist(args: argparse.Namespace) -> int:
     summary["ok"] = ok
     csv_text = _csv_text(
         ["a", "count", "expected", "deviation", "normalized_ratio"],
-        deviation_csv_rows(dev),
+        deviation_csv_lines(dev),
         manifest_ref,
     )
     warnings = [] if ok else ["equidistribution alarm: " + json.dumps(summary)]

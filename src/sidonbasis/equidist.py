@@ -16,9 +16,11 @@ divisible by pi_j takes the extra coordinate n_j there, so by the CRT
 these coordinates name all q^deg g = prod(n_j + 1) residues. The triples
 of unit members are one FFT convolution (_distinct_triples). A non-unit
 member is one of the degree-d factors of g, and the triples holding one
-take one array pass per (non-unit, first partner). The cost is
-O(N + q^deg g log q^deg g) for a pool of N plus O(N^2) per non-unit
-member, against O(N^3) products for the triples one by one.
+are its products with the pairs of the rest of the pool, binned
+_PAIR_BLOCK pairs at a time. The cost is O(N + q^deg g log q^deg g) for
+a pool of N plus, per non-unit member, O(N^2) products and one
+q^deg g-long bincount per block, against O(N^3) products for the
+triples one by one.
 
 The one size limit is ffpoly.ENUM_CAP on q^deg g and on q^d, checked
 before allocating (see triple_histogram); no function takes a limit.
@@ -27,6 +29,7 @@ before allocating (see triple_histogram); no function takes a limit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +141,10 @@ def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return six // 6
 
 
+# (member, partner, partner) products per block of the non-unit pass
+_PAIR_BLOCK = 1 << 17
+
+
 @dataclass(frozen=True)
 class TripleCountReport:
     q: PrimeModulus
@@ -180,28 +187,31 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where((a == mods) | (b == mods), mods, (a + b) % mods)
 
-    # each triple holding a non-unit member, counted at its first such member
+    # each triple holding a non-unit member z, counted at its first such
+    # member: z times each pair a < b of the members left once z and the
+    # non-units before it are taken out, binned a block of rows a at a time
     rest = np.ones(n, dtype=bool)
     for z in np.flatnonzero(~is_unit):
         rest[z] = False
         others = member[rest]
-        for a in range(len(others) - 1):
-            prods = times(times(member[z], others[a]), others[a + 1 :])
+        left = times(member[z], others)
+        m = len(others)
+        row_pairs = m - 1 - np.arange(m)
+        before = np.concatenate(([0], np.cumsum(row_pairs)))  # pairs in the rows above a
+        a0 = 0
+        while a0 < m - 1:
+            a1 = max(a0 + 1, int(np.searchsorted(before, before[a0] + _PAIR_BLOCK, side="right")) - 1)
+            rows = np.arange(a0, a1)
+            a = np.repeat(rows, row_pairs[a0:a1])
+            b = np.arange(len(a)) - np.repeat(before[a0:a1] - before[a0] - rows - 1, row_pairs[a0:a1])
+            prods = times(left[a], others[b])
             total += np.bincount(np.ravel_multi_index(tuple(prods.T), ext_shape), minlength=total.size)
+            a0 = a1
     per_code = total[np.ravel_multi_index(tuple(coords.T), ext_shape)]
     unit = (coords < mods).all(axis=1)
     hit = np.flatnonzero(unit | (per_code > 0))
     counts = dict(zip(hit.tolist(), per_code[hit].tolist()))
     return TripleCountReport(q, d, g, n, counts, tuple(np.flatnonzero(unit).tolist()))
-
-
-@dataclass(frozen=True)
-class DeviationRow:
-    code: int
-    residue: str  # poly_to_string of the class's residue
-    count: int
-    deviation: float  # count - expected, correctly rounded
-    ratio: float  # |deviation| / normalizer
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,12 @@ class DeviationReport:
     max_ratio: float
     mean_ratio: float
     chi2: float  # sum of squared deviations over expected, unit classes
-    rows: tuple[DeviationRow, ...]  # unit classes only
+    # one column entry per unit class, in code order
+    codes: tuple[int, ...]
+    residues: tuple[str, ...]  # poly_to_string of the class's residue
+    counts: tuple[int, ...]
+    deviations: tuple[float, ...]  # count - expected, correctly rounded
+    ratios: tuple[float, ...]  # |deviation| / normalizer
 
 
 def check_theta(d: int, g: Poly) -> Fraction:
@@ -236,25 +251,24 @@ def check_theta(d: int, g: Poly) -> Fraction:
 
 def deviation_report(report: TripleCountReport) -> DeviationReport:
     """Deviations c - B / phi of the unit-class counts, B = C(|I_d|, 3),
-    each the correctly rounded (c phi - B) / phi. chi2, the sum of
-    (c - B / phi)^2 / (B / phi), is phi sum(c^2) / B - 2 sum(c) + B."""
+    each the correctly rounded (c phi - B) / phi. A deviation and its
+    ratio depend on the count alone, so each is computed once per
+    distinct count. chi2, the sum of (c - B / phi)^2 / (B / phi), is
+    phi sum(c^2) / B - 2 sum(c) + B, with the sums exact in Python
+    integers (sum(c^2) passes 2^63 by d = 12)."""
     q, d, g = report.q, report.d, report.g
     theta = check_theta(d, g)
     phi_g = euler_phi_poly(g)
     binom = math.comb(report.pool_size, 3)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
-    names = dict(zip(report.units, code_names(q.q, report.units, g.degree)))
-    rows = []
-    nonunit_total = unit_sum = square_sum = 0
-    for u, c in sorted(report.counts.items()):
-        if u not in names:
-            nonunit_total += c
-            continue
-        unit_sum += c
-        square_sum += c * c
-        dev = (c * phi_g - binom) / phi_g
-        rows.append(DeviationRow(u, names[u], c, dev, abs(dev) / normalizer))
-    ratios = [row.ratio for row in rows]
+    counts = tuple(map(report.counts.__getitem__, report.units))
+    multiplicity = Counter(counts)
+    unit_sum = sum(c * m for c, m in multiplicity.items())
+    square_sum = sum(c * c * m for c, m in multiplicity.items())
+    nonunit_total = sum(report.counts.values()) - unit_sum
+    deviation = {c: (c * phi_g - binom) / phi_g for c in multiplicity}
+    ratio = {c: abs(dev) / normalizer for c, dev in deviation.items()}
+    ratios = tuple(map(ratio.__getitem__, counts))
     chi2 = Fraction(phi_g * square_sum, binom) - 2 * unit_sum + binom if binom else 0
     return DeviationReport(
         q=q,
@@ -270,15 +284,22 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
         max_ratio=max(ratios) if ratios else 0.0,
         mean_ratio=sum(ratios) / len(ratios) if ratios else 0.0,
         chi2=float(chi2),
-        rows=tuple(rows),
+        codes=report.units,
+        residues=tuple(code_names(q.q, report.units, g.degree)),
+        counts=counts,
+        deviations=tuple(map(deviation.__getitem__, counts)),
+        ratios=ratios,
     )
 
 
-def deviation_csv_rows(report: DeviationReport):
-    """(a, count, expected, deviation, normalized_ratio) per unit class."""
+def deviation_csv_lines(report: DeviationReport) -> list[str]:
+    """The CSV line "a,count,expected,deviation,normalized_ratio" of
+    each unit class, newline-terminated, with every value as str()
+    prints it. The part after a is formatted once per distinct count."""
     expected = float(report.expected)
-    for row in report.rows:
-        yield (row.residue, row.count, expected, row.deviation, row.ratio)
+    row_of = dict(zip(report.counts, range(len(report.counts))))  # one row per distinct count
+    tail = {c: f",{c},{expected},{report.deviations[i]},{report.ratios[i]}\n" for c, i in row_of.items()}
+    return list(map(str.__add__, report.residues, map(tail.__getitem__, report.counts)))
 
 
 def deviation_summary(report: DeviationReport) -> dict:

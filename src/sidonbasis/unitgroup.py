@@ -1,7 +1,12 @@
 """Unit groups of F_q[t]/(g): order, generators, discrete logarithm.
 
 For irreducible g the units form a cyclic group of order N = q^deg(g) - 1.
-Generators are found by the order test against the factored N.
+Generators are found by the order test against the factored N, run on
+blocks of candidates at once: omega^e mod g is row 0 of the e-th power
+of the matrix of x -> omega x (ffpoly.mulmod_matrix), so one stack of
+matrix squarings mod q serves every candidate of a block and every
+exponent N/ell (_order_powers). No candidate is powered one polynomial
+product at a time.
 
 The discrete log is a table while N <= DLOG_SCAN_LIMIT = 2^20, that is
 for up to 2^20 + 1 residues (13^5 = 371,293 among them), and is not built
@@ -21,6 +26,7 @@ factor_integer accepts. No function takes a limit as an argument.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,7 @@ import numpy as np
 from . import primes
 from .ffpoly import (
     Poly,
+    code_digits,
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
@@ -66,22 +73,51 @@ def group_order(g: Poly) -> int:
     return g.q.q ** g.degree - 1
 
 
-def _passes_order_test(omega: Poly, g: Poly, n: int, prime_factors: set[int]) -> bool:
-    one = poly_mod(Poly.one(g.q), g)
-    if poly_powmod(omega, n, g) != one:
-        return False
-    for ell in prime_factors:
-        if poly_powmod(omega, n // ell, g) == one:
-            return False
-    return True
+# candidates per block of the generator search; a generator is usually
+# among the first few dozen, and one block costs about log2(N) stacked
+# (block, deg g, deg g) matrix products
+_SEARCH_BLOCK = 32
+
+
+def _order_powers(g: Poly, omegas: np.ndarray, exponents: list[int]) -> np.ndarray:
+    """omega^e mod g for every digit row omega of omegas (shape
+    (B, deg g)) and every e in exponents, as digit vectors of shape
+    (B, len(exponents), deg g).
+
+    The matrix M of x -> omega x is sum_i omega_i H_i, H_i[j] the digits
+    of t^(i+j) mod g, and omega^e = 1 * M^e is the product of the squares
+    M^(2^b) over the bits b of e, all candidates at once."""
+    qv, d = g.q.q, g.degree
+    powers_of_t = mulmod_matrix(Poly.one(g.q), g, 2 * d - 1)  # row k: t^k mod g
+    hankel = powers_of_t[np.arange(d)[:, None] + np.arange(d)]
+    square = (omegas @ hankel.reshape(d, d * d)).reshape(-1, d, d) % qv
+    out = np.zeros((len(omegas), len(exponents), d), dtype=np.int64)
+    out[:, :, 0] = 1
+    for bit in range(max(exponents, default=0).bit_length()):
+        if bit:
+            square = square @ square % qv
+        take = np.array([e >> bit & 1 for e in exponents], dtype=bool)
+        out[:, take] = out[:, take] @ square % qv
+    return out
+
+
+def _is_one(powers: np.ndarray) -> np.ndarray:
+    """Which digit vectors (along the last axis) are those of 1."""
+    return (powers[..., 0] == 1) & ~powers[..., 1:].any(axis=-1)
+
+
+def _order_exponents(n: int) -> list[int]:
+    """n / ell for each prime ell dividing n, ascending in ell."""
+    return [n // ell for ell in sorted(set(factor_integer(n)))]
 
 
 @dataclass(frozen=True)
 class Generator:
     """A residue of full multiplicative order mod an irreducible g.
 
-    Construction re-runs the order test; since the order test can only
-    pass when the unit group has the full q^deg(g) - 1 elements, it also
+    Construction re-runs the full order test, omega^n = 1 and every
+    omega^(n/ell) != 1 for n = q^deg(g) - 1, through _order_powers; since
+    it can only pass when the unit group has all n elements, it also
     certifies irreducibility of g as a side effect.
     """
 
@@ -97,7 +133,9 @@ class Generator:
         n = group_order(g)
         if poly_mod(omega, g).is_zero():
             raise ValueError("generator must be a unit")
-        if not _passes_order_test(omega, g, n, set(factor_integer(n))):
+        digits = code_digits(g.q.q, [omega.code], g.degree)
+        is_one = _is_one(_order_powers(g, digits, [n, *_order_exponents(n)]))[0]
+        if not is_one[0] or is_one[1:].any():
             raise ValueError(f"{omega} does not have order {n} mod {g}")
         # the caches keyed by generators (builder._decode_index, read per
         # decoded value) hash them on every lookup; hashing g and omega
@@ -112,24 +150,32 @@ class Generator:
         return group_order(self.g)
 
 
+def _candidate_codes(q: int, d: int):
+    """Codes of the monic-or-constant nonzero residues of degree < d,
+    ascending."""
+    yield from range(1, q)
+    for k in range(1, d):
+        yield from range(q**k, 2 * q**k)
+
+
 def find_generator(g: Poly) -> Generator:
     """Smallest monic-or-constant residue of full order, in code order.
 
-    The trivial group (order 1) accepts the constant 1 vacuously.
+    Candidates are tested _SEARCH_BLOCK at a time against every n / ell
+    only: omega^n = 1 holds for every unit once g is irreducible. The
+    trivial group (order 1) accepts the constant 1 vacuously.
     """
     if not g.is_monic() or g.degree < 1:
         raise ValueError("need a monic modulus of degree >= 1")
     if not is_irreducible(g):
         raise ValueError(f"{g} is reducible")
-    n = group_order(g)
-    prime_factors = set(factor_integer(n))
+    exponents = _order_exponents(group_order(g))
     qv = g.q.q
-    for code in range(1, qv**g.degree):
-        omega = Poly.from_code(g.q, code)
-        if not (omega.degree == 0 or omega.is_monic()):
-            continue
-        if _passes_order_test(omega, g, n, prime_factors):
-            return Generator(g, omega)
+    candidates = _candidate_codes(qv, g.degree)
+    while block := list(itertools.islice(candidates, _SEARCH_BLOCK)):
+        passing = ~_is_one(_order_powers(g, code_digits(qv, block, g.degree), exponents)).any(axis=1)
+        if passing.any():
+            return Generator(g, Poly.from_code(g.q, block[int(passing.argmax())]))
     raise ArithmeticError(f"no generator found mod {g}")  # unreachable for irreducible g
 
 

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: exit codes, manifests, determinism, formats."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from sidonbasis import cli
+from sidonbasis.analyzer import monte_carlo_coverage
 from sidonbasis.auxset import YTable, default_aux, triple_sumset_bits
 from sidonbasis.builder import _pack, digit_weights, level_e_digits, mixed_radix, seq_from_json
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
@@ -289,6 +291,31 @@ def test_verify_decompose_block_size_invariant(workdir, tmp_path, monkeypatch):
         texts.append(out.read_text().replace(out.name, "dec.json"))
     assert texts[1] == texts[0] and texts[2] == texts[0]
     assert read_json(tmp_path / "decNone.json")["failure_count"] > 0
+
+
+def test_coverage_csv_matches_str_join(workdir, tmp_path, monkeypatch):
+    # the coverage rows joined with str, as the writer formatted them row
+    # by row, against the file's text byte for byte; the window's real
+    # frequencies are all 0.0, so the report is given frequencies of
+    # other shapes (1/3, 1e-05, 1.0) on its way to the writer
+    seq = seq_from_json(read_json(workdir / "seq.json"))
+    window = (3 * seq.values[0], 30)
+    shapes = (1 / 3, 1e-05, 1.0, 0.0, 0.5)
+    reports = []
+
+    def reshaped(*args, **kwargs):
+        rep = monte_carlo_coverage(*args, **kwargs)
+        reports.append(dataclasses.replace(rep, frequencies=shapes * 6))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "monte_carlo_coverage", reshaped)
+    out = tmp_path / "cov.csv"
+    spec = f"{window[0]}:{window[1]}"
+    argv = ["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "coverage"]
+    assert main(argv + ["--window", spec, "--trials", "3", "--out", str(out)]) == 0
+    lines = [",".join(str(x) for x in row) + "\n" for row in reports[0].rows()]
+    assert len(lines) == 30 and lines[1].endswith(",1e-05\n")
+    assert out.read_text() == "# manifest: cov.csv.manifest.json\nm,count,frequency\n" + "".join(lines)
 
 
 def test_verify_coverage_csv(workdir, tmp_path):

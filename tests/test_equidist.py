@@ -13,7 +13,7 @@ from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.equidist import (
     _distinct_triples,
     _exponent_coordinates,
-    deviation_csv_rows,
+    deviation_csv_lines,
     deviation_report,
     deviation_summary,
     triple_histogram,
@@ -27,6 +27,7 @@ from sidonbasis.ffpoly import (
     poly_gcd,
     poly_mod,
     poly_mul,
+    poly_to_string,
 )
 from sidonbasis.unitgroup import euler_phi_poly
 
@@ -250,8 +251,11 @@ def test_deviation_report_equals_fraction_formulas(q, d, g):
     deviations = [rep.counts[u] - expected for u in sorted(rep.counts) if u in units]
     ratios = [abs(float(x)) / normalizer for x in deviations]
     assert dev.expected == expected
-    assert [row.deviation for row in dev.rows] == [float(x) for x in deviations]
-    assert [row.ratio for row in dev.rows] == ratios
+    assert dev.codes == rep.units
+    assert dev.counts == tuple(rep.counts[u] for u in rep.units)
+    assert dev.residues == tuple(poly_to_string(Poly.from_code(q, u)) for u in rep.units)
+    assert list(dev.deviations) == [float(x) for x in deviations]
+    assert list(dev.ratios) == ratios
     assert dev.max_ratio == max(ratios)
     assert dev.mean_ratio == sum(ratios) / len(ratios)
     assert dev.chi2 == float(sum(x * x / expected for x in deviations))
@@ -265,10 +269,11 @@ def test_deviation_report_quadratic_d3():
     assert dev.expected == Fraction(56, 8) == Fraction(7)
     assert dev.normalizer == 3 ** Fraction(9 - 2, 2)
     assert dev.conservation_ok and dev.nonunit_total == 0
-    assert len(dev.rows) == 8
-    for row in dev.rows:
-        assert row.deviation == row.count - 7
-        assert row.ratio == pytest.approx(abs(row.deviation) / dev.normalizer)
+    assert dev.codes == tuple(range(1, 9))
+    assert len(dev.residues) == len(dev.counts) == len(dev.deviations) == len(dev.ratios) == 8
+    for count, deviation, ratio in zip(dev.counts, dev.deviations, dev.ratios):
+        assert deviation == count - 7
+        assert ratio == pytest.approx(abs(deviation) / dev.normalizer)
     assert dev.max_ratio == pytest.approx(1 / dev.normalizer)  # counts hit 6 and 8
     assert dev.max_ratio == pytest.approx(0.0214, abs=2e-4)
     assert dev.chi2 == pytest.approx(2 / 7, abs=1e-9)
@@ -293,13 +298,15 @@ def test_deviation_trend_is_bounded():
 
 def test_deviation_csv_and_summary():
     dev = deviation_report(triple_histogram(Q3, 3, G_QUAD))
-    rows = list(deviation_csv_rows(dev))
-    assert len(rows) == 8
-    for a, count, expected, deviation, ratio in rows:
-        assert isinstance(count, int)
-        assert expected == pytest.approx(7.0)
-        assert deviation == pytest.approx(count - 7)
-        assert ratio >= 0.0
+    lines = deviation_csv_lines(dev)
+    assert len(lines) == 8
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    for line, residue, count in zip(lines, dev.residues, dev.counts):
+        a, count_text, expected, deviation, ratio = line.split(",")
+        assert a == residue and int(count_text) == count
+        assert float(expected) == pytest.approx(7.0)
+        assert float(deviation) == pytest.approx(count - 7)
+        assert float(ratio) >= 0.0
     summary = deviation_summary(dev)
     for key in ("q", "d", "g", "theta", "phi_g", "binom", "max_ratio", "mean_ratio", "chi2", "nonunit_total"):
         assert key in summary
@@ -314,5 +321,65 @@ def test_histogram_reports_nonunit_classes_for_reducible_modulus():
     dev = deviation_report(rep)
     assert dev.conservation_ok
     assert sum(rep.counts.values()) == math.comb(rep.pool_size, 3)
-    total_units = sum(row.count for row in dev.rows)
+    total_units = sum(dev.counts)
     assert total_units + dev.nonunit_total == dev.binom
+
+
+def str_join_lines(q, d, g):
+    """The unit-class CSV lines as the writer formatted them row by row:
+    each row from the counts and exact fractions, joined with str."""
+    rep = triple_histogram(q, d, g)
+    expected = Fraction(math.comb(rep.pool_size, 3), euler_phi_poly(g))
+    normalizer = math.sqrt(q.q ** (3 * d - g.degree))
+    lines = []
+    for u in rep.units:
+        c = rep.counts[u]
+        deviation = float(c - expected)
+        name = poly_to_string(Poly.from_code(q, u))
+        row = (name, c, float(expected), deviation, abs(deviation) / normalizer)
+        lines.append(",".join(str(x) for x in row) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "q, d, g, nonunits",
+    [(Q3, 6, "1+t^5", False), (Q5, 2, "1+t^4", True), (Q3, 2, "t+t^2+t^3+t^4", True), (Q3, 6, "2+t+t^6", True)],
+    ids=["exponent-ratio", "two-nonunits-q5", "mixed-d2", "nonunit-d6"],
+)
+def test_csv_lines_match_str_join(q, d, g, nonunits, tmp_path):
+    g = poly_from_string(q, g)
+    rep = triple_histogram(q, d, g)
+    dev = deviation_report(rep)
+    expected_lines = str_join_lines(q, d, g)
+    assert deviation_csv_lines(dev) == expected_lines
+    assert any(x < 0 for x in dev.deviations)
+    if nonunits:  # non-unit classes are hit, and stay out of the lines
+        assert dev.nonunit_total > 0 and len(rep.counts) > len(rep.units)
+    else:  # some ratio prints in exponent form
+        assert any("e-" in line.rsplit(",", 1)[1] for line in expected_lines)
+    out = tmp_path / "eq.csv"
+    assert main(["equidist", "--q", str(q.q), "--d", str(d), "--g", str(g), "--out", str(out)]) == 0
+    header = "# manifest: eq.csv.manifest.json\na,count,expected,deviation,normalized_ratio\n"
+    assert out.read_text() == header + "".join(expected_lines)
+
+
+def product_of_first(q, d, k):
+    g = Poly.one(q)
+    for f in enumerate_irreducibles(q, d)[:k]:
+        g = poly_mul(g, f)
+    return g
+
+
+@pytest.mark.parametrize("block", [1, 7, equidist._PAIR_BLOCK])
+@pytest.mark.parametrize(
+    "q, d, k",
+    # (the first k irreducibles of degree d) as g: k members of the pool
+    # are not units, and each of their triples is counted once
+    [(Q3, 3, 2), (Q5, 2, 3), (Q3, 2, 2)],
+    ids=["q3-d3-two", "q5-d2-three", "q3-d2-two"],
+)
+def test_nonunit_blocks_match_brute_force(monkeypatch, q, d, k, block):
+    monkeypatch.setattr(equidist, "_PAIR_BLOCK", block)
+    g = product_of_first(q, d, k)
+    assert sum(poly_mod(g, f).is_zero() for f in enumerate_irreducibles(q, d)) == k
+    assert triple_histogram(q, d, g).counts == brute_counts(q, d, g)

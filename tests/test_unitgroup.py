@@ -16,6 +16,9 @@ from sidonbasis.ffpoly import (
     poly_powmod,
 )
 from sidonbasis import unitgroup
+from sidonbasis.auxset import default_aux
+from sidonbasis.builder import Params, build_moduli
+from sidonbasis.ffpoly import is_irreducible, poly_from_string
 from sidonbasis.unitgroup import (
     DLOG_SCAN_LIMIT,
     Generator,
@@ -60,6 +63,63 @@ def test_find_generator_examples():
     assert poly_powmod(gen.omega, 4, G_QUAD) != Poly(Q3, (1,))
     # trivial group: 1 generates vacuously
     assert find_generator(Poly(Q2, (1, 1))).omega == Poly(Q2, (1,))
+
+
+def scalar_generator(g):
+    """Oracle for find_generator: the first monic-or-constant residue in
+    code order whose n-th power is 1 and whose n / ell-th powers are not,
+    for n = q^deg g - 1 and the primes ell dividing it, one poly_powmod
+    at a time."""
+    n = group_order(g)
+    one = poly_mod(Poly.one(g.q), g)
+    for code in range(1, g.q.q**g.degree):
+        omega = Poly.from_code(g.q, code)
+        if omega.degree != 0 and not omega.is_monic():
+            continue
+        if poly_powmod(omega, n, g) == one and all(
+            poly_powmod(omega, n // ell, g) != one for ell in set(factor_integer(n))
+        ):
+            return omega
+    raise AssertionError(f"no generator mod {g}")
+
+
+def oracle_moduli():
+    for q, dmax in ((2, 4), (3, 4), (5, 4)):
+        for d in range(1, dmax + 1):
+            yield from enumerate_irreducibles(PrimeModulus(q), d)
+    for q, k_max in ((3, 4), (11, 3), (13, 3)):
+        params = Params(q=PrimeModulus(q), aux=default_aux(), k_max=k_max)
+        yield from (gen.g for gen in build_moduli(params).generators)
+    # the benchmark's equidist moduli, each irreducible
+    for g in ("1+t^2", "2+t+t^6", "2+t^2+t^8"):
+        yield poly_from_string(Q3, g)
+
+
+def test_find_generator_matches_scalar_scan():
+    moduli = list(oracle_moduli())
+    assert len(moduli) == 8 + 32 + 205 + 4 + 3 + 3 + 3 and all(is_irreducible(g) for g in moduli)
+    for g in moduli:
+        assert find_generator(g).omega == scalar_generator(g), g
+
+
+def test_generator_rejects_non_generators_and_reducible_moduli():
+    # every unit mod G_QUINT, accepted exactly when its log is prime to
+    # 242, and every nonzero residue mod a reducible g of the same degree,
+    # whose unit group has fewer than 3^5 - 1 elements
+    gen = find_generator(G_QUINT)
+    logs = dlog_table(gen)
+    for code in range(1, 3**5):
+        omega = Poly.from_code(Q3, code)
+        if np.gcd(int(logs[code]), 242) == 1:
+            assert Generator(G_QUINT, omega).omega == omega
+        else:
+            with pytest.raises(ValueError, match="does not have order"):
+                Generator(G_QUINT, omega)
+    reducible = poly_mul(Poly(Q3, (1, 0, 1)), Poly(Q3, (2, 1, 0, 1)))  # (1+t^2)(2+t+t^3)
+    assert not is_irreducible(reducible)
+    for code in range(1, 3**5):
+        with pytest.raises(ValueError):
+            Generator(reducible, Poly.from_code(Q3, code))
 
 
 def test_find_generator_rejects_reducible():
