@@ -1,6 +1,10 @@
 """Verification surface over built sequences.
 
-verify_sidon reports colliding pairwise sums. attribute_collision
+verify_sidon reports colliding pairwise sums. sidon_certificate proves a
+one-level sequence Sidon from the construction's digit laws, without a
+pair-sum scan, when the level passes its sharpened pair margin and every
+r digit lies in A; the command line runs verify_sidon only when it
+declines. attribute_collision
 explains a collision digit by digit: it recovers the four entries,
 reconstructs the mixed-radix digits of the equal sums, compares each
 digit against the additive laws the construction imposes (odd positions
@@ -85,12 +89,14 @@ each worker process receives the plan once.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .auxset import YTable, _bits_of, _shift_sumset
 from .builder import (
+    KClassAudit,
     Params,
     SequenceEntry,
     SidonSequence,
@@ -291,6 +297,48 @@ def verify_sidon(values) -> list[CollisionWitness]:
                 out.append(CollisionWitness(*prior, *pair))
         j0 = j1
     return out
+
+
+def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
+    """The audit of the one level of seq when the construction's digit laws
+    prove seq Sidon without a pair-sum scan; None when they do not, and
+    verify_sidon must decide. The proof needs three conditions:
+
+    - every entry lies at one level k, so every pair is same-level;
+    - the level passes its sharpened pair margin
+      (KClassAudit.sharpened_pair_margin): 2 max deg f < k^2, or one
+      degree d in the window with 2 d <= k^2;
+    - every r digit lies in A, and 2 max A + 1 < p with A >= 0 (which
+      aux_from_json enforces through A inside {1..floor(p/2)-1}).
+
+    It takes four facts from seq_from_json (or build_sequence): the moduli
+    are build_moduli(params), so g_1..g_k are coprime of degrees 1, 3,
+    ..., 2k-1 and G_k = g_1...g_k has degree k^2; e holds the table logs
+    of f, so 0 <= e_i < R_i = q^{2i-1} - 1; n re-encodes from its digits
+    <s r_k e_k ... r_1 e_1>; and no f appears twice.
+
+    Then the pair sum of two entries has the digits (e_i + e_i') mod R_i,
+    r_i + r_i' + carry_i and s + s' on top: e_i + e_i' < 2 R_i carries at
+    most 1, and r_i + r_i' + 1 < p carries nothing. Equal pair sums have
+    equal digits, so equal logs mod every g_i, so f_1 f_2 = f_3 f_4 mod
+    G_k. Both products are monic of degree at most 2 max deg f; under (c)
+    that is below k^2, and in the one-degree form both have degree 2d <=
+    k^2, so their difference has degree below k^2. Either way the
+    products are equal, unique factorization gives {f_1, f_2} = {f_3,
+    f_4}, and since no f repeats, the two pairs are one."""
+    levels = {ent.k for ent in seq.entries}
+    if len(levels) != 1:
+        return None
+    (k,) = levels
+    level = next(cls for cls in audit_preconditions(seq.params).classes if cls.k == k)
+    if level.sharpened_pair_margin() is None:
+        return None
+    aux = seq.params.aux
+    if min(aux.A) < 0 or 2 * max(aux.A) + 1 >= aux.p:
+        return None
+    if not set(itertools.chain.from_iterable(ent.r for ent in seq.entries)) <= set(aux.A):
+        return None
+    return level
 
 
 @dataclass(frozen=True)

@@ -545,6 +545,20 @@ class KClassAudit:
     max_degree: int | None
     injectivity_margin_ok: bool | None  # max deg f < k^2
     pair_margin_ok: bool | None  # 2 max deg f < k^2
+    one_degree_margin_ok: bool | None  # the window is one degree d, 2 d <= k^2
+
+    def sharpened_pair_margin(self) -> str | None:
+        """The form of the pair margin that holds at this level, as a line:
+        margin (c), or its one-degree form (the products of two members
+        are then monic of degree 2d <= k^2, so two of them that agree mod
+        a monic modulus of degree k^2 are equal). None when neither holds
+        or the window is empty."""
+        k2 = self.k * self.k
+        if self.pair_margin_ok:
+            return f"(c) {2 * self.max_degree} < {k2}"
+        if self.one_degree_margin_ok:
+            return f"(c') one degree {self.max_degree}: {2 * self.max_degree} <= {k2}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -560,7 +574,10 @@ def audit_preconditions(params: Params) -> AuditReport:
     """Concrete margin report: (a) the window constant c sits inside its
     open interval; per level, (b) max deg f < k^2 so distinct members
     stay distinct mod g_1..g_k, and (c) 2 max deg f < k^2 so products of
-    two members are still determined mod g_1..g_k."""
+    two members are still determined mod g_1..g_k. Each level also
+    carries the one-degree form of (c), a window of one degree d with
+    2 d <= k^2 (KClassAudit.sharpened_pair_margin); the lines report (a),
+    (b) and (c) only."""
     c = params.c
     c_ok = Fraction(1, 3) < c and (3 - 2 * c) ** 2 > 5
     lines = [
@@ -572,13 +589,13 @@ def audit_preconditions(params: Params) -> AuditReport:
     for k in range(params.k_min, params.k_max + 1):
         degs = fk_degrees(params, k)
         if not degs:
-            classes.append(KClassAudit(k, degs, None, None, None))
+            classes.append(KClassAudit(k, degs, None, None, None, None))
             lines.append(f"k={k}: empty degree window")
             continue
         mx = degs[-1]
         ok_b = mx < k * k
         ok_c = 2 * mx < k * k
-        classes.append(KClassAudit(k, degs, mx, ok_b, ok_c))
+        classes.append(KClassAudit(k, degs, mx, ok_b, ok_c, len(degs) == 1 and 2 * mx <= k * k))
         all_ok = all_ok and ok_b and ok_c
         lines.append(
             f"k={k}: degrees {degs}, max {mx}: "

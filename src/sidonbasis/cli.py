@@ -22,7 +22,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analyzer import attribute_collision, decompose, decompose_many, monte_carlo_coverage, verify_sidon
+from .analyzer import (
+    attribute_collision,
+    decompose,
+    decompose_many,
+    monte_carlo_coverage,
+    sidon_certificate,
+    verify_sidon,
+)
 from .auxset import (
     SearchExhausted,
     aux_from_json,
@@ -171,8 +178,24 @@ def _parse_window(spec_str: str, values: list[int]) -> tuple[int, int]:
     return center - length // 2, length
 
 
-def _verify_sidon_report(seq) -> tuple[dict, bool]:
-    witnesses = verify_sidon(seq.values)
+def _verify_sidon_report(seq) -> tuple[dict, bool, dict]:
+    """(report, ok, sidon_path): the Sidon report, as verify_sidon finds it
+    or, when sidon_certificate holds, with no witnesses; sidon_path is the
+    manifest block that names the path taken."""
+    level = sidon_certificate(seq)
+    if level is not None:
+        witnesses = []
+        sidon_path = {
+            "sidon_path": "certificate",
+            "certificate": {
+                "level": level.k,
+                "degrees": list(level.degrees),
+                "margin": level.sharpened_pair_margin(),
+            },
+        }
+    else:
+        witnesses = verify_sidon(seq.values)
+        sidon_path = {"sidon_path": "engine"}
     items = []
     for w in witnesses:
         audit = attribute_collision(seq, w)
@@ -197,7 +220,7 @@ def _verify_sidon_report(seq) -> tuple[dict, bool]:
         "witnesses": items,
         "ok": not witnesses,
     }
-    return report, not witnesses
+    return report, not witnesses, sidon_path
 
 
 # samples per block of the decompose check: the object arrays of one
@@ -274,8 +297,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seq = seq_from_json(_load_json(args.seq_file))
     manifest_ref = None if args.out == "-" else _manifest_name(args.out)
+    sidon_path = {}
     if args.mode == "sidon":
-        report, ok = _verify_sidon_report(seq)
+        report, ok, sidon_path = _verify_sidon_report(seq)
         if manifest_ref:
             report["manifest"] = manifest_ref
         text = _json_text(report)
@@ -303,6 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.mode)
     manifest = _manifest(args, inputs=[args.seq_file], outputs=[args.out], warnings=warnings)
+    manifest.update(sidon_path)
     _write_report(args.out, text, manifest)
     return 0 if ok else 1
 

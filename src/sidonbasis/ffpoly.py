@@ -375,13 +375,28 @@ def poly_to_string(f: Poly) -> str:
     return "+".join(_term(c, i) for i, c in enumerate(f.coeffs) if c) or "0"
 
 
+def _name_table(q: int, start: int, width: int) -> list[str]:
+    """The names of the q^width sums of c_i t^(start+i), i < width, in code
+    order, "" for 0: their digit matrix picks each term from one table of
+    the q - 1 nonzero terms per position."""
+    terms = np.array([["", *(_term(c, i) for c in range(1, q))] for i in range(start, start + width)], dtype=object)
+    rows = terms[np.arange(width), code_digits(q, np.arange(q**width), width)].tolist()
+    return ["+".join(filter(None, row)) for row in rows]
+
+
 def code_names(q: int, codes, width: int) -> list[str]:
     """poly_to_string(Poly.from_code(q, c)) for each of the codes, which
-    must lie in [0, q^width): their digit matrix picks each term from one
-    table of the q - 1 nonzero terms per position."""
-    terms = np.array([["", *(_term(c, i) for c in range(1, q))] for i in range(width)], dtype=object)
-    rows = terms[np.arange(width), code_digits(q, codes, width)].tolist()
-    return ["+".join(filter(None, row)) or "0" for row in rows]
+    must lie in [0, q^width). A code splits into its low width // 2
+    digits and its high rest, and its name is one join of two table
+    entries: the low half's name, followed by "+" when neither half is 0
+    (or "0" when both are), and the high half's name."""
+    half = width // 2
+    low_names = _name_table(q, 0, half)
+    left = [name and name + "+" for name in low_names] + [name or "0" for name in low_names]
+    right = np.array(_name_table(q, half, width - half), dtype=object)
+    high, low = np.divmod(np.asarray(codes, dtype=np.int64), q**half)
+    low[high == 0] += q**half
+    return (np.array(left, dtype=object)[low] + right[high]).tolist()
 
 
 def poly_from_string(q: PrimeModulus, s: str) -> Poly:

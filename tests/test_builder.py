@@ -468,6 +468,26 @@ def test_audit_margins(params307):
     assert any("fail" in line for line in report.lines)
 
 
+@pytest.mark.parametrize(
+    "qv, k, degrees, margin",
+    [
+        (3, 2, (2,), "(c') one degree 2: 4 <= 4"),
+        (3, 3, (4,), "(c) 8 < 9"),
+        (11, 3, (4,), "(c) 8 < 9"),
+        (13, 3, (4,), "(c) 8 < 9"),
+        (3, 4, (6, 8), None),
+        (3, 5, (10, 12), "(c) 24 < 25"),
+    ],
+)
+def test_sharpened_pair_margin(aux307, qv, k, degrees, margin):
+    # c = 7/20: the one-degree form passes k = 2, where (c) fails
+    # (4 < 4); k = 4 has two degrees and fails both (16 < 16)
+    (level,) = audit_preconditions(Params(q=PrimeModulus(qv), aux=aux307, k_min=k, k_max=k)).classes
+    assert level.degrees == degrees
+    assert level.one_degree_margin_ok is (len(degrees) == 1)  # every one-degree window here has 2d <= k^2
+    assert level.sharpened_pair_margin() == margin
+
+
 def test_audit_c_boundaries(params307):
     assert not audit_preconditions(with_c(params307, "1/2")).c_ok
     assert not audit_preconditions(with_c(params307, "1/3")).c_ok

@@ -369,13 +369,12 @@ def test_verify_zero_trials(workdir, tmp_path):
     assert len(rows) == 20 and all(row.endswith(",0.0") for row in rows)
 
 
-@pytest.fixture(scope="module")
-def colliding_seq(workdir):
-    """The desk seq.json with the r_1 digit of one level-3 entry d moved so
-    that n_a + n_b = n_c + n_d for three other level-3 entries.
-    seq_from_json checks that each n re-encodes from its digits, not that
-    the r digits are the drawn ones, so the file loads."""
-    obj = read_json(workdir / "seq.json")
+def plant_collision(src, dst):
+    """Copy the sequence file src to dst with the r_1 digit of one level-3
+    entry d moved so that n_a + n_b = n_c + n_d for three other level-3
+    entries. seq_from_json checks that each n re-encodes from its digits,
+    not that the r digits are the drawn ones, so the file loads."""
+    obj = read_json(src)
     seq = seq_from_json(obj)
     weights = digit_weights(seq.params)
     a, b, c, *rest = [ent for ent in seq.entries if ent.k == 3]
@@ -389,9 +388,14 @@ def colliding_seq(workdir):
     r = [d.r[0] + gap // step, *d.r[1:]]
     obj["entries"][seq.entries.index(d)].update(r=r, n=str(a.n + b.n - c.n))
     obj["entries"].sort(key=lambda ent: int(ent["n"]))
-    path = workdir / "colliding.json"
-    path.write_text(json.dumps(obj))
-    return path
+    dst.write_text(json.dumps(obj))
+    return dst
+
+
+@pytest.fixture(scope="module")
+def colliding_seq(workdir):
+    """The desk seq.json with a planted collision (plant_collision)."""
+    return plant_collision(workdir / "seq.json", workdir / "colliding.json")
 
 
 def test_verify_sidon_reports_a_planted_collision(colliding_seq, tmp_path):
@@ -428,6 +432,70 @@ def test_verify_sidon_bytes_under_a_small_bucket_budget(workdir, colliding_seq, 
     monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", 1024)
     assert main(argv + [str(many)]) == rc
     assert one.read_bytes() == many.read_bytes()
+
+
+def built_seq(workdir, qv, k_min, k_max, seed=0):
+    """The sequence file of a build at q = qv, levels k_min..k_max, built
+    once per module."""
+    path = workdir / f"seq-q{qv}-k{k_min}-{k_max}-s{seed}.json"
+    if not path.exists():
+        argv = ["build", "--q", str(qv), "--aux-file", str(workdir / "aux.json"), "--seed", str(seed)]
+        argv += ["--k-min", str(k_min), "--k-max", str(k_max), "--out", str(path)]
+        assert main(argv) == 0
+    return path
+
+
+def verify_sidon_file(seq, out):
+    """(exit code, report, manifest) of verify --mode sidon on seq."""
+    rc = main(["verify", "--seq-file", str(seq), "--mode", "sidon", "--out", str(out)])
+    return rc, read_json(out), read_json(f"{out}.manifest.json")
+
+
+@pytest.mark.parametrize(
+    "qv, k, seed", [(3, 2, 0), (3, 3, 0), (5, 3, 0), (7, 3, 0), (13, 3, 0), (11, 3, 0), (11, 3, 1), (11, 3, 2)]
+)
+def test_sidon_certificate_agrees_with_the_engine(workdir, tmp_path, monkeypatch, qv, k, seed):
+    # one-level builds whose level passes the sharpened pair margin: the
+    # certificate holds, the engine finds no witness, and sidon.json has
+    # the same bytes either way
+    seq = built_seq(workdir, qv, k, k, seed)
+    (tmp_path / "engine").mkdir()
+    rc, rep, manifest = verify_sidon_file(seq, tmp_path / "sidon.json")
+    assert rc == 0 and rep["ok"] and manifest["sidon_path"] == "certificate"
+    degree = 2 if k == 2 else 4
+    assert manifest["certificate"] == {
+        "level": k,
+        "degrees": [degree],
+        "margin": "(c') one degree 2: 4 <= 4" if k == 2 else "(c) 8 < 9",
+    }
+    monkeypatch.setattr(cli, "sidon_certificate", lambda seq: None)
+    rc, rep, manifest = verify_sidon_file(seq, tmp_path / "engine" / "sidon.json")
+    assert rc == 0 and rep["witness_count"] == 0 and manifest["sidon_path"] == "engine"
+    assert "certificate" not in manifest
+    assert (tmp_path / "sidon.json").read_bytes() == (tmp_path / "engine" / "sidon.json").read_bytes()
+
+
+def test_sidon_certificate_declines_an_r_digit_outside_a(workdir, tmp_path):
+    # a one-level q = 3, k = 3 build with a planted collision: its level
+    # passes (c), but one r_1 lies outside A, so the engine decides
+    seq = plant_collision(built_seq(workdir, 3, 3, 3), tmp_path / "colliding.json")
+    rc, rep, manifest = verify_sidon_file(seq, tmp_path / "sidon.json")
+    assert rc == 1 and rep["witness_count"] == 1 and manifest["sidon_path"] == "engine"
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        (3, 4),  # the desk build: two levels, and k = 4 fails the margin
+        (4, 4),  # one level, degrees 6 and 8: 16 < 16 fails
+        (2, 3),  # two levels that each pass the sharpened margin
+    ],
+    ids=["desk", "k4", "k2-3"],
+)
+def test_sidon_certificate_declines_other_builds(workdir, tmp_path, levels):
+    seq = workdir / "seq.json" if levels == (3, 4) else built_seq(workdir, 3, *levels)
+    rc, rep, manifest = verify_sidon_file(seq, tmp_path / "sidon.json")
+    assert rc == 0 and rep["ok"] and manifest["sidon_path"] == "engine"
 
 
 def test_verify_coverage_requires_window(workdir, capsys):

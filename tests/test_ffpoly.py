@@ -261,6 +261,34 @@ def test_code_names_match_poly_to_string(qv, width):
     assert code_names(qv, [], width) == []
 
 
+def joined_names(qv, codes, width):
+    """code_names one row at a time: the nonzero terms of each code's
+    digits, joined by "+"."""
+    names = []
+    for code in codes:
+        terms = []
+        for i in range(width):
+            code, c = divmod(code, qv)
+            if c:
+                power = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+                terms.append(power if c == 1 and power else f"{c}*{power}" if power else str(c))
+        names.append("+".join(terms) or "0")
+    return names
+
+
+@pytest.mark.parametrize("qv, g", [(3, "1+t^2"), (3, "2+t+t^6"), (2, "1+t+t^7"), (5, "2+t^3"), (7, "3+t+t^4")])
+def test_code_names_match_the_per_row_join(qv, g):
+    # the residues coprime to g, as equidist names its rows; among them
+    # are codes whose low half is 0 (t^j, j >= deg g // 2, unless t | g)
+    # and codes whose high half is 0 (the constants)
+    q = PrimeModulus(qv)
+    g = poly_from_string(q, g)
+    half = qv ** (g.degree // 2)
+    units = [u for u in range(qv**g.degree) if poly_gcd(Poly.from_code(q, u), g).degree == 0]
+    assert any(u % half == 0 for u in units) and any(u < half for u in units)
+    assert code_names(qv, units, g.degree) == joined_names(qv, units, g.degree)
+
+
 @given(st.sampled_from([Q2, Q3, Q5]).flatmap(polys))
 @settings(max_examples=200)
 def test_string_roundtrip_property(f):
