@@ -15,7 +15,7 @@ independent, reproducible draw.
 The members of each degree are one cached MemberTable per (q, degree):
 sieve codes, Poly objects and canonical names, with name -> position.
 level_e_digits gives the e digits of a whole level at once: one digit
-matrix of the members' codes, one product mod q per g_i (reduction is
+matrix per block of the codes, one product mod q per g_i (reduction is
 F_q-linear) and one dlog_table gather. The r and s digits are drawn by
 one routine, _draw_digits, over chosen rows (members) and tags (digits)
 of a level's table of hash messages, which carry the members' names
@@ -33,8 +33,9 @@ byte for byte as json.dumps(indent=2).
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off and looks the e digits up in its level's decode index,
-the members of the window below degree k^2 keyed by their e digits (by
-CRT, a polynomial of degree < k^2 = sum deg g_i is determined by its
+the members of the window below degree k^2 keyed by their e digits, read
+as one integer in the mixed radix of the unit-group orders q^(2i-1) - 1
+(by CRT, a polynomial of degree < k^2 = sum deg g_i is determined by its
 residues mod g_1..g_k). The moduli are cached per (q, k_max), the decode
 indexes per (moduli, q, window), the member tables per (q, degree); the
 mixed radix, level brackets and degree windows per Params.
@@ -47,8 +48,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -57,10 +60,9 @@ from .auxset import AuxSet, aux_from_json, aux_to_json, json_value
 from .ffpoly import (
     Poly,
     PrimeModulus,
-    code_digits,
-    digit_codes,
     enumerate_irreducibles,
     irreducible_codes,
+    map_codes,
     mulmod_matrix,
     poly_from_string,
     poly_to_string,
@@ -141,6 +143,12 @@ class ModuliTable:
 
     def __len__(self) -> int:
         return len(self.generators)
+
+    @functools.cached_property
+    def e_weights(self) -> tuple[int, ...]:
+        """_e_weights of g_1..g_{k_max}; level k reads the first k. Cached,
+        as decode_entry reads it per value."""
+        return _e_weights(self.generators)
 
 
 @dataclass(frozen=True)
@@ -363,15 +371,15 @@ def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np
 
 
 def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: int) -> np.ndarray:
-    """level_e_digits of the polynomials with codes below q^width: one
-    digit matrix of the codes, one product mod q per g_i (the reduction
-    map mod g_i) and one log-table gather per g_i."""
+    """level_e_digits of the polynomials with codes below q^width: per
+    block of codes (ffpoly.map_codes), one digit matrix, one product mod q
+    per g_i (the reduction map mod g_i) and one log-table gather per g_i."""
     q = generators[0].g.q
-    digits = code_digits(q.q, codes, width)
+    tables = [dlog_table(gen) for gen in generators]
+    matrices = [mulmod_matrix(Poly.one(q), gen.g, width) for gen in generators]
     e = np.empty((len(codes), len(generators)), dtype=np.int64)
-    for i, gen in enumerate(generators):
-        residues = digit_codes(q.q, digits @ mulmod_matrix(Poly.one(q), gen.g, width) % q.q)
-        e[:, i] = dlog_table(gen)[residues]
+    for rows, i, residues in map_codes(q.q, codes, width, matrices):
+        e[rows, i] = tables[i][residues]
     if (e < 0).any():
         raise ValueError("a member is divisible by one of the moduli g_i")
     return e
@@ -480,22 +488,39 @@ def level_value_range(params: Params, k: int) -> tuple[int, int]:
     return weight, weight * (params.q.q ** (3 * k) + 1)
 
 
+def _e_weights(generators: tuple[Generator, ...]) -> tuple[int, ...]:
+    """R_1 ... R_{i-1} for i = 1..len(generators), R_j = q^(2j-1) - 1 the
+    order of g_j's unit group: the weights of the e digits in their own
+    mixed radix (_e_key)."""
+    return tuple(itertools.accumulate([gen.order for gen in generators[:-1]], operator.mul, initial=1))
+
+
+def _e_key(e, weights: tuple[int, ...]) -> int:
+    """e_1 + e_2 R_1 + ... + e_k R_1 ... R_{k-1}, weights from _e_weights
+    (the first k are used): the e digits in their own mixed radix, one
+    integer per member. Every e_i of a member, and every e_i that
+    decode_entry peels off, lies in [0, R_i), so distinct digit vectors
+    have distinct keys."""
+    return sum(map(operator.mul, e, weights))
+
+
 @functools.lru_cache(maxsize=64)
 def _decode_index(generators: tuple[Generator, ...], q: PrimeModulus, degrees: tuple[int, ...]) -> dict:
-    """e digits -> member, for the members of the degrees in the window
-    degrees of level k = len(generators) that lie below k^2 = sum deg g_i:
-    their e digits by _code_e_digits, as build_sequence computes them. By
-    CRT a polynomial of degree < k^2 is determined by its residues mod
-    g_1..g_k, so no two of these members share their e digits. Cached per
-    (generators, q, degrees), so every Params that differs only in its
-    seed shares it."""
+    """_e_key of the e digits -> member, for the members of the degrees in
+    the window degrees of level k = len(generators) that lie below k^2 =
+    sum deg g_i: their e digits by _code_e_digits, as build_sequence
+    computes them. By CRT a polynomial of degree < k^2 is determined by
+    its residues mod g_1..g_k, so no two of these members share their e
+    digits. Cached per (generators, q, degrees), so every Params that
+    differs only in its seed shares it."""
     tables = [member_table(q, m) for m in degrees if m < len(generators) ** 2]
     if not tables:
         return {}
     codes = np.concatenate([table.codes + q.q**table.degree for table in tables])
     e = _code_e_digits(generators, codes, 1 + tables[-1].degree)
     members = [f for table in tables for f in table.polys]
-    index = dict(zip(map(tuple, e.tolist()), members))
+    weights = _e_weights(generators)
+    index = {_e_key(row, weights): f for row, f in zip(e.tolist(), members)}
     if len(index) != len(members):
         raise AssertionError("two members of degree < k^2 share their e digits")
     return index
@@ -508,10 +533,10 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
     overlap at these parameters, but every bracket-compatible level is
     tried). The digits are peeled off with digit_weights, and f is the
     member of the level's window with degree < k^2 whose e digits they
-    are, looked up in _decode_index. Foreign values fail digit validation
-    or name no such member, and raise DecodeError. A member of degree >=
-    k^2 (margin (b) fails) decodes to the member of degree < k^2 with its
-    e digits, if there is one.
+    are, looked up in _decode_index by _e_key. Foreign values fail digit
+    validation or name no such member, and raise DecodeError. A member of
+    degree >= k^2 (margin (b) fails) decodes to the member of degree < k^2
+    with its e digits, if there is one.
     """
     weights = digit_weights(params)
     a_members = params.aux.A
@@ -532,7 +557,8 @@ def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int
             continue
         if any(x not in a_members for x in r):
             continue
-        f = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k)).get(tuple(e))
+        index = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k))
+        f = index.get(_e_key(e, moduli.e_weights))
         if f is not None:
             return f, k
     raise DecodeError(f"{n} does not decode to any sequence entry")
@@ -696,15 +722,18 @@ def seq_json_text(seq: SidonSequence, manifest_ref: str | None = None) -> str:
 def seq_from_json(obj: dict) -> SidonSequence:
     """Inverse of seq_to_json. Raises ValueError unless the moduli are
     build_moduli(params), every entry's k, digits and n are consistent,
-    f is a monic irreducible of its level's window, e holds the table
-    logs of f and no member appears twice. A failure names the lowest
-    failing entry, and of its failures the first in that order.
+    f is a monic irreducible of its level's window, s lies in [1,
+    q^{3k}], e holds the table logs of f and no member appears twice. A
+    failure names the lowest failing entry, and of its failures the
+    first in that order.
 
     Each f is looked up by name in the level's member tables; only a
-    spelling that is not a canonical name is parsed. The re-encoding and
-    the logs are checked a level at a time, by one object-array product
-    (as _level_draw forms n) and one level_e_digits comparison. A field
-    of the wrong JSON type is a ValueError naming it."""
+    spelling that is not a canonical name is parsed. The re-encoding, the
+    range of s and the logs are checked a level at a time, from the
+    level's entries: one object-array product (as _level_draw forms n),
+    one comparison of s with its bounds and one level_e_digits
+    comparison. A field of the wrong JSON type is a ValueError naming
+    it."""
     json_value(obj, dict, "sequence file")
     params = params_from_json(obj["params"])
     q = params.q
@@ -718,8 +747,9 @@ def seq_from_json(obj: dict) -> SidonSequence:
         raise ValueError("moduli differ from the build's g_i and their generators")
     weights = digit_weights(params)
     tables = {k: level_tables(params, k) for k in range(params.k_min, params.k_max + 1)}
-    entries: list[SequenceEntry] = []
-    levels: dict[int, list[tuple]] = {}  # k -> (index, code of f, e, r, s, n) per entry
+    entries: list[SequenceEntry] = []  # entry idx at position idx
+    codes: list[int] = []  # code of f per entry
+    levels: dict[int, list[int]] = {}  # k -> indexes of its entries
     seen: dict[int, int] = {}  # code of f -> index of its first entry
     # (entry index, rank of the check within the entry, error); the loop
     # stops at the first entry that fails a check made in it
@@ -757,25 +787,33 @@ def seq_from_json(obj: dict) -> SidonSequence:
         code = int(table.codes[pos]) + q.q**table.degree
         first = seen.setdefault(code, idx)
         if first != idx:
-            failures.append((idx, 4, ValueError(f"entry {idx}: f repeats entry {first}")))
+            failures.append((idx, 5, ValueError(f"entry {idx}: f repeats entry {first}")))
         entries.append(SequenceEntry(f=table.polys[pos], k=k, e=e, r=r, s=s, n=n))
-        levels.setdefault(k, []).append((idx, code, e, r, s, n))
-    for k, rows in levels.items():
-        idx_col, code_col, e_col, r_col, s_col, n_col = zip(*rows)
-        idxs = np.array(idx_col)
-        e_rows = np.array(e_col, dtype=object).reshape(-1, k)
+        codes.append(code)
+        levels.setdefault(k, []).append(idx)
+    for k, idx_list in levels.items():
+        idxs = np.array(idx_list)
+        level = [entries[idx] for idx in idx_list]
+        e_rows = np.array([ent.e for ent in level], dtype=object)
         draw = _level_draw(params, k, e_rows)
-        n_calc = draw.fixed + np.array(r_col, dtype=object).reshape(-1, k) @ draw.r_weights
-        n_calc += np.array(s_col, dtype=object) * draw.s_weight
-        bad = idxs[n_calc != np.array(n_col, dtype=object)]
+        s_col = np.array([ent.s for ent in level], dtype=object)
+        n_calc = np.array([ent.r for ent in level], dtype=object) @ draw.r_weights
+        n_calc += draw.fixed
+        n_calc += s_col * draw.s_weight
+        bad = idxs[n_calc != np.array([ent.n for ent in level], dtype=object)]
         if bad.size:
             failures.append((int(bad[0]), 1, _reencode_error(bad[0])))
+        bad = idxs[(s_col < 1) | (s_col > draw.s_range)]
+        if bad.size:
+            msg = f"entry {bad[0]}: s outside [1, q^(3k)] = [1, {draw.s_range}] at level k = {k}"
+            failures.append((int(bad[0]), 3, ValueError(msg)))
         width = 1 + fk_degrees(params, k)[-1]
-        logs = _code_e_digits(moduli.generators[:k], np.array(code_col, dtype=np.int64), width)
+        level_codes = np.array([codes[idx] for idx in idx_list], dtype=np.int64)
+        logs = _code_e_digits(moduli.generators[:k], level_codes, width)
         bad = idxs[(logs != e_rows).any(axis=1)]
         if bad.size:
             msg = f"entry {bad[0]}: e digits differ from the table logs of f"
-            failures.append((int(bad[0]), 3, ValueError(msg)))
+            failures.append((int(bad[0]), 4, ValueError(msg)))
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     warnings = json_value(obj.get("warnings", []), list, "warnings")

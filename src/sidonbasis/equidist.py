@@ -40,10 +40,9 @@ from .ffpoly import (
     MINUS_INFINITY,
     PrimeModulus,
     Poly,
-    code_digits,
     code_names,
-    digit_codes,
     irreducible_codes,
+    map_codes,
     mulmod_matrix,
     poly_derivative,
     poly_gcd,
@@ -69,15 +68,15 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     qv = g.q.q
     if qv**g.degree > ENUM_CAP:
         raise ValueError(f"{qv}^{g.degree} residues mod g exceed ENUM_CAP = {ENUM_CAP}")
-    digits = code_digits(qv, np.arange(qv**g.degree), g.degree)
-    shape = []
-    columns = []
-    for pi in factor_squarefree_poly(g):
-        residues = digit_codes(qv, digits @ mulmod_matrix(Poly.one(g.q), pi, g.degree) % qv)
-        shape.append(qv**pi.degree - 1)
-        logs = dlog_table(find_generator(pi))[residues]
-        columns.append(np.where(logs < 0, shape[-1], logs))
-    return tuple(shape), np.stack(columns, axis=1)
+    factors = factor_squarefree_poly(g)
+    shape = tuple(qv**pi.degree - 1 for pi in factors)
+    tables = [dlog_table(find_generator(pi)) for pi in factors]
+    matrices = [mulmod_matrix(Poly.one(g.q), pi, g.degree) for pi in factors]
+    coords = np.empty((qv**g.degree, len(factors)), dtype=np.int64)
+    for rows, i, residues in map_codes(qv, range(qv**g.degree), g.degree, matrices):
+        logs = tables[i][residues]
+        coords[rows, i] = np.where(logs < 0, shape[i], logs)
+    return shape, coords
 
 
 def unit_codes(g: Poly) -> list[int]:
@@ -175,8 +174,9 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     n = len(codes)
     shape, coords = _exponent_coordinates(g)
     qv = q.q
-    digits = code_digits(qv, codes + qv**d, d + 1)
-    member = coords[digit_codes(qv, digits @ mulmod_matrix(Poly.one(q), g, d + 1) % qv)]
+    member = np.empty((n, len(shape)), dtype=np.int64)
+    for rows, _, residues in map_codes(qv, codes + qv**d, d + 1, [mulmod_matrix(Poly.one(q), g, d + 1)]):
+        member[rows] = coords[residues]
     mods = np.array(shape)
     is_unit = (member < mods).all(axis=1)
     ext_shape = tuple(m + 1 for m in shape)

@@ -12,6 +12,14 @@ coefficient varies fastest), which is also ascending order of the full
 evaluation-at-q value. "Lexicographically smallest" downstream always
 means smallest code. code_digits, digit_codes and mulmod_matrix are the
 package's one vectorized form of codes and of the maps x -> a x mod g.
+
+map_codes applies such maps to many codes a block at a time: each block's
+digit matrix is formed once and serves every map, and no array of a block
+holds more than _BLOCK_DIGITS int64 digits, so its transients stay near
+1 MB however many codes go through (the whole digit matrix of q^d codes
+and its product would cost about 24 d bytes per code for an 8-byte
+output). The irreducible sieve, the e digits, the exponent coordinates
+and, through block_rows, the log tables all work this way.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from . import primes
 MINUS_INFINITY = float("-inf")
 
 ENUM_CAP = 1 << 20
+
+# int64 digits per block array of map_codes and of the log-table build
+_BLOCK_DIGITS = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -285,22 +296,56 @@ def mulmod_matrix(a: Poly, g: Poly, width: int) -> np.ndarray:
     return out
 
 
+def block_rows(width: int) -> int:
+    """Rows of width int64 digits that one block array holds: at least 1,
+    at most _BLOCK_DIGITS digits when width <= _BLOCK_DIGITS."""
+    return max(1, _BLOCK_DIGITS // width)
+
+
+def map_codes(q: int, codes, width: int, matrices: list[np.ndarray]):
+    """Apply F_q-linear maps to codes, one block of codes at a time.
+
+    codes (a 1-D array or a range) must lie in [0, q^width), and each
+    matrix has width rows. Yields (rows, i, images) for each block and
+    each matrix i in turn: images[j] is the code of the digit vector
+    code_digits(q, codes[rows][j], width) @ matrices[i] % q. A block holds
+    block_rows(c) codes, c the widest row involved (width, or a matrix's
+    column count), so the block's digits, each product and its codes are
+    the only arrays formed; the caller consumes each images before the
+    next is made."""
+    cols = max([width, *(m.shape[1] for m in matrices)])
+    step = block_rows(cols)
+    for lo in range(0, len(codes), step):
+        rows = slice(lo, min(lo + step, len(codes)))
+        block = codes[rows]
+        if isinstance(block, range):
+            block = np.arange(block.start, block.stop, block.step, dtype=np.int64)
+        digits = code_digits(q, block, width)
+        for i, matrix in enumerate(matrices):
+            images = digits @ matrix
+            images %= q
+            yield rows, i, digit_codes(q, images)
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducible_codes(q: int, d: int) -> np.ndarray:
     """Codes (lower-coefficient values in [0, q^d)) of all monic irreducibles
     of degree d, ascending. Product sieve: every composite monic of degree d
     is pi * m for some irreducible pi with deg pi <= d/2 and m monic of
     degree d - deg pi; reduced mod t^d, the product keeps exactly the
-    coefficients below its leading 1."""
+    coefficients below its leading 1. The monics m go through map_codes,
+    so one digit block serves every pi of a degree."""
     field = PrimeModulus(q)
     t_d = Poly(field, (0,) * d + (1,))
     composite = np.zeros(q**d, dtype=bool)
     for a in range(1, d // 2 + 1):
         b = d - a
-        monics = code_digits(q, np.arange(q**b, 2 * q**b), b + 1)
-        for pi_code in _irreducible_codes(q, a).tolist():
-            pi = Poly.from_code(field, pi_code + q**a)
-            composite[digit_codes(q, monics @ mulmod_matrix(pi, t_d, b + 1) % q)] = True
+        matrices = [
+            mulmod_matrix(Poly.from_code(field, pi_code + q**a), t_d, b + 1)
+            for pi_code in _irreducible_codes(q, a).tolist()
+        ]
+        for _, _, images in map_codes(q, range(q**b, 2 * q**b), b + 1, matrices):
+            composite[images] = True
     out = np.flatnonzero(~composite).astype(np.int64)
     out.flags.writeable = False
     return out

@@ -10,10 +10,12 @@ product at a time.
 
 The discrete log is a table while N <= DLOG_SCAN_LIMIT = 2^20, that is
 for up to 2^20 + 1 residues (13^5 = 371,293 among them), and is not built
-above it. dlog_table builds the powers of omega by doubling, one product
-by the matrix of x -> omega^m x (ffpoly.mulmod_matrix, squared from step
-to step) per step, and scatters them: 8 bytes per residue, about 3 MB at
-13^5, cached. dlog, the scalar API, reads the table exactly when
+above it. dlog_table forms the powers of omega in code space a block of
+ffpoly.block_rows(deg g) rows at a time, each block one product by the
+matrix of x -> omega^B x (ffpoly.mulmod_matrix) from the one before, and
+scatters each block into the table before forming the next: 8 bytes per
+residue, about 3 MB at 13^5, cached, plus about 1 MB of block arrays
+while it is built. dlog, the scalar API, reads the table exactly when
 dlog_table can build one and runs Pohlig-Hellman with baby-step
 giant-step per prime power above it; the tests call _pohlig_hellman
 directly as the oracle for the table.
@@ -34,6 +36,7 @@ import numpy as np
 from . import primes
 from .ffpoly import (
     Poly,
+    block_rows,
     code_digits,
     digit_codes,
     enumerate_irreducibles,
@@ -187,11 +190,15 @@ def dlog_table(gen: Generator) -> np.ndarray:
     -1 elsewhere. Cached per (q, g, omega). Raises ValueError when the
     group order exceeds DLOG_SCAN_LIMIT, before allocating anything.
 
-    The powers are built by doubling: with the digit rows of omega^0..
-    omega^{m-1} in hand, those of omega^m..omega^{2m-1} are one product
-    by the matrix of x -> omega^m x mod g, so about log2(order) products;
-    squaring that matrix gives the next step's. T is then one scatter
-    from the power codes."""
+    The powers of omega are formed in code space one block of B =
+    ffpoly.block_rows(deg g) digit rows at a time, and each block is
+    scattered into T before the next is formed, so no array but T grows
+    with the order. The first block, omega^0..omega^{B-1}, is built by
+    doubling: with the rows of omega^0..omega^{m-1} in hand, those of
+    omega^m..omega^{2m-1} are one product by the matrix of x -> omega^m x
+    mod g, squared from step to step. Every later block is the one before
+    it times the matrix of x -> omega^B x. The orbit must close, with
+    omega^(order - 1) omega = 1, and hit every unit."""
     key = (gen.g.q.q, gen.g.coeffs, gen.omega.coeffs)
     cached = _LOG_TABLE_CACHE.get(key)
     if cached is not None:
@@ -201,22 +208,31 @@ def dlog_table(gen: Generator) -> np.ndarray:
         raise ValueError(f"unit group of order {n} exceeds DLOG_SCAN_LIMIT = {DLOG_SCAN_LIMIT}")
     g = gen.g
     qv, d = g.q.q, g.degree
-    powers = np.zeros((n, d), dtype=np.int64)
-    powers[0, 0] = 1
+    rows = min(block_rows(d), n)
+    block = np.zeros((rows, d), dtype=np.int64)
+    block[0, 0] = 1
     step = mulmod_matrix(gen.omega, g, d)  # x -> omega^m x for the m rows filled so far
     m = 1
-    while m < n:
-        stop = min(2 * m, n)
-        np.matmul(powers[: stop - m], step, out=powers[m:stop])
-        powers[m:stop] %= qv
+    while m < rows:
+        stop = min(2 * m, rows)
+        np.matmul(block[: stop - m], step, out=block[m:stop])
+        block[m:stop] %= qv
         step = step @ step % qv
         m = stop
-    codes = digit_codes(qv, powers)
+    step = mulmod_matrix(poly_powmod(gen.omega, rows, g), g, d)  # x -> omega^B x
+    table = np.full(qv**d, -1, dtype=np.int64)
+    start = 0
+    while True:
+        codes = digit_codes(qv, block)
+        table[codes] = np.arange(start, start + len(codes), dtype=np.int64)
+        start += len(codes)
+        if start == n:
+            break
+        block = block[: min(rows, n - start)] @ step
+        block %= qv
     last = Poly.from_code(g.q, int(codes[-1]))
     if poly_mod(poly_mul(last, gen.omega), g) != poly_mod(Poly.one(g.q), g):
         raise AssertionError("generator orbit did not close")
-    table = np.full(qv**d, -1, dtype=np.int64)
-    table[codes] = np.arange(n, dtype=np.int64)
     if int(table[1:].min()) < 0:
         raise AssertionError("generator orbit missed a unit")
     table.flags.writeable = False

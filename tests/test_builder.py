@@ -29,6 +29,7 @@ from sidonbasis.builder import (
     level_e_digits,
     level_tables,
     level_value_range,
+    member_table,
     mixed_radix,
     params_from_json,
     params_to_json,
@@ -445,6 +446,24 @@ def test_tables_shared_across_seeds(params307, aux307):
     assert _decode_index.cache_info().hits == hits + 1
 
 
+def test_decode_index_keys_members_by_one_integer(params307, seq11):
+    # the index against one keyed by the tuple of e digits, read in the
+    # mixed radix R_1, R_2, ... of the unit-group orders q^(2i-1) - 1
+    for params, k in ((params307, 3), (params307, 4), (seq11.params, 3)):
+        generators = build_moduli(params).generators[:k]
+        members = [
+            f for m in fk_degrees(params, k) if m < k * k for f in member_table(params.q, m).polys
+        ]
+        by_tuple = dict(zip(map(tuple, level_e_digits(generators, members).tolist()), members))
+        assert len(by_tuple) == len(members) > 0
+        radices = [params.q.q ** (2 * i - 1) - 1 for i in range(1, k + 1)]
+        expected = {
+            sum(e_i * math.prod(radices[:i]) for i, e_i in enumerate(e)): f for e, f in by_tuple.items()
+        }
+        index = _decode_index(generators, params.q, fk_degrees(params, k))
+        assert index == expected and all(type(key) is int for key in index)
+
+
 def test_homomorphic_digit_law(params307, seq307):
     q = params307.q.q
     moduli = seq307.moduli
@@ -621,6 +640,26 @@ def test_seq_from_json_rejects_repeated_member(params307, seq307):
         seq_from_json(obj)
 
 
+def test_seq_from_json_rejects_s_outside_its_range(params307, seq307):
+    # s = 0 and s = q^{3k} + 1 with n re-encoded from the digits, so that
+    # only the range check fires; the bounds themselves load, on the
+    # lowest and the highest level-4 entry, which keep their places
+    weights = digit_weights(params307)
+    first = next(i for i, ent in enumerate(seq307.entries) if ent.k == 4)
+    last = len(seq307.entries) - 1
+    top = 3 ** (3 * 4)
+    for idx, s, ok in ((first, 0, False), (first, 1, True), (last, top, True), (last, top + 1, False)):
+        ent = seq307.entries[idx]
+        assert ent.k == 4
+        obj = seq_to_json(seq307)
+        obj["entries"][idx].update(s=str(s), n=str(_pack(weights, ent.e, ent.r, s)))
+        if ok:
+            assert seq_from_json(obj).entries[idx].s == s
+        else:
+            with pytest.raises(ValueError, match=rf"entry {idx}: s outside \[1, q\^\(3k\)\] = \[1, {top}\]"):
+                seq_from_json(obj)
+
+
 def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
     # faults found by the per-entry pass and by the level-wide checks are
     # reported by the lowest entry index, whichever check finds them
@@ -637,7 +676,15 @@ def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
     def bad_k(obj, idx):
         obj["entries"][idx]["k"] = params307.k_max + 1
 
+    def s_zero(obj, idx):
+        ent = seq307.entries[idx]
+        obj["entries"][idx].update(s="0", n=str(_pack(weights, ent.e, ent.r, 0)))
+
     cases = [
+        ((s_zero, 30), (flip_e1, 12), "entry 12: e digits"),
+        ((flip_e1, 30), (s_zero, 12), "entry 12: s outside"),
+        ((bump_n, 12), (s_zero, 30), "entry 12: n does not re-encode"),
+        ((s_zero, 12), (bump_n, 30), "entry 12: s outside"),
         ((bump_n, 30), (flip_e1, 12), "entry 12: e digits"),
         ((flip_e1, 30), (bump_n, 12), "entry 12: n does not re-encode"),
         ((bad_k, 30), (flip_e1, 12), "entry 12: e digits"),

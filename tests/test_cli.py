@@ -596,6 +596,19 @@ def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
     assert err.startswith("error: entry 7: n does not re-encode")
 
 
+def test_verify_rejects_s_outside_its_range(workdir, tmp_path, capsys):
+    # s = q^{3k} + 1 with n re-encoded, so only the range check fires
+    seq = seq_from_json(read_json(workdir / "seq.json"))
+    obj = read_json(workdir / "seq.json")
+    ent = seq.entries[7]
+    s = seq.params.q.q ** (3 * ent.k) + 1
+    obj["entries"][7].update(s=str(s), n=str(_pack(digit_weights(seq.params), ent.e, ent.r, s)))
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: entry 7: s outside [1, q^(3k)]")
+
+
 @pytest.mark.parametrize("field", ["omega", "g", "e"])
 def test_verify_rejects_foreign_moduli_and_logs(workdir, tmp_path, capsys, field):
     obj = read_json(workdir / "seq.json")

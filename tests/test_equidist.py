@@ -70,10 +70,10 @@ def test_residue_table_refused_before_allocating(monkeypatch, capsys):
     # of 48 at d = 5, but 3^13 > ENUM_CAP residues mod g
     g = "1+2*t+2*t^2+t^3+2*t^6+2*t^7+2*t^8+t^13"
 
-    def no_digits(*args, **kwargs):
-        raise RuntimeError("code_digits ran")
+    def no_map(*args, **kwargs):
+        raise RuntimeError("map_codes ran")
 
-    monkeypatch.setattr(equidist, "code_digits", no_digits)
+    monkeypatch.setattr(equidist, "map_codes", no_map)
     with pytest.raises(ValueError, match="ENUM_CAP"):
         triple_histogram(Q3, 5, poly_from_string(Q3, g))
     assert main(["equidist", "--q", "3", "--d", "5", "--g", g, "--out", "-"]) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonbasis import ffpoly
 from sidonbasis.ffpoly import (
     MINUS_INFINITY,
     Poly,
@@ -16,6 +17,7 @@ from sidonbasis.ffpoly import (
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
+    map_codes,
     mulmod_matrix,
     poly_add,
     poly_divmod,
@@ -332,6 +334,61 @@ def test_mulmod_matrix_matches_poly_arithmetic(data):
     for x, row in zip(xs, (np.array(xs) @ matrix % qv).tolist()):
         expected = list(poly_mod(poly_mul(a, Poly(q, tuple(x))), g).coeffs)
         assert row == expected + [0] * (deg_g - len(expected))
+
+
+def gather_map(q, codes, width, matrices):
+    """map_codes's images as one (matrices, codes) array, after checking
+    that its blocks tile codes in order, each block going through every
+    matrix in turn."""
+    step = ffpoly.block_rows(max(width, *(m.shape[1] for m in matrices)))
+    out = np.full((len(matrices), len(codes)), -1, dtype=np.int64)
+    seen = []
+    for rows, i, images in map_codes(q, codes, width, matrices):
+        seen.append((rows.start, rows.stop, i))
+        out[i, rows] = images
+    starts = range(0, len(codes), step)
+    assert seen == [(lo, min(lo + step, len(codes)), i) for lo in starts for i in range(len(matrices))]
+    return out
+
+
+@pytest.mark.parametrize("qv, width", [(2, 20), (3, 7), (13, 3)])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_map_codes_matches_the_one_shot_form(monkeypatch, qv, width, block):
+    # the blocked map against digit_codes(code_digits(...) @ M % q) over
+    # all codes at once, for maps into fewer, as many and more digits
+    # than width; the codes end in a partial block
+    if block is not None:
+        monkeypatch.setattr(ffpoly, "_BLOCK_DIGITS", block)
+    q = PrimeModulus(qv)
+    rng = np.random.default_rng(qv * 100 + width)
+    moduli = [Poly(q, tuple(rng.integers(0, qv, d).tolist()) + (1,)) for d in (2, width, width + 3)]
+    matrices = [mulmod_matrix(Poly(q, tuple(rng.integers(0, qv, 6).tolist())), g, width) for g in moduli]
+    rows = ffpoly.block_rows(width + 3)
+    count = 3 * rows + rows // 2 if block is None else 500
+    codes = rng.integers(0, qv**width, count)
+    expected = np.stack([digit_codes(qv, code_digits(qv, codes, width) @ m % qv) for m in matrices])
+    assert np.array_equal(gather_map(qv, codes, width, matrices), expected)
+    span = range(qv**width - count, qv**width)
+    expected = np.stack([digit_codes(qv, code_digits(qv, np.array(span), width) @ m % qv) for m in matrices])
+    assert np.array_equal(gather_map(qv, span, width, matrices), expected)
+    for empty in (np.zeros(0, dtype=np.int64), range(0)):
+        assert list(map_codes(qv, empty, width, matrices)) == []
+
+
+@pytest.mark.parametrize("qv, d", [(2, 12), (3, 7), (5, 4), (13, 3)])
+def test_blocked_sieve_matches_irreducibility_filter(monkeypatch, qv, d):
+    # one sieve per block size, built from a cleared cache, against the
+    # distinct-degree test of every monic of degree d
+    q = PrimeModulus(qv)
+    expected = [u for u in range(qv**d) if is_irreducible(Poly.from_code(q, u + qv**d))]
+    for rows in (1, 5, None):
+        if rows is not None:
+            monkeypatch.setattr(ffpoly, "_BLOCK_DIGITS", rows * d)
+        ffpoly._irreducible_codes.cache_clear()
+        codes = ffpoly._irreducible_codes(qv, d)
+        assert codes.dtype == np.int64 and codes.tolist() == expected
+        monkeypatch.undo()
+    ffpoly._irreducible_codes.cache_clear()
 
 
 def test_smallest_irreducible():

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonbasis import ffpoly
 from sidonbasis.ffpoly import (
     Poly,
     PrimeModulus,
+    digit_codes,
     enumerate_irreducibles,
+    mulmod_matrix,
     poly_mod,
     poly_mul,
     poly_powmod,
@@ -196,6 +199,37 @@ def test_dlog_table_inverts_the_power_map():
         assert np.array_equal(np.sort(logs[1:]), np.arange(gen.order))
         assert logs[1] == 0
         assert logs[poly_mod(gen.omega, gen.g).code] == 1 % gen.order
+
+
+def doubled_table(gen):
+    """The log table from the whole (order, deg g) matrix of the powers of
+    omega, built by doubling: the rows of omega^m..omega^{2m-1} are those
+    of omega^0..omega^{m-1} times the matrix of x -> omega^m x."""
+    qv, d, n = gen.g.q.q, gen.g.degree, gen.order
+    powers = np.zeros((n, d), dtype=np.int64)
+    powers[0, 0] = 1
+    step = mulmod_matrix(gen.omega, gen.g, d)
+    m = 1
+    while m < n:
+        stop = min(2 * m, n)
+        powers[m:stop] = powers[: stop - m] @ step % qv
+        step = step @ step % qv
+        m = stop
+    table = np.full(qv**d, -1, dtype=np.int64)
+    table[digit_codes(qv, powers)] = np.arange(n)
+    return table
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_blocked_dlog_table_matches_whole_matrix_doubling(monkeypatch, rows):
+    # orders 1, 8, 242, 124, 120 and 2400: most end in a partial block
+    for gen in _generators():
+        monkeypatch.setattr(ffpoly, "_BLOCK_DIGITS", rows * gen.g.degree)
+        assert ffpoly.block_rows(gen.g.degree) == rows
+        unitgroup._LOG_TABLE_CACHE.clear()
+        table = dlog_table(gen)
+        unitgroup._LOG_TABLE_CACHE.clear()
+        assert table.dtype == np.int64 and np.array_equal(table, doubled_table(gen))
 
 
 def test_antilog_matches_powmod():
