@@ -3,10 +3,11 @@
 verify_sidon reports colliding pairwise sums. sidon_certificate proves a
 one-level sequence Sidon from the construction's digit laws, without a
 pair-sum scan, when the level passes its sharpened pair margin and every
-r digit lies in A; the command line runs verify_sidon only when it
-declines. attribute_collision
-explains a collision digit by digit: it recovers the four entries,
-reconstructs the mixed-radix digits of the equal sums, compares each
+r digit lies in A (one np.isin over the level's r column); the command
+line runs verify_sidon only when it declines. attribute_collision
+explains a collision digit by digit: it recovers the four entries (by
+binary search on the values, or by decode_entry for a value outside the
+sequence), reconstructs the mixed-radix digits of the equal sums, compares each
 digit against the additive laws the construction imposes (odd positions
 add discrete logs mod their radix, even positions add the two auxiliary
 digits plus a possible carry), checks the product congruence modulo the
@@ -88,11 +89,12 @@ each worker process receives the plan once.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .auxset import YTable, _bits_of, _shift_sumset
 from .builder import (
@@ -326,17 +328,16 @@ def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
     k^2, so their difference has degree below k^2. Either way the
     products are equal, unique factorization gives {f_1, f_2} = {f_3,
     f_4}, and since no f repeats, the two pairs are one."""
-    levels = {ent.k for ent in seq.entries}
-    if len(levels) != 1:
+    if len(seq.levels) != 1:
         return None
-    (k,) = levels
-    level = next(cls for cls in audit_preconditions(seq.params).classes if cls.k == k)
+    (columns,) = seq.levels
+    level = next(cls for cls in audit_preconditions(seq.params).classes if cls.k == columns.k)
     if level.sharpened_pair_margin() is None:
         return None
     aux = seq.params.aux
     if min(aux.A) < 0 or 2 * max(aux.A) + 1 >= aux.p:
         return None
-    if not set(itertools.chain.from_iterable(ent.r for ent in seq.entries)) <= set(aux.A):
+    if not np.isin(columns.r, aux.A).all():
         return None
     return level
 
@@ -373,15 +374,16 @@ class CollisionAudit:
 
 
 def _resolve_entry(seq: SidonSequence, n: int) -> SequenceEntry:
-    for ent in seq.entries:
-        if ent.n == n:
-            return ent
+    """The entry of seq with value n, found by binary search on its
+    values; for a value outside seq, the entry that decode_entry
+    recovers from n, as the one entry of a sequence of its own."""
+    at = bisect.bisect_left(seq.values, n)
+    if at < len(seq.values) and seq.values[at] == n:
+        return seq.entries[at]
     f, k = decode_entry(n, seq.params, seq.moduli)
-    base = mixed_radix(seq.params)
-    digits = decode(base, n, 2 * k + 1).digits
-    return SequenceEntry(
-        f=f, k=k, e=digits[0 : 2 * k : 2], r=digits[1 : 2 * k : 2], s=digits[2 * k], n=n
-    )
+    digits = decode(mixed_radix(seq.params), n, 2 * k + 1).digits
+    entry = SimpleNamespace(f=f, k=k, e=digits[0 : 2 * k : 2], r=digits[1 : 2 * k : 2], s=digits[2 * k], n=n)
+    return SidonSequence.from_entries(seq.params, seq.moduli, [entry]).entries[0]
 
 
 def _pair_expectations(
@@ -772,7 +774,7 @@ def monte_carlo_coverage(
     seeds = tuple(_trial_seed(params.seed, tau) for tau in range(trials))
     freq = [0] * w_len
     jobs = [(tau, seeds[tau]) for tau in range(trials if w_len else 0)]
-    plan = draw_plan(params, seq.entries)
+    plan = draw_plan(seq)
     if threads > 1:
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_init_trial_worker, initargs=(plan, w_start, w_len)

@@ -121,14 +121,24 @@ def sample_candidate(p: int, seed: int) -> set[int]:
     """
     if p < 11 or not primes.is_prime(p):
         raise ValueError(f"need a prime p >= 11, got {p}")
-    k = math.ceil(math.log(p))
-    prob = min(1.0, k * p ** (-2 / 3))
-    hi = p // 2 - 1
+    return _draw_candidate(_sample_law(p), random.Random(_derive_seed("sample", p, seed)))
+
+
+def _sample_law(p: int) -> tuple[int, float, float]:
+    """The per-prime constants of sample_candidate: the top element
+    floor(p/2) - 1, the inclusion probability and log1p(-probability)."""
+    prob = min(1.0, math.ceil(math.log(p)) * p ** (-2 / 3))
+    return p // 2 - 1, prob, math.log1p(-prob) if prob < 1.0 else 0.0
+
+
+def _draw_candidate(law: tuple[int, float, float], rnd: random.Random) -> set[int]:
+    """The draw of sample_candidate under law = _sample_law(p), from rnd
+    seeded by _derive_seed("sample", p, seed); search re-seeds one Random
+    per attempt."""
+    hi, prob, log_q = law
     if prob >= 1.0:
         return set(range(1, hi + 1))
-    rnd = random.Random(_derive_seed("sample", p, seed))
     out: set[int] = set()
-    log_q = math.log1p(-prob)
     x = 0
     while True:
         u = rnd.random()
@@ -178,7 +188,8 @@ def verify_coverage(a_set, p: int) -> tuple[bool, int | None]:
     elems = sorted(a_set)
     if elems and not (1 <= elems[0] and elems[-1] <= p // 2 - 1):
         raise ValueError("A must lie inside {1..floor(p/2)-1}")
-    if not elems:
+    # A+A+A has at most C(|A|+2, 3) elements, too few for a run of p+2
+    if math.comb(len(elems) + 2, 3) < p + 2:
         return False, None
     bits_a = _bits_of(elems)
     bits_aa = _shift_sumset(bits_a, elems)
@@ -287,10 +298,13 @@ def search(
         raise ValueError(f"unknown method {method!r}")
     if p_min > p_max:
         raise ValueError(f"empty prime range [{p_min}, {p_max}]")
+    rnd = random.Random()
     for p in primes.primes_in_range(p_min, p_max):
         if method in ("random", "both") and p >= 11:
+            law = _sample_law(p)
             for attempt in range(1, max_attempts_per_p + 1):
-                r_set = sample_candidate(p, _derive_seed("attempt", seed, p, attempt))
+                rnd.seed(_derive_seed("sample", p, _derive_seed("attempt", seed, p, attempt)))
+                r_set = _draw_candidate(law, rnd)
                 x_set, a_set = alteration(r_set)
                 ok_c, start = verify_coverage(a_set, p)
                 if collect is not None:

@@ -12,32 +12,44 @@ set A, and the top digit s is drawn from {1, ..., q^{3k}}. The r and s
 digits come from a keyed-hash counter RNG so every (f, digit) pair is an
 independent, reproducible draw.
 
+A sequence (SidonSequence) is held as columns, one SequenceLevel per
+level: the codes of its f (Poly.code), its e and r digit matrices, s and
+n as Python integers in object arrays, and the place of each row in one
+order by n. No object is kept per entry: SidonSequence.entries makes a
+SequenceEntry view of a row when one is read, and a Poly only when its f
+is read.
+
 The members of each degree are one cached MemberTable per (q, degree):
-sieve codes, Poly objects and canonical names, with name -> position.
-level_e_digits gives the e digits of a whole level at once: one digit
-matrix per block of the codes, one product mod q per g_i (reduction is
-F_q-linear) and one dlog_table gather. The r and s digits are drawn by
-one routine, _draw_digits, over chosen rows (members) and tags (digits)
-of a level's table of hash messages, which carry the members' names
-from their tables: one keyed blake2b state, a copy of it per chosen
+sieve codes and canonical names (ffpoly.code_names), with name ->
+position; their Poly objects are made on first request, by build_Fk and
+the decode indexes. level_e_digits gives the e digits of a whole level at
+once: one digit matrix per block of the codes, one product mod q per g_i
+(reduction is F_q-linear) and one dlog_table gather. The r and s digits
+are drawn by one routine, _draw_digits, over chosen rows (members) and
+tags (digits) of a level's table of hash messages, which carry the
+members' names: one keyed blake2b state, a copy of it per chosen
 message, the digests written into one uint64 word array and reduced
-exactly. The build draws every digit of a level through it and forms n
-in Python-integer array arithmetic. A coverage trial (draw_plan) draws
-in two stages through the same routine: draw_bounds hashes only r_k
-and s of every entry, which puts n in [low, low + (max A - min A) S_k]
-with S_k = W_1 + W_3 + ... + W_{2k-3}, and complete_draw hashes
-r_1..r_{k-1} of the entries whose bounds can reach the window only.
-seq_from_json looks every f up by name in the same tables and checks a
-level at a time, and seq_json_text writes a sequence file by template,
-byte for byte as json.dumps(indent=2).
+exactly. The build draws every digit of a level through it, forms n by
+_encode (s W_{2k} plus the lower digits summed in int64 where they fit,
+as Python integers) and stores the arrays it drew as the level's
+columns. A coverage trial (draw_plan) draws in two stages
+through the same routine: draw_bounds hashes only r_k and s of every
+entry, which puts n in [low, low + (max A - min A) S_k] with S_k = W_1 +
+W_3 + ... + W_{2k-3}, and complete_draw hashes r_1..r_{k-1} of the
+entries whose bounds can reach the window only. seq_from_json reads each
+field of the entries a whole list at a time, looks every f up by name in
+the member tables and checks a level at a time, in whole-array passes;
+seq_json_text writes a sequence file from the columns by template, byte
+for byte as json.dumps(indent=2).
 
 The map f -> n_f is injective and invertible: decode_entry peels the
-digits back off and looks the e digits up in its level's decode index,
-the members of the window below degree k^2 keyed by their e digits, read
-as one integer in the mixed radix of the unit-group orders q^(2i-1) - 1
-(by CRT, a polynomial of degree < k^2 = sum deg g_i is determined by its
-residues mod g_1..g_k). The moduli are cached per (q, k_max), the decode
-indexes per (moduli, q, window), the member tables per (q, degree); the
+digits back off, top first, and looks the e digits up in its level's
+decode index, the members of the window below degree k^2 keyed by their
+e digits, read as one integer in the mixed radix of the unit-group
+orders q^(2i-1) - 1 (by CRT, a polynomial of degree < k^2 = sum deg g_i
+is determined by its residues mod g_1..g_k). The moduli are cached per
+(q, k_max), the decode indexes per (moduli, q, window), decode_entry's
+set-up per (params, moduli), the member tables per (q, degree); the
 mixed radix, level brackets and degree windows per Params.
 audit_preconditions reports the concrete degree margins that the
 collision-freeness argument needs at the configured parameters.
@@ -45,6 +57,7 @@ collision-freeness argument needs at the configured parameters.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import hashlib
@@ -60,6 +73,7 @@ from .auxset import AuxSet, aux_from_json, aux_to_json, json_value
 from .ffpoly import (
     Poly,
     PrimeModulus,
+    code_names,
     enumerate_irreducibles,
     irreducible_codes,
     map_codes,
@@ -135,6 +149,16 @@ class Params:
 class ModuliTable:
     generators: tuple[Generator, ...]
 
+    def __post_init__(self):
+        # decode_entry's lru_cache is keyed by the moduli and hashes them
+        # on every value; hashing the generators' Poly fields costs
+        # microseconds. Their hash rests on integers only, so it is the
+        # same in every process.
+        object.__setattr__(self, "_hash", hash(self.generators))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def g(self, i: int) -> Poly:
         return self.generators[i - 1].g
 
@@ -146,36 +170,208 @@ class ModuliTable:
 
     @functools.cached_property
     def e_weights(self) -> tuple[int, ...]:
-        """_e_weights of g_1..g_{k_max}; level k reads the first k. Cached,
-        as decode_entry reads it per value."""
+        """_e_weights of g_1..g_{k_max}; level k reads the first k."""
         return _e_weights(self.generators)
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
-    f: Poly
+@dataclass(frozen=True, eq=False)
+class SequenceLevel:
+    """The entries of one level k of a sequence as columns, rows in
+    ascending n: codes holds Poly.code of each f (with its leading
+    q^deg f, int64), e and r the digits (k columns each, int64; r holds
+    Python integers when a digit of a loaded file does not fit), s and n
+    Python integers in object arrays, and positions the place of each row
+    in the sequence's order by n."""
+
+    q: PrimeModulus
     k: int
-    e: tuple[int, ...]
-    r: tuple[int, ...]
-    s: int
-    n: int
+    codes: np.ndarray
+    e: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    n: np.ndarray
+    positions: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.codes, self.e, self.r, self.s, self.n, self.positions
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceLevel):
+            return NotImplemented
+        return (self.q, self.k) == (other.q, other.k) and all(
+            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None
 
 
-@dataclass(frozen=True)
+class SequenceEntry:
+    """One entry of a sequence, read on request from its level's columns:
+    f (a Poly made from its code when read), k, e and r (tuples), s and n.
+    Two entries are equal when all six are."""
+
+    __slots__ = ("level", "row")
+
+    def __init__(self, level: SequenceLevel, row: int):
+        self.level = level
+        self.row = row
+
+    @property
+    def f(self) -> Poly:
+        return Poly.from_code(self.level.q, int(self.level.codes[self.row]))
+
+    @property
+    def k(self) -> int:
+        return self.level.k
+
+    @property
+    def e(self) -> tuple[int, ...]:
+        return tuple(self.level.e[self.row].tolist())
+
+    @property
+    def r(self) -> tuple[int, ...]:
+        return tuple(self.level.r[self.row].tolist())
+
+    @property
+    def s(self) -> int:
+        return self.level.s[self.row]
+
+    @property
+    def n(self) -> int:
+        return self.level.n[self.row]
+
+    def _fields(self) -> tuple:
+        return self.level.q, self.k, int(self.level.codes[self.row]), self.e, self.r, self.s, self.n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceEntry):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"SequenceEntry(f={self.f}, k={self.k}, e={self.e}, r={self.r}, s={self.s}, n={self.n})"
+
+
+class SequenceEntries(collections.abc.Sequence):
+    """SidonSequence.entries: the entries in ascending n, each a
+    SequenceEntry made when it is read. A slice is a tuple of them."""
+
+    __slots__ = ("_seq",)
+
+    def __init__(self, seq: SidonSequence):
+        self._seq = seq
+
+    def __len__(self) -> int:
+        return len(self._seq.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        level_of, row_of = self._seq._where
+        return SequenceEntry(self._seq.levels[level_of[i]], int(row_of[i]))
+
+    def __iter__(self):
+        level_of, row_of = self._seq._where
+        return map(SequenceEntry, map(self._seq.levels.__getitem__, level_of.tolist()), row_of.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SequenceEntries, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SequenceEntries({len(self)} entries)"
+
+
+@dataclass(frozen=True, eq=False)
 class SidonSequence:
+    """A built or loaded sequence: its levels as columns (SequenceLevel,
+    ascending k), which together hold every entry once in one order by
+    n. values and entries read them in that order."""
+
     params: Params
     moduli: ModuliTable
-    entries: tuple[SequenceEntry, ...]
+    levels: tuple[SequenceLevel, ...]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ns = [ent.n for ent in self.entries]
-        if any(a >= b for a, b in zip(ns, ns[1:])):
+        size = sum(map(len, self.levels))
+        level_of = np.full(size, -1, dtype=np.intp)
+        row_of = np.empty(size, dtype=np.intp)
+        values = np.empty(size, dtype=object)
+        for i, level in enumerate(self.levels):
+            at = level.positions
+            if len(at) and (at.min() < 0 or at.max() >= size or (level_of[at] >= 0).any()):
+                raise ValueError("the levels' positions do not place every entry once")
+            if (at[1:] <= at[:-1]).any():
+                raise ValueError("a level's positions must ascend")
+            level_of[at] = i
+            row_of[at] = np.arange(len(at))
+            values[at] = level.n
+        if (values[1:] <= values[:-1]).any():
             raise ValueError("entries must be sorted by n with no duplicates")
+        object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "_where", (level_of, row_of))
+
+    @classmethod
+    def from_entries(cls, params: Params, moduli: ModuliTable, entries, warnings=()) -> SidonSequence:
+        """The sequence of entries given in ascending n, each an object with
+        f, k, e, r, s and n (a SequenceEntry, or a record made by hand)."""
+        entries = list(entries)
+        by_level: dict[int, list[int]] = {}
+        for pos, ent in enumerate(entries):
+            by_level.setdefault(ent.k, []).append(pos)
+        levels = []
+        for k in sorted(by_level):
+            rows = [entries[pos] for pos in by_level[k]]
+            if any(len(ent.e) != k or len(ent.r) != k for ent in rows):
+                raise ValueError(f"an entry at level k = {k} has not k digits e and r")
+            levels.append(
+                SequenceLevel(
+                    params.q,
+                    k,
+                    np.array([ent.f.code for ent in rows], dtype=np.int64),
+                    _digits([d for ent in rows for d in ent.e]).reshape(-1, k),
+                    _digits([d for ent in rows for d in ent.r]).reshape(-1, k),
+                    np.array([ent.s for ent in rows], dtype=object),
+                    np.array([ent.n for ent in rows], dtype=object),
+                    np.array(by_level[k], dtype=np.intp),
+                )
+            )
+        return cls(params, moduli, tuple(levels), tuple(warnings))
 
     @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(ent.n for ent in self.entries)
+    def entries(self) -> SequenceEntries:
+        return SequenceEntries(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SidonSequence):
+            return NotImplemented
+        return (self.params, self.moduli, self.levels, self.warnings) == (
+            other.params,
+            other.moduli,
+            other.levels,
+            other.warnings,
+        )
+
+    __hash__ = None
+
+
+def _digits(flat: list[int]) -> np.ndarray:
+    """The digits flat as one array: int64, or Python integers when some
+    digit does not fit in int64."""
+    try:
+        return np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        return np.array(flat, dtype=object)
 
 
 def build_moduli(params: Params) -> ModuliTable:
@@ -207,29 +403,28 @@ def fk_degrees(params: Params, k: int) -> tuple[int, ...]:
 @dataclass(frozen=True, eq=False)
 class MemberTable:
     """The monic irreducibles of one degree d over F_q in code order: their
-    sieve codes (without the leading q^d), Poly objects and canonical
-    names (poly_to_string), with name -> position."""
+    sieve codes (without the leading q^d) and canonical names
+    (poly_to_string, by code_names), with name -> position. Their Poly
+    objects are made on first request."""
 
+    q: PrimeModulus
     degree: int
     codes: np.ndarray
-    polys: tuple[Poly, ...]
     names: tuple[str, ...]
     index: dict[str, int]
+
+    @functools.cached_property
+    def polys(self) -> tuple[Poly, ...]:
+        return tuple(enumerate_irreducibles(self.q, self.degree))
 
 
 @functools.lru_cache(maxsize=64)
 def member_table(q: PrimeModulus, d: int) -> MemberTable:
     """The MemberTable of degree d over F_q, built once per process from
     the cached sieve and shared by every Params with this q."""
-    polys = tuple(enumerate_irreducibles(q, d))
-    names = tuple(map(poly_to_string, polys))
-    return MemberTable(
-        d,
-        irreducible_codes(q, d),
-        polys,
-        names,
-        {name: i for i, name in enumerate(names)},
-    )
+    codes = irreducible_codes(q, d)
+    names = tuple(code_names(q.q, codes + q.q**d, d + 1))
+    return MemberTable(q, d, codes, names, {name: i for i, name in enumerate(names)})
 
 
 def level_tables(params: Params, k: int) -> list[MemberTable]:
@@ -301,15 +496,15 @@ def _level_messages(names, k: int) -> np.ndarray:
     return np.fromiter(msgs, dtype=object, count=len(names) * (k + 1)).reshape(-1, k + 1)
 
 
-def _member_names(params: Params, entries) -> list[str]:
-    """The canonical names of the f of entries: read from the member
-    tables of their levels, by poly_to_string for an f that is not in
-    them."""
-    name_of = {}
-    for k in {ent.k for ent in entries}:
-        for table in level_tables(params, k):
-            name_of.update(zip(table.polys, table.names))
-    return [name_of.get(ent.f) or poly_to_string(ent.f) for ent in entries]
+def _level_names(level: SequenceLevel) -> list[str]:
+    """The canonical names (poly_to_string) of the f of level, by
+    code_names from their codes."""
+    if not len(level):
+        return []
+    width = 1
+    while level.q.q**width <= level.codes.max():
+        width += 1
+    return code_names(level.q.q, level.codes, width)
 
 
 def _draw_digits(a_elems: np.ndarray, level: _LevelDraw, hasher, msgs: np.ndarray, rows, tags: slice) -> np.ndarray:
@@ -350,6 +545,34 @@ def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
     return n + s * weights[2 * i]
 
 
+def _encode(params: Params, k: int, e: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """n of rows of digits <s r_k e_k ... r_1 e_1> (_pack of each row), as
+    Python integers in an object array: s W_{2k} plus the digits below
+    it, summed by Horner's rule over the digit pairs e_i + r_i R_i
+    (W_{2i-1} = W_{2i-2} R_i, W_{2i} = W_{2i-1} p). The pairs are formed
+    in int64 when they cannot overflow there, and the sum too when every
+    pair lies in [0, R_i p), so that it stays below W_{2k} <= 2^62;
+    otherwise the sum is in Python integers, or, when the pairs would
+    overflow, each row goes through _pack."""
+    weights = digit_weights(params)
+    radices = np.array([weights[2 * i - 1] // weights[2 * i - 2] for i in range(1, k + 1)], dtype=np.int64)
+    if not (_within(e, 2**62) and _within(r, 2**62 // int(radices[-1]))):
+        rows = zip(e.tolist(), r.tolist(), s.tolist())
+        return np.array([_pack(weights, *row) for row in rows], dtype=object)
+    pairs = e + r * radices
+    low = pairs[:, k - 1]
+    if not (weights[2 * k] <= 2**62 and (pairs >= 0).all() and (pairs < radices * params.aux.p).all()):
+        low = low.astype(object)
+    for i in range(k - 1, 0, -1):
+        low = low * (weights[2 * i] // weights[2 * i - 2]) + pairs[:, i - 1]
+    return s * weights[2 * k] + low
+
+
+def _within(digits: np.ndarray, bound: int) -> bool:
+    """Whether digits is int64 with every entry in (-bound, bound)."""
+    return digits.dtype == np.int64 and (not digits.size or -bound < digits.min() <= digits.max() < bound)
+
+
 @functools.lru_cache(maxsize=64)
 def mixed_radix(params: Params) -> MixedRadix:
     return MixedRadix(params.q, params.aux.p)
@@ -374,9 +597,9 @@ def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: 
     """level_e_digits of the polynomials with codes below q^width: per
     block of codes (ffpoly.map_codes), one digit matrix, one product mod q
     per g_i (the reduction map mod g_i) and one log-table gather per g_i."""
-    q = generators[0].g.q
     tables = [dlog_table(gen) for gen in generators]
-    matrices = [mulmod_matrix(Poly.one(q), gen.g, width) for gen in generators]
+    matrices = [_reduction_matrix(gen.g, width) for gen in generators]
+    q = generators[0].g.q
     e = np.empty((len(codes), len(generators)), dtype=np.int64)
     for rows, i, residues in map_codes(q.q, codes, width, matrices):
         e[rows, i] = tables[i][residues]
@@ -385,22 +608,27 @@ def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: 
     return e
 
 
-def draw_plan(params: Params, entries) -> tuple:
-    """The seed-invariant part of re-drawing the r and s digits of
-    entries: A as an array, and per level present the positions of its
+@functools.lru_cache(maxsize=64)
+def _reduction_matrix(g: Poly, width: int) -> np.ndarray:
+    """mulmod_matrix(1, g, width), the reduction map mod g, read-only;
+    cached, as the build, every load and the decode indexes read it."""
+    out = mulmod_matrix(Poly.one(g.q), g, width)
+    out.flags.writeable = False
+    return out
+
+
+def draw_plan(seq: SidonSequence) -> tuple:
+    """The seed-invariant part of re-drawing the r and s digits of the
+    entries of seq: A as an array, and per level the positions of its
     entries, their _LevelDraw and their hash messages (_level_messages).
     A coverage trial draws from it in two stages, draw_bounds and
     complete_draw."""
-    levels: dict[int, list[int]] = {}
-    for pos, ent in enumerate(entries):
-        levels.setdefault(ent.k, []).append(pos)
-    plan = []
-    for k, positions in levels.items():
-        members = [entries[pos] for pos in positions]
-        draw = _level_draw(params, k, [ent.e for ent in members])
-        msgs = _level_messages(_member_names(params, members), k)
-        plan.append((np.array(positions, dtype=np.intp), draw, msgs))
-    return np.array(params.aux.A, dtype=object), tuple(plan)
+    params = seq.params
+    plan = tuple(
+        (level.positions, _level_draw(params, level.k, level.e), _level_messages(_level_names(level), level.k))
+        for level in seq.levels
+    )
+    return np.array(params.aux.A, dtype=object), plan
 
 
 def draw_bounds(plan: tuple, seed: int) -> tuple[list[int], int]:
@@ -447,7 +675,7 @@ def complete_draw(plan: tuple, seed: int, low: list[int], wanted: list[int]) -> 
 def build_sequence(params: Params) -> SidonSequence:
     moduli = build_moduli(params)
     warnings: list[str] = [] if params.strict else [SCALED_MODE_WARNING]
-    entries: list[SequenceEntry] = []
+    drawn: list[SequenceLevel] = []  # rows in member order, positions unset
     a_elems = np.array(params.aux.A, dtype=object)
     hasher = _digit_hasher(params.seed)
     for k in range(params.k_min, params.k_max + 1):
@@ -455,29 +683,45 @@ def build_sequence(params: Params) -> SidonSequence:
         if not tables:
             warnings.append(f"level k={k} is empty (no even degree in its window)")
             continue
-        members = [f for table in tables for f in table.polys]
         names = [name for table in tables for name in table.names]
         codes = np.concatenate([table.codes + params.q.q**table.degree for table in tables])
-        # one Python integer per digit, shared by the draw and the entries
-        e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree).astype(object)
+        e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree)
         draw = _level_draw(params, k, e)
         digits = _draw_digits(a_elems, draw, hasher, _level_messages(names, k), slice(None), slice(None))
-        r, s = digits[:, :k], digits[:, k]
-        n = draw.fixed + r @ draw.r_weights + s * draw.s_weight
-        entries.extend(
-            SequenceEntry(f=f, k=k, e=tuple(e_u), r=tuple(r_u), s=s_u, n=n_u)
-            for f, e_u, r_u, s_u, n_u in zip(members, e, r, s, n)
-        )
-    entries.sort(key=lambda ent: ent.n)
-    for a, b in zip(entries, entries[1:]):
-        if a.n == b.n:
+        r, s = digits[:, :k].astype(np.int64), digits[:, k]
+        n = _encode(params, k, e, r, s)
+        drawn.append(SequenceLevel(params.q, k, codes, e, r, s, n, np.empty(len(n), np.intp)))
+    # one order by n over the rows of all levels, taken one level after
+    # another, and each level's rows follow it. Python sorts it: numpy's
+    # sort of an object array touches code that then stays resident, about
+    # 0.15 MB of a desk pass
+    starts = np.cumsum([0, *map(len, drawn)])
+    n_all = [n for level in drawn for n in level.n.tolist()]
+    order = sorted(range(len(n_all)), key=n_all.__getitem__)
+    for u, v in zip(order, order[1:]):
+        if n_all[u] == n_all[v]:
+            a, b = _entry_at(drawn, starts, u), _entry_at(drawn, starts, v)
             raise RuntimeError(
                 f"duplicate encoded value {a.n} for {a.f} (k={a.k}) and "
                 f"{b.f} (k={b.k}); injectivity violated"
             )
+    order = np.array(order, dtype=np.intp)
+    levels = []
+    for level, start, stop in zip(drawn, starts.tolist(), starts[1:].tolist()):
+        mine = (order >= start) & (order < stop)
+        rows = order[mine] - start
+        columns = (col[rows] for col in level.columns()[:-1])
+        levels.append(SequenceLevel(level.q, level.k, *columns, np.flatnonzero(mine)))
     audit = audit_preconditions(params)
     warnings.extend(line for line in audit.lines if "fail" in line)
-    return SidonSequence(params, moduli, tuple(entries), tuple(warnings))
+    return SidonSequence(params, moduli, tuple(levels), tuple(warnings))
+
+
+def _entry_at(levels: list[SequenceLevel], starts: np.ndarray, u: int) -> SequenceEntry:
+    """The entry at place u of the rows of levels taken one level after
+    another, starts[i] being the place of the first row of levels[i]."""
+    i = int(np.searchsorted(starts, u, side="right")) - 1
+    return SequenceEntry(levels[i], u - int(starts[i]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -526,41 +770,56 @@ def _decode_index(generators: tuple[Generator, ...], q: PrimeModulus, degrees: t
     return index
 
 
+@functools.lru_cache(maxsize=64)
+def _decode_levels(params: Params, moduli: ModuliTable) -> tuple[tuple, frozenset]:
+    """decode_entry's set-up, made once per (params, moduli): per level
+    k = 1..k_max the tuple (k, lo, hi, W_{2k}, q^{3k}, peel, index) of the
+    bracket [lo, hi), the weight of s and its range, per digit pair
+    i = k, ..., 1 (top first) the weights W_{2i-1} of r_i and W_{2i-2} of
+    e_i with the weight of e_i in _e_key, and the level's _decode_index;
+    and A as a frozenset."""
+    weights = digit_weights(params)
+    levels = []
+    for k in range(1, params.k_max + 1):
+        peel = tuple((weights[2 * i - 1], weights[2 * i - 2], moduli.e_weights[i - 1]) for i in range(k, 0, -1))
+        index = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k))
+        lo, hi = level_value_range(params, k)
+        levels.append((k, lo, hi, weights[2 * k], params.q.q ** (3 * k), peel, index))
+    return tuple(levels), frozenset(params.aux.A)
+
+
 def decode_entry(n: int, params: Params, moduli: ModuliTable) -> tuple[Poly, int]:
     """Inverse of build_sequence's encoding: recover (f, k) from n.
 
     The level is inferred from the value bracket (adjacent levels do not
     overlap at these parameters, but every bracket-compatible level is
-    tried). The digits are peeled off with digit_weights, and f is the
-    member of the level's window with degree < k^2 whose e digits they
-    are, looked up in _decode_index by _e_key. Foreign values fail digit
-    validation or name no such member, and raise DecodeError. A member of
+    tried). The digits are peeled off from the top, s first, with the
+    weights of _decode_levels, and the _e_key of the e digits is summed
+    as they come; f is the member of the level's window with degree < k^2
+    whose e digits they are, looked up in _decode_index by that key.
+    Foreign values fail digit validation (s outside [1, q^{3k}], some r_i
+    outside A) or name no such member, and raise DecodeError. A member of
     degree >= k^2 (margin (b) fails) decodes to the member of degree < k^2
     with its e digits, if there is one.
     """
-    weights = digit_weights(params)
-    a_members = params.aux.A
-    q = params.q.q
-    for k in range(1, params.k_max + 1):
-        lo, hi = level_value_range(params, k)
+    levels, a_members = _decode_levels(params, moduli)
+    for k, lo, hi, s_weight, s_range, peel, index in levels:
         if not lo <= n < hi:
             continue
-        digits = [0] * (2 * k + 1)
-        rest = n
-        for j in range(2 * k, 0, -1):
-            digits[j], rest = divmod(rest, weights[j])
-        digits[0] = rest
-        e = digits[0 : 2 * k : 2]
-        r = digits[1 : 2 * k : 2]
-        s = digits[2 * k]
-        if not 1 <= s <= q ** (3 * k):
+        s, rest = divmod(n, s_weight)
+        if not 1 <= s <= s_range:
             continue
-        if any(x not in a_members for x in r):
-            continue
-        index = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k))
-        f = index.get(_e_key(e, moduli.e_weights))
-        if f is not None:
-            return f, k
+        key = 0
+        for r_weight, e_weight, key_weight in peel:
+            r_i, rest = divmod(rest, r_weight)
+            if r_i not in a_members:
+                break
+            e_i, rest = divmod(rest, e_weight)
+            key += e_i * key_weight
+        else:
+            f = index.get(key)
+            if f is not None:
+                return f, k
     raise DecodeError(f"{n} does not decode to any sequence entry")
 
 
@@ -659,23 +918,18 @@ def params_from_json(obj: dict) -> Params:
 
 
 def seq_to_json(seq: SidonSequence, manifest_ref: str | None = None) -> dict:
+    entries = [None] * len(seq.values)
+    for level in seq.levels:
+        rows = zip(_level_names(level), level.e.tolist(), level.r.tolist(), level.s, level.n)
+        for pos, (name, e, r, s, n) in zip(level.positions.tolist(), rows):
+            entries[pos] = {"f": name, "k": level.k, "e": e, "r": r, "s": str(s), "n": str(n)}
     out = {
         "params": params_to_json(seq.params),
         "moduli": [
             {"g": poly_to_string(gen.g), "omega": poly_to_string(gen.omega)}
             for gen in seq.moduli.generators
         ],
-        "entries": [
-            {
-                "f": name,
-                "k": ent.k,
-                "e": list(ent.e),
-                "r": list(ent.r),
-                "s": str(ent.s),
-                "n": str(ent.n),
-            }
-            for ent, name in zip(seq.entries, _member_names(seq.params, seq.entries))
-        ],
+        "entries": entries,
         "warnings": list(seq.warnings),
     }
     if manifest_ref is not None:
@@ -700,21 +954,26 @@ def seq_json_text(seq: SidonSequence, manifest_ref: str | None = None) -> str:
     for byte, without the pure-Python encoder that indent selects: every
     top-level value but the entries is dumped with indent and moved in a
     level (JSON text has no raw newline inside a string), and each entry
-    is filled into _ENTRY_TEXT. All pieces are joined once, as json.dumps
-    joins its chunks: intermediate copies of the text would leave the
-    heap of the later stages larger."""
-    head = seq_to_json(dataclasses.replace(seq, entries=()), manifest_ref)
+    is filled into _ENTRY_TEXT from its level's columns. All pieces are
+    joined once, as json.dumps joins its chunks: intermediate copies of
+    the text would leave the heap of the later stages larger."""
+    head = seq_to_json(dataclasses.replace(seq, levels=()), manifest_ref)
     chunks = []
     for key, value in head.items():
         chunks += [",\n" if chunks else "{\n", f'  "{key}": ']
-        if key != "entries" or not seq.entries:
+        if key != "entries" or not seq.values:
             chunks.append(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
-        chunks.append("[\n")
-        for ent, name in zip(seq.entries, _member_names(seq.params, seq.entries)):
-            e, r = _digit_list_text(ent.e), _digit_list_text(ent.r)
-            chunks += [_ENTRY_TEXT % (encode_basestring_ascii(name), ent.k, e, r, ent.s, ent.n), ",\n"]
-        chunks[-1] = "\n  ]"
+        texts = [""] * (2 * len(seq.values))
+        for level in seq.levels:
+            names = map(encode_basestring_ascii, _level_names(level))
+            e, r = map(_digit_list_text, level.e.tolist()), map(_digit_list_text, level.r.tolist())
+            at = (2 * level.positions).tolist()
+            for pos, fields in zip(at, zip(names, itertools.repeat(level.k), e, r, level.s, level.n)):
+                texts[pos] = _ENTRY_TEXT % fields
+        texts[1::2] = itertools.repeat(",\n", len(seq.values))
+        texts[-1] = "\n  ]"
+        chunks += ["[\n", *texts]
     chunks.append("\n}\n")
     return "".join(chunks)
 
@@ -725,15 +984,17 @@ def seq_from_json(obj: dict) -> SidonSequence:
     f is a monic irreducible of its level's window, s lies in [1,
     q^{3k}], e holds the table logs of f and no member appears twice. A
     failure names the lowest failing entry, and of its failures the
-    first in that order.
+    first in that order; a field of the wrong JSON type is a ValueError
+    naming it.
 
-    Each f is looked up by name in the level's member tables; only a
-    spelling that is not a canonical name is parsed. The re-encoding, the
-    range of s and the logs are checked a level at a time, from the
-    level's entries: one object-array product (as _level_draw forms n),
-    one comparison of s with its bounds and one level_e_digits
-    comparison. A field of the wrong JSON type is a ValueError naming
-    it."""
+    The fields are read and checked a whole list at a time
+    (_entry_columns); only when that finds a fault are the entries
+    checked one by one (_entry_fault), up to the first faulty one. Then,
+    per level: each f is looked up by name in the level's member tables
+    (_level_codes; only a spelling that is not a canonical name is
+    parsed), n is re-encoded by _encode, as the build forms it, s is
+    compared with its bounds, the logs with one _code_e_digits, and
+    repeats are found by one set of the codes."""
     json_value(obj, dict, "sequence file")
     params = params_from_json(obj["params"])
     q = params.q
@@ -745,79 +1006,141 @@ def seq_from_json(obj: dict) -> SidonSequence:
         stored.append((poly_from_string(q, g), poly_from_string(q, omega)))
     if stored != [(gen.g, gen.omega) for gen in moduli.generators]:
         raise ValueError("moduli differ from the build's g_i and their generators")
-    weights = digit_weights(params)
-    tables = {k: level_tables(params, k) for k in range(params.k_min, params.k_max + 1)}
-    entries: list[SequenceEntry] = []  # entry idx at position idx
-    codes: list[int] = []  # code of f per entry
-    levels: dict[int, list[int]] = {}  # k -> indexes of its entries
-    seen: dict[int, int] = {}  # code of f -> index of its first entry
-    # (entry index, rank of the check within the entry, error); the loop
-    # stops at the first entry that fails a check made in it
+    entries = json_value(obj["entries"], list, "entries")
+    # (entry index, rank of the check within the entry, error)
     failures: list[tuple[int, int, Exception]] = []
-    for idx, ent in enumerate(json_value(obj["entries"], list, "entries")):
-        try:
-            json_value(ent, dict, f"entry {idx}")
-            k = json_value(ent["k"], int, f"entry {idx}: k")
-            if k not in tables:
-                raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
-            e = _json_ints(ent["e"], f"entry {idx}: e")
-            r = _json_ints(ent["r"], f"entry {idx}: r")
-            s = int(json_value(ent["s"], str, f"entry {idx}: s"))
-            n = int(json_value(ent["n"], str, f"entry {idx}: n"))
-            if len(e) != k or len(r) != k:
-                raise ValueError(f"entry {idx}: digit count differs from k = {k}")
-            name = json_value(ent["f"], str, f"entry {idx}: f")
-            found = _member_position(tables[k], name)
-            if found is None:
-                f = poly_from_string(q, name)
-                found = _member_position(tables[k], poly_to_string(f))
-        except (ValueError, KeyError) as exc:
-            failures.append((idx, 0, exc))
-            break
-        if found is None:
-            if _pack(weights, e, r, s) != n:
-                failures.append((idx, 1, _reencode_error(idx)))
-            elif f.degree not in fk_degrees(params, k):
-                msg = f"entry {idx}: deg f outside the level k = {k} window"
-                failures.append((idx, 2, ValueError(msg)))
-            else:
-                failures.append((idx, 2, ValueError(f"entry {idx}: f is not a monic irreducible")))
-            break
-        table, pos = found
-        code = int(table.codes[pos]) + q.q**table.degree
-        first = seen.setdefault(code, idx)
-        if first != idx:
-            failures.append((idx, 5, ValueError(f"entry {idx}: f repeats entry {first}")))
-        entries.append(SequenceEntry(f=table.polys[pos], k=k, e=e, r=r, s=s, n=n))
-        codes.append(code)
-        levels.setdefault(k, []).append(idx)
-    for k, idx_list in levels.items():
-        idxs = np.array(idx_list)
-        level = [entries[idx] for idx in idx_list]
-        e_rows = np.array([ent.e for ent in level], dtype=object)
-        draw = _level_draw(params, k, e_rows)
-        s_col = np.array([ent.s for ent in level], dtype=object)
-        n_calc = np.array([ent.r for ent in level], dtype=object) @ draw.r_weights
-        n_calc += draw.fixed
-        n_calc += s_col * draw.s_weight
-        bad = idxs[n_calc != np.array([ent.n for ent in level], dtype=object)]
+    columns = _entry_columns(entries, params)
+    if columns is None:
+        idx, exc = next(
+            (idx, exc) for idx, ent in enumerate(entries) if (exc := _entry_fault(idx, ent, params)) is not None
+        )
+        failures.append((idx, 0, exc))
+        columns = _entry_columns(entries[:idx], params)
+    ks, e_flat, r_flat, s_all, n_all, names = columns
+    ks = np.array(ks, dtype=np.intp)
+    starts = np.cumsum(ks) - ks  # of each entry's digits in e_flat and r_flat
+    e_all, r_all = _digits(e_flat), _digits(r_flat)
+    s_all, n_all = np.array(s_all, dtype=object), np.array(n_all, dtype=object)
+    levels = []
+    for k in range(params.k_min, params.k_max + 1):
+        idxs = np.flatnonzero(ks == k)
+        if not idxs.size:
+            continue
+        digits = starts[idxs, None] + np.arange(k)
+        e, r, s, n = e_all[digits], r_all[digits], s_all[idxs], n_all[idxs]
+        codes = _level_codes(params, k, names, idxs, failures)
+        bad = idxs[_encode(params, k, e, r, s) != n]
         if bad.size:
             failures.append((int(bad[0]), 1, _reencode_error(bad[0])))
-        bad = idxs[(s_col < 1) | (s_col > draw.s_range)]
+        s_range = q.q ** (3 * k)
+        bad = idxs[(s < 1) | (s > s_range)]
         if bad.size:
-            msg = f"entry {bad[0]}: s outside [1, q^(3k)] = [1, {draw.s_range}] at level k = {k}"
+            msg = f"entry {bad[0]}: s outside [1, q^(3k)] = [1, {s_range}] at level k = {k}"
             failures.append((int(bad[0]), 3, ValueError(msg)))
-        width = 1 + fk_degrees(params, k)[-1]
-        level_codes = np.array([codes[idx] for idx in idx_list], dtype=np.int64)
-        logs = _code_e_digits(moduli.generators[:k], level_codes, width)
-        bad = idxs[(logs != e_rows).any(axis=1)]
+        member = codes >= 0
+        if not member.any():
+            continue
+        logs = _code_e_digits(moduli.generators[:k], codes[member], 1 + fk_degrees(params, k)[-1])
+        bad = idxs[member][(logs != e[member]).any(axis=1)]
         if bad.size:
             msg = f"entry {bad[0]}: e digits differ from the table logs of f"
             failures.append((int(bad[0]), 4, ValueError(msg)))
+        member_codes = codes[member].tolist()
+        if len(set(member_codes)) < len(member_codes):
+            first: dict[int, int] = {}
+            for idx, code in zip(idxs[member].tolist(), member_codes):
+                if first.setdefault(code, idx) != idx:
+                    failures.append((idx, 5, ValueError(f"entry {idx}: f repeats entry {first[code]}")))
+                    break
+        levels.append(SequenceLevel(q, k, codes, e, r, s, n, idxs))
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     warnings = json_value(obj.get("warnings", []), list, "warnings")
-    return SidonSequence(params, moduli, tuple(entries), tuple(warnings))
+    return SidonSequence(params, moduli, tuple(levels), tuple(warnings))
+
+
+_ENTRY_FIELDS = ("k", "e", "r", "s", "n", "f")
+
+
+def _entry_columns(entries: list, params: Params) -> tuple[list, ...] | None:
+    """The fields of entries as lists, in the order of _ENTRY_FIELDS, with
+    e and r flattened and s and n as integers, when every entry passes
+    the checks of _entry_fault, the parsing of a non-canonical f aside;
+    None when some entry does not. Whole-list passes only."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        ks, es, rs, ss, ns, fs = ([ent[key] for ent in entries] for key in _ENTRY_FIELDS)
+    except KeyError:
+        return None
+    if not (set(map(type, ks)) <= {int} and set(ks) <= set(range(params.k_min, params.k_max + 1))):
+        return None
+    if not (set(map(type, es)) | set(map(type, rs)) <= {list} and list(map(len, es)) == ks == list(map(len, rs))):
+        return None
+    e_flat, r_flat = list(itertools.chain.from_iterable(es)), list(itertools.chain.from_iterable(rs))
+    if not set(map(type, e_flat)) | set(map(type, r_flat)) <= {int}:
+        return None
+    if not set(map(type, ss)) | set(map(type, ns)) | set(map(type, fs)) <= {str}:
+        return None
+    try:
+        return ks, e_flat, r_flat, list(map(int, ss)), list(map(int, ns)), fs
+    except ValueError:
+        return None
+
+
+def _entry_fault(idx: int, ent, params: Params) -> Exception | None:
+    """The first fault of entry idx that the checks of one entry alone
+    find (type, level, digit count, spelling of f), None when it has none."""
+    try:
+        json_value(ent, dict, f"entry {idx}")
+        k = json_value(ent["k"], int, f"entry {idx}: k")
+        if not params.k_min <= k <= params.k_max:
+            raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
+        e = _json_ints(ent["e"], f"entry {idx}: e")
+        r = _json_ints(ent["r"], f"entry {idx}: r")
+        int(json_value(ent["s"], str, f"entry {idx}: s"))
+        int(json_value(ent["n"], str, f"entry {idx}: n"))
+        if len(e) != k or len(r) != k:
+            raise ValueError(f"entry {idx}: digit count differs from k = {k}")
+        name = json_value(ent["f"], str, f"entry {idx}: f")
+        if _member_code(level_tables(params, k), name) is None:
+            poly_from_string(params.q, name)
+    except (ValueError, KeyError) as exc:
+        return exc
+    return None
+
+
+def _level_codes(params: Params, k: int, names: list[str], idxs: np.ndarray, failures: list) -> np.ndarray:
+    """The codes (with the leading q^deg f) of the members of level k
+    named names[idx] for idx in idxs, -1 for a name that is none. Each
+    table, the largest (top degree) first, looks up the names that no
+    table before it holds. A name that is no canonical member name is
+    parsed; the fault it makes goes to failures, ranked as in
+    seq_from_json: 0 when it does not parse, 2 (after the re-encoding)
+    when it is no monic irreducible of the window."""
+    tables = level_tables(params, k)
+    codes = np.full(len(idxs), -1, dtype=np.int64)
+    todo = np.arange(len(idxs))
+    for table in reversed(tables):
+        looked_up = map(table.index.get, map(names.__getitem__, idxs[todo].tolist()), itertools.repeat(-1))
+        pos = np.fromiter(looked_up, dtype=np.intp, count=len(todo))
+        hit = pos >= 0
+        codes[todo[hit]] = table.codes[pos[hit]] + params.q.q**table.degree
+        todo = todo[~hit]
+    for at, idx in zip(todo.tolist(), idxs[todo].tolist()):
+        try:
+            f = poly_from_string(params.q, names[idx])
+        except ValueError as exc:
+            failures.append((idx, 0, exc))
+            continue
+        code = _member_code(tables, poly_to_string(f))
+        if code is not None:
+            codes[at] = code
+        elif f.degree not in fk_degrees(params, k):
+            failures.append((idx, 2, ValueError(f"entry {idx}: deg f outside the level k = {k} window")))
+        else:
+            failures.append((idx, 2, ValueError(f"entry {idx}: f is not a monic irreducible")))
+    return codes
 
 
 def _json_ints(value, what: str) -> tuple[int, ...]:
@@ -831,11 +1154,11 @@ def _reencode_error(idx: int) -> ValueError:
     return ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
 
 
-def _member_position(tables: list[MemberTable], name: str) -> tuple[MemberTable, int] | None:
-    """(table, position) of the member whose canonical name is name, None
-    when no table holds it."""
+def _member_code(tables: list[MemberTable], name: str) -> int | None:
+    """The code (with the leading q^d) of the member whose canonical name
+    is name, None when no table holds it."""
     for table in tables:
         pos = table.index.get(name)
         if pos is not None:
-            return table, pos
+            return int(table.codes[pos]) + table.q.q**table.degree
     return None

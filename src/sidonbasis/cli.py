@@ -211,7 +211,7 @@ def _verify_sidon_report(seq) -> tuple[dict, bool, dict]:
                 "failed_margin": audit.failed_margin,
             }
         )
-    n = len(seq.entries)
+    n = len(seq.values)
     report = {
         "mode": "sidon",
         "values": n,

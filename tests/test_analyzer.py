@@ -4,6 +4,7 @@ representation enumeration, Monte Carlo coverage."""
 import hashlib
 import random
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,6 @@ from sidonbasis.analyzer import (
 from sidonbasis.auxset import AuxSet, YTable, triple_sumset_bits
 from sidonbasis.builder import (
     Params,
-    SequenceEntry,
     SidonSequence,
     _digit_hasher,
     _draw_digits,
@@ -373,13 +373,17 @@ def test_collision_witness_validation():
         CollisionWitness(1, 4, 4, 1)
 
 
+# an entry made by hand; SidonSequence.from_entries takes a list of them
+Entry = namedtuple("Entry", "f k e r s n")
+
+
 def mock_entry(params, f, k, e, r, s):
     digits = []
     for ei, ri in zip(e, r):
         digits.extend((ei, ri))
     digits.append(s)
     n = encode(mixed_radix(params), DigitVector(tuple(digits)))
-    return SequenceEntry(f=f, k=k, e=tuple(e), r=tuple(r), s=s, n=n)
+    return Entry(f=f, k=k, e=tuple(e), r=tuple(r), s=s, n=n)
 
 
 @pytest.fixture(scope="module")
@@ -397,9 +401,7 @@ def test_attribute_equal_k_collision(mock_params):
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)  # (t+1)^2
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)  # t+2
     assert e1.n + e2.n == e3.n + e4.n
-    seq = SidonSequence(
-        params, build_moduli(params), tuple(sorted((e1, e2, e3, e4), key=lambda x: x.n))
-    )
+    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     w = CollisionWitness(e1.n, e2.n, e3.n, e4.n, entries=(e1, e2, e3, e4))
     audit = attribute_collision(seq, w)
     row = audit.rows[0]
@@ -421,9 +423,7 @@ def test_attribute_detects_product_mismatch(mock_params):
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
     # claims the digits of t+2 but carries the polynomial t+1
     e4 = mock_entry(params, Poly(Q3, (1, 1)), 1, (1,), (a,), 6)
-    seq = SidonSequence(
-        params, build_moduli(params), tuple(sorted((e1, e2, e3, e4), key=lambda x: x.n))
-    )
+    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     w = CollisionWitness(e1.n, e2.n, e3.n, e4.n, entries=(e1, e2, e3, e4))
     audit = attribute_collision(seq, w)
     assert not audit.products_congruent
@@ -442,9 +442,7 @@ def test_attribute_mixed_k_collision(mock_params):
     c2 = mock_entry(params, fa, 2, (0, 1), (a, a), 9)
     d1 = mock_entry(params, fb, 1, (0,), (a,), 6)
     assert a2.n + b1.n == c2.n + d1.n
-    seq = SidonSequence(
-        params, build_moduli(params), tuple(sorted((a2, b1, c2, d1), key=lambda x: x.n))
-    )
+    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((a2, b1, c2, d1), key=lambda x: x.n))
     # pass the right pair in ascending-k order to exercise the swap
     w = CollisionWitness(a2.n, b1.n, d1.n, c2.n, entries=(a2, b1, d1, c2))
     audit = attribute_collision(seq, w)
@@ -469,7 +467,7 @@ def test_attribute_carry_digit_is_shifted_pair_sum():
     e3 = mock_entry(params, Poly(Q3, (2, 1)), 1, (0,), (1,), 5)
     e4 = mock_entry(params, Poly(Q3, (0, 1)), 1, (0,), (2,), 5)
     entries = tuple(sorted((e1, e3, e4), key=lambda x: x.n))
-    seq = SidonSequence(params, build_moduli(params), entries)
+    seq = SidonSequence.from_entries(params, build_moduli(params), entries)
     w = CollisionWitness(e1.n, e1.n, e3.n, e4.n, entries=(e1, e1, e3, e4))
     row = attribute_collision(seq, w).rows[0]
     assert row.y_digit == 3
@@ -485,9 +483,7 @@ def test_attribute_resolves_entries_from_sequence(mock_params):
     e2 = mock_entry(params, Poly(Q3, (1, 1)), 1, (0,), (a,), 5)
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)
-    seq = SidonSequence(
-        params, build_moduli(params), tuple(sorted((e1, e2, e3, e4), key=lambda x: x.n))
-    )
+    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
     assert {audit.left[0].n, audit.left[1].n} == {e1.n, e2.n}
     assert audit.products_congruent
@@ -858,7 +854,7 @@ def test_draw_plan_matches_build(seq307, seq7, aux307):
     levels = three_level_build(aux307)
     assert len({ent.k for ent in levels.entries}) == 3
     for seq in (seq307, seq7, levels):
-        plan = draw_plan(seq.params, seq.entries)
+        plan = draw_plan(seq)
         stored = [ent.n for ent in seq.entries]
         assert redrawn_values(plan, seq.params.seed) == stored
         assert reference_values(seq.params, seq.entries, seq.params.seed) == stored
@@ -890,7 +886,7 @@ def q13_levels(aux307):
     for u, k in enumerate([3, 1, 3, 2, 1, 3, 2, 3, 3, 1]):
         f = Poly(q13, tuple(rng.randrange(13) for _ in range(2 * k)) + (u + 1, 1))
         e = tuple(rng.randrange(13 ** (2 * i - 1) - 1) for i in range(1, k + 1))
-        entries.append(SequenceEntry(f=f, k=k, e=e, r=(), s=0, n=u))
+        entries.append(Entry(f=f, k=k, e=e, r=(0,) * k, s=0, n=u))
     return params, entries
 
 
@@ -899,7 +895,7 @@ def test_draw_plan_q13_levels(aux307):
     # the Python-integer reduction; levels interleave in entry order, so
     # a plan that grouped or ordered them wrongly misplaces values
     params, entries = q13_levels(aux307)
-    plan = draw_plan(params, entries)
+    plan = draw_plan(SidonSequence.from_entries(params, build_moduli(params), entries))
     for seed in (0, 11, 2**63 + 7):
         assert redrawn_values(plan, seed) == reference_values(params, entries, seed)
 
@@ -918,10 +914,11 @@ def test_trial_matches_full_redraw(aux307, which):
     # not), at 3 min and 3 max, and of length 1
     if which == "q13":
         params, entries = q13_levels(aux307)
+        seq = SidonSequence.from_entries(params, build_moduli(params), entries)
     else:
         seq = three_level_build(aux307)
         params, entries = seq.params, seq.entries
-    plan = draw_plan(params, entries)
+    plan = draw_plan(seq)
     rng = random.Random(which)
     for tau in range(3):
         trial_seed = _trial_seed(params.seed, tau)
@@ -967,7 +964,7 @@ def test_trial_hashes_only_reaching_digits(seq307, monkeypatch):
 
     log = []
     monkeypatch.setattr(builder, "_digit_hasher", lambda seed: CountingHasher(_digit_hasher(seed), log))
-    plan = draw_plan(seq307.params, seq307.entries)
+    plan = draw_plan(seq307)
     trial_seed = _trial_seed(seq307.params.seed, 0)
     vals = seq307.values
     centre = (3 * vals[0] + 3 * vals[-1]) // 2
@@ -1003,7 +1000,7 @@ def brute_frequencies(params, entries, window, trials):
 def test_coverage_matches_brute(params307, seq307, which):
     # 20 entries from each end keep the brute force small; the top ones
     # are above 2^70, so the coarse keys are shifted
-    seq = SidonSequence(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
+    seq = SidonSequence.from_entries(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
     vals = list(seq.values)
     assert _coarse_keys(vals, 3)[0] > 0
     tv = sorted(reference_values(params307, seq.entries, _trial_seed(params307.seed, 1)))
@@ -1034,7 +1031,7 @@ def test_coverage_counts_repeated_sums(mock_params):
         (mock_entry(params, Poly(Q3, (s % 3, s // 3, 1)), 1, (0,), (a,), s) for s in range(1, 9)),
         key=lambda ent: ent.n,
     )
-    seq = SidonSequence(params, build_moduli(params), tuple(entries))
+    seq = SidonSequence.from_entries(params, build_moduli(params), entries)
     vals = list(seq.values)
     window = (3 * vals[0], 3 * (vals[1] - vals[0]) + 1)
     rep = monte_carlo_coverage(params, window, trials=2, seq=seq)

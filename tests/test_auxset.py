@@ -1,5 +1,6 @@
 """Auxiliary-set tests: sampling, alteration, verifiers, y-table, search."""
 
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from sidonbasis.auxset import (
     CLASS_MODULUS,
     AuxSet,
     SearchExhausted,
+    _derive_seed,
+    _first_run_start,
     _y_table_entries,
     alteration,
     aux_from_json,
@@ -256,3 +259,39 @@ def test_default_aux_verifies(aux307):
     assert verify_disjoint(set(aux307.A))[0]
     ok, start = verify_coverage(set(aux307.A), 307)
     assert ok and start == aux307.window_start
+
+
+def test_coverage_bound_agrees_with_bitmask_check():
+    # verify_coverage answers (False, None) without the sumset when
+    # C(|A|+2, 3) < p + 2; on random small A it agrees with the bitmask
+    # scan of A+A+A written out, on both sides of the bound
+    rng = random.Random(2)
+    taken = covered = 0
+    for _ in range(600):
+        p = rng.choice([11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+        a_set = set(rng.sample(range(1, p // 2), rng.randint(1, p // 2 - 1)))
+        start = _first_run_start(triple_sumset_bits(a_set), p + 2)
+        assert verify_coverage(a_set, p) == (start is not None, start)
+        taken += math.comb(len(a_set) + 2, 3) < p + 2
+        covered += start is not None
+    assert taken > 50 and covered > 50
+    assert verify_coverage(set(), 11) == (False, None)
+
+
+def test_search_draws_as_sample_candidate():
+    # search keeps the per-prime constants and one Random across its
+    # attempts, re-seeded per attempt; each attempt still draws the set
+    # that sample_candidate draws under the attempt's seed
+    records = []
+    with pytest.raises(SearchExhausted):
+        search(11, 200, 3, 5, method="random", collect=records)
+    assert len(records) == 5 * 42
+    for rec in records:
+        r_set = sample_candidate(rec.p, _derive_seed("attempt", 3, rec.p, rec.attempt))
+        x_set, a_set = alteration(r_set)
+        assert (rec.r_size, rec.x_size, rec.a_size, rec.supnorm) == (
+            len(r_set),
+            len(x_set),
+            len(a_set),
+            pair_sum_supnorm(r_set),
+        )

@@ -1,6 +1,7 @@
 """Sequence assembly tests: member windows, digits, injectivity, decode."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sidonbasis.auxset import AuxSet
@@ -17,7 +20,9 @@ from sidonbasis.builder import (
     SCALED_MODE_WARNING,
     DecodeError,
     Params,
+    SidonSequence,
     _decode_index,
+    _decode_levels,
     _pack,
     audit_preconditions,
     build_Fk,
@@ -46,6 +51,7 @@ from sidonbasis.ffpoly import (
     poly_mod,
     poly_mul,
     poly_powmod,
+    poly_to_string,
 )
 from sidonbasis.gbase import DigitVector, decode, encode, fmod
 from sidonbasis import unitgroup
@@ -440,10 +446,14 @@ def test_tables_shared_across_seeds(params307, aux307):
         index = _decode_index(build_moduli(params307).generators[:k], params307.q, fk_degrees(params307, k))
         assert index is _decode_index(build_moduli(other).generators[:k], other.q, fk_degrees(other, k))
         assert len(index) == sum(len(table.polys) for table in ours)
+    # decode_entry reads each index through its set-up per (params,
+    # moduli), which it makes once
+    ours, theirs = _decode_levels(params307, build_moduli(params307)), _decode_levels(other, build_moduli(other))
+    assert all(a[-1] is b[-1] for a, b in zip(ours[0], theirs[0]))  # the levels' indexes
     decode_entry(build_sequence(other).values[0], other, build_moduli(other))
-    hits = _decode_index.cache_info().hits
+    hits = _decode_levels.cache_info().hits
     decode_entry(build_sequence(params307).values[0], params307, build_moduli(params307))
-    assert _decode_index.cache_info().hits == hits + 1
+    assert _decode_levels.cache_info().hits == hits + 1
 
 
 def test_decode_index_keys_members_by_one_integer(params307, seq11):
@@ -585,12 +595,13 @@ def test_seq_json_text_matches_indented_dumps(seq307, manifest_ref):
     foreign = Poly(Q3, (0, 0, 0, 0, 1))
     assert not is_irreducible(foreign)
     odd = list(seq307.entries)
-    odd[7] = dataclasses.replace(odd[7], f=foreign)
+    ent = odd[7]
+    odd[7] = SimpleNamespace(f=foreign, k=ent.k, e=ent.e, r=ent.r, s=ent.s, n=ent.n)
     cases = [
         seq307,
         dataclasses.replace(seq307, warnings=()),
-        dataclasses.replace(seq307, entries=tuple(odd)),
-        dataclasses.replace(seq307, entries=()),
+        SidonSequence.from_entries(seq307.params, seq307.moduli, odd, seq307.warnings),
+        SidonSequence.from_entries(seq307.params, seq307.moduli, (), seq307.warnings),
     ]
     assert seq307.warnings
     for seq in cases:
@@ -697,3 +708,140 @@ def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
         fault_b(obj, at_b)
         with pytest.raises(ValueError, match=message):
             seq_from_json(obj)
+
+
+# sha256 prefixes of seq_json_text(seq, "x.manifest.json") for the builds of
+# test_columns_round_trip_and_views, pinned so that a change to the draw,
+# the encoding or the writer that moves a byte of a sequence file fails
+COLUMN_BUILD_DIGESTS = {
+    (3, 3, 4, 0): "0146fb28b43b9b8d",
+    (3, 3, 4, 5): "0affbb153a45b813",
+    (3, 2, 4, 0): "be756f915a5c6194",
+    (3, 2, 4, 5): "9fdaf5baac237881",
+    (7, 3, 3, 0): "2b100fb0054fca2c",
+    (7, 3, 3, 5): "34d61c0542489ae0",
+    (11, 3, 3, 0): "baa0a033ad46b5bc",
+    (11, 3, 3, 5): "4ff5e367ff7e76cc",
+    (13, 2, 3, 0): "6d3fd3ffb4c0b388",
+    (13, 2, 3, 5): "598356f299bc8972",
+}
+
+
+@pytest.mark.parametrize("q, k_min, k_max, seed", sorted(COLUMN_BUILD_DIGESTS))
+def test_columns_round_trip_and_views(aux307, q, k_min, k_max, seed):
+    # the file reloads to the same columns, dtypes included; the template
+    # writer matches json.dumps; every entry view re-encodes by _pack,
+    # names the member the file names and carries its table logs
+    params = Params(q=PrimeModulus(q), aux=aux307, k_min=k_min, k_max=k_max, seed=seed)
+    seq = build_sequence(params)
+    text = seq_json_text(seq, "x.manifest.json")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == COLUMN_BUILD_DIGESTS[q, k_min, k_max, seed]
+    obj = seq_to_json(seq, "x.manifest.json")
+    assert text == json.dumps(obj, indent=2) + "\n"
+    again = seq_from_json(json.loads(text))
+    assert again == seq
+    assert [level.k for level in again.levels] == list(range(k_min, k_max + 1))
+    for ours, built in zip(again.levels, seq.levels):
+        assert [col.dtype for col in ours.columns()] == [col.dtype for col in built.columns()]
+        assert ours.e.dtype == ours.r.dtype == ours.codes.dtype == np.int64
+        assert all(type(x) is int for x in (*ours.s, *ours.n))
+    weights = digit_weights(params)
+    entries = list(again.entries)
+    assert [ent.n for ent in entries] == list(again.values) == sorted(again.values)
+    for ent, written in zip(entries, obj["entries"]):
+        assert _pack(weights, ent.e, ent.r, ent.s) == ent.n
+        assert ent.f == Poly.from_code(params.q, int(ent.level.codes[ent.row]))
+        assert (poly_to_string(ent.f), ent.k, list(ent.e), list(ent.r)) == (
+            written["f"],
+            written["k"],
+            written["e"],
+            written["r"],
+        )
+    for level in again.levels:
+        members = [Poly.from_code(params.q, code) for code in level.codes.tolist()]
+        assert (level_e_digits(seq.moduli.generators[: level.k], members) == level.e).all()
+
+
+def test_entry_views(seq307):
+    # entries is a read-only sequence of views: indexing from either end,
+    # slices as tuples, equality by value, and one view per entry
+    entries = seq307.entries
+    assert len(entries) == 944
+    assert entries[-1] == entries[943] and entries[0] != entries[1]
+    assert entries[2:5] == tuple(entries)[2:5] and isinstance(entries[2:5], tuple)
+    assert entries.index(entries[600]) == 600 and entries[600] in entries
+    assert {entries[7], entries[7]} == {entries[7]}
+    with pytest.raises(IndexError):
+        entries[944]
+    assert [ent.k for ent in entries] == [3] * 18 + [4] * 926
+
+
+def test_from_entries_orders_and_validates(params307, seq307):
+    # SidonSequence.from_entries takes entries in ascending n; a view or a
+    # record made by hand serves alike, and the levels come out as built
+    hand = [SimpleNamespace(f=ent.f, k=ent.k, e=ent.e, r=ent.r, s=ent.s, n=ent.n) for ent in seq307.entries]
+    assert SidonSequence.from_entries(params307, seq307.moduli, hand, seq307.warnings) == seq307
+    assert SidonSequence.from_entries(params307, seq307.moduli, seq307.entries, seq307.warnings) == seq307
+    for bad in (hand[:5] + hand[6:7] + hand[5:6], hand[:5] + hand[4:5]):
+        with pytest.raises(ValueError, match="entries must be sorted by n with no duplicates"):
+            SidonSequence.from_entries(params307, seq307.moduli, bad)
+    short = hand[:3] + [SimpleNamespace(**{**vars(hand[3]), "r": hand[3].r[:-1]})]
+    with pytest.raises(ValueError, match="has not k digits"):
+        SidonSequence.from_entries(params307, seq307.moduli, short)
+
+
+def test_seq_from_json_keeps_digits_beyond_int64(params307, seq307):
+    # n re-encodes from an r digit above 2^63 (outside A); the file loads,
+    # the r column holds Python integers, and the writer gives the bytes back
+    obj = seq_to_json(seq307)
+    ent = seq307.entries[-1]
+    r = (ent.r[0] + 2**70,) + ent.r[1:]
+    obj["entries"][-1].update(r=list(r), n=str(_pack(digit_weights(params307), ent.e, r, ent.s)))
+    seq = seq_from_json(obj)
+    assert seq.entries[-1].r == r and seq.levels[-1].r.dtype == object
+    assert seq.entries[:-1] == seq307.entries[:-1]
+    assert seq_json_text(seq) == json.dumps(obj, indent=2) + "\n"
+
+
+def peel_decode(n, params, moduli):
+    """decode_entry written out: per bracket-compatible level every digit
+    is peeled off by digit_weights, then s, the r digits and the index by
+    the e digits' key are checked."""
+    weights = digit_weights(params)
+    q = params.q.q
+    for k in range(1, params.k_max + 1):
+        lo, hi = level_value_range(params, k)
+        if not lo <= n < hi:
+            continue
+        digits = [0] * (2 * k + 1)
+        rest = n
+        for j in range(2 * k, 0, -1):
+            digits[j], rest = divmod(rest, weights[j])
+        digits[0] = rest
+        e, r, s = digits[0 : 2 * k : 2], digits[1 : 2 * k : 2], digits[2 * k]
+        if not 1 <= s <= q ** (3 * k) or any(x not in params.aux.A for x in r):
+            continue
+        key = sum(e_i * math.prod(q ** (2 * j - 1) - 1 for j in range(1, i)) for i, e_i in enumerate(e, start=1))
+        f = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k)).get(key)
+        if f is not None:
+            return f, k
+    raise DecodeError(f"{n} does not decode")
+
+
+def test_decode_matches_written_out_peel(seq307, seq7, seq11):
+    # every entry, n +- 1, s = 0, r_1 outside A and the values just
+    # outside each level's bracket
+    for seq in (seq307, seq7, seq11):
+        params, moduli = seq.params, seq.moduli
+        weights = digit_weights(params)
+        outside = max(params.aux.A) + 1
+        values = []
+        for ent in seq.entries:
+            values += [ent.n, ent.n - 1, ent.n + 1, ent.n - ent.s * weights[2 * ent.k]]
+            values.append(_pack(weights, ent.e, (outside,) + ent.r[1:], ent.s))
+        for k in range(1, params.k_max + 1):
+            lo, hi = level_value_range(params, k)
+            values += [lo - 1, lo, hi - 1, hi]
+        outcomes = [decode_outcome(decode_entry, n, params, moduli) for n in values]
+        assert outcomes == [decode_outcome(peel_decode, n, params, moduli) for n in values]
+        assert outcomes[: 5 * len(seq.entries) : 5] == [(ent.f, ent.k) for ent in seq.entries]

@@ -1,11 +1,15 @@
-"""Memory guards on the F_q code maps: the log tables and the irreducible
-sieve work one block of codes at a time, so their transients stay near
-1 MB however many codes they cover. tracemalloc sees numpy's buffers, so
-a traced peak counts every array these builds form."""
+"""Memory guards on the F_q code maps and the sequence load: the log
+tables and the irreducible sieve work one block of codes at a time, so
+their transients stay near 1 MB however many codes they cover, and a
+loaded sequence is held as columns, with no object per entry.
+tracemalloc sees numpy's buffers, so a traced peak counts every array
+these steps form."""
 
+import json
 import tracemalloc
 
 from sidonbasis import ffpoly, unitgroup
+from sidonbasis.builder import Params, build_sequence, seq_from_json, seq_json_text
 from sidonbasis.ffpoly import PrimeModulus, smallest_irreducible
 
 
@@ -37,3 +41,20 @@ def test_sieve_peak_is_bounded():
     ffpoly._irreducible_codes.cache_clear()
     assert len(codes) == 44220
     assert peak <= 8 << 20
+
+
+def test_sequence_load_peak_and_size(aux307):
+    # the q = 11, k = 3 file, 3,630 entries: with one SequenceEntry and
+    # one Poly per entry the load peaked at 2.41 MB traced and kept 1.03 MB
+    seq = build_sequence(Params(q=PrimeModulus(11), aux=aux307, k_min=3, k_max=3, seed=0))
+    obj = json.loads(seq_json_text(seq))
+    seq_from_json(obj)  # the member tables, moduli and log tables are built once per process
+    tracemalloc.start()
+    try:
+        loaded = seq_from_json(obj)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == seq
+    assert peak < 2.41 * 2**20
+    assert size < 1.03 * 2**20
