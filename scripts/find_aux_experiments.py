@@ -29,8 +29,6 @@ from sidonbasis.auxset import (
     SearchExhausted,
     alteration,
     build_y_table,
-    check_design,
-    design_search,
     deterministic_aux,
     sample_candidate,
     search,
@@ -110,6 +108,96 @@ def scan(p_max: int, show_all: bool) -> None:
         if hits == 1:
             print(f"  -> minimal successful p = {p}")
     print(f"total successes: {hits}")
+
+
+def design_search(
+    modulus_range, set_sizes, node_budget: int = 4_000_000
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Exhaustive DFS for residue-class designs: subsets P of Z/M with the
+    shifted-sum disjointness and full triple-sum coverage. Returns all
+    (M, P) hits, one per modulus, scanning set sizes ascending. Used to
+    reproduce the pinned CLASS_MODULUS/CLASS_DESIGN kernel."""
+    hits = []
+    for m in modulus_range:
+        found = None
+        for k in set_sizes:
+            if k * (k + 1) * (k + 2) // 6 < m:
+                continue  # fewer triple sums than classes to cover
+            found = _design_dfs(m, k, node_budget)
+            if found:
+                break
+        if found:
+            hits.append((m, found))
+    return hits
+
+
+def check_design(m: int, design) -> bool:
+    """Exact check of both design properties."""
+    pset = set(design)
+    for a in pset:
+        for b in pset:
+            if (a + b) % m in pset or (a + b + 1) % m in pset:
+                return False
+    cover = {(a + b + c) % m for a in pset for b in pset for c in pset}
+    return len(cover) == m
+
+
+def _design_dfs(m: int, k: int, node_budget: int) -> tuple[int, ...] | None:
+    in_p = bytearray(m)
+    blocked = [0] * m
+    chosen: list[int] = []
+    nodes = 0
+
+    def covers() -> bool:
+        seen = bytearray(m)
+        cnt = 0
+        n = len(chosen)
+        for i in range(n):
+            for j in range(i, n):
+                pij = chosen[i] + chosen[j]
+                for l in range(j, n):
+                    v = (pij + chosen[l]) % m
+                    if not seen[v]:
+                        seen[v] = 1
+                        cnt += 1
+        return cnt == m
+
+    def dfs(start: int) -> tuple[int, ...] | None:
+        nonlocal nodes
+        if len(chosen) == k:
+            return tuple(chosen) if covers() else None
+        if m - start < k - len(chosen) or nodes > node_budget:
+            return None
+        for r in range(start, m):
+            if blocked[r] or in_p[r]:
+                continue
+            nodes += 1
+            news = []
+            bad = False
+            for a in chosen + [r]:
+                for v in ((a + r) % m, (a + r + 1) % m):
+                    if in_p[v] or v == r:
+                        bad = True
+                        break
+                    news.append(v)
+                if bad:
+                    break
+            if bad:
+                continue
+            chosen.append(r)
+            in_p[r] = 1
+            for v in news:
+                blocked[v] += 1
+            hit = dfs(r + 1)
+            for v in news:
+                blocked[v] -= 1
+            in_p[r] = 0
+            chosen.pop()
+            if hit:
+                return hit
+        return None
+
+    return dfs(1)
 
 
 def run_design_search(m_max: int, k_max: int, budget: int) -> None:

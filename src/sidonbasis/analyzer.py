@@ -22,10 +22,9 @@ decompose is that peel for one integer. The decompose check of the
 command line (verify --mode decompose) runs the peel in blocks of 1,024
 samples and does not trust it: per block it re-checks the level count,
 every x and z range, the admissibility of every y against the bits of
-A+A+A, and that the digits re-encode to m. find_representations
-enumerates exact three-element sums, and monte_carlo_coverage measures
-how often a window of integers stays representable when the random
-digits are redrawn.
+A+A+A, and that the digits re-encode to m. monte_carlo_coverage counts
+the exact three-element sums in a window and measures how often a window
+of integers stays representable when the random digits are redrawn.
 
 verify_sidon and monte_carlo_coverage share one pair-sum engine, exact
 without Python sets of pair sums. Each value v gets the coarse key
@@ -73,8 +72,8 @@ the keys admit is re-checked with Python integers, so no answer rests
 on a key.
 
 A coverage trial re-draws the r and s digits of every entry from a draw
-plan built once per run (builder.draw_plan): the e-digit part of n, the
-hash messages and the digit weights do not change between trials. It
+plan built once per run (builder.draw_plan): the e digits and the hash
+messages do not change between trials. It
 draws in two stages. builder.draw_bounds hashes only r_k and s of each
 entry, two digests instead of k + 1, and bounds n exactly: the r_i with
 i < k add between (min A) S_k and (max A) S_k, S_k = sum_{i<k}
@@ -564,55 +563,6 @@ def decompose(m: int, params: Params, y_table: YTable) -> Decomposition:
     x = tuple(x[0] for _, x, _ in peel.levels)
     y = tuple(int(y[0]) for _, _, y in peel.levels)
     return Decomposition(m=m, k=len(x), x=x, y=y, z=peel.z[0])
-
-
-def _sorted_values(seq_or_values) -> list[int]:
-    if isinstance(seq_or_values, SidonSequence):
-        vals = list(seq_or_values.values)
-    else:
-        vals = list(seq_or_values)
-    if any(a >= b for a, b in zip(vals, vals[1:])):
-        raise ValueError("values must be sorted ascending and distinct")
-    return vals
-
-
-def find_representations(m: int, seq_or_values, order: int = 3) -> list[tuple[int, ...]]:
-    """All index multisets (ascending) whose values sum to m; two-pointer
-    over the sorted tail, so no triple hashing."""
-    vals = _sorted_values(seq_or_values)
-    if order == 2:
-        out2 = []
-        lo, hi = 0, len(vals) - 1
-        while lo <= hi:
-            s = vals[lo] + vals[hi]
-            if s == m:
-                out2.append((lo, hi))
-                lo += 1
-                hi -= 1
-            elif s < m:
-                lo += 1
-            else:
-                hi -= 1
-        return out2
-    if order != 3:
-        raise ValueError("only orders 2 and 3 are supported")
-    out = []
-    for i, first in enumerate(vals):
-        target = m - first
-        if target < 2 * first:
-            break
-        lo, hi = i, len(vals) - 1
-        while lo <= hi:
-            s = vals[lo] + vals[hi]
-            if s == target:
-                out.append((i, lo, hi))
-                lo += 1
-                hi -= 1
-            elif s < target:
-                lo += 1
-            else:
-                hi -= 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Assembly of the Sidon sequence.
 
 For each level k, the members are the monic irreducibles f of even degree
-in a window proportional to k^2 (build_Fk). Every f is turned into an
+in a window proportional to k^2 (fk_degrees). Every f is turned into an
 integer n_f by packing, least significant first, the digit vector
 
     <s  r_k e_k  ...  r_1 e_1>
@@ -21,26 +21,27 @@ is read.
 
 The members of each degree are one cached MemberTable per (q, degree):
 sieve codes and canonical names (ffpoly.code_names), with name ->
-position; their Poly objects are made on first request, by build_Fk and
-the decode indexes. level_e_digits gives the e digits of a whole level at
-once: one digit matrix per block of the codes, one product mod q per g_i
+position; their Poly objects are made on first request, by the decode
+indexes. _code_e_digits gives the e digits of a whole level at once: one
+digit matrix per block of the codes, one product mod q per g_i
 (reduction is F_q-linear) and one dlog_table gather. The r and s digits
 are drawn by one routine, _draw_digits, over chosen rows (members) and
 tags (digits) of a level's table of hash messages, which carry the
 members' names: one keyed blake2b state, a copy of it per chosen
 message, the digests written into one uint64 word array and reduced
-exactly. The build draws every digit of a level through it, forms n by
-_encode (s W_{2k} plus the lower digits summed in int64 where they fit,
-as Python integers) and stores the arrays it drew as the level's
-columns. A coverage trial (draw_plan) draws in two stages
-through the same routine: draw_bounds hashes only r_k and s of every
-entry, which puts n in [low, low + (max A - min A) S_k] with S_k = W_1 +
-W_3 + ... + W_{2k-3}, and complete_draw hashes r_1..r_{k-1} of the
-entries whose bounds can reach the window only. seq_from_json reads each
-field of the entries a whole list at a time, looks every f up by name in
-the member tables and checks a level at a time, in whole-array passes;
-seq_json_text writes a sequence file from the columns by template, byte
-for byte as json.dumps(indent=2).
+exactly. _encode is the one map from digits to n (s W_{2k} plus the
+lower digits summed in int64 where they fit, as Python integers). The
+build draws every digit of a level through _draw_digits, forms n by
+_encode and stores the arrays it drew as the level's columns. A coverage
+trial (draw_plan) draws in two stages through the same routine:
+draw_bounds hashes only r_k and s of every entry and forms low by
+_encode with r_1..r_{k-1} at min A, which puts n in [low, low + (max A -
+min A) S_k] with S_k = W_1 + W_3 + ... + W_{2k-3}, and complete_draw
+hashes r_1..r_{k-1} of the entries whose bounds can reach the window
+only. seq_from_json reads each field of the entries a whole list at a
+time, looks every f up by name in the member tables and checks a level
+at a time, in whole-array passes; seq_json_text writes a sequence file
+from the columns by template, byte for byte as json.dumps(indent=2).
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off, top first, and looks the e digits up in its level's
@@ -405,7 +406,7 @@ class MemberTable:
     """The monic irreducibles of one degree d over F_q in code order: their
     sieve codes (without the leading q^d) and canonical names
     (poly_to_string, by code_names), with name -> position. Their Poly
-    objects are made on first request."""
+    objects are made on first request, by the decode indexes."""
 
     q: PrimeModulus
     degree: int
@@ -430,11 +431,6 @@ def member_table(q: PrimeModulus, d: int) -> MemberTable:
 def level_tables(params: Params, k: int) -> list[MemberTable]:
     """The member tables of the degrees of the level k window."""
     return [member_table(params.q, m) for m in fk_degrees(params, k)]
-
-
-def build_Fk(params: Params, k: int) -> list[Poly]:
-    """All member polynomials at level k, degree-then-code order."""
-    return [f for table in level_tables(params, k) for f in table.polys]
 
 
 def _digit_hasher(seed: int):
@@ -465,28 +461,6 @@ def _residues(words: np.ndarray, m: int) -> np.ndarray:
     return (hi.astype(object) << 64 | lo.astype(object)) % m
 
 
-@dataclass(frozen=True)
-class _LevelDraw:
-    """The seed-invariant numbers of drawing the r and s digits of some
-    members of one level k: per member the e-digit part of n (sum of
-    e_i W_{2i-2}), then the weights W_1, W_3, ..., W_{2k-1} of the r
-    digits, the weight W_{2k} of s and q^{3k}, the size of the range of
-    s."""
-
-    fixed: np.ndarray  # object
-    r_weights: np.ndarray  # object
-    s_weight: int
-    s_range: int
-
-
-def _level_draw(params: Params, k: int, e) -> _LevelDraw:
-    """The _LevelDraw of members at level k with e digits e, one row of
-    k digits per member."""
-    weights = np.array(digit_weights(params)[: 2 * k + 1], dtype=object)
-    fixed = np.array(e, dtype=object).reshape(-1, k) @ weights[0 : 2 * k : 2]
-    return _LevelDraw(fixed, weights[1 : 2 * k : 2], weights[2 * k], params.q.q ** (3 * k))
-
-
 def _level_messages(names, k: int) -> np.ndarray:
     """The hash messages of the r and s draws of members at level k, given
     their names, as a (members, k + 1) object array: row u holds
@@ -507,15 +481,17 @@ def _level_names(level: SequenceLevel) -> list[str]:
     return code_names(level.q.q, level.codes, width)
 
 
-def _draw_digits(a_elems: np.ndarray, level: _LevelDraw, hasher, msgs: np.ndarray, rows, tags: slice) -> np.ndarray:
-    """The digits of the members `rows` of level whose tags (column
+def _draw_digits(
+    a_elems: np.ndarray, k: int, s_range: int, hasher, msgs: np.ndarray, rows, tags: slice
+) -> np.ndarray:
+    """The digits of the members `rows` of a level k whose tags (column
     positions of _level_messages: i - 1 for r_i, k for s) lie in the
     slice tags, drawn by the keyed counter RNG whose state is hasher (see
     _digit_hasher) from their hash messages msgs[rows, tags]: r_i =
-    A[h mod |A|] and s = 1 + h mod q^{3k} for the 128-bit digest h of
-    each message. One object array of Python integers, a row per member
-    and a column per tag. Only the chosen messages are hashed."""
-    k = len(level.r_weights)
+    A[h mod |A|] and s = 1 + h mod s_range (that is q^{3k}) for the
+    128-bit digest h of each message. One object array of Python
+    integers, a row per member and a column per tag. Only the chosen
+    messages are hashed."""
     chosen = msgs[rows, tags]
     # the digests go straight into the word array: a buffer grown digest
     # by digest is reallocated as it grows, and the holes it leaves in the
@@ -531,38 +507,29 @@ def _draw_digits(a_elems: np.ndarray, level: _LevelDraw, hasher, msgs: np.ndarra
     out = np.empty(chosen.shape, dtype=object)
     out[:, :n_r] = a_elems[_residues(words[:, :n_r], len(a_elems)).astype(np.intp)]
     if n_r < chosen.shape[1]:
-        out[:, n_r] = 1 + _residues(words[:, n_r], level.s_range)
+        out[:, n_r] = 1 + _residues(words[:, n_r], s_range)
     return out
 
 
-def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
-    """n for the digit vector <s r_k e_k ... r_1 e_1>, given a
-    digit_weights table that holds at least W_0..W_{2k}."""
-    n = 0
-    i = 0
-    for i, (e_i, r_i) in enumerate(zip(e, r), start=1):
-        n += e_i * weights[2 * i - 2] + r_i * weights[2 * i - 1]
-    return n + s * weights[2 * i]
-
-
 def _encode(params: Params, k: int, e: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """n of rows of digits <s r_k e_k ... r_1 e_1> (_pack of each row), as
-    Python integers in an object array: s W_{2k} plus the digits below
-    it, summed by Horner's rule over the digit pairs e_i + r_i R_i
-    (W_{2i-1} = W_{2i-2} R_i, W_{2i} = W_{2i-1} p). The pairs are formed
-    in int64 when they cannot overflow there, and the sum too when every
-    pair lies in [0, R_i p), so that it stays below W_{2k} <= 2^62;
-    otherwise the sum is in Python integers, or, when the pairs would
-    overflow, each row goes through _pack."""
+    """n of rows of digits <s r_k e_k ... r_1 e_1>, the sum of every digit
+    times its weight in digit_weights, as Python integers in an object
+    array: s W_{2k} plus the digits below it, summed by Horner's rule
+    over the digit pairs e_i + r_i R_i (W_{2i-1} = W_{2i-2} R_i, W_{2i} =
+    W_{2i-1} p). The pairs are formed in int64 when they cannot overflow
+    there, and as Python integers otherwise (digits of a loaded file that
+    do not fit); the sum is in int64 too when every pair lies in
+    [0, R_i p), so that it stays below W_{2k} <= 2^62, and in Python
+    integers otherwise."""
     weights = digit_weights(params)
     radices = np.array([weights[2 * i - 1] // weights[2 * i - 2] for i in range(1, k + 1)], dtype=np.int64)
-    if not (_within(e, 2**62) and _within(r, 2**62 // int(radices[-1]))):
-        rows = zip(e.tolist(), r.tolist(), s.tolist())
-        return np.array([_pack(weights, *row) for row in rows], dtype=object)
-    pairs = e + r * radices
-    low = pairs[:, k - 1]
-    if not (weights[2 * k] <= 2**62 and (pairs >= 0).all() and (pairs < radices * params.aux.p).all()):
-        low = low.astype(object)
+    exact = False
+    if _within(e, 2**62) and _within(r, 2**62 // int(radices[-1])):
+        pairs = e + r * radices
+        exact = weights[2 * k] <= 2**62 and (pairs >= 0).all() and (pairs < radices * params.aux.p).all()
+    else:
+        pairs = e.astype(object) + r.astype(object) * radices.astype(object)
+    low = pairs[:, k - 1] if exact else pairs[:, k - 1].astype(object)
     for i in range(k - 1, 0, -1):
         low = low * (weights[2 * i] // weights[2 * i - 2]) + pairs[:, i - 1]
     return s * weights[2 * k] + low
@@ -585,16 +552,10 @@ def digit_weights(params: Params) -> tuple[int, ...]:
     return mixed_radix(params).weights(2 * params.k_max + 2)
 
 
-def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np.ndarray:
-    """The e digits of members at level k = len(generators): row u holds
-    e_1..e_k of members[u], the table logs of members[u] mod g_1..g_k.
-    Raises ValueError when some g_i divides a member."""
-    width = 1 + max(f.degree for f in members)
-    return _code_e_digits(generators, np.array([f.code for f in members], dtype=np.int64), width)
-
-
 def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: int) -> np.ndarray:
-    """level_e_digits of the polynomials with codes below q^width: per
+    """The e digits of the polynomials with codes below q^width, the
+    table logs of each mod g_1..g_k (k = len(generators)), one row per
+    code; ValueError when some g_i divides one of them. Per
     block of codes (ffpoly.map_codes), one digit matrix, one product mod q
     per g_i (the reduction map mod g_i) and one log-table gather per g_i."""
     tables = [dlog_table(gen) for gen in generators]
@@ -619,16 +580,14 @@ def _reduction_matrix(g: Poly, width: int) -> np.ndarray:
 
 def draw_plan(seq: SidonSequence) -> tuple:
     """The seed-invariant part of re-drawing the r and s digits of the
-    entries of seq: A as an array, and per level the positions of its
-    entries, their _LevelDraw and their hash messages (_level_messages).
-    A coverage trial draws from it in two stages, draw_bounds and
+    entries of seq: its params, and per level the positions of its
+    entries, their e digits and their hash messages (_level_messages). A
+    coverage trial draws from it in two stages, draw_bounds and
     complete_draw."""
-    params = seq.params
     plan = tuple(
-        (level.positions, _level_draw(params, level.k, level.e), _level_messages(_level_names(level), level.k))
-        for level in seq.levels
+        (level.positions, level.e, _level_messages(_level_names(level), level.k)) for level in seq.levels
     )
-    return np.array(params.aux.A, dtype=object), plan
+    return seq.params, plan
 
 
 def draw_bounds(plan: tuple, seed: int) -> tuple[list[int], int]:
@@ -636,21 +595,23 @@ def draw_bounds(plan: tuple, seed: int) -> tuple[list[int], int]:
     under seed, as build_sequence draws them. Only r_k and s are hashed;
     with S_k = W_1 + W_3 + ... + W_{2k-3}, the weight of the digits r_1..
     r_{k-1} that are not drawn yet, an entry's n lies in [low, low + (max
-    A - min A) S_k] with low = fixed + r_k W_{2k-1} + s W_{2k} + (min A)
-    S_k. low is per entry and width the largest (max A - min A) S_k of
-    the levels present."""
-    a_elems, levels = plan
+    A - min A) S_k], low being _encode of its digits with r_1..r_{k-1}
+    set to min A. low is per entry and width the largest (max A - min A)
+    S_k of the levels present."""
+    params, levels = plan
+    a_elems = np.array(params.aux.A, dtype=object)
+    a_min, a_max = min(params.aux.A), max(params.aux.A)
+    weights = digit_weights(params)
     hasher = _digit_hasher(seed)
-    a_min, a_max = min(a_elems), max(a_elems)
     low = np.empty(sum(len(positions) for positions, _, _ in levels), dtype=object)
     width = 0
-    for positions, draw, msgs in levels:
-        k = len(draw.r_weights)
-        top = _draw_digits(a_elems, draw, hasher, msgs, slice(None), slice(k - 1, k + 1))
-        rest = sum(draw.r_weights[: k - 1].tolist())
-        top_weights = np.array([draw.r_weights[k - 1], draw.s_weight], dtype=object)
-        low[positions] = draw.fixed + top @ top_weights + a_min * rest
-        width = max(width, (a_max - a_min) * rest)
+    for positions, e, msgs in levels:
+        k = e.shape[1]
+        top = _draw_digits(a_elems, k, params.q.q ** (3 * k), hasher, msgs, slice(None), slice(k - 1, k + 1))
+        r = np.full(e.shape, a_min, dtype=np.int64)
+        r[:, k - 1] = top[:, 0]
+        low[positions] = _encode(params, k, e, r, top[:, 1])
+        width = max(width, (a_max - a_min) * sum(weights[1 : 2 * k - 2 : 2]))
     return low.tolist(), width
 
 
@@ -659,16 +620,19 @@ def complete_draw(plan: tuple, seed: int, low: list[int], wanted: list[int]) -> 
     positions wanted, from their draw_bounds lows under the same seed,
     with r_1..r_{k-1} hashed for those entries only: n = low +
     sum_{i<k} (r_i - min A) W_{2i-1}."""
-    a_elems, levels = plan
+    params, levels = plan
+    a_elems = np.array(params.aux.A, dtype=object)
+    a_min = min(params.aux.A)
+    weights = digit_weights(params)
     hasher = _digit_hasher(seed)
-    a_min = min(a_elems)
     out = np.array([low[pos] for pos in wanted], dtype=object)
-    for positions, draw, msgs in levels:
-        k = len(draw.r_weights)
+    for positions, e, msgs in levels:
+        k = e.shape[1]
         rows = np.flatnonzero(np.isin(positions, wanted))
         if k > 1 and rows.size:
-            r = _draw_digits(a_elems, draw, hasher, msgs, rows, slice(0, k - 1))
-            out[np.searchsorted(wanted, positions[rows])] += (r - a_min) @ draw.r_weights[: k - 1]
+            r = _draw_digits(a_elems, k, params.q.q ** (3 * k), hasher, msgs, rows, slice(0, k - 1))
+            r_weights = np.array(weights[1 : 2 * k - 2 : 2], dtype=object)
+            out[np.searchsorted(wanted, positions[rows])] += (r - a_min) @ r_weights
     return out.tolist()
 
 
@@ -686,8 +650,8 @@ def build_sequence(params: Params) -> SidonSequence:
         names = [name for table in tables for name in table.names]
         codes = np.concatenate([table.codes + params.q.q**table.degree for table in tables])
         e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree)
-        draw = _level_draw(params, k, e)
-        digits = _draw_digits(a_elems, draw, hasher, _level_messages(names, k), slice(None), slice(None))
+        msgs = _level_messages(names, k)
+        digits = _draw_digits(a_elems, k, params.q.q ** (3 * k), hasher, msgs, slice(None), slice(None))
         r, s = digits[:, :k].astype(np.int64), digits[:, k]
         n = _encode(params, k, e, r, s)
         drawn.append(SequenceLevel(params.q, k, codes, e, r, s, n, np.empty(len(n), np.intp)))
@@ -1056,7 +1020,8 @@ def seq_from_json(obj: dict) -> SidonSequence:
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     warnings = json_value(obj.get("warnings", []), list, "warnings")
-    return SidonSequence(params, moduli, tuple(levels), tuple(warnings))
+    warnings = tuple(json_value(line, str, f"warnings entry {i}") for i, line in enumerate(warnings))
+    return SidonSequence(params, moduli, tuple(levels), warnings)
 
 
 _ENTRY_FIELDS = ("k", "e", "r", "s", "n", "f")

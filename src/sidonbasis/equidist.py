@@ -79,12 +79,6 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     return shape, coords
 
 
-def unit_codes(g: Poly) -> list[int]:
-    """Codes of the residues coprime to g, ascending."""
-    shape, coords = _exponent_coordinates(g)
-    return np.flatnonzero((coords < shape).all(axis=1)).tolist()
-
-
 def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Unordered triples of distinct rows of points (exponent tuples in
     the product of Z/shape[i]) per sum class, as an int64 array of that

@@ -121,14 +121,6 @@ def _check_same_modulus(a: Poly, b: Poly) -> None:
         raise ValueError(f"modulus mismatch: {a.q.q} vs {b.q.q}")
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    _check_same_modulus(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return Poly(a.q, tuple(x + y for x, y in zip(ca, cb)))
-
-
 def poly_sub(a: Poly, b: Poly) -> Poly:
     _check_same_modulus(a, b)
     n = max(len(a.coeffs), len(b.coeffs))
@@ -202,32 +194,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a
     inv = pow(a.coeffs[-1], -1, a.q.q)
     return Poly(a.q, tuple(c * inv for c in a.coeffs))
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    _check_same_modulus(a, b)
-    q = a.q
-    r0, r1 = a, b
-    s0, s1 = Poly.one(q), Poly.zero(q)
-    t0, t1 = Poly.zero(q), Poly.one(q)
-    while not r1.is_zero():
-        quot, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(quot, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(quot, t1))
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = pow(r0.coeffs[-1], -1, q.q)
-    scale = Poly.constant(q, inv)
-    return poly_mul(r0, scale), poly_mul(s0, scale), poly_mul(t0, scale)
-
-
-def poly_invmod(a: Poly, g: Poly) -> Poly:
-    d, s, _ = poly_ext_gcd(a, g)
-    if d.degree != 0:
-        raise ValueError(f"{a} is not invertible mod {g}")
-    return poly_mod(s, g)
 
 
 def poly_derivative(a: Poly) -> Poly:
@@ -383,28 +349,6 @@ def smallest_irreducible(q: PrimeModulus, d: int) -> Poly:
             return f
     # unreachable: every degree has a monic irreducible
     raise ArithmeticError(f"no monic irreducible of degree {d}")
-
-
-def crt(residues: list[Poly], moduli: list[Poly]) -> Poly:
-    """Unique f with f == residues[i] mod moduli[i], deg f < sum deg moduli."""
-    if len(residues) != len(moduli) or not moduli:
-        raise ValueError("need equally many residues and moduli, at least one")
-    for r, m in zip(residues, moduli):
-        _check_same_modulus(r, m)
-        if m.degree < 1:
-            raise ValueError("CRT moduli must have degree >= 1")
-        if r.degree >= m.degree:
-            raise ValueError(f"residue {r} not reduced mod {m}")
-    acc, mod = residues[0], moduli[0]
-    for r, m in zip(residues[1:], moduli[1:]):
-        g = poly_gcd(mod, m)
-        if g.degree != 0:
-            raise ValueError("moduli not coprime")
-        # acc + mod * u == r (mod m)
-        u = poly_mod(poly_mul(poly_sub(r, acc), poly_invmod(mod, m)), m)
-        acc = poly_add(acc, poly_mul(mod, u))
-        mod = poly_mul(mod, m)
-    return acc
 
 
 def _term(c: int, i: int) -> str:

@@ -130,14 +130,3 @@ def mobius(n: int) -> int:
         return 0
     return -1 if len(fs) % 2 else 1
 
-
-def crt_int(residues: list[int], moduli: list[int]) -> int:
-    """Integer CRT for pairwise coprime moduli; result in [0, prod)."""
-    x, m = 0, 1
-    for r, n in zip(residues, moduli):
-        g = math.gcd(m, n)
-        if g != 1:
-            raise ValueError("moduli not coprime")
-        x = (x + m * ((r - x) * pow(m, -1, n) % n)) % (m * n)
-        m *= n
-    return x

@@ -15,10 +15,11 @@ ffpoly.block_rows(deg g) rows at a time, each block one product by the
 matrix of x -> omega^B x (ffpoly.mulmod_matrix) from the one before, and
 scatters each block into the table before forming the next: 8 bytes per
 residue, about 3 MB at 13^5, cached, plus about 1 MB of block arrays
-while it is built. dlog, the scalar API, reads the table exactly when
-dlog_table can build one and runs Pohlig-Hellman with baby-step
-giant-step per prime power above it; the tests call _pohlig_hellman
-directly as the oracle for the table.
+while it is built. The table is the package's one discrete-log path:
+every modulus that ffpoly.smallest_irreducible can return, and every
+factor of an equidist modulus, has at most ffpoly.ENUM_CAP = 2^20
+residues, so each gets one. Pohlig-Hellman with baby-step giant-step is
+the tests' independent oracle for the table, in tests/oracles.py.
 
 The size limits are module constants checked before any allocation:
 DLOG_SCAN_LIMIT for the log table and FACTOR_CAP for the integers
@@ -45,7 +46,6 @@ from .ffpoly import (
     poly_derivative,
     poly_divmod,
     poly_gcd,
-    poly_invmod,
     poly_mod,
     poly_mul,
     poly_powmod,
@@ -238,62 +238,6 @@ def dlog_table(gen: Generator) -> np.ndarray:
     table.flags.writeable = False
     _LOG_TABLE_CACHE[key] = table
     return table
-
-
-def _bsgs(base: Poly, target: Poly, order: int, g: Poly) -> int:
-    """x with base^x = target mod g, 0 <= x < order (order of base)."""
-    m = int(order**0.5) + 1
-    baby: dict[tuple[int, ...], int] = {}
-    cur = poly_mod(Poly.one(g.q), g)
-    for j in range(m):
-        baby.setdefault(cur.coeffs, j)
-        cur = poly_mod(poly_mul(cur, base), g)
-    stride = poly_invmod(poly_powmod(base, m, g), g)
-    cur = poly_mod(target, g)
-    for i in range(m + 1):
-        j = baby.get(cur.coeffs)
-        if j is not None:
-            return (i * m + j) % order
-        cur = poly_mod(poly_mul(cur, stride), g)
-    raise ValueError("element not in the subgroup generated by base")
-
-
-def _pohlig_hellman(gen: Generator, f: Poly) -> int:
-    g = gen.g
-    n = gen.order
-    factors = factor_integer(n)
-    residues: list[int] = []
-    moduli: list[int] = []
-    for ell in sorted(set(factors)):
-        e = factors.count(ell)
-        pe = ell**e
-        w0 = poly_powmod(gen.omega, n // pe, g)
-        f0 = poly_powmod(f, n // pe, g)
-        gamma = poly_powmod(w0, ell ** (e - 1), g)
-        w0_inv = poly_invmod(w0, g)
-        x = 0
-        for i in range(e):
-            h = poly_powmod(
-                poly_mod(poly_mul(f0, poly_powmod(w0_inv, x, g)), g),
-                ell ** (e - 1 - i),
-                g,
-            )
-            x += _bsgs(gamma, h, ell, g) * ell**i
-        residues.append(x)
-        moduli.append(pe)
-    return primes.crt_int(residues, moduli)
-
-
-def dlog(gen: Generator, f: Poly) -> int:
-    """The unique e in [0, order) with omega^e == f mod g: read from
-    dlog_table when the order is at most DLOG_SCAN_LIMIT, by
-    Pohlig-Hellman above it."""
-    r = poly_mod(f, gen.g)
-    if r.is_zero():
-        raise ValueError(f"{f} is divisible by the modulus {gen.g}")
-    if gen.order <= DLOG_SCAN_LIMIT:
-        return int(dlog_table(gen)[r.code])
-    return _pohlig_hellman(gen, r)
 
 
 def factor_squarefree_poly(g: Poly) -> tuple[Poly, ...]:

@@ -27,7 +27,6 @@ from sidonbasis.analyzer import (
     attribute_collision,
     decompose,
     decompose_many,
-    find_representations,
     monte_carlo_coverage,
     verify_sidon,
 )
@@ -47,6 +46,8 @@ from sidonbasis.builder import (
 )
 from sidonbasis.ffpoly import Poly, PrimeModulus, poly_to_string
 from sidonbasis.gbase import DigitVector, encode
+
+from oracles import _pack, find_representations
 
 Q3 = PrimeModulus(3)
 
@@ -804,12 +805,12 @@ def brute_counts(vals, w_start, w_len):
     return [len(brute_window(vals, m, m)) for m in range(w_start, w_start + w_len)]
 
 
-def reference_values(params, entries, trial_seed):
-    """A re-draw written out from the build's definition: blake2b keyed by
-    the seed's low 64 bits over "name|r<i>" and "name|s", r_i = A[h mod |A|],
-    s = 1 + h mod q^{3k}, packed by gbase.encode."""
+def reference_digits(params, entries, trial_seed):
+    """Per entry, the digits (r, s) of a re-draw written out from the
+    build's definition: blake2b keyed by the seed's low 64 bits over
+    "name|r<i>" and "name|s", r_i = A[h mod |A|], s = 1 + h mod q^{3k}."""
     key = (trial_seed % 2**64).to_bytes(8, "little")
-    a_elems, base = params.aux.A, mixed_radix(params)
+    a_elems = params.aux.A
 
     def h(name, tag):
         msg = f"{name}|{tag}".encode()
@@ -818,27 +819,36 @@ def reference_values(params, entries, trial_seed):
     out = []
     for ent in entries:
         name = poly_to_string(ent.f)
-        digits = []
-        for i, e_i in enumerate(ent.e, start=1):
-            digits += [e_i, a_elems[h(name, f"r{i}") % len(a_elems)]]
-        digits.append(1 + h(name, "s") % params.q.q ** (3 * ent.k))
+        r = tuple(a_elems[h(name, f"r{i}") % len(a_elems)] for i in range(1, ent.k + 1))
+        out.append((r, 1 + h(name, "s") % params.q.q ** (3 * ent.k)))
+    return out
+
+
+def reference_values(params, entries, trial_seed):
+    """The re-draw of reference_digits, packed by gbase.encode."""
+    base = mixed_radix(params)
+    out = []
+    for ent, (r, s) in zip(entries, reference_digits(params, entries, trial_seed)):
+        digits = [d for pair in zip(ent.e, r) for d in pair] + [s]
         out.append(encode(base, DigitVector(tuple(digits))))
     return out
 
 
 def redrawn_values(plan, seed):
     """n per entry of a draw plan with every r and s digit drawn under
-    seed through builder._draw_digits, as build_sequence draws: the full
-    re-draw that the two stages of a coverage trial replace."""
-    a_elems, levels = plan
+    seed through builder._draw_digits, as build_sequence draws, packed by
+    oracles._pack: the full re-draw that the two stages of a coverage
+    trial replace."""
+    params, levels = plan
+    a_elems = np.array(params.aux.A, dtype=object)
+    weights = digit_weights(params)
     hasher = _digit_hasher(seed)
     out = [None] * sum(len(positions) for positions, _, _ in levels)
-    for positions, draw, msgs in levels:
-        k = len(draw.r_weights)
-        digits = _draw_digits(a_elems, draw, hasher, msgs, slice(None), slice(None))
-        n = draw.fixed + digits[:, :k] @ draw.r_weights + digits[:, k] * draw.s_weight
-        for pos, value in zip(positions.tolist(), n.tolist()):
-            out[pos] = value
+    for positions, e, msgs in levels:
+        k = e.shape[1]
+        digits = _draw_digits(a_elems, k, params.q.q ** (3 * k), hasher, msgs, slice(None), slice(None))
+        for pos, e_row, row in zip(positions.tolist(), e.tolist(), digits.tolist()):
+            out[pos] = _pack(weights, e_row, row[:k], row[k])
     return out
 
 
@@ -907,17 +917,39 @@ def full_redraw_covered(plan, trial_seed, w_start, w_len):
     return [w_start + off in hit for off in range(w_len)]
 
 
+def trial_case(aux307, which):
+    """(params, entries, seq) of the three-level q = 3 build or of the
+    q = 13 levels."""
+    if which == "q13":
+        params, entries = q13_levels(aux307)
+        return params, entries, SidonSequence.from_entries(params, build_moduli(params), entries)
+    seq = three_level_build(aux307)
+    return seq.params, seq.entries, seq
+
+
+@pytest.mark.parametrize("which", ["three-level", "q13"])
+def test_draw_bounds_exact(aux307, which):
+    # each low is the entry's n with r_1..r_{k-1} at min A and the drawn
+    # r_k and s; a low off by one would still pass the interval check of
+    # test_trial_matches_full_redraw
+    params, entries, seq = trial_case(aux307, which)
+    plan = draw_plan(seq)
+    weights = digit_weights(params)
+    a_min = min(params.aux.A)
+    for tau in range(3):
+        trial_seed = _trial_seed(params.seed, tau)
+        low, _ = draw_bounds(plan, trial_seed)
+        drawn = reference_digits(params, entries, trial_seed)
+        expected = [_pack(weights, ent.e, (a_min,) * (ent.k - 1) + r[-1:], s) for ent, (r, s) in zip(entries, drawn)]
+        assert low == expected
+
+
 @pytest.mark.parametrize("which", ["three-level", "q13"])
 def test_trial_matches_full_redraw(aux307, which):
     # windows centred on exact triple sums of a trial's full draw (hit),
     # one past them (the bounds admit the triple, the exact check must
     # not), at 3 min and 3 max, and of length 1
-    if which == "q13":
-        params, entries = q13_levels(aux307)
-        seq = SidonSequence.from_entries(params, build_moduli(params), entries)
-    else:
-        seq = three_level_build(aux307)
-        params, entries = seq.params, seq.entries
+    params, entries, seq = trial_case(aux307, which)
     plan = draw_plan(seq)
     rng = random.Random(which)
     for tau in range(3):

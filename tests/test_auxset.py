@@ -1,7 +1,9 @@
 """Auxiliary-set tests: sampling, alteration, verifiers, y-table, search."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from sidonbasis.auxset import (
     aux_from_json,
     aux_to_json,
     build_y_table,
-    check_design,
     default_aux,
     deterministic_aux,
     pair_sum_supnorm,
@@ -239,7 +240,16 @@ def test_deterministic_aux_at_307():
     assert verify_coverage(set(aux.A), 307)[0]
 
 
+def load_experiments_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "find_aux_experiments.py"
+    spec = importlib.util.spec_from_file_location("find_aux_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_design_kernel():
+    check_design = load_experiments_script().check_design
     assert check_design(CLASS_MODULUS, CLASS_DESIGN)
     assert not check_design(CLASS_MODULUS, tuple(list(CLASS_DESIGN[:-1]) + [38]))
     assert not check_design(10, (1, 2))

@@ -23,15 +23,12 @@ from sidonbasis.builder import (
     SidonSequence,
     _decode_index,
     _decode_levels,
-    _pack,
     audit_preconditions,
-    build_Fk,
     build_moduli,
     build_sequence,
     decode_entry,
     digit_weights,
     fk_degrees,
-    level_e_digits,
     level_tables,
     level_value_range,
     member_table,
@@ -45,7 +42,6 @@ from sidonbasis.builder import (
 from sidonbasis.ffpoly import (
     Poly,
     PrimeModulus,
-    crt,
     enumerate_irreducibles,
     is_irreducible,
     poly_mod,
@@ -54,8 +50,10 @@ from sidonbasis.ffpoly import (
     poly_to_string,
 )
 from sidonbasis.gbase import DigitVector, decode, encode, fmod
-from sidonbasis import unitgroup
-from sidonbasis.unitgroup import dlog, find_generator
+from sidonbasis.unitgroup import find_generator
+
+import oracles
+from oracles import _pack, build_Fk, crt, dlog, level_e_digits
 
 Q3 = PrimeModulus(3)
 
@@ -202,7 +200,7 @@ def test_level_e_digits_match_pohlig_hellman(params307, seq7):
         if sample is not None:
             members = rng.sample(members, sample)
         e = level_e_digits(gens, members).tolist()
-        assert e == [[unitgroup._pohlig_hellman(gen, poly_mod(f, gen.g)) for gen in gens] for f in members]
+        assert e == [[oracles._pohlig_hellman(gen, poly_mod(f, gen.g)) for gen in gens] for f in members]
     with pytest.raises(ValueError, match="divisible"):
         level_e_digits(build_moduli(params307).generators[:2], [Poly(Q3, (0, 1, 1))])  # t(t+1)
 
@@ -708,6 +706,22 @@ def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
         fault_b(obj, at_b)
         with pytest.raises(ValueError, match=message):
             seq_from_json(obj)
+
+
+def test_seq_from_json_rejects_non_string_warnings(seq307):
+    # the list is type-checked, and so is each of its entries
+    n = len(seq307.warnings)
+    cases = [
+        ([7, {"x": 1}, None], "warnings entry 0 must be a string, got 7"),
+        ([*seq307.warnings, None], f"warnings entry {n} must be a string, got None"),
+        ("x", "warnings must be a list"),
+    ]
+    for warnings, message in cases:
+        obj = seq_to_json(seq307)
+        obj["warnings"] = warnings
+        with pytest.raises(ValueError, match=message):
+            seq_from_json(obj)
+    assert seq_from_json(seq_to_json(seq307)).warnings == seq307.warnings
 
 
 # sha256 prefixes of seq_json_text(seq, "x.manifest.json") for the builds of

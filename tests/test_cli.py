@@ -9,9 +9,11 @@ import pytest
 from sidonbasis import cli
 from sidonbasis.analyzer import monte_carlo_coverage
 from sidonbasis.auxset import YTable, default_aux, triple_sumset_bits
-from sidonbasis.builder import _pack, digit_weights, level_e_digits, mixed_radix, seq_from_json
+from sidonbasis.builder import digit_weights, mixed_radix, seq_from_json
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.ffpoly import Poly
+
+from oracles import _pack, level_e_digits
 
 
 @pytest.fixture(scope="module")
@@ -567,13 +569,15 @@ def test_verify_rejects_malformed_seq(tmp_path, capsys):
         (("moduli",), [1], "moduli entry must be an object"),
         (("params", "c"), "1/0", "c = '1/0' is not a fraction"),
         (("params", "aux", "A"), [*default_aux().A, 7], "aux A meets A+A+{0,1}"),
+        (("warnings",), [7, {"x": 1}, None], "warnings entry 0 must be a string, got 7"),
     ],
     ids=["f-int", "f-null", "f-list", "e-null", "k-null", "seed-null", "aux-seed-null", "entries-int",
-         "moduli-int", "c-zero-denominator", "aux-A-plus-7"],
+         "moduli-int", "c-zero-denominator", "aux-A-plus-7", "warnings-entries"],
 )
 def test_verify_rejects_mistyped_field(workdir, tmp_path, capsys, path, value, message):
     # each of these once escaped main as a TypeError, AttributeError or
-    # ZeroDivisionError traceback (exit 1), or was accepted (A with 7 = 3 + 4)
+    # ZeroDivisionError traceback (exit 1), or was accepted (A with 7 = 3 + 4,
+    # warnings that are not strings)
     obj = read_json(workdir / "seq.json")
     target = obj
     for key in path[:-1]:

@@ -17,7 +17,6 @@ from sidonbasis.equidist import (
     deviation_report,
     deviation_summary,
     triple_histogram,
-    unit_codes,
 )
 from sidonbasis.ffpoly import (
     Poly,
@@ -30,6 +29,8 @@ from sidonbasis.ffpoly import (
     poly_to_string,
 )
 from sidonbasis.unitgroup import euler_phi_poly
+
+from oracles import unit_codes
 
 Q3 = PrimeModulus(3)
 Q5 = PrimeModulus(5)

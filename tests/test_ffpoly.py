@@ -12,18 +12,15 @@ from sidonbasis.ffpoly import (
     PrimeModulus,
     code_digits,
     count_irreducibles,
-    crt,
     code_names,
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
     map_codes,
     mulmod_matrix,
-    poly_add,
     poly_divmod,
     poly_from_string,
     poly_gcd,
-    poly_invmod,
     poly_mod,
     poly_mul,
     poly_powmod,
@@ -31,6 +28,8 @@ from sidonbasis.ffpoly import (
     poly_to_string,
     smallest_irreducible,
 )
+
+from oracles import crt, poly_add, poly_invmod
 
 Q2 = PrimeModulus(2)
 Q3 = PrimeModulus(3)

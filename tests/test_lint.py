@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sidonbasis"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "sidonbasis"
+
+# Public names of the package that only the tests read, kept on purpose:
+# count_irreducibles gives the member count of a level at degrees no
+# sieve reaches, which the first-moment table of the coverage finding
+# needs (ROADMAP).
+TEST_ONLY_KEPT = frozenset({"count_irreducibles"})
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -63,3 +70,61 @@ def test_unread_private_check_flags_and_passes():
         "def _g(): pass\nclass _C: pass\ndef h(): return _f()\n_B = 3\n"
     )
     assert _unread_privates(tree) == ["line 8: _B", "line 5: _g", "line 6: _C"]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names that tree reads outside the definition they name: every
+    Name it loads and every attribute it takes, except those inside a
+    module-level function or class of the same name, and the original
+    name of each from-import whose binding it reads."""
+    read = set()
+    for node in tree.body:
+        own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            else:
+                continue
+            if name != own:
+                read.add(name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names if (alias.asname or alias.name) in read)
+    return read
+
+
+def _unread_publics(modules: dict[str, ast.Module], readers: list[ast.Module], kept=frozenset()) -> list[str]:
+    """The module-level public functions and classes of modules (name ->
+    tree) that no tree of readers reads outside their own definition
+    (_names_read), less the names in kept."""
+    read = set().union(*map(_names_read, readers))
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | kept
+    ]
+
+
+def test_no_test_only_public_names():
+    # every public function and class of the package has a reader in the
+    # package, the scripts or the benchmark; code that only the tests call
+    # lives in tests/oracles.py
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    others = [*sorted((REPO / "scripts").glob("*.py")), *sorted((REPO / "perfbench").glob("*.py"))]
+    readers = [*modules.values(), *(ast.parse(path.read_text(), str(path)) for path in others)]
+    assert _unread_publics(modules, readers, TEST_ONLY_KEPT) == []
+
+
+def test_test_only_public_check_flags_and_passes():
+    lib = ast.parse(
+        "def a(): return a()\ndef b(): pass\nclass C: pass\ndef _d(): pass\n"
+        "def e(): pass\ndef f(): pass\nclass G:\n    def h(self): return G\nx = b\n"
+    )
+    user = ast.parse("from lib import e as e2, f\nimport lib\nlib.C\ne2()\n")
+    assert _unread_publics({"lib.py": lib}, [lib, user]) == ["lib.py line 1: a", "lib.py line 6: f", "lib.py line 7: G"]
+    assert _unread_publics({"lib.py": lib}, [lib, user], frozenset({"a", "G"})) == ["lib.py line 6: f"]

@@ -5,7 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonbasis.primes import crt_int, factorize, is_prime, mobius, next_prime, primes_in_range
+from sidonbasis.primes import factorize, is_prime, mobius, next_prime, primes_in_range
+
+from oracles import crt_int
 
 
 def trial_division_prime(n: int) -> bool:
