@@ -30,26 +30,33 @@ verify_sidon and monte_carlo_coverage share one pair-sum engine, exact
 without Python sets of pair sums. Each value v gets the coarse key
 v >> S, with S the least shift that keeps every sum of two (Sidon) or
 three (coverage) keys below 2^62 in magnitude, so keys and their sums
-fit int64. Shifting floors, so keys keep the order of the values, the
-keys of two equal pair sums differ by at most 1, and a triple summing
-into [lo, hi] has its key sum in [(lo >> S) - 2, hi >> S] (S = 0 makes
-the keys exact and both slacks 0). verify_sidon sorts the keys once and
-cuts the key sums of the N(N+1)/2 pairs into value buckets of at most
-_BUCKET_PAIRS sums, with edges from the quantiles of a strided sample of
-pair sums. Per bucket it counts the sums before forming any (a
-searchsorted per bound gives each j its i-range) and cuts a bucket over
-budget shorter, then forms the sums into one reused buffer, sorts them in
-place and takes neighbour differences in blocks, keeping only the key
-values at most 1 from a neighbour. A bucket also takes the sums within
-that tolerance of its range, so no edge separates two sums that may
-tie. With at most _BUCKET_PAIRS pairs there is one bucket, all of them.
-A Sidon set has no tie values, so the check ends there: O(N^2 log N)
-time and O(N + _BUCKET_PAIRS) memory for every N. The pairs whose key
-is a tie value are the candidates; the scan counts them and refuses
-more than _CANDIDATE_LIMIT, which bounds the witness list. Otherwise the
-sums are formed again in walk order, in blocks of whole j, and a
-searchsorted per block into the sorted tie values locates the
-candidate pairs in walk order.
+fit int64; the keys come from one shift of the values as an object
+array. Shifting floors, so keys keep the order of the values (values
+may share a key), the keys of two equal pair sums differ by at most 1,
+and a triple summing into [lo, hi] has its key sum in
+[(lo >> S) - 2, hi >> S] (S = 0 makes the keys exact and both slacks
+0). Every O(N^2) walk of the engine states its pairs as one i-range per
+j and expands them with _pair_blocks: np.repeat and np.arange, in walk
+order, at most _PAIR_BLOCK pairs at a time.
+
+verify_sidon sorts the keys once and cuts the key sums of the N(N+1)/2
+pairs into value buckets of at most _bucket_budget(N) sums (32 N, at
+least 2^17 and at most _BUCKET_PAIRS), with edges from the quantiles of
+a strided sample of pair sums. Per bucket it counts the sums before
+forming any (a searchsorted per bound gives each j its i-range) and
+cuts a bucket over budget shorter, then forms the sums block by block
+into one reused buffer, sorts them in place and takes neighbour
+differences in blocks, keeping only the key values at most 1 from a
+neighbour. A bucket also takes the sums within that tolerance of its
+range, so no edge separates two sums that may tie. With at most a
+budget of pairs there is one bucket, all of them. A Sidon set has no
+tie values, so the check ends there: O(N^2 log N) time and
+O(N + _bucket_budget(N)) memory for every N. The pairs whose key is a
+tie value are the candidates; the scan counts them and refuses more
+than _CANDIDATE_LIMIT, which bounds the witness list. Otherwise the
+sums are formed again in walk order, i = 0..j per j, and a searchsorted
+per block into the sorted tie values locates the candidate pairs in
+walk order.
 
 The coverage window search keeps only the pairs i <= j that some
 c >= j can complete into the window. The least such sum is
@@ -59,14 +66,15 @@ keys[i] + 2 keys[j] <= khi and keys[i] + keys[j] + keys[-1] >= klo.
 Floor keys make both bounds necessary: the key of a sum is at least the
 sum of the keys and at most 2 above it, so no pair that reaches the
 window is dropped. Per j each bound is one searchsorted over the
-ascending keys, and the kept i-ranges expand with np.repeat in walk
-order. Every |key| is below 2^62 / 3 + 1 and |klo|, |khi| at most
-2^62 + 2, so klo - keys[-1] - keys and khi - 2 keys stay within about
-(5/3) 2^62 in magnitude, well inside int64. Most kept pairs have no
-third element, so a directory of prefix counts over 4N to 8N buckets of
-the keys first tests whether any key lies in a pair's third-element
-range [klo - pair, khi - pair], clipped to [keys[j], keys[-1]] so that
-no offset from keys[0] overflows; only the pairs that pass run the two
+ascending keys (_reaching_ranges). Every |key| is below 2^62 / 3 + 1
+and the window is clamped to [3 min, 3 max] of the values, so klo -
+keys[-1] - keys and khi - 2 keys stay within about (5/3) 2^62 in
+magnitude, well inside int64. Most kept pairs have no third element, so
+one gather first tests whether any key may lie in a pair's
+third-element range [klo - pair, khi - pair]: the key directory marks
+the occupied buckets among about 64 N, each at least as wide as the key
+window and OR'ed with its right neighbour, so a range meets only the
+bucket of its start and the next. Only the pairs that pass run the two
 searchsorteds that find the admissible third elements. Every candidate
 the keys admit is re-checked with Python integers, so no answer rests
 on a key.
@@ -79,11 +87,13 @@ entry, two digests instead of k + 1, and bounds n exactly: the r_i with
 i < k add between (min A) S_k and (max A) S_k, S_k = sum_{i<k}
 W_{2i-1}. A triple whose exact sum lies in [lo, hi] has lower bounds
 summing to at most hi and at least lo - 3 w, w the largest bound width,
-so _window_triples over the sorted lower bounds and [lo - 3 w, hi] finds
-every hitting triple among its candidates. builder.complete_draw then
-hashes r_1..r_{k-1} of the candidates' entries only, and each candidate
-sum is checked against [lo, hi] in Python integers. With threads > 1
-each worker process receives the plan once.
+so _window_triples over the lower bounds and [lo - 3 w, hi] finds
+every hitting triple among its candidates; it orders the bounds by an
+int64 argsort of their keys. builder.complete_draw then hashes r_1..r_{k-1}
+of the candidates' entries only, and each candidate sum is checked
+against [lo, hi] in Python integers. With threads > 1 a process pool of
+at most one worker per trial runs the trials, and each worker receives
+the plan once.
 """
 
 from __future__ import annotations
@@ -91,7 +101,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -132,16 +141,19 @@ class CollisionWitness:
             raise ValueError("witness pairs coincide")
 
 
-def _coarse_keys(vals: list[int], mult: int) -> tuple[int, np.ndarray]:
+def _coarse_keys(vals, mult: int) -> tuple[int, np.ndarray]:
     """(S, keys) with keys[i] = vals[i] >> S and S the least shift that
-    keeps every sum of `mult` keys below 2^62 in magnitude."""
-    top = max((abs(v) for v in vals), default=0)
+    keeps every sum of `mult` keys below 2^62 in magnitude: one shift of
+    the values as an object array of Python integers."""
+    vals = np.asarray(vals, dtype=object)
+    top = max(-vals.min(), vals.max()) if len(vals) else 0
     shift = max(0, (mult * top).bit_length() - 62)
-    return shift, np.array([v >> shift for v in vals], dtype=np.int64)
+    return shift, (vals >> shift).astype(np.int64)
 
 
-# the most key sums one bucket of verify_sidon holds: 4 MiB of int64.
-# A bucket one key sum wide is never cut, so it alone may hold more
+# the most key sums one bucket of verify_sidon holds, 4 MiB of int64:
+# the cap of _bucket_budget. A bucket one key sum wide is never cut, so
+# it alone may hold more
 _BUCKET_PAIRS = 1 << 19
 
 # the most candidate pairs (pairs whose key sum lies at most the key
@@ -153,6 +165,36 @@ _CANDIDATE_LIMIT = 1 << 18
 # below the allocator's trim threshold stays resident, so temporaries of
 # all pairs at once would raise the resident set of every later stage.
 _PAIR_BLOCK = 1 << 13
+
+
+def _bucket_budget(n: int) -> int:
+    """The most key sums one bucket of verify_sidon holds for n values:
+    32 n, at least 2^17 and at most _BUCKET_PAIRS. Sums are formed in
+    blocks, so a bucket costs little beyond its sums, and a small N needs
+    no 4 MiB buffer; from n = 16,384 on it is _BUCKET_PAIRS."""
+    return min(_BUCKET_PAIRS, max(1 << 17, 32 * n))
+
+
+def _pair_blocks(start: np.ndarray, stop: np.ndarray):
+    """(i, j) arrays of the pairs start[j] <= i < stop[j], in walk order
+    (j ascending, then i), in blocks of at most _PAIR_BLOCK pairs; an
+    empty or reversed range has no pairs. A block may cut a j's range,
+    and each range is expanded by np.repeat and np.arange."""
+    width = np.maximum(stop - start, 0)
+    ends = np.cumsum(width)  # pairs up to and including each j
+    total = int(ends[-1]) if len(ends) else 0
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, total)
+        # the j whose ranges hold the pairs p0 .. p1 - 1 of the walk
+        j0 = int(np.searchsorted(ends, p0, side="right"))
+        j1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
+        end = ends[j0:j1]
+        begin = end - width[j0:j1]
+        count = np.minimum(end, p1) - np.maximum(begin, p0)
+        j = np.repeat(np.arange(j0, j1), count)
+        i = np.repeat(start[j0:j1] - begin, count)
+        i += np.arange(p0, p1)
+        yield i, j
 
 
 def _tie_values(sums: np.ndarray, tol: int) -> np.ndarray:
@@ -173,19 +215,21 @@ def _tie_values(sums: np.ndarray, tol: int) -> np.ndarray:
 def _bucket_edges(sk: np.ndarray) -> list[int]:
     """Ascending key-sum edges from 2 sk[0] to 2 sk[-1] + 1 that cut the
     pair sums sk[i] + sk[j] (i <= j) of the ascending keys sk into
-    buckets [e_b, e_{b+1}) of about 7/8 of _BUCKET_PAIRS sums (one bucket
+    buckets [e_b, e_{b+1}) of about 7/8 of the bucket budget (one bucket
     when all fit): the quantiles of the pair sums of a strided sample of
-    sk, 64 sample sums per bucket but no more than _BUCKET_PAIRS in all."""
+    sk, 256 sample sums per bucket but no more than the budget in all."""
     n = len(sk)
     lo, hi = 2 * int(sk[0]), 2 * int(sk[-1]) + 1
     pairs = n * (n + 1) // 2
-    if pairs <= _BUCKET_PAIRS:
+    budget = _bucket_budget(n)
+    if pairs <= budget:
         return [lo, hi]
     # below the budget, as the quantiles are estimates
-    buckets = -(-8 * pairs // (7 * _BUCKET_PAIRS))
-    size = min(n, 8 * math.isqrt(buckets) + 8, math.isqrt(_BUCKET_PAIRS))
+    buckets = -(-8 * pairs // (7 * budget))
+    size = min(n, 16 * math.isqrt(buckets) + 16, math.isqrt(budget))
     sample = sk[np.linspace(0, n - 1, size).astype(np.int64)]
-    sums = np.sort(np.add.outer(sample, sample), axis=None)
+    sums = np.add.outer(sample, sample).ravel()
+    sums.sort()
     inner = sums[np.arange(1, buckets) * len(sums) // buckets].tolist()
     return sorted({lo, hi, *(v for v in inner if lo < v < hi)})
 
@@ -205,34 +249,34 @@ def _tie_sums(keys: np.ndarray, tol: int) -> np.ndarray:
     the bucket meets every sum it may tie with, and keeps the tie values
     in [lo, hi). Per j of the ascending keys sk, two searchsorteds give
     the i-range [a_j, b_j), i <= j, of its sums in [lo - tol, hi + tol);
-    a bucket with more than _BUCKET_PAIRS sums is cut shorter before
-    anything is allocated. The sums fill one reused buffer, one np.add
-    per j, and are sorted in place and differenced by _tie_values. With
-    at most _BUCKET_PAIRS pair sums there is one bucket, all of them.
-    Raises ValueError once more than _CANDIDATE_LIMIT pairs have a tie
-    value."""
+    a bucket with more sums than the budget (_bucket_budget) is cut
+    shorter before anything is allocated. _pair_blocks expands the
+    ranges, the sums fill one reused buffer a block at a time, and are
+    sorted in place and differenced by _tie_values. With at most a
+    budget of pair sums there is one bucket, all of them. Raises
+    ValueError once more than _CANDIDATE_LIMIT pairs have a tie value."""
     n = len(keys)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     sk = np.sort(keys)
+    budget = _bucket_budget(n)
     # |sk| < 2^61 and every edge lies in [2 sk[0], 2 sk[-1] + 1], so no
     # edge -+ tol - sk below overflows int64
     top = np.arange(1, n + 1)
-    buf = np.empty(min(n * (n + 1) // 2, _BUCKET_PAIRS), dtype=np.int64)
+    edges = _bucket_edges(sk)
+    buf = np.empty(min(n * (n + 1) // 2, budget), dtype=np.int64)
     found = []
     candidates = 0
-    edges = _bucket_edges(sk)
     lo, uppers = edges[0], edges[:0:-1]  # the next bucket's upper edge last
     while uppers:
         hi = uppers[-1]
         a = np.searchsorted(sk, lo - tol - sk)
         b = np.minimum(np.searchsorted(sk, hi + tol - sk), top)
-        width = np.maximum(b - a, 0)
-        size = int(width.sum())
-        if size > _BUCKET_PAIRS and hi - lo > 1:
+        size = int(np.maximum(b - a, 0).sum())
+        if size > budget and hi - lo > 1:
             # cut where 7/8 of the budget would lie if the sums were even;
             # the rest joins the next bucket
-            cut = lo + max(1, (hi - lo) * 7 * _BUCKET_PAIRS // (8 * size))
+            cut = lo + max(1, (hi - lo) * 7 * budget // (8 * size))
             if len(uppers) > 1:
                 uppers[-1] = cut
             else:
@@ -244,10 +288,12 @@ def _tie_sums(keys: np.ndarray, tol: int) -> np.ndarray:
             if size // (2 * tol + 1) > _CANDIDATE_LIMIT:
                 raise _candidate_error(n, size // (2 * tol + 1))
             buf = np.empty(size, dtype=np.int64)
-        js = np.flatnonzero(width)
-        ends = np.cumsum(width[js]).tolist()
-        for j, i0, i1, end in zip(js.tolist(), a[js].tolist(), b[js].tolist(), ends):
-            np.add(sk[i0:i1], sk[j], out=buf[end - (i1 - i0) : end])
+        end = 0
+        for i, j in _pair_blocks(a, b):
+            part = buf[end : end + len(i)]
+            np.take(sk, i, out=part, mode="clip")  # "raise" would buffer the output
+            part += sk[j]
+            end += len(i)
         sums = buf[:size]
         sums.sort()
         ties = _tie_values(sums, tol)
@@ -264,7 +310,7 @@ def verify_sidon(values) -> list[CollisionWitness]:
     """Empty iff all pairwise sums (i <= j) are distinct. Each collision is
     reported against the first pair holding that sum in the walk j = 0,
     1, ..., i = 0..j, and the witnesses come in the order of that walk.
-    Memory is O(N + _BUCKET_PAIRS) beside the witnesses; raises
+    Memory is O(N + _bucket_budget(N)) beside the witnesses; raises
     ValueError when more than _CANDIDATE_LIMIT pairs are candidates."""
     vals = list(values)
     if len(set(vals)) != len(vals):
@@ -274,29 +320,20 @@ def verify_sidon(values) -> list[CollisionWitness]:
     if not len(ties):
         return []
     # the candidates are the pairs whose key is a tie value; formed again
-    # in walk order, in blocks of whole j of at most _BUCKET_PAIRS pairs
-    # (one j at least), a searchsorted per block finds them in that order
+    # in walk order by _pair_blocks, a searchsorted per block finds them
+    # in that order
     n = len(vals)
-    starts = np.arange(n + 1, dtype=np.int64) * np.arange(1, n + 2) // 2  # pairs before j
     first: dict[int, tuple[int, int]] = {}
     out = []
-    j0 = 0
-    while j0 < n:
-        j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BUCKET_PAIRS, side="right")) - 1)
-        block = np.empty(int(starts[j1] - starts[j0]), dtype=np.int64)
-        off = 0
-        for j in range(j0, j1):
-            np.add(keys[: j + 1], keys[j], out=block[off : off + j + 1])
-            off += j + 1
+    for ii, jj in _pair_blocks(np.zeros(n, dtype=np.int64), np.arange(1, n + 1)):
+        block = keys[ii] + keys[jj]
         at = np.minimum(np.searchsorted(ties, block), len(ties) - 1)
-        pos = np.flatnonzero(ties[at] == block) + starts[j0]
-        jj = np.searchsorted(starts, pos, side="right") - 1
-        for i, j in zip((pos - starts[jj]).tolist(), jj.tolist()):
+        pos = np.flatnonzero(ties[at] == block)
+        for i, j in zip(ii[pos].tolist(), jj[pos].tolist()):
             pair = (vals[i], vals[j])
             prior = first.setdefault(pair[0] + pair[1], pair)
             if prior != pair:
                 out.append(CollisionWitness(*prior, *pair))
-        j0 = j1
     return out
 
 
@@ -594,60 +631,66 @@ def _trial_seed(seed: int, tau: int) -> int:
     return int.from_bytes(h, "little") >> 1
 
 
-def _reaching_pairs(keys: np.ndarray, klo: int, khi: int):
-    """(i, j) arrays of the pairs i <= j with keys[i] + 2 keys[j] <= khi
-    and keys[i] + keys[j] + keys[-1] >= klo, in walk order, in blocks of
-    whole j with fewer than _PAIR_BLOCK pairs past those of their first j:
-    the pairs that some c >= j may complete into a key window [klo, khi]."""
-    n = len(keys)
-    # per j, both bounds cut a range of i out of the ascending keys
-    i_end = np.minimum(np.searchsorted(keys, khi - 2 * keys, side="right"), np.arange(1, n + 1))
-    i_start = np.searchsorted(keys, klo - keys[-1] - keys)
-    width = np.maximum(i_end - i_start, 0)
-    ends = np.cumsum(width)
-    marks = np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK)
-    cuts = np.searchsorted(ends, marks, side="right").tolist()
-    for j0, j1 in zip([0, *cuts], [*cuts, n]):
-        w = width[j0:j1]
-        j = np.repeat(np.arange(j0, j1), w)
-        i = np.arange(len(j)) - np.repeat(np.cumsum(w) - w - i_start[j0:j1], w)
-        yield i, j
+def _reaching_ranges(keys: np.ndarray, klo: int, khi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per j, the i-range [start_j, stop_j) of the pairs i <= j with
+    keys[i] + 2 keys[j] <= khi and keys[i] + keys[j] + keys[-1] >= klo:
+    the pairs that some c >= j may complete into a key window [klo, khi].
+    Each bound cuts its range out of the ascending keys by one
+    searchsorted."""
+    stop = np.minimum(np.searchsorted(keys, khi - 2 * keys, side="right"), np.arange(1, len(keys) + 1))
+    start = np.searchsorted(keys, klo - keys[-1] - keys)
+    return start, stop
 
 
-def _key_directory(keys: np.ndarray):
-    """A test of whether any of the ascending keys lies in [a, b], for
-    keys[0] <= a, b <= keys[-1] elementwise: False only when none does.
-    The keys' range is cut into buckets of width 2^t, about 4 N to 8 N of
-    them (fewer when the range is narrower), and the test counts the keys in the buckets from a's to b's by
-    a difference of prefix counts."""
-    span = int(keys[-1]) - int(keys[0])
-    t = (span // (8 * len(keys))).bit_length()
-    # span < 2^63, so no key - keys[0] overflows
-    before = np.zeros((span >> t) + 2, dtype=np.int64)
-    np.cumsum(np.bincount((keys - keys[0]) >> t), out=before[1:])
-    return lambda a, b: before[((b - keys[0]) >> t) + 1] > before[(a - keys[0]) >> t]
+def _key_directory(keys: np.ndarray, width: int):
+    """A test of whether any of the ascending keys lies in [x, x + width
+    - 1], for keys[0] - width < x <= keys[-1] elementwise: False only
+    when none does. The keys' range is cut into buckets of width 2^t, at
+    least width and about span / (64 N), so an interval meets only x's
+    bucket and the next, and the test is one gather from the occupancy
+    of each bucket OR'ed with that of its right neighbour."""
+    k0 = int(keys[0])
+    span = int(keys[-1]) - k0
+    t = max((width - 1).bit_length(), (span // (64 * len(keys))).bit_length())
+    # bucket b + 1 holds the keys in k0 + [b 2^t, (b + 1) 2^t); bucket 0
+    # takes the x below k0. span < 2^63, so no key - k0 overflows. A
+    # window wider than 2^63 gives t = 64, where numpy's shift, as
+    # Python's, yields 0 or -1: one bucket, and every test passes
+    occupied = np.zeros((span >> t) + 3, dtype=bool)
+    occupied[((keys - k0) >> t) + 1] = True
+    near = occupied[:-1] | occupied[1:]
+    return lambda x: near[((x - k0) >> t) + 1]
 
 
-def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """Every index triple i <= j <= c of the ascending vals with
-    lo <= vals[i] + vals[j] + vals[c] <= hi, in walk order (j, then i,
-    then c)."""
-    if not vals:
+def _window_triples(vals, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Every triple of positions of vals (Python integers) whose values
+    sum into [lo, hi], each multiset of positions once: (o_i, o_j, o_c)
+    for i <= j <= c, with o the positions in the order of the coarse
+    keys (a stable argsort, the identity for ascending vals), in walk
+    order (j, then i, then c) of that order."""
+    if not len(vals):
         return []
-    lo, hi = max(lo, 3 * vals[0]), min(hi, 3 * vals[-1])
+    vals = np.asarray(vals, dtype=object)
+    # in key order, equal keys may put a larger value first, so the
+    # window is clamped by the true extremes
+    lo, hi = max(lo, 3 * vals.min()), min(hi, 3 * vals.max())
     if lo > hi:
         return []
     shift, keys = _coarse_keys(vals, 3)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals, order = vals[order].tolist(), order.tolist()
     klo, khi = (lo >> shift) - (2 if shift else 0), hi >> shift
-    has_key = _key_directory(keys)
+    has_key = _key_directory(keys, khi - klo + 1)
     # the key of the first c >= j in range; past the end it admits nothing
     heads = np.append(keys, np.iinfo(np.int64).max)
     out = []
-    for ii, jj in _reaching_pairs(keys, klo, khi):
+    for ii, jj in _pair_blocks(*_reaching_ranges(keys, klo, khi)):
         pair = keys[ii] + keys[jj]
         # the pairs that may have a third element: a key in [klo - pair,
-        # khi - pair], clipped to [keys[j], keys[-1]]
-        keep = np.flatnonzero(has_key(np.maximum(klo - pair, keys[jj]), np.minimum(khi - pair, keys[-1])))
+        # khi - pair]. A reaching pair keeps klo - pair in (keys[0] -
+        # (khi - klo + 1), keys[-1]], the directory's domain
+        keep = np.flatnonzero(has_key(klo - pair))
         ii, jj, pair = ii[keep], jj[keep], pair[keep]
         first = np.maximum(np.searchsorted(keys, klo - pair), jj)
         room = np.subtract(khi, pair, out=pair)
@@ -655,24 +698,23 @@ def _window_triples(vals: list[int], lo: int, hi: int) -> list[tuple[int, int, i
         stop = np.searchsorted(keys, room[pos], side="right")
         for i, j, c0, c1 in zip(ii[pos].tolist(), jj[pos].tolist(), first[pos].tolist(), stop.tolist()):
             ab = vals[i] + vals[j]
-            out.extend((i, j, c) for c in range(c0, c1) if lo <= ab + vals[c] <= hi)
+            out.extend((order[i], order[j], order[c]) for c in range(c0, c1) if lo <= ab + vals[c] <= hi)
     return out
 
 
 def _trial_covered(plan: tuple, trial_seed: int, w_start: int, w_len: int) -> list[bool]:
     """Which m of the window a re-draw under trial_seed covers. Stage one
     draws only r_k and s of every entry (builder.draw_bounds), so each n
-    is known up to its width; the triples of the sorted lower bounds in
-    the window widened down by 3 widths are the candidates, and only
-    their entries draw the rest of their digits (builder.complete_draw)
-    before each candidate sum is checked exactly."""
+    is known up to its width; the triples of lower bounds in the window
+    widened down by 3 widths are the candidates, and only their entries
+    draw the rest of their digits (builder.complete_draw) before each
+    candidate sum is checked exactly."""
     w_end = w_start + w_len - 1
     low, width = draw_bounds(plan, trial_seed)
-    order = sorted(range(len(low)), key=low.__getitem__)
-    near = _window_triples([low[u] for u in order], w_start - 3 * width, w_end)
-    wanted = sorted({order[x] for t in near for x in t})
+    near = _window_triples(low, w_start - 3 * width, w_end)
+    wanted = sorted({x for t in near for x in t})
     value = dict(zip(wanted, complete_draw(plan, trial_seed, low, wanted)))
-    hit = {m for t in near if w_start <= (m := sum(value[order[x]] for x in t)) <= w_end}
+    hit = {m for t in near if w_start <= (m := sum(value[x] for x in t)) <= w_end}
     return [w_start + off in hit for off in range(w_len)]
 
 
@@ -725,9 +767,15 @@ def monte_carlo_coverage(
     freq = [0] * w_len
     jobs = [(tau, seeds[tau]) for tau in range(trials if w_len else 0)]
     plan = draw_plan(seq)
-    if threads > 1:
+    # no more workers than trials: the pool forks all of them at once
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        # imported here, as it loads multiprocessing, which no other path
+        # of the package needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_trial_worker, initargs=(plan, w_start, w_len)
+            max_workers=workers, initializer=_init_trial_worker, initargs=(plan, w_start, w_len)
         ) as pool:
             results = list(pool.map(_worker_trial, jobs))
     else:

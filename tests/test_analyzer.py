@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from sidonbasis import analyzer
 from sidonbasis.analyzer import (
     CollisionWitness,
+    _bucket_budget,
     _bucket_edges,
     _coarse_keys,
     _key_directory,
-    _reaching_pairs,
+    _pair_blocks,
+    _reaching_ranges,
     _tie_sums,
     _tie_values,
     _trial_covered,
@@ -353,14 +355,50 @@ def test_bucket_edges_cut_the_pair_sums():
     rng = random.Random(3)
     sk = np.sort(np.array([rng.randrange(-(2**60), 2**60) for _ in range(3000)], dtype=np.int64))
     edges = _bucket_edges(sk)
+    budget = _bucket_budget(3000)
     assert edges[0] == 2 * int(sk[0]) and edges[-1] == 2 * int(sk[-1]) + 1
     assert edges == sorted(set(edges))
-    assert len(edges) - 1 == -(-8 * 3000 * 3001 // 2 // (7 * analyzer._BUCKET_PAIRS))
+    assert len(edges) - 1 == -(-8 * 3000 * 3001 // 2 // (7 * budget))
     # on evenly spread keys the sampled quantiles keep every bucket in budget
     sums = np.add.outer(sk, sk)[np.triu_indices(len(sk))]
     sizes = np.diff(np.searchsorted(np.sort(sums), edges))
-    assert sizes.sum() == len(sums) and sizes.max() <= analyzer._BUCKET_PAIRS
-    assert _bucket_edges(sk[:1000]) == [2 * int(sk[0]), 2 * int(sk[999]) + 1]
+    assert sizes.sum() == len(sums) and sizes.max() <= budget
+    assert _bucket_edges(sk[:500]) == [2 * int(sk[0]), 2 * int(sk[499]) + 1]
+
+
+def test_bucket_budget_follows_n(monkeypatch):
+    # 32 N between 2^17 and the cap: the desk build's 944 values take
+    # 2^17, and from 16,384 values on the budget is the cap; a low cap
+    # still forces small buckets
+    assert _bucket_budget(944) == _bucket_budget(1) == 1 << 17
+    assert _bucket_budget(8000) == 256_000
+    assert _bucket_budget(16_384) == _bucket_budget(50_100) == analyzer._BUCKET_PAIRS == 1 << 19
+    sk = np.arange(944, dtype=np.int64) * 1000
+    assert len(_bucket_edges(sk)) - 1 == 4  # 446,040 sums
+    monkeypatch.setattr(analyzer, "_BUCKET_PAIRS", 64)
+    assert _bucket_budget(944) == 64
+
+
+def brute_pairs(start, stop):
+    return [(i, j) for j in range(len(start)) for i in range(start[j], stop[j])]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 13])
+def test_pair_blocks_match_brute(monkeypatch, block):
+    # random ranges, among them empty and reversed ones and ranges longer
+    # than a block: the blocks, joined, are every pair in walk order, and
+    # none holds more than _PAIR_BLOCK pairs
+    monkeypatch.setattr(analyzer, "_PAIR_BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(40):
+        n = rng.randint(0, 30)
+        start = [rng.randint(0, 20) for _ in range(n)]
+        stop = [a + rng.randint(-3, 25) if rng.random() < 0.8 else a for a in start]
+        got = []
+        for i, j in _pair_blocks(np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64)):
+            assert 0 < len(i) == len(j) <= block
+            got.extend(zip(i.tolist(), j.tolist()))
+        assert got == brute_pairs(start, stop)
 
 
 def test_verify_sidon_on_built_prefix(seq307):
@@ -635,9 +673,9 @@ def walk_order(t):
 
 
 def check_reaching_pairs(vals, lo, hi):
-    """_reaching_pairs of the clamped window is exactly the pairs its two
-    key bounds admit, in walk order, and holds every pair of a triple in
-    the window."""
+    """_reaching_ranges of the clamped window, expanded by _pair_blocks,
+    is exactly the pairs its two key bounds admit, in walk order, and
+    holds every pair of a triple in the window."""
     lo, hi = max(lo, 3 * vals[0]), min(hi, 3 * vals[-1])
     if lo > hi:
         return
@@ -657,19 +695,17 @@ def check_reaching_pairs(vals, lo, hi):
 
 
 def reaching_pairs(keys, klo, khi, block):
-    """The blocks of _reaching_pairs under _PAIR_BLOCK = block, joined
-    into one (i, j) list; each block holds whole j, and fewer than block
-    pairs past its first j."""
+    """The blocks of _pair_blocks over _reaching_ranges under _PAIR_BLOCK
+    = block, joined into one (i, j) list; no block holds more than block
+    pairs."""
     from sidonbasis import analyzer
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analyzer, "_PAIR_BLOCK", block)
-        for ii, jj in _reaching_pairs(keys, klo, khi):
-            js = jj.tolist()
-            assert not js or js.count(js[0]) + block > len(js)
-            assert not out or not js or out[-1][1] < js[0]
-            out.extend(zip(ii.tolist(), js))
+        for ii, jj in _pair_blocks(*_reaching_ranges(keys, klo, khi)):
+            assert len(ii) <= block
+            out.extend(zip(ii.tolist(), jj.tolist()))
     return out
 
 
@@ -699,9 +735,10 @@ def test_window_triples_match_brute(seed, scale):
     assert _window_triples([], 0, 10) == []
 
 
-def directory_bits(keys):
-    """t with 2^t the bucket width of _key_directory(keys)."""
-    return ((int(keys[-1]) - int(keys[0])) // (8 * len(keys))).bit_length()
+def directory_bits(keys, width=1):
+    """t with 2^t the bucket width of _key_directory(keys, width)."""
+    span = int(keys[-1]) - int(keys[0])
+    return max((width - 1).bit_length(), (span // (64 * len(keys))).bit_length())
 
 
 def holds_key(ks, a, b):
@@ -710,28 +747,36 @@ def holds_key(ks, a, b):
 
 @pytest.mark.parametrize("scale", [10**6, 2**70, *EDGE])
 def test_key_directory_never_misses(scale):
-    # every interval that holds a key tests True, among them ones across
-    # each bucket edge and ones over several buckets; some empty ones test
-    # False
+    # every interval [x, x + width - 1] that holds a key tests True, among
+    # them ones across each bucket edge, ones over two buckets and ones
+    # starting below the least key; some empty ones test False
     rng = random.Random(scale % 1013)
     vals = sorted({rng.randrange(-scale, scale) for _ in range(40)} | {-scale, scale})
     _, keys = _coarse_keys(vals, 3)
     ks = keys.tolist()
-    has_key = _key_directory(keys)
     t = directory_bits(keys)
-    assert 4 * len(ks) <= (ks[-1] - ks[0]) >> t <= 8 * len(ks)
-    edges = range(ks[0] + (1 << t), ks[-1] + 1, 1 << t)
-    for width in (1, 2, 5, 3 << t):
+    assert 32 * len(ks) <= (ks[-1] - ks[0]) >> t <= 64 * len(ks)
+    for width in (1, 2, 5, 3 << t, 1 << t, (1 << t) + 1):
+        has_key = _key_directory(keys, width)
+        u = 1 << directory_bits(keys, width)
+        assert u >= width
+        edges = range(ks[0] + u, ks[-1] + 1, u)
         starts = [k - d for k in ks for d in {0, width - 1, rng.randrange(width)}]
         starts += [e - d for e in edges for d in (1, width - 1)]
         starts += [rng.randint(ks[0], ks[-1]) for _ in range(200)]
-        a = [min(max(x, ks[0]), ks[-1]) for x in starts]
-        b = [min(x + width - 1, ks[-1]) for x in a]
-        got = has_key(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist()
-        for lo, hi, hit in zip(a, b, got):
-            assert hit or not holds_key(ks, lo, hi)
-        assert not all(got)
-    assert _key_directory(keys[:1])(keys[:1], keys[:1]).tolist() == [True]
+        x = [min(max(v, ks[0] - width + 1), ks[-1]) for v in starts]
+        got = has_key(np.array(x, dtype=np.int64)).tolist()
+        for lo, hit in zip(x, got):
+            assert hit or not holds_key(ks, lo, lo + width - 1)
+        if width < 1 << t:
+            assert not all(got)
+    # the widest key window, [3 min - 2, 3 max], from the least start a
+    # reaching pair can ask for: one bucket, so every test passes
+    span = ks[-1] - ks[0]
+    xs = np.array([ks[0] - 2 * span - 2, ks[0], ks[-1]], dtype=np.int64)
+    assert _key_directory(keys, 3 * span + 3)(xs).tolist() == [True] * 3
+    assert _key_directory(keys[:1], 1)(keys[:1]).tolist() == [True]
+    assert _key_directory(keys[:1], 3)(keys[:1] - 2).tolist() == [True]
 
 
 def values_at_bucket_edges(rng, scale, n_random, n_edges):
@@ -741,7 +786,7 @@ def values_at_bucket_edges(rng, scale, n_random, n_edges):
     shift = _coarse_keys([scale], 3)[0]
     base = {rng.randrange(-scale, scale) for _ in range(n_random)} | {-scale, scale}
     lo_key, span = -scale >> shift, (scale >> shift) - (-scale >> shift)
-    t = (span // (8 * (len(base) + n_edges))).bit_length()
+    t = (span // (64 * (len(base) + n_edges))).bit_length()
     extra = set()
     while len(extra) < n_edges:
         edge = lo_key + (rng.randrange(1, span >> t) << t)
@@ -799,6 +844,30 @@ def test_window_triples_key_carry():
         slack.add((m >> shift) - sum(keys[x] for x in t))
         assert _window_triples(vals, m, m) == brute_window(vals, m, m)
     assert slack == {0, 1, 2}
+
+
+@pytest.mark.parametrize("scale", [500, 2**70, *EDGE])
+def test_window_triples_in_any_order(scale):
+    # a coverage trial passes its lower bounds unsorted; at shift > 0,
+    # values that share a key keep their input order, so the larger may
+    # come first, also at the least and the largest key. Every multiset
+    # of positions in the window is found once, windows at 3 min and
+    # 3 max included
+    rng = random.Random(scale % 1021)
+    for _ in range(30):
+        vals = {rng.randrange(-scale, scale) for _ in range(rng.randint(1, 14))}
+        shift = _coarse_keys(list(vals), 3)[0]
+        # a second value in the key of the least and of the largest
+        vals |= {(v >> shift << shift) + rng.randrange(1 << shift) for v in (min(vals), max(vals))}
+        vals = sorted(vals)
+        shuffled = vals[:]
+        rng.shuffle(shuffled)
+        cases = window_cases(rng, vals) + [(3 * vals[0], 3 * vals[0]), (3 * vals[-1], 3 * vals[-1])]
+        for lo, hi in cases:
+            got = [tuple(sorted(t)) for t in _window_triples(shuffled, lo, hi)]
+            # brute_window's triples i <= j <= c of positions are the multisets
+            assert sorted(got) == brute_window(shuffled, lo, hi)
+            assert len(set(got)) == len(got)
 
 
 def brute_counts(vals, w_start, w_len):
@@ -1101,6 +1170,47 @@ def test_coverage_deterministic_and_parallel(params307, seq307):
     b = monte_carlo_coverage(params307, (start, length), trials=2, seq=seq307)
     c = monte_carlo_coverage(params307, (start, length), trials=2, threads=2, seq=seq307)
     assert a == b == c
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its max_workers in
+    `made` and runs the initializer and the jobs in this process, so no
+    process starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_coverage_workers_capped_at_trials(monkeypatch, params307, seq307):
+    # the pool forks every worker at its first job, so 64 threads for 3
+    # trials must ask for 3 workers; one trial or none needs no pool
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # and a name bound at import, so no process starts however it is imported
+    monkeypatch.setattr(analyzer, "ProcessPoolExecutor", RecordingPool, raising=False)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(analyzer, "_worker_task", None)
+    window = coverage_args(seq307)
+    serial = monte_carlo_coverage(params307, window, trials=3, seq=seq307)
+    assert monte_carlo_coverage(params307, window, trials=3, threads=64, seq=seq307) == serial
+    assert RecordingPool.made == [3]
+    for trials in (1, 0):
+        rep = monte_carlo_coverage(params307, window, trials=trials, threads=64, seq=seq307)
+        assert rep == monte_carlo_coverage(params307, window, trials=trials, seq=seq307)
+    assert RecordingPool.made == [3]
 
 
 def test_coverage_empty_window(params307, seq307):

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -731,6 +734,15 @@ def test_decompose_rejects_small_m(workdir, capsys):
     rc = main(["decompose", "--m", "2", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--out", "-"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a coverage run with more than one worker imports the process
+    # pool, which loads multiprocessing, logging, socket and subprocess
+    code = "import sys, sidonbasis.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_threads_flag_does_not_change_results(workdir, tmp_path):

@@ -1,14 +1,15 @@
-"""Memory guards on the F_q code maps and the sequence load: the log
-tables and the irreducible sieve work one block of codes at a time, so
-their transients stay near 1 MB however many codes they cover, and a
-loaded sequence is held as columns, with no object per entry.
+"""Memory guards on the F_q code maps, the sequence load and the Sidon
+check: the log tables and the irreducible sieve work one block of codes
+at a time, so their transients stay near 1 MB however many codes they
+cover, a loaded sequence is held as columns, with no object per entry,
+and the Sidon check holds one bucket of pair sums sized from N.
 tracemalloc sees numpy's buffers, so a traced peak counts every array
 these steps form."""
 
 import json
 import tracemalloc
 
-from sidonbasis import ffpoly, unitgroup
+from sidonbasis import analyzer, ffpoly, unitgroup
 from sidonbasis.builder import Params, build_sequence, seq_from_json, seq_json_text
 from sidonbasis.ffpoly import PrimeModulus, smallest_irreducible
 
@@ -58,3 +59,19 @@ def test_sequence_load_peak_and_size(aux307):
     assert loaded == seq
     assert peak < 2.41 * 2**20
     assert size < 1.03 * 2**20
+
+
+def test_desk_sidon_peak_within_the_bucket_budget(seq307):
+    # the desk build's 944 values: 446,040 pair sums in four buckets of
+    # at most 2^17 key sums, where all of them once took one 3.6 MB
+    # buffer. Besides the bucket and O(N) per-j ranges, the pairs are
+    # expanded a block at a time: two blocks of (i, j) and one block
+    # temporary
+    vals = seq307.values
+    n = len(vals)
+    budget = analyzer._bucket_budget(n)
+    assert n == 944 and budget == 1 << 17
+    analyzer.verify_sidon(vals)  # numpy's first-call set-up
+    witnesses, peak = traced_peak(lambda: analyzer.verify_sidon(vals))
+    assert witnesses == []
+    assert peak < 8 * budget + 256 * n + 40 * analyzer._PAIR_BLOCK
