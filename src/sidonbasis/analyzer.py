@@ -99,7 +99,6 @@ the plan once.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -623,6 +622,8 @@ class CoverageReport:
 
 
 def _trial_seed(seed: int, tau: int) -> int:
+    import hashlib  # here, not at the top: OpenSSL loads with it
+
     h = hashlib.blake2b(
         f"coverage-trial|{tau}".encode(),
         key=(seed & (2**64 - 1)).to_bytes(8, "little"),

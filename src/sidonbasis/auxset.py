@@ -20,7 +20,6 @@ All sumset work is exact boolean convolution on Python-int bitmasks.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -106,6 +105,8 @@ def _first_run_start(bits: int, run_len: int) -> int | None:
 
 
 def _derive_seed(*parts) -> int:
+    import hashlib  # here, not at the top: OpenSSL loads with it
+
     h = hashlib.blake2b(
         "|".join(str(p) for p in parts).encode(), digest_size=8
     ).digest()

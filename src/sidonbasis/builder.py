@@ -40,8 +40,10 @@ min A) S_k] with S_k = W_1 + W_3 + ... + W_{2k-3}, and complete_draw
 hashes r_1..r_{k-1} of the entries whose bounds can reach the window
 only. seq_from_json reads each field of the entries a whole list at a
 time, looks every f up by name in the member tables and checks a level
-at a time, in whole-array passes; seq_json_text writes a sequence file
-from the columns by template, byte for byte as json.dumps(indent=2).
+at a time, in whole-array passes; seq_json_chunks writes a sequence
+file from the columns by template, byte for byte as
+json.dumps(indent=2), as a stream of chunks of _ENTRY_BLOCK entries,
+so that the text of a large file is never held whole.
 
 The map f -> n_f is injective and invertible: decode_entry peels the
 digits back off, top first, and looks the e digits up in its level's
@@ -61,7 +63,6 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -438,6 +439,8 @@ def _digit_hasher(seed: int):
     seed's low 64 bits, 16-byte digests). A draw hashes its message on a
     copy, which gives the one-shot keyed digest without setting up the key
     again."""
+    import hashlib  # here, not at the top: OpenSSL loads with it
+
     return hashlib.blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16)
 
 
@@ -913,33 +916,55 @@ def _digit_list_text(digits) -> str:
     return "[\n        " + ",\n        ".join(map(str, digits)) + "\n      ]"
 
 
-def seq_json_text(seq: SidonSequence, manifest_ref: str | None = None) -> str:
-    """json.dumps(seq_to_json(seq, manifest_ref), indent=2) + "\n", byte
-    for byte, without the pure-Python encoder that indent selects: every
-    top-level value but the entries is dumped with indent and moved in a
-    level (JSON text has no raw newline inside a string), and each entry
-    is filled into _ENTRY_TEXT from its level's columns. All pieces are
-    joined once, as json.dumps joins its chunks: intermediate copies of
-    the text would leave the heap of the later stages larger."""
-    head = seq_to_json(dataclasses.replace(seq, levels=()), manifest_ref)
-    chunks = []
-    for key, value in head.items():
-        chunks += [",\n" if chunks else "{\n", f'  "{key}": ']
-        if key != "entries" or not seq.values:
-            chunks.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-            continue
-        texts = [""] * (2 * len(seq.values))
-        for level in seq.levels:
-            names = map(encode_basestring_ascii, _level_names(level))
-            e, r = map(_digit_list_text, level.e.tolist()), map(_digit_list_text, level.r.tolist())
-            at = (2 * level.positions).tolist()
-            for pos, fields in zip(at, zip(names, itertools.repeat(level.k), e, r, level.s, level.n)):
-                texts[pos] = _ENTRY_TEXT % fields
-        texts[1::2] = itertools.repeat(",\n", len(seq.values))
-        texts[-1] = "\n  ]"
-        chunks += ["[\n", *texts]
-    chunks.append("\n}\n")
-    return "".join(chunks)
+# entries per chunk of seq_json_chunks: a chunk per entry costs a
+# generator step and a write each, and a block's pieces (its entry texts,
+# digit lists and join) take about 1 KB per entry while it is made
+_ENTRY_BLOCK = 256
+
+
+def seq_json_chunks(seq: SidonSequence, manifest_ref: str | None = None) -> collections.abc.Iterator[str]:
+    """json.dumps(seq_to_json(seq, manifest_ref), indent=2) + "\n" as an
+    iterator of chunks whose join is that text, byte for byte: the text
+    up to the entries, one chunk per _ENTRY_BLOCK entries in ascending n,
+    then the rest. The head is the dump of the entry-less object, cut at
+    its "entries" key (the one top-level line that starts with it: nested
+    keys are indented further, and JSON text has no raw newline inside a
+    string). Each entry is filled into _ENTRY_TEXT from its level's
+    columns, so the pure-Python encoder that indent selects never sees
+    an entry. The head, the tail and the level names are made when this
+    is called; the chunks then only format columns."""
+    text = json.dumps(seq_to_json(dataclasses.replace(seq, levels=()), manifest_ref), indent=2) + "\n"
+    if not seq.values:
+        return iter((text,))
+    head, tail = text.split('\n  "entries": []', 1)
+    names = [_level_names(level) for level in seq.levels]
+    size = len(seq.values)
+    starts = range(0, size, _ENTRY_BLOCK)
+    blocks = (_entry_block(seq, names, start, min(start + _ENTRY_BLOCK, size)) for start in starts)
+    return itertools.chain((head + '\n  "entries": [\n',), blocks, ("\n  ]" + tail,))
+
+
+def _entry_block(seq: SidonSequence, names: list[list[str]], start: int, stop: int) -> str:
+    """The text of the entries at positions [start, stop) of seq, joined
+    by ",\n" and led by it unless start is 0; names holds the level names
+    (_level_names) of seq.levels. A level's rows among them are cut out
+    of its positions by one searchsorted. Its own function, so that the
+    pieces of a block are freed before the next is made."""
+    lead = 1 if start else 0
+    texts = [""] * (lead + stop - start)
+    for level, level_names in zip(seq.levels, names):
+        lo, hi = np.searchsorted(level.positions, (start, stop)).tolist()
+        fields = zip(
+            map(encode_basestring_ascii, level_names[lo:hi]),
+            itertools.repeat(level.k),
+            map(_digit_list_text, level.e[lo:hi].tolist()),
+            map(_digit_list_text, level.r[lo:hi].tolist()),
+            level.s[lo:hi],
+            level.n[lo:hi],
+        )
+        for pos, row in zip((level.positions[lo:hi] - (start - lead)).tolist(), fields):
+            texts[pos] = _ENTRY_TEXT % row
+    return ",\n".join(texts)
 
 
 def seq_from_json(obj: dict) -> SidonSequence:

@@ -5,10 +5,13 @@ deterministic given its flags; primary outputs carry no timestamps. Each
 output file written to disk gets a sidecar manifest <out>.manifest.json
 (timestamp, parameter echo, version, warnings) and embeds or references
 the manifest name; "-" writes the report to standard output and skips
-the sidecar. Exit status is 0 exactly when every requested verification
-passed; otherwise it is 1 (a verification failed or a search was
-exhausted), 2 (bad input) or 3 (an internal error: a failed exactness
-assertion, a runtime error, or running out of memory).
+the sidecar. A report is written as a stream of text chunks, each as it
+comes, so that a large sequence file or CSV is never held whole; every
+check that can fail runs before the file is opened. Exit status is 0
+exactly when every requested verification passed; otherwise it is 1 (a
+verification failed or a search was exhausted), 2 (bad input) or 3 (an
+internal error: a failed exactness assertion, a runtime error, or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .builder import (
     build_sequence,
     mixed_radix,
     seq_from_json,
-    seq_json_text,
+    seq_json_chunks,
 )
 from .equidist import check_theta, deviation_csv_lines, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
@@ -87,13 +90,14 @@ def _manifest_name(out: str) -> str:
     return os.path.basename(out) + ".manifest.json"
 
 
-def _write_report(out: str, text: str, manifest: dict) -> None:
-    """Write the primary report; on-disk outputs get the manifest sidecar."""
+def _write_report(out: str, chunks, manifest: dict) -> None:
+    """Write the primary report, an iterable of str chunks, each as it
+    comes; on-disk outputs get the manifest sidecar."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(out, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     with open(out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -103,11 +107,13 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], lines, manifest_ref: str | None) -> str:
-    """The CSV text: the manifest comment when manifest_ref is given, the
-    header, then the lines, each already formatted and newline-terminated."""
+def _csv_chunks(header: list[str], lines, manifest_ref: str | None):
+    """The CSV text as chunks: the manifest comment when manifest_ref is
+    given and the header in one, then the lines, each already formatted
+    and newline-terminated."""
     head = "" if manifest_ref is None else f"# manifest: {manifest_ref}\n"
-    return head + ",".join(header) + "\n" + "".join(lines)
+    yield head + ",".join(header) + "\n"
+    yield from lines
 
 
 def _load_json(path: str) -> dict:
@@ -140,7 +146,7 @@ def cmd_find_aux(args: argparse.Namespace) -> int:
     if args.out != "-":
         obj["manifest"] = _manifest_name(args.out)
     manifest = _manifest(args, inputs=[], outputs=[args.out], warnings=[])
-    _write_report(args.out, _json_text(obj), manifest)
+    _write_report(args.out, [_json_text(obj)], manifest)
     return 0
 
 
@@ -162,7 +168,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         args, inputs=[args.aux_file], outputs=[args.out], warnings=list(seq.warnings)
     )
     manifest["audit"] = list(audit.lines)
-    _write_report(args.out, seq_json_text(seq, manifest_ref), manifest)
+    _write_report(args.out, seq_json_chunks(seq, manifest_ref), manifest)
     return 0
 
 
@@ -302,14 +308,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report, ok, sidon_path = _verify_sidon_report(seq)
         if manifest_ref:
             report["manifest"] = manifest_ref
-        text = _json_text(report)
+        chunks = [_json_text(report)]
         warnings = [] if ok else [f"{report['witness_count']} collision witnesses"]
     elif args.mode == "decompose":
         samples = args.trials if args.trials is not None else 10000
         report, ok = _verify_decompose_report(seq, samples)
         if manifest_ref:
             report["manifest"] = manifest_ref
-        text = _json_text(report)
+        chunks = [_json_text(report)]
         warnings = [] if ok else [f"{report['failure_count']} decomposition failures"]
     elif args.mode == "coverage":
         if args.window is None:
@@ -321,14 +327,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seq.params, window, trials, threads=args.threads, seq=seq
         )
         lines = (f"{m},{count},{frequency}\n" for m, count, frequency in rep.rows())
-        text = _csv_text(["m", "count", "frequency"], lines, manifest_ref)
+        chunks = _csv_chunks(["m", "count", "frequency"], lines, manifest_ref)
         ok = True
         warnings = [f"{len(rep.uncovered)} of {rep.window_length} window values uncovered in the base build"]
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.mode)
     manifest = _manifest(args, inputs=[args.seq_file], outputs=[args.out], warnings=warnings)
     manifest.update(sidon_path)
-    _write_report(args.out, text, manifest)
+    _write_report(args.out, chunks, manifest)
     return 0 if ok else 1
 
 
@@ -344,7 +350,7 @@ def cmd_equidist(args: argparse.Namespace) -> int:
     summary["threshold"] = args.threshold
     summary["conservation_ok"] = dev.conservation_ok
     summary["ok"] = ok
-    csv_text = _csv_text(
+    chunks = _csv_chunks(
         ["a", "count", "expected", "deviation", "normalized_ratio"],
         deviation_csv_lines(dev),
         manifest_ref,
@@ -352,11 +358,10 @@ def cmd_equidist(args: argparse.Namespace) -> int:
     warnings = [] if ok else ["equidistribution alarm: " + json.dumps(summary)]
     manifest = _manifest(args, inputs=[], outputs=[args.out], warnings=warnings)
     manifest["summary"] = summary
+    _write_report(args.out, chunks, manifest)
     if args.out == "-":
-        sys.stdout.write(csv_text)
         print(json.dumps(summary, indent=2), file=sys.stderr)
     else:
-        _write_report(args.out, csv_text, manifest)
         summary_obj = dict(summary)
         summary_obj["manifest"] = manifest_ref
         with open(args.out + ".summary.json", "w") as fh:
@@ -383,7 +388,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if manifest_ref:
         report["manifest"] = manifest_ref
     manifest = _manifest(args, inputs=[args.aux_file], outputs=[args.out], warnings=[])
-    _write_report(args.out, _json_text(report), manifest)
+    _write_report(args.out, [_json_text(report)], manifest)
     return 0 if ok else 1
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +139,58 @@ def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 _PAIR_BLOCK = 1 << 17
 
 
+def _add_nonunit_triples(total: np.ndarray, member: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Add to total, the flat counts over the extended shape (n_j + 1 per
+    factor), the triples of rows of member (exponent coordinates, n_j
+    where pi_j divides) that hold a non-unit row. Each such triple is
+    counted at its first non-unit member z: z times each pair a < b of
+    the members left once z and the non-units before it are taken out,
+    binned _PAIR_BLOCK pairs at a time.
+
+    Coordinates are added in a code where a sum names its product: the
+    coordinate c of factor j stays c on a unit and becomes S_j = 2 n_j - 1
+    where pi_j divides, so the sum s of two codes is at most 2 n_j - 2
+    exactly when both are units, with product coordinate s mod n_j, and
+    at least S_j otherwise, with product coordinate n_j. recode[j][s] is
+    that coordinate in the same code and place[j][s] it times the stride
+    of factor j in total, s in [0, 2 S_j]: a product is one add and one
+    gather per factor."""
+    mods = np.array(shape)
+    nonunits = np.flatnonzero((member >= mods).any(axis=1))
+    if not len(nonunits):
+        return
+    strides = [math.prod(m + 1 for m in shape[j + 1 :]) for j in range(len(shape))]
+    place, recode = [], []
+    for nj, stride in zip(shape, strides):
+        coord = np.arange(4 * nj - 1) % nj
+        coord[2 * nj - 1 :] = nj
+        recode.append(np.where(coord < nj, coord, 2 * nj - 1))
+        coord *= stride
+        place.append(coord)
+    coded = np.where(member < mods, member, 2 * mods - 1).T.copy()  # one row per factor
+    rest = np.ones(len(member), dtype=bool)
+    for z in nonunits:
+        rest[z] = False
+        others = coded[:, rest]
+        left = [table[col[z] + row] for table, col, row in zip(recode, coded, others)]
+        m = others.shape[1]
+        row_pairs = m - 1 - np.arange(m)
+        before = np.concatenate(([0], np.cumsum(row_pairs)))  # pairs in the rows above a
+        a0 = 0
+        while a0 < m - 1:
+            a1 = max(a0 + 1, int(np.searchsorted(before, before[a0] + _PAIR_BLOCK, side="right")) - 1)
+            pairs = row_pairs[a0:a1]
+            b = np.arange(before[a1] - before[a0])
+            b -= np.repeat(before[a0:a1] - before[a0] - np.arange(a0, a1) - 1, pairs)
+            flat = np.zeros(len(b), dtype=np.intp)
+            for table, lj, oj in zip(place, left, others):
+                s = np.repeat(lj[a0:a1], pairs)
+                s += oj[b]
+                flat += table[s]
+            total += np.bincount(flat, minlength=total.size)
+            a0 = a1
+
+
 @dataclass(frozen=True)
 class TripleCountReport:
     q: PrimeModulus
@@ -177,30 +230,7 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     total = np.zeros(ext_shape, dtype=np.int64)
     total[tuple(slice(m) for m in shape)] = _distinct_triples(member[is_unit], shape)
     total = total.reshape(-1)
-
-    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.where((a == mods) | (b == mods), mods, (a + b) % mods)
-
-    # each triple holding a non-unit member z, counted at its first such
-    # member: z times each pair a < b of the members left once z and the
-    # non-units before it are taken out, binned a block of rows a at a time
-    rest = np.ones(n, dtype=bool)
-    for z in np.flatnonzero(~is_unit):
-        rest[z] = False
-        others = member[rest]
-        left = times(member[z], others)
-        m = len(others)
-        row_pairs = m - 1 - np.arange(m)
-        before = np.concatenate(([0], np.cumsum(row_pairs)))  # pairs in the rows above a
-        a0 = 0
-        while a0 < m - 1:
-            a1 = max(a0 + 1, int(np.searchsorted(before, before[a0] + _PAIR_BLOCK, side="right")) - 1)
-            rows = np.arange(a0, a1)
-            a = np.repeat(rows, row_pairs[a0:a1])
-            b = np.arange(len(a)) - np.repeat(before[a0:a1] - before[a0] - rows - 1, row_pairs[a0:a1])
-            prods = times(left[a], others[b])
-            total += np.bincount(np.ravel_multi_index(tuple(prods.T), ext_shape), minlength=total.size)
-            a0 = a1
+    _add_nonunit_triples(total, member, shape)
     per_code = total[np.ravel_multi_index(tuple(coords.T), ext_shape)]
     unit = (coords < mods).all(axis=1)
     hit = np.flatnonzero(unit | (per_code > 0))
@@ -286,14 +316,16 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
     )
 
 
-def deviation_csv_lines(report: DeviationReport) -> list[str]:
-    """The CSV line "a,count,expected,deviation,normalized_ratio" of
-    each unit class, newline-terminated, with every value as str()
-    prints it. The part after a is formatted once per distinct count."""
+def deviation_csv_lines(report: DeviationReport) -> Iterator[str]:
+    """An iterator over the CSV line "a,count,expected,deviation,
+    normalized_ratio" of each unit class, newline-terminated, with every
+    value as str() prints it. The part after a is formatted once per
+    distinct count, when this is called; each line is joined when it is
+    read, so that a writer need not hold them all."""
     expected = float(report.expected)
     row_of = dict(zip(report.counts, range(len(report.counts))))  # one row per distinct count
     tail = {c: f",{c},{expected},{report.deviations[i]},{report.ratios[i]}\n" for c, i in row_of.items()}
-    return list(map(str.__add__, report.residues, map(tail.__getitem__, report.counts)))
+    return map(str.__add__, report.residues, map(tail.__getitem__, report.counts))
 
 
 def deviation_summary(report: DeviationReport) -> dict:

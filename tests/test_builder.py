@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sidonbasis import builder
 from sidonbasis.auxset import AuxSet
 from sidonbasis.builder import (
     SCALED_MODE_WARNING,
@@ -36,7 +37,7 @@ from sidonbasis.builder import (
     params_from_json,
     params_to_json,
     seq_from_json,
-    seq_json_text,
+    seq_json_chunks,
     seq_to_json,
 )
 from sidonbasis.ffpoly import (
@@ -604,9 +605,22 @@ def test_seq_json_text_matches_indented_dumps(seq307, manifest_ref):
     assert seq307.warnings
     for seq in cases:
         obj = seq_to_json(seq, manifest_ref)
-        assert seq_json_text(seq, manifest_ref) == json.dumps(obj, indent=2) + "\n"
+        assert "".join(seq_json_chunks(seq, manifest_ref)) == json.dumps(obj, indent=2) + "\n"
     assert obj.get("manifest") == manifest_ref
     assert seq_to_json(cases[2])["entries"][7]["f"] == "t^4"
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_seq_json_chunks_cut_across_levels(seq307, monkeypatch, block):
+    # blocks of 1 and 7 entries: the 18 k = 3 entries of the desk build
+    # end inside the third block of 7, so a block holds rows of both
+    # levels; one chunk per block, with the head and the tail
+    monkeypatch.setattr(builder, "_ENTRY_BLOCK", block)
+    chunks = list(seq_json_chunks(seq307, "seq.json.manifest.json"))
+    assert len(chunks) == 2 + -(-len(seq307.values) // block)
+    assert [level.k for level in seq307.levels] == [3, 4] and len(seq307.levels[0]) == 18
+    obj = seq_to_json(seq307, "seq.json.manifest.json")
+    assert "".join(chunks) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_json_roundtrip_q11_and_spellings(seq11):
@@ -724,9 +738,10 @@ def test_seq_from_json_rejects_non_string_warnings(seq307):
     assert seq_from_json(seq_to_json(seq307)).warnings == seq307.warnings
 
 
-# sha256 prefixes of seq_json_text(seq, "x.manifest.json") for the builds of
-# test_columns_round_trip_and_views, pinned so that a change to the draw,
-# the encoding or the writer that moves a byte of a sequence file fails
+# sha256 prefixes of the joined seq_json_chunks(seq, "x.manifest.json")
+# for the builds of test_columns_round_trip_and_views, pinned so that a
+# change to the draw, the encoding or the writer that moves a byte of a
+# sequence file fails
 COLUMN_BUILD_DIGESTS = {
     (3, 3, 4, 0): "0146fb28b43b9b8d",
     (3, 3, 4, 5): "0affbb153a45b813",
@@ -748,7 +763,7 @@ def test_columns_round_trip_and_views(aux307, q, k_min, k_max, seed):
     # names the member the file names and carries its table logs
     params = Params(q=PrimeModulus(q), aux=aux307, k_min=k_min, k_max=k_max, seed=seed)
     seq = build_sequence(params)
-    text = seq_json_text(seq, "x.manifest.json")
+    text = "".join(seq_json_chunks(seq, "x.manifest.json"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == COLUMN_BUILD_DIGESTS[q, k_min, k_max, seed]
     obj = seq_to_json(seq, "x.manifest.json")
     assert text == json.dumps(obj, indent=2) + "\n"
@@ -814,7 +829,7 @@ def test_seq_from_json_keeps_digits_beyond_int64(params307, seq307):
     seq = seq_from_json(obj)
     assert seq.entries[-1].r == r and seq.levels[-1].r.dtype == object
     assert seq.entries[:-1] == seq307.entries[:-1]
-    assert seq_json_text(seq) == json.dumps(obj, indent=2) + "\n"
+    assert "".join(seq_json_chunks(seq)) == json.dumps(obj, indent=2) + "\n"
 
 
 def peel_decode(n, params, moduli):

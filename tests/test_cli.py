@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, manifests, determinism, formats."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 from sidonbasis import cli
 from sidonbasis.analyzer import monte_carlo_coverage
 from sidonbasis.auxset import YTable, default_aux, triple_sumset_bits
-from sidonbasis.builder import digit_weights, mixed_radix, seq_from_json
+from sidonbasis.builder import digit_weights, mixed_radix, seq_from_json, seq_json_chunks
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.ffpoly import Poly
 
@@ -105,6 +106,18 @@ def test_build_deterministic_rerun(workdir, tmp_path):
     first = out.read_bytes()
     assert main(["build", "--q", "3", "--aux-file", str(aux), "--out", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+def test_build_stdout_mode(workdir, tmp_path, monkeypatch, capsys):
+    # "-" prints the joined chunks of the sequence, with no manifest key,
+    # and writes no sidecar
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    seq = seq_from_json(read_json(workdir / "seq.json"))
+    assert out == "".join(seq_json_chunks(seq))
+    assert "manifest" not in json.loads(out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_rejects_q2(workdir, tmp_path, capsys):
@@ -670,12 +683,18 @@ def test_equidist_files(tmp_path):
     assert manifest["summary"]["binom"] == 56
 
 
-def test_equidist_stdout_mode(capsys):
+def test_equidist_stdout_mode(tmp_path, capsys):
     rc = main(["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", "-"])
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("a,count,")
     assert json.loads(captured.err)["binom"] == 56
+    # the file's text without its manifest line, byte for byte
+    out = tmp_path / "eq.csv"
+    assert main(["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", str(out)]) == 0
+    head, text = out.read_text().split("\n", 1)
+    assert head == "# manifest: eq.csv.manifest.json"
+    assert captured.out == text
 
 
 def test_equidist_alarm_threshold(tmp_path, capsys):
@@ -743,6 +762,29 @@ def test_cli_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def fresh_run_hash_modules(argv):
+    """The hash modules (hashlib, _hashlib) loaded after cli.main(argv)
+    runs in a fresh interpreter."""
+    code = (
+        "import sys; from sidonbasis import cli; "
+        f"assert cli.main({argv!r}) == 0; "
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_equidist_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL (about 3.5 MB resident) and is imported only
+    # inside the functions that hash, so an equidist run loads neither
+    # module, while find-aux, which hashes its seeds, loads hashlib
+    eq = ["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", str(tmp_path / "eq.csv")]
+    assert fresh_run_hash_modules(eq).strip() == "[]"
+    aux = ["find-aux", "--p-min", "300", "--p-max", "320", "--out", str(tmp_path / "aux.json")]
+    loaded = ["_hashlib", "hashlib"] if importlib.util.find_spec("_hashlib") else ["hashlib"]
+    assert fresh_run_hash_modules(aux).strip() == repr(loaded)
 
 
 def test_threads_flag_does_not_change_results(workdir, tmp_path):

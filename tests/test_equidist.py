@@ -300,6 +300,8 @@ def test_deviation_trend_is_bounded():
 def test_deviation_csv_and_summary():
     dev = deviation_report(triple_histogram(Q3, 3, G_QUAD))
     lines = deviation_csv_lines(dev)
+    assert iter(lines) is lines  # an iterator, read once by the writer
+    lines = list(lines)
     assert len(lines) == 8
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
     for line, residue, count in zip(lines, dev.residues, dev.counts):
@@ -352,7 +354,7 @@ def test_csv_lines_match_str_join(q, d, g, nonunits, tmp_path):
     rep = triple_histogram(q, d, g)
     dev = deviation_report(rep)
     expected_lines = str_join_lines(q, d, g)
-    assert deviation_csv_lines(dev) == expected_lines
+    assert list(deviation_csv_lines(dev)) == expected_lines
     assert any(x < 0 for x in dev.deviations)
     if nonunits:  # non-unit classes are hit, and stay out of the lines
         assert dev.nonunit_total > 0 and len(rep.counts) > len(rep.units)

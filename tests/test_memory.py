@@ -1,17 +1,19 @@
-"""Memory guards on the F_q code maps, the sequence load and the Sidon
-check: the log tables and the irreducible sieve work one block of codes
-at a time, so their transients stay near 1 MB however many codes they
-cover, a loaded sequence is held as columns, with no object per entry,
-and the Sidon check holds one bucket of pair sums sized from N.
+"""Memory guards on the F_q code maps, the sequence load, the Sidon
+check and the report writer: the log tables and the irreducible sieve
+work one block of codes at a time, so their transients stay near 1 MB
+however many codes they cover, a loaded sequence is held as columns,
+with no object per entry, the Sidon check holds one bucket of pair sums
+sized from N, and a report is written a chunk at a time, never whole.
 tracemalloc sees numpy's buffers, so a traced peak counts every array
 these steps form."""
 
 import json
 import tracemalloc
 
-from sidonbasis import analyzer, ffpoly, unitgroup
-from sidonbasis.builder import Params, build_sequence, seq_from_json, seq_json_text
-from sidonbasis.ffpoly import PrimeModulus, smallest_irreducible
+from sidonbasis import analyzer, cli, ffpoly, unitgroup
+from sidonbasis.builder import Params, build_sequence, seq_from_json, seq_json_chunks
+from sidonbasis.equidist import deviation_csv_lines, deviation_report, triple_histogram
+from sidonbasis.ffpoly import PrimeModulus, poly_from_string, smallest_irreducible
 
 
 def traced_peak(fn):
@@ -48,7 +50,7 @@ def test_sequence_load_peak_and_size(aux307):
     # the q = 11, k = 3 file, 3,630 entries: with one SequenceEntry and
     # one Poly per entry the load peaked at 2.41 MB traced and kept 1.03 MB
     seq = build_sequence(Params(q=PrimeModulus(11), aux=aux307, k_min=3, k_max=3, seed=0))
-    obj = json.loads(seq_json_text(seq))
+    obj = json.loads("".join(seq_json_chunks(seq)))
     seq_from_json(obj)  # the member tables, moduli and log tables are built once per process
     tracemalloc.start()
     try:
@@ -75,3 +77,36 @@ def test_desk_sidon_peak_within_the_bucket_budget(seq307):
     witnesses, peak = traced_peak(lambda: analyzer.verify_sidon(vals))
     assert witnesses == []
     assert peak < 8 * budget + 256 * n + 40 * analyzer._PAIR_BLOCK
+
+
+def traced_write_peak(path, make_chunks):
+    """(file size, traced peak in bytes) of writing make_chunks() through
+    cli._write_report to path, after one untraced write (numpy's first-call
+    set-up)."""
+    cli._write_report(str(path), make_chunks(), {})
+    _, peak = traced_peak(lambda: cli._write_report(str(path), make_chunks(), {}))
+    return path.stat().st_size, peak
+
+
+def test_sequence_write_stays_under_the_file(aux307, tmp_path):
+    # the q = 11, k = 3 file, 888 KB: held whole, the text and its pieces
+    # peaked at 3.34 MB traced. Streamed, the level names (about 0.28 MB)
+    # and one block of entries are all that is held
+    seq = build_sequence(Params(q=PrimeModulus(11), aux=aux307, k_min=3, k_max=3, seed=0))
+    size, peak = traced_write_peak(tmp_path / "seq.json", lambda: seq_json_chunks(seq, "seq.json.manifest.json"))
+    assert size > 880_000
+    assert peak < 0.75 * size
+
+
+def test_equidist_csv_write_stays_under_the_file(tmp_path):
+    # the d = 6, g = 2+t^2+t^8 report, 553 KB: the lines, their join and
+    # the header concatenation peaked at 2.03 MB traced. Streamed, a line
+    # at a time, the writer holds the per-count tails and a write buffer
+    q = PrimeModulus(3)
+    dev = deviation_report(triple_histogram(q, 6, poly_from_string(q, "2+t^2+t^8")))
+    header = ["a", "count", "expected", "deviation", "normalized_ratio"]
+    size, peak = traced_write_peak(
+        tmp_path / "eq.csv", lambda: cli._csv_chunks(header, deviation_csv_lines(dev), "eq.csv.manifest.json")
+    )
+    assert size > 550_000
+    assert peak < size / 8
