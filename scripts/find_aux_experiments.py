@@ -2,9 +2,11 @@
 
 Three modes:
 
-  --random-grid    run the randomized candidate path on a grid of primes
+  --random-grid    run the paper's randomized candidate path (sample each
+                   element, delete the collisions) on a grid of primes
                    and tabulate why it falls short at desk scale (tiny
-                   samples, coverage gaps after alteration)
+                   samples, coverage gaps after alteration); the package
+                   runs only the residue-class construction
   --scan           scan primes ascending with the deterministic
                    residue-class construction and report the first
                    successes (the project's minimal-p finding)
@@ -19,21 +21,147 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
+import random
+from typing import NamedTuple
 
 from sidonbasis import primes
 from sidonbasis.auxset import (
     CLASS_DESIGN,
     CLASS_MODULUS,
-    AttemptRecord,
+    AuxSet,
     SearchExhausted,
-    alteration,
+    _bits_of,
+    _shift_sumset,
     build_y_table,
     deterministic_aux,
-    sample_candidate,
-    search,
     triple_sumset_bits,
+    verify_coverage,
+    verify_disjoint,
 )
+
+
+class AttemptRecord(NamedTuple):
+    p: int
+    attempt: int
+    r_size: int
+    x_size: int
+    a_size: int
+    supnorm: int
+    disjoint_ok: bool
+    coverage_ok: bool
+    window_start: int | None
+
+
+def _derive_seed(*parts) -> int:
+    h = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8).digest()
+    return int.from_bytes(h, "little") >> 1
+
+
+def sample_candidate(p: int, seed: int) -> set[int]:
+    """Random subset of {1..floor(p/2)-1}, each element included
+    independently with probability min(1, ceil(ln p) * p^(-2/3)).
+
+    Geometric skip-sampling, so the cost is proportional to the output
+    size; deterministic given (p, seed).
+    """
+    if p < 11 or not primes.is_prime(p):
+        raise ValueError(f"need a prime p >= 11, got {p}")
+    return _draw_candidate(_sample_law(p), random.Random(_derive_seed("sample", p, seed)))
+
+
+def _sample_law(p: int) -> tuple[int, float, float]:
+    """The per-prime constants of sample_candidate: the top element
+    floor(p/2) - 1, the inclusion probability and log1p(-probability)."""
+    prob = min(1.0, math.ceil(math.log(p)) * p ** (-2 / 3))
+    return p // 2 - 1, prob, math.log1p(-prob) if prob < 1.0 else 0.0
+
+
+def _draw_candidate(law: tuple[int, float, float], rnd: random.Random) -> set[int]:
+    """The draw of sample_candidate under law = _sample_law(p), from rnd
+    seeded by _derive_seed("sample", p, seed); random_search re-seeds one
+    Random per attempt."""
+    hi, prob, log_q = law
+    if prob >= 1.0:
+        return set(range(1, hi + 1))
+    out: set[int] = set()
+    x = 0
+    while True:
+        u = rnd.random()
+        x += 1 + int(math.log(u) / log_q)
+        if x > hi:
+            return out
+        out.add(x)
+
+
+def alteration(r_set: set[int]) -> tuple[set[int], set[int]]:
+    """X = R cap (R+R+{0,1}), A = R minus X; re-verifies disjointness."""
+    elems = sorted(r_set)
+    bits_r = _bits_of(elems)
+    bits_rr = _shift_sumset(bits_r, elems)
+    bits_bad = bits_rr | (bits_rr << 1)
+    bits_x = bits_r & bits_bad
+    x_set = {e for e in elems if bits_x >> e & 1}
+    a_set = r_set - x_set
+    ok, wit = verify_disjoint(a_set)
+    if not ok:
+        raise AssertionError(f"alteration left a violation: {wit}")
+    return x_set, a_set
+
+
+def pair_sum_supnorm(r_set) -> int:
+    """Largest multiplicity in the pair-sum multiset of R (the sup-norm
+    of the convolution 1_R * 1_R); 0 for empty R."""
+    elems = sorted(r_set)
+    counts: dict[int, int] = {}
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            s = a + b
+            counts[s] = counts.get(s, 0) + (1 if a == b else 2)
+    return max(counts.values(), default=0)
+
+
+def random_search(
+    p_min: int, p_max: int, seed: int, max_attempts_per_p: int, collect: list | None = None
+) -> AuxSet:
+    """First (p, A) from sample-and-alter, scanning primes >= 11 ascending
+    with max_attempts_per_p draws each; attempt a at p draws
+    sample_candidate(p, _derive_seed("attempt", seed, p, a)). Appends an
+    AttemptRecord per attempt to collect when given; raises
+    SearchExhausted when the whole range fails."""
+    if p_min > p_max:
+        raise ValueError(f"empty prime range [{p_min}, {p_max}]")
+    rnd = random.Random()
+    for p in primes.primes_in_range(max(p_min, 11), p_max):
+        law = _sample_law(p)
+        for attempt in range(1, max_attempts_per_p + 1):
+            rnd.seed(_derive_seed("sample", p, _derive_seed("attempt", seed, p, attempt)))
+            r_set = _draw_candidate(law, rnd)
+            x_set, a_set = alteration(r_set)
+            ok_c, start = verify_coverage(a_set, p)
+            if collect is not None:
+                collect.append(
+                    AttemptRecord(
+                        p=p,
+                        attempt=attempt,
+                        r_size=len(r_set),
+                        x_size=len(x_set),
+                        a_size=len(a_set),
+                        supnorm=pair_sum_supnorm(r_set),
+                        disjoint_ok=True,
+                        coverage_ok=ok_c,
+                        window_start=start,
+                    )
+                )
+            if ok_c:
+                return AuxSet(
+                    p=p, A=tuple(sorted(a_set)), seed=seed, attempt=attempt, window_start=start, method="random"
+                )
+    raise SearchExhausted(
+        f"no auxiliary set found for primes in [{p_min}, {p_max}] "
+        f"with {max_attempts_per_p} attempts per prime"
+    )
 
 
 def longest_run(a_set: set[int]) -> int:
@@ -63,8 +191,7 @@ def random_grid(p_max: int, attempts: int, seed: int) -> None:
     for p in grid:
         records: list[AttemptRecord] = []
         try:
-            search(p, p, seed=seed, max_attempts_per_p=attempts,
-                   method="random", collect=records)
+            random_search(p, p, seed, attempts, collect=records)
             note = "FOUND"
         except SearchExhausted:
             note = ""
@@ -73,8 +200,8 @@ def random_grid(p_max: int, attempts: int, seed: int) -> None:
         rec = max(records, key=lambda r: r.a_size)
         r_set = sample_candidate(p, rec_seed(seed, rec))
         _, a_set = alteration(r_set)
-        prob = min(1.0, math.ceil(math.log(p)) * p ** (-2 / 3))
-        exp_r = prob * (p // 2 - 1)
+        hi, prob, _ = _sample_law(p)
+        exp_r = prob * hi
         covers = sum(1 for r in records if r.coverage_ok)
         print(f"{p:>8} {prob:>9.5f} {exp_r:>7.1f} {rec.r_size:>5} {rec.a_size:>5} "
               f"{rec.supnorm:>4} {covers:>4}/{len(records):<2} "
@@ -83,8 +210,6 @@ def random_grid(p_max: int, attempts: int, seed: int) -> None:
 
 def rec_seed(seed: int, rec: AttemptRecord) -> int:
     # recover the derived per-attempt seed for the chosen record
-    from sidonbasis.auxset import _derive_seed
-
     return _derive_seed("attempt", seed, rec.p, rec.attempt)
 
 

@@ -5,15 +5,14 @@
 
 plus the per-residue lookup table used by the decomposition algorithm.
 
-Two construction paths. The randomized path samples each element with
-probability min(1, ceil(ln p) * p^(-2/3)) and repairs collisions by
-deleting X = R cap (R+R+{0,1}); it is kept faithful to its source and its
-attempt diagnostics are observable, but at the prime sizes this package
-runs it essentially never covers a long enough window (triple-sum
-intensity peaks near 2 while a (p+2)-run needs intensity around ln p).
-The deterministic path lifts a fixed residue-class design (CLASS_MODULUS,
-CLASS_DESIGN) to an interval and is the one that actually succeeds; both
-verifiers re-check every candidate either way.
+One construction path. The paper's A comes from a random sample with
+collisions deleted; at the prime sizes this package runs, that sample
+essentially never covers a long enough window (triple-sum intensity
+peaks near 2 while a (p+2)-run needs intensity around ln p), so the
+sampler lives in scripts/find_aux_experiments.py (--random-grid), which
+tabulates why. The package lifts a fixed residue-class design
+(CLASS_MODULUS, CLASS_DESIGN) to an interval instead, and both verifiers
+re-check the result.
 
 All sumset work is exact boolean convolution on Python-int bitmasks.
 """
@@ -21,7 +20,6 @@ All sumset work is exact boolean convolution on Python-int bitmasks.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import primes
@@ -36,11 +34,15 @@ CLASS_DESIGN = (3, 4, 5, 14, 15, 16, 27, 39, 40)
 
 
 class SearchExhausted(RuntimeError):
-    """No (p, A) found in the requested range within the attempt budget."""
+    """No (p, A) found for any prime in the requested range."""
 
 
 @dataclass(frozen=True)
 class AuxSet:
+    """An auxiliary set with what aux.json records of how it was found:
+    search gives attempt 0 and method "residue-class"; aux_from_json also
+    loads sets found by sample-and-alter, whose method is "random"."""
+
     p: int
     A: tuple[int, ...]
     seed: int = 0
@@ -59,19 +61,6 @@ class YTable:
 
     p: int
     entries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AttemptRecord:
-    p: int
-    attempt: int
-    r_size: int
-    x_size: int
-    a_size: int
-    supnorm: int
-    disjoint_ok: bool
-    coverage_ok: bool
-    window_start: int | None
 
 
 def _bits_of(elems) -> int:
@@ -102,66 +91,6 @@ def _first_run_start(bits: int, run_len: int) -> int | None:
     if not g:
         return None
     return (g & -g).bit_length() - 1
-
-
-def _derive_seed(*parts) -> int:
-    import hashlib  # here, not at the top: OpenSSL loads with it
-
-    h = hashlib.blake2b(
-        "|".join(str(p) for p in parts).encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(h, "little") >> 1
-
-
-def sample_candidate(p: int, seed: int) -> set[int]:
-    """Random subset of {1..floor(p/2)-1}, each element included
-    independently with probability min(1, ceil(ln p) * p^(-2/3)).
-
-    Geometric skip-sampling, so the cost is proportional to the output
-    size; deterministic given (p, seed).
-    """
-    if p < 11 or not primes.is_prime(p):
-        raise ValueError(f"need a prime p >= 11, got {p}")
-    return _draw_candidate(_sample_law(p), random.Random(_derive_seed("sample", p, seed)))
-
-
-def _sample_law(p: int) -> tuple[int, float, float]:
-    """The per-prime constants of sample_candidate: the top element
-    floor(p/2) - 1, the inclusion probability and log1p(-probability)."""
-    prob = min(1.0, math.ceil(math.log(p)) * p ** (-2 / 3))
-    return p // 2 - 1, prob, math.log1p(-prob) if prob < 1.0 else 0.0
-
-
-def _draw_candidate(law: tuple[int, float, float], rnd: random.Random) -> set[int]:
-    """The draw of sample_candidate under law = _sample_law(p), from rnd
-    seeded by _derive_seed("sample", p, seed); search re-seeds one Random
-    per attempt."""
-    hi, prob, log_q = law
-    if prob >= 1.0:
-        return set(range(1, hi + 1))
-    out: set[int] = set()
-    x = 0
-    while True:
-        u = rnd.random()
-        x += 1 + int(math.log(u) / log_q)
-        if x > hi:
-            return out
-        out.add(x)
-
-
-def alteration(r_set: set[int]) -> tuple[set[int], set[int]]:
-    """X = R cap (R+R+{0,1}), A = R minus X; re-verifies disjointness."""
-    elems = sorted(r_set)
-    bits_r = _bits_of(elems)
-    bits_rr = _shift_sumset(bits_r, elems)
-    bits_bad = bits_rr | (bits_rr << 1)
-    bits_x = bits_r & bits_bad
-    x_set = {e for e in elems if bits_x >> e & 1}
-    a_set = r_set - x_set
-    ok, wit = verify_disjoint(a_set)
-    if not ok:
-        raise AssertionError(f"alteration left a violation: {wit}")
-    return x_set, a_set
 
 
 def verify_disjoint(a_set) -> tuple[bool, tuple[int, int, int, int] | None]:
@@ -204,18 +133,6 @@ def triple_sumset_bits(a_set) -> int:
     elems = sorted(a_set)
     bits_a = _bits_of(elems)
     return _shift_sumset(_shift_sumset(bits_a, elems), elems)
-
-
-def pair_sum_supnorm(r_set) -> int:
-    """Largest multiplicity in the pair-sum multiset of R (the sup-norm
-    of the convolution 1_R * 1_R); 0 for empty R."""
-    elems = sorted(r_set)
-    counts: dict[int, int] = {}
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            s = a + b
-            counts[s] = counts.get(s, 0) + (1 if a == b else 2)
-    return max(counts.values(), default=0)
 
 
 def _y_table_entries(p: int, bits_aaa: int) -> list[int | None]:
@@ -279,66 +196,20 @@ def deterministic_aux(p: int, seed: int = 0) -> AuxSet | None:
     )
 
 
-def search(
-    p_min: int,
-    p_max: int,
-    seed: int,
-    max_attempts_per_p: int,
-    method: str = "both",
-    collect: list | None = None,
-) -> AuxSet:
-    """First (p, A) passing both verifiers, scanning primes ascending; its
-    coverage run completes the y-table (see aux_from_json). For each p
-    the randomized path gets max_attempts_per_p tries, then the
-    deterministic construction is tried once (method: "random" |
-    "deterministic" | "both").
+def search(p_min: int, p_max: int, seed: int) -> AuxSet:
+    """First (p, A) passing both verifiers, scanning primes ascending with
+    the residue-class construction; its coverage run completes the
+    y-table (see aux_from_json). seed is recorded in the result only.
 
     Raises SearchExhausted when the whole range fails.
     """
-    if method not in ("random", "deterministic", "both"):
-        raise ValueError(f"unknown method {method!r}")
     if p_min > p_max:
         raise ValueError(f"empty prime range [{p_min}, {p_max}]")
-    rnd = random.Random()
     for p in primes.primes_in_range(p_min, p_max):
-        if method in ("random", "both") and p >= 11:
-            law = _sample_law(p)
-            for attempt in range(1, max_attempts_per_p + 1):
-                rnd.seed(_derive_seed("sample", p, _derive_seed("attempt", seed, p, attempt)))
-                r_set = _draw_candidate(law, rnd)
-                x_set, a_set = alteration(r_set)
-                ok_c, start = verify_coverage(a_set, p)
-                if collect is not None:
-                    collect.append(
-                        AttemptRecord(
-                            p=p,
-                            attempt=attempt,
-                            r_size=len(r_set),
-                            x_size=len(x_set),
-                            a_size=len(a_set),
-                            supnorm=pair_sum_supnorm(r_set),
-                            disjoint_ok=True,
-                            coverage_ok=ok_c,
-                            window_start=start,
-                        )
-                    )
-                if ok_c:
-                    return AuxSet(
-                        p=p,
-                        A=tuple(sorted(a_set)),
-                        seed=seed,
-                        attempt=attempt,
-                        window_start=start,
-                        method="random",
-                    )
-        if method in ("deterministic", "both"):
-            aux = deterministic_aux(p, seed)
-            if aux is not None:
-                return aux
-    raise SearchExhausted(
-        f"no auxiliary set found for primes in [{p_min}, {p_max}] "
-        f"with {max_attempts_per_p} attempts per prime (method={method})"
-    )
+        aux = deterministic_aux(p, seed)
+        if aux is not None:
+            return aux
+    raise SearchExhausted(f"no auxiliary set found for primes in [{p_min}, {p_max}]")
 
 
 def aux_to_json(aux: AuxSet) -> dict:

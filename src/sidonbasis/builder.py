@@ -1088,8 +1088,8 @@ def _entry_fault(idx: int, ent, params: Params) -> Exception | None:
             raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
         e = _json_ints(ent["e"], f"entry {idx}: e")
         r = _json_ints(ent["r"], f"entry {idx}: r")
-        int(json_value(ent["s"], str, f"entry {idx}: s"))
-        int(json_value(ent["n"], str, f"entry {idx}: n"))
+        _json_decimal(ent["s"], f"entry {idx}: s")
+        _json_decimal(ent["n"], f"entry {idx}: n")
         if len(e) != k or len(r) != k:
             raise ValueError(f"entry {idx}: digit count differs from k = {k}")
         name = json_value(ent["f"], str, f"entry {idx}: f")
@@ -1138,6 +1138,14 @@ def _json_ints(value, what: str) -> tuple[int, ...]:
     if not set(map(type, digits)) <= {int}:
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
     return digits
+
+
+def _json_decimal(value, what: str) -> int:
+    text = json_value(value, str, what)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a decimal integer, got {text!r}") from None
 
 
 def _reencode_error(idx: int) -> ValueError:

@@ -5,7 +5,8 @@ deterministic given its flags; primary outputs carry no timestamps. Each
 output file written to disk gets a sidecar manifest <out>.manifest.json
 (timestamp, parameter echo, version, warnings) and embeds or references
 the manifest name; "-" writes the report to standard output and skips
-the sidecar. A report is written as a stream of text chunks, each as it
+the sidecar, as does an --out that exists and is no regular file (a pipe
+or a device). A report is written as a stream of text chunks, each as it
 comes, so that a large sequence file or CSV is never held whole; every
 check that can fail runs before the file is opened. Exit status is 0
 exactly when every requested verification passed; otherwise it is 1 (a
@@ -86,18 +87,26 @@ def _manifest(args: argparse.Namespace, inputs: list[str], outputs: list[str], w
     }
 
 
-def _manifest_name(out: str) -> str:
+def _manifest_ref(out: str) -> str | None:
+    """The name of out's manifest sidecar, which the report references;
+    None, and no sidecars, when out is "-" or an existing path that is no
+    regular file."""
+    if out == "-" or (os.path.exists(out) and not os.path.isfile(out)):
+        return None
     return os.path.basename(out) + ".manifest.json"
 
 
 def _write_report(out: str, chunks, manifest: dict) -> None:
     """Write the primary report, an iterable of str chunks, each as it
-    comes; on-disk outputs get the manifest sidecar."""
+    comes; outputs with a _manifest_ref get the manifest sidecar."""
     if out == "-":
         sys.stdout.writelines(chunks)
         return
+    sidecar = _manifest_ref(out) is not None
     with open(out, "w") as fh:
         fh.writelines(chunks)
+    if not sidecar:
+        return
     with open(out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -126,13 +135,7 @@ def cmd_find_aux(args: argparse.Namespace) -> int:
         print(f"error: empty prime range [{args.p_min}, {args.p_max}]", file=sys.stderr)
         return 2
     try:
-        aux = search(
-            args.p_min,
-            args.p_max,
-            seed=args.seed,
-            max_attempts_per_p=args.attempts,
-            method=args.method,
-        )
+        aux = search(args.p_min, args.p_max, args.seed)
     except SearchExhausted as exc:
         print(f"find-aux: {exc}", file=sys.stderr)
         return 1
@@ -143,8 +146,9 @@ def cmd_find_aux(args: argparse.Namespace) -> int:
         print("find-aux: search result failed re-verification", file=sys.stderr)
         return 1
     obj = aux_to_json(aux)
-    if args.out != "-":
-        obj["manifest"] = _manifest_name(args.out)
+    manifest_ref = _manifest_ref(args.out)
+    if manifest_ref:
+        obj["manifest"] = manifest_ref
     manifest = _manifest(args, inputs=[], outputs=[args.out], warnings=[])
     _write_report(args.out, [_json_text(obj)], manifest)
     return 0
@@ -163,7 +167,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     )
     seq = build_sequence(params)
     audit = audit_preconditions(params)
-    manifest_ref = None if args.out == "-" else _manifest_name(args.out)
+    manifest_ref = _manifest_ref(args.out)
     manifest = _manifest(
         args, inputs=[args.aux_file], outputs=[args.out], warnings=list(seq.warnings)
     )
@@ -302,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seq = seq_from_json(_load_json(args.seq_file))
-    manifest_ref = None if args.out == "-" else _manifest_name(args.out)
+    manifest_ref = _manifest_ref(args.out)
     sidon_path = {}
     if args.mode == "sidon":
         report, ok, sidon_path = _verify_sidon_report(seq)
@@ -344,7 +348,7 @@ def cmd_equidist(args: argparse.Namespace) -> int:
     check_theta(args.d, g)
     hist = triple_histogram(q, args.d, g)
     dev = deviation_report(hist)
-    manifest_ref = None if args.out == "-" else _manifest_name(args.out)
+    manifest_ref = _manifest_ref(args.out)
     ok = dev.conservation_ok and dev.max_ratio < args.threshold
     summary = deviation_summary(dev)
     summary["threshold"] = args.threshold
@@ -359,7 +363,7 @@ def cmd_equidist(args: argparse.Namespace) -> int:
     manifest = _manifest(args, inputs=[], outputs=[args.out], warnings=warnings)
     manifest["summary"] = summary
     _write_report(args.out, chunks, manifest)
-    if args.out == "-":
+    if manifest_ref is None:
         print(json.dumps(summary, indent=2), file=sys.stderr)
     else:
         summary_obj = dict(summary)
@@ -384,7 +388,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "z": str(dec.z),
         "re_encodes": ok,
     }
-    manifest_ref = None if args.out == "-" else _manifest_name(args.out)
+    manifest_ref = _manifest_ref(args.out)
     if manifest_ref:
         report["manifest"] = manifest_ref
     manifest = _manifest(args, inputs=[args.aux_file], outputs=[args.out], warnings=[])
@@ -404,13 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-min", type=int, required=True)
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=40, help="random attempts per prime")
-    p.add_argument(
-        "--method",
-        choices=["random", "deterministic", "both"],
-        default="both",
-        help="candidate generation strategy",
-    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_find_aux)
 

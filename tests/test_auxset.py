@@ -1,8 +1,11 @@
-"""Auxiliary-set tests: sampling, alteration, verifiers, y-table, search."""
+"""Auxiliary-set tests: verifiers, y-table, search, and the randomized
+sampler of scripts/find_aux_experiments.py."""
 
+import functools
 import importlib.util
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,17 +17,13 @@ from sidonbasis.auxset import (
     CLASS_MODULUS,
     AuxSet,
     SearchExhausted,
-    _derive_seed,
     _first_run_start,
     _y_table_entries,
-    alteration,
     aux_from_json,
     aux_to_json,
     build_y_table,
     default_aux,
     deterministic_aux,
-    pair_sum_supnorm,
-    sample_candidate,
     search,
     triple_sumset_bits,
     verify_coverage,
@@ -32,7 +31,17 @@ from sidonbasis.auxset import (
 )
 
 
+@functools.cache
+def load_experiments_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "find_aux_experiments.py"
+    spec = importlib.util.spec_from_file_location("find_aux_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_sample_candidate_validation():
+    sample_candidate = load_experiments_script().sample_candidate
     with pytest.raises(ValueError):
         sample_candidate(7, 0)  # below the p >= 11 precondition
     with pytest.raises(ValueError):
@@ -40,6 +49,7 @@ def test_sample_candidate_validation():
 
 
 def test_sample_candidate_deterministic_and_in_range():
+    sample_candidate = load_experiments_script().sample_candidate
     for seed in range(20):
         r1 = sample_candidate(101, seed)
         r2 = sample_candidate(101, seed)
@@ -51,6 +61,7 @@ def test_sample_candidate_frequency():
     # inclusion probability at p=11 is ceil(ln 11) * 11^(-2/3) = 0.6066...;
     # 10^4 draws of the 4-element interval gives a binomial with
     # mean 24261 and sigma 97.7, so a 3-sigma band is [23968, 24554]
+    sample_candidate = load_experiments_script().sample_candidate
     p = 11
     prob = 3 * p ** (-2 / 3)
     draws = 10**4
@@ -70,6 +81,7 @@ def test_sample_candidate_probability_never_clamps():
 
 
 def test_alteration_examples():
+    alteration = load_experiments_script().alteration
     assert alteration({1, 2}) == ({2}, {1})
     assert alteration(set()) == (set(), set())
     assert alteration({5}) == (set(), {5})
@@ -80,7 +92,7 @@ def test_alteration_examples():
 def test_alteration_always_disjoint(seed):
     rng = random.Random(seed)
     r_set = {rng.randint(1, 200) for _ in range(rng.randint(0, 40))}
-    x_set, a_set = alteration(r_set)
+    x_set, a_set = load_experiments_script().alteration(r_set)
     assert x_set | a_set == r_set and not (x_set & a_set)
     ok, wit = verify_disjoint(a_set)
     assert ok and wit is None
@@ -143,6 +155,7 @@ def test_verify_coverage_matches_naive(seed):
 
 
 def test_pair_sum_supnorm():
+    pair_sum_supnorm = load_experiments_script().pair_sum_supnorm
     assert pair_sum_supnorm(set()) == 0
     assert pair_sum_supnorm({3}) == 1
     # 1+4 = 2+3 gives an ordered multiplicity of 4 at sum 5
@@ -193,8 +206,8 @@ def test_coverage_completes_the_y_table(p, seed):
 
 
 def test_search_finds_307_deterministically():
-    a1 = search(300, 320, seed=0, max_attempts_per_p=5)
-    a2 = search(300, 320, seed=0, max_attempts_per_p=5)
+    a1 = search(300, 320, seed=0)
+    a2 = search(300, 320, seed=0)
     assert a1 == a2
     assert a1.p == 307
     assert a1.method == "residue-class"
@@ -207,17 +220,15 @@ def test_search_finds_307_deterministically():
 
 def test_search_exhaustion_and_empty_range():
     with pytest.raises(SearchExhausted):
-        search(11, 13, seed=0, max_attempts_per_p=0)
+        search(11, 13, seed=0)
     with pytest.raises(ValueError):
-        search(20, 10, seed=0, max_attempts_per_p=1)
-    with pytest.raises(ValueError):
-        search(11, 13, seed=0, max_attempts_per_p=1, method="dfs")
+        search(20, 10, seed=0)
 
 
 def test_search_collects_attempt_records():
     records = []
     with pytest.raises(SearchExhausted):
-        search(11, 13, seed=0, max_attempts_per_p=3, method="random", collect=records)
+        load_experiments_script().random_search(11, 13, 0, 3, collect=records)
     assert len(records) == 6  # two primes, three attempts each
     for rec in records:
         assert rec.p in (11, 13)
@@ -238,14 +249,6 @@ def test_deterministic_aux_at_307():
     assert all(a % CLASS_MODULUS in set(CLASS_DESIGN) for a in aux.A)
     assert verify_disjoint(set(aux.A))[0]
     assert verify_coverage(set(aux.A), 307)[0]
-
-
-def load_experiments_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "find_aux_experiments.py"
-    spec = importlib.util.spec_from_file_location("find_aux_experiments", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_design_kernel():
@@ -289,15 +292,21 @@ def test_coverage_bound_agrees_with_bitmask_check():
 
 
 def test_search_draws_as_sample_candidate():
-    # search keeps the per-prime constants and one Random across its
-    # attempts, re-seeded per attempt; each attempt still draws the set
-    # that sample_candidate draws under the attempt's seed
+    # random_search keeps the per-prime constants and one Random across
+    # its attempts, re-seeded per attempt; each attempt still draws the
+    # set that sample_candidate draws under the attempt's seed
+    experiments = load_experiments_script()
+    sample_candidate, alteration, pair_sum_supnorm = (
+        experiments.sample_candidate,
+        experiments.alteration,
+        experiments.pair_sum_supnorm,
+    )
     records = []
     with pytest.raises(SearchExhausted):
-        search(11, 200, 3, 5, method="random", collect=records)
+        experiments.random_search(11, 200, 3, 5, collect=records)
     assert len(records) == 5 * 42
     for rec in records:
-        r_set = sample_candidate(rec.p, _derive_seed("attempt", 3, rec.p, rec.attempt))
+        r_set = sample_candidate(rec.p, experiments._derive_seed("attempt", 3, rec.p, rec.attempt))
         x_set, a_set = alteration(r_set)
         assert (rec.r_size, rec.x_size, rec.a_size, rec.supnorm) == (
             len(r_set),
@@ -305,3 +314,16 @@ def test_search_draws_as_sample_candidate():
             len(a_set),
             pair_sum_supnorm(r_set),
         )
+
+
+def test_random_grid_smoke(monkeypatch, capsys):
+    # the sampler runs only in the script now; its table still prints,
+    # and at these sizes no attempt covers a long enough window
+    argv = ["find_aux_experiments.py", "--random-grid", "--p-max", "30", "--attempts", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    load_experiments_script().main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "randomized path, 2 attempts per prime, seed 0"
+    assert lines[1].split() == ["p", "prob", "E|R|", "|R|", "|A|", "sup", "cover", "run", "need"]
+    assert [line.split()[0] for line in lines[2:]] == ["11", "29"]
+    assert not any("FOUND" in line for line in lines)

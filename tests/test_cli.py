@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -63,11 +64,19 @@ def test_find_aux_deterministic_rerun(workdir, tmp_path):
 
 
 def test_find_aux_exhaustion_exit_code(tmp_path, capsys):
-    rc = main(
-        ["find-aux", "--p-min", "11", "--p-max", "13", "--attempts", "0", "--out", str(tmp_path / "x.json")]
-    )
+    rc = main(["find-aux", "--p-min", "11", "--p-max", "13", "--out", str(tmp_path / "x.json")])
     assert rc == 1
     assert "no auxiliary set" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--attempts", "0"], ["--method", "random"]])
+def test_find_aux_has_no_random_search_flags(tmp_path, flag):
+    # the package searches with the residue-class construction only; the
+    # randomized sampler is scripts/find_aux_experiments.py --random-grid
+    with pytest.raises(SystemExit) as exc:
+        main(["find-aux", "--p-min", "300", "--p-max", "320", *flag, "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
     assert not (tmp_path / "x.json").exists()
 
 
@@ -616,6 +625,19 @@ def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
     assert err.startswith("error: entry 7: n does not re-encode")
 
 
+@pytest.mark.parametrize("field", ["s", "n"])
+def test_verify_names_entry_and_field_of_non_decimal(workdir, tmp_path, capsys, field):
+    # a string that int() does not read once surfaced as int()'s own
+    # message, which names neither the entry nor the field
+    obj = read_json(workdir / "seq.json")
+    obj["entries"][3][field] = "1e5"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: entry 3: {field} must be a decimal integer, got '1e5'")
+
+
 def test_verify_rejects_s_outside_its_range(workdir, tmp_path, capsys):
     # s = q^{3k} + 1 with n re-encoded, so only the range check fires
     seq = seq_from_json(read_json(workdir / "seq.json"))
@@ -697,6 +719,39 @@ def test_equidist_stdout_mode(tmp_path, capsys):
     assert captured.out == text
 
 
+def run_into_fifo(tmp_path, argv):
+    """main(argv) with --out a named pipe in tmp_path that a thread
+    drains; (exit code, text read from the pipe)."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    rc = main([*argv, "--out", str(fifo)])
+    reader.join(10)
+    assert not reader.is_alive(), "the run never opened the pipe"
+    return rc, "".join(got)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-aux", "--p-min", "300", "--p-max", "320"],
+        ["equidist", "--q", "3", "--d", "3", "--g", "1+t^2"],
+    ],
+    ids=["find-aux", "equidist"],
+)
+def test_non_regular_out_gets_no_sidecar(tmp_path, capsys, argv):
+    # the manifest and summary sidecars go next to regular files only: a
+    # pipe or a device has no directory of its own to write them into
+    rc, text = run_into_fifo(tmp_path, argv)
+    assert rc == 0
+    assert os.listdir(tmp_path) == ["out.fifo"]
+    assert text and "manifest" not in text
+    if argv[0] == "equidist":
+        assert json.loads(capsys.readouterr().err)["binom"] == 56
+
+
 def test_equidist_alarm_threshold(tmp_path, capsys):
     out = tmp_path / "eq.csv"
     rc = main(
@@ -776,15 +831,19 @@ def fresh_run_hash_modules(argv):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
-def test_equidist_loads_no_openssl(tmp_path):
+def test_find_aux_and_equidist_load_no_openssl(tmp_path):
     # hashlib loads OpenSSL (about 3.5 MB resident) and is imported only
-    # inside the functions that hash, so an equidist run loads neither
-    # module, while find-aux, which hashes its seeds, loads hashlib
+    # inside the functions that hash, so find-aux and equidist runs load
+    # neither module, while build, which hashes its digit seeds, loads
+    # hashlib
     eq = ["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", str(tmp_path / "eq.csv")]
     assert fresh_run_hash_modules(eq).strip() == "[]"
     aux = ["find-aux", "--p-min", "300", "--p-max", "320", "--out", str(tmp_path / "aux.json")]
+    assert fresh_run_hash_modules(aux).strip() == "[]"
+    build = ["build", "--q", "3", "--aux-file", str(tmp_path / "aux.json"), "--k-max", "3"]
+    build += ["--out", str(tmp_path / "seq.json")]
     loaded = ["_hashlib", "hashlib"] if importlib.util.find_spec("_hashlib") else ["hashlib"]
-    assert fresh_run_hash_modules(aux).strip() == repr(loaded)
+    assert fresh_run_hash_modules(build).strip() == repr(loaded)
 
 
 def test_threads_flag_does_not_change_results(workdir, tmp_path):
