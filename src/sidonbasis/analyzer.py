@@ -6,13 +6,13 @@ pair-sum scan, when the level passes its sharpened pair margin and every
 r digit lies in A (one np.isin over the level's r column); the command
 line runs verify_sidon only when it declines. attribute_collision
 explains a collision digit by digit: it recovers the four entries (by
-binary search on the values, or by decode_entry for a value outside the
-sequence), reconstructs the mixed-radix digits of the equal sums, compares each
-digit against the additive laws the construction imposes (odd positions
-add discrete logs mod their radix, even positions add the two auxiliary
-digits plus a possible carry), checks the product congruence modulo the
-shared moduli, and names the first precondition margin that does not
-hold at the configured parameters.
+binary search on the values; a witness value outside the sequence is a
+ValueError), reconstructs the mixed-radix digits of the equal sums,
+compares each digit against the additive laws the construction imposes
+(odd positions add discrete logs mod their radix, even positions add the
+two auxiliary digits plus a possible carry), checks the product
+congruence modulo the shared moduli, and names the first precondition
+margin that does not hold at the configured parameters.
 
 decompose_many peels an array of large integers into the same digit
 shape (driven by the auxiliary y-table) in one array pass per level: the
@@ -101,7 +101,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .auxset import YTable, _bits_of, _shift_sumset
 from .builder import (
@@ -112,7 +111,6 @@ from .builder import (
     audit_preconditions,
     build_sequence,
     complete_draw,
-    decode_entry,
     draw_bounds,
     draw_plan,
     mixed_radix,
@@ -410,15 +408,11 @@ class CollisionAudit:
 
 def _resolve_entry(seq: SidonSequence, n: int) -> SequenceEntry:
     """The entry of seq with value n, found by binary search on its
-    values; for a value outside seq, the entry that decode_entry
-    recovers from n, as the one entry of a sequence of its own."""
+    values; ValueError when n is no value of seq."""
     at = bisect.bisect_left(seq.values, n)
-    if at < len(seq.values) and seq.values[at] == n:
-        return seq.entries[at]
-    f, k = decode_entry(n, seq.params, seq.moduli)
-    digits = decode(mixed_radix(seq.params), n, 2 * k + 1).digits
-    entry = SimpleNamespace(f=f, k=k, e=digits[0 : 2 * k : 2], r=digits[1 : 2 * k : 2], s=digits[2 * k], n=n)
-    return SidonSequence.from_entries(seq.params, seq.moduli, [entry]).entries[0]
+    if at == len(seq.values) or seq.values[at] != n:
+        raise ValueError(f"witness value {n} is not a value of the sequence")
+    return seq.entries[at]
 
 
 def _pair_expectations(

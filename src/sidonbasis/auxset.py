@@ -32,6 +32,11 @@ from . import primes
 CLASS_MODULUS = 44
 CLASS_DESIGN = (3, 4, 5, 14, 15, 16, 27, 39, 40)
 
+# largest auxiliary prime searched or loaded, checked before any sumset:
+# the sumset bitmasks are 3p/2 bits long and each element of A shifts
+# them once, so a loaded A costs O(|A| p) bit operations
+AUX_P_CAP = 1 << 16
+
 
 class SearchExhausted(RuntimeError):
     """No (p, A) found for any prime in the requested range."""
@@ -197,19 +202,24 @@ def deterministic_aux(p: int, seed: int = 0) -> AuxSet | None:
 
 
 def search(p_min: int, p_max: int, seed: int) -> AuxSet:
-    """First (p, A) passing both verifiers, scanning primes ascending with
-    the residue-class construction; its coverage run completes the
-    y-table (see aux_from_json). seed is recorded in the result only.
+    """First (p, A) passing both verifiers, walking the primes ascending
+    from p_min with the residue-class construction and stopping at
+    AUX_P_CAP, so that aux_from_json loads every result; its coverage run
+    completes the y-table (see aux_from_json). seed is recorded in the
+    result only.
 
     Raises SearchExhausted when the whole range fails.
     """
-    if p_min > p_max:
-        raise ValueError(f"empty prime range [{p_min}, {p_max}]")
-    for p in primes.primes_in_range(p_min, p_max):
+    p_top = min(p_max, AUX_P_CAP)
+    if p_min > p_top:
+        raise ValueError(f"empty prime range [{p_min}, {p_max}] below AUX_P_CAP = {AUX_P_CAP}")
+    p = primes.next_prime(p_min - 1)
+    while p <= p_top:
         aux = deterministic_aux(p, seed)
         if aux is not None:
             return aux
-    raise SearchExhausted(f"no auxiliary set found for primes in [{p_min}, {p_max}]")
+        p = primes.next_prime(p)
+    raise SearchExhausted(f"no auxiliary set found for primes in [{p_min}, {p_top}]")
 
 
 def aux_to_json(aux: AuxSet) -> dict:
@@ -241,15 +251,18 @@ def json_value(value, kind: type, what: str):
 
 def aux_from_json(obj: dict) -> AuxSet:
     """Load an aux file as untrusted input. ValueError, naming the field or
-    the property, unless p is a prime, A a nonempty list of distinct
-    integers in [0, p), window_start, seed and attempt integers, method a
-    string, and A has what the construction rests on: A inside
-    {1..floor(p/2)-1}, A cap (A+A+{0,1}) empty, and a run of p+2 in A+A+A
-    that starts at window_start. That run completes the y-table: A+A+A
-    lies in [3, 3p/2), so its p values y with y-2, y-1, y in the run lie
-    below 2p, one in each residue class mod p."""
+    the property, unless p is a prime at most AUX_P_CAP (checked first),
+    A a nonempty list of distinct integers in [0, p), window_start, seed
+    and attempt integers, method a string, and A has what the
+    construction rests on: A inside {1..floor(p/2)-1}, A cap (A+A+{0,1})
+    empty, and a run of p+2 in A+A+A that starts at window_start. That
+    run completes the y-table: A+A+A lies in [3, 3p/2), so its p values y
+    with y-2, y-1, y in the run lie below 2p, one in each residue class
+    mod p."""
     json_value(obj, dict, "aux")
     p = json_value(obj["p"], int, "aux p")
+    if p > AUX_P_CAP:
+        raise ValueError(f"aux p = {p} exceeds AUX_P_CAP = {AUX_P_CAP}")
     if not primes.is_prime(p):
         raise ValueError(f"aux p = {p} is not prime")
     if not isinstance(obj["A"], list) or not obj["A"]:

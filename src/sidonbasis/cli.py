@@ -131,9 +131,6 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_find_aux(args: argparse.Namespace) -> int:
-    if args.p_min > args.p_max:
-        print(f"error: empty prime range [{args.p_min}, {args.p_max}]", file=sys.stderr)
-        return 2
     try:
         aux = search(args.p_min, args.p_max, args.seed)
     except SearchExhausted as exc:

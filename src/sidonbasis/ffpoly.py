@@ -35,6 +35,11 @@ MINUS_INFINITY = float("-inf")
 
 ENUM_CAP = 1 << 20
 
+# largest exponent poly_from_string reads: every polynomial the package
+# reads from text (members, moduli, equidist's g) has q^degree within
+# ENUM_CAP, so degree at most 20
+EXPONENT_CAP = 64
+
 # int64 digits per block array of map_codes and of the log-table build
 _BLOCK_DIGITS = 1 << 16
 
@@ -44,15 +49,11 @@ class PrimeModulus:
     q: int
 
     def __post_init__(self):
-        q = self.q
-        if q < 2:
-            raise ValueError(f"modulus must be >= 2, got {q}")
-        # trial division is plenty: q is a single machine word here
-        d = 2
-        while d * d <= q:
-            if q % d == 0:
-                raise ValueError(f"modulus {q} is not prime")
-            d += 1
+        # no member table, modulus or log table exists above ENUM_CAP
+        if not 2 <= self.q <= ENUM_CAP:
+            raise ValueError(f"modulus {self.q} outside [2, ENUM_CAP = {ENUM_CAP}]")
+        if not primes.is_prime(self.q):
+            raise ValueError(f"modulus {self.q} is not prime")
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,8 @@ def code_names(q: int, codes, width: int) -> list[str]:
 
 
 def poly_from_string(q: PrimeModulus, s: str) -> Poly:
-    """Inverse of poly_to_string; rejects coefficients outside [0, q)."""
+    """Inverse of poly_to_string; rejects coefficients outside [0, q) and
+    exponents above EXPONENT_CAP, before it builds the coefficients."""
     s = s.strip()
     if not s:
         raise ValueError("empty polynomial string")
@@ -415,6 +417,8 @@ def poly_from_string(q: PrimeModulus, s: str) -> Poly:
             i = int(tpart[2:])
             if i < 2:
                 raise ValueError(f"bad exponent in term {term!r}")
+            if i > EXPONENT_CAP:
+                raise ValueError(f"exponent {i} in term {term!r} exceeds EXPONENT_CAP = {EXPONENT_CAP}")
         else:
             raise ValueError(f"cannot parse term {term!r}")
         if not 0 <= c < q.q:

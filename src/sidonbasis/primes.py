@@ -1,123 +1,72 @@
-"""Integer primality, factorization and Mobius function.
+"""Integer primality, factorization and Mobius function, by trial division.
 
-Shared plumbing for the polynomial and unit-group modules. Everything here
-is exact integer arithmetic on Python ints; sizes are desk-scale (group
-orders like 3^15 - 1), so trial division plus Brent's variant of Pollard
-rho covers the whole range comfortably.
+is_prime and factorize refuse n > INT_CAP = 2^40 with a ValueError
+before any division; below it, trial division up to sqrt(n) is exact and
+takes at most about 2^19 steps. Every integer the package reaches is far
+smaller:
+
+- ffpoly.PrimeModulus tests q only up to ffpoly.ENUM_CAP = 2^20 (no
+  residue table exists above it), and auxset tests p only up to
+  auxset.AUX_P_CAP = 2^16;
+- unitgroup factors unit-group orders q^deg(g) - 1, below ENUM_CAP by
+  the checks of ffpoly.smallest_irreducible and of equidist;
+- ffpoly factors polynomial degrees (is_irreducible, and
+  count_irreducibles through mobius).
+
+scripts/find_aux_experiments.py lists primes up to its --p-max (20,000
+by default) through primes_in_range and next_prime.
 """
 
 from __future__ import annotations
 
-import math
+INT_CAP = 1 << 40
 
-_SMALL_PRIME_BOUND = 10_000
 
-# Witness set proving primality for every n < 3.3e24 (standard result).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+def _check_cap(n: int) -> None:
+    if n > INT_CAP:
+        raise ValueError(f"integer cap exceeded: {n} > INT_CAP = {INT_CAP}")
+
+
+def _least_factor(n: int, d: int = 2) -> int:
+    """Smallest divisor of n >= 2 that is at least d, given that no
+    integer in [2, d) divides n; n itself when none is at most sqrt(n)."""
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1 if d == 2 else 2
+    return n
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Exact for n <= INT_CAP; ValueError above it."""
+    _check_cap(n)
+    return n >= 2 and _least_factor(n) == n
 
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
+    k = max(n + 1, 2)
     while not is_prime(k):
-        k += 2
+        k += 1
     return k
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending."""
-    out = []
-    p = lo - 1
-    while True:
-        p = next_prime(p)
-        if p > hi:
-            return out
-        out.append(p)
-
-
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed on {n}")
+    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
 def factorize(n: int) -> list[int]:
-    """Prime factors of n >= 1 with multiplicity, sorted ascending."""
+    """Prime factors of 1 <= n <= INT_CAP with multiplicity, ascending."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    _check_cap(n)
     out: list[int] = []
-    for p in range(2, _SMALL_PRIME_BOUND):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out.append(m)
-                continue
-            d = _brent_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    out.sort()
+    d = 2
+    while n > 1:
+        d = _least_factor(n, d)
+        out.append(d)
+        n //= d
     return out
 
 
@@ -129,4 +78,3 @@ def mobius(n: int) -> int:
     if len(set(fs)) != len(fs):
         return 0
     return -1 if len(fs) % 2 else 1
-

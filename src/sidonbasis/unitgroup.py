@@ -21,14 +21,14 @@ factor of an equidist modulus, has at most ffpoly.ENUM_CAP = 2^20
 residues, so each gets one. Pohlig-Hellman with baby-step giant-step is
 the tests' independent oracle for the table, in tests/oracles.py.
 
-The size limits are module constants checked before any allocation:
-DLOG_SCAN_LIMIT for the log table and FACTOR_CAP for the integers
-factor_integer accepts. No function takes a limit as an argument.
+The size limit of the log table is a module constant, DLOG_SCAN_LIMIT,
+checked before any allocation; the orders the package factors for the
+order test are below ffpoly.ENUM_CAP, well inside primes.INT_CAP. No
+function takes a limit as an argument.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -51,24 +51,7 @@ from .ffpoly import (
     poly_powmod,
 )
 
-FACTOR_CAP = 10**18
-
 DLOG_SCAN_LIMIT = 1 << 20
-
-
-@functools.lru_cache(maxsize=None)
-def _factorize_cached(n: int) -> tuple[int, ...]:
-    return tuple(primes.factorize(n))
-
-
-def factor_integer(n: int) -> tuple[int, ...]:
-    """Prime factors with multiplicity, ascending. n = 1 gives ().
-    Refused above FACTOR_CAP."""
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n}")
-    if n > FACTOR_CAP:
-        raise ValueError(f"factoring cap exceeded: {n} > FACTOR_CAP = {FACTOR_CAP}")
-    return _factorize_cached(n)
 
 
 def group_order(g: Poly) -> int:
@@ -111,7 +94,7 @@ def _is_one(powers: np.ndarray) -> np.ndarray:
 
 def _order_exponents(n: int) -> list[int]:
     """n / ell for each prime ell dividing n, ascending in ell."""
-    return [n // ell for ell in sorted(set(factor_integer(n)))]
+    return [n // ell for ell in sorted(set(primes.factorize(n)))]
 
 
 @dataclass(frozen=True)

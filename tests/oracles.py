@@ -38,7 +38,8 @@ from sidonbasis.ffpoly import (
     poly_powmod,
     poly_sub,
 )
-from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table, factor_integer
+from sidonbasis.primes import factorize
+from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table
 
 # -- integers and polynomials -------------------------------------------
 
@@ -135,7 +136,7 @@ def _bsgs(base: Poly, target: Poly, order: int, g: Poly) -> int:
 def _pohlig_hellman(gen: Generator, f: Poly) -> int:
     g = gen.g
     n = gen.order
-    factors = factor_integer(n)
+    factors = factorize(n)
     residues: list[int] = []
     moduli: list[int] = []
     for ell in sorted(set(factors)):

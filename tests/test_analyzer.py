@@ -514,8 +514,8 @@ def test_attribute_carry_digit_is_shifted_pair_sum():
 
 
 def test_attribute_resolves_entries_from_sequence(mock_params):
-    # witness without embedded entries: the sequence lookup plus the
-    # decoder recovers all four
+    # witness without embedded entries: the sequence lookup recovers all
+    # four
     params = mock_params
     a = params.aux.A[0]
     e1 = mock_entry(params, Poly(Q3, (2, 0, 1)), 1, (1,), (a,), 5)
@@ -526,6 +526,20 @@ def test_attribute_resolves_entries_from_sequence(mock_params):
     audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
     assert {audit.left[0].n, audit.left[1].n} == {e1.n, e2.n}
     assert audit.products_congruent
+
+
+def test_attribute_refuses_witness_outside_sequence(mock_params):
+    # verify_sidon only reports values of the sequence; any other value
+    # is refused by name, not decoded
+    params = mock_params
+    a = params.aux.A[0]
+    e1 = mock_entry(params, Poly(Q3, (2, 0, 1)), 1, (1,), (a,), 5)
+    e2 = mock_entry(params, Poly(Q3, (1, 1)), 1, (0,), (a,), 5)
+    e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
+    e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)
+    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3), key=lambda x: x.n))
+    with pytest.raises(ValueError, match=f"witness value {e4.n} is not a value of the sequence"):
+        attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
 
 
 def test_decompose_small_value_stays_whole():

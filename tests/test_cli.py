@@ -1,10 +1,12 @@
 """End-to-end CLI tests: exit codes, manifests, determinism, formats."""
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -765,6 +767,102 @@ def test_equidist_rejects_bad_modulus(capsys):
     assert main(["equidist", "--q", "3", "--d", "3", "--g", "t^2", "--out", "-"]) == 2
     assert main(["equidist", "--q", "3", "--d", "13", "--g", "1+t^2", "--out", "-"]) == 2  # 3^13 > ENUM_CAP
     capsys.readouterr()
+
+
+class Overtime(Exception):
+    """Raised by time_limit; main lets it through, as no exit code maps it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise Overtime in the block once it has run for `seconds`, so that
+    a hostile input without its cap fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the Mersenne prime 2^89 - 1: a trial division of it to its square root
+# would never end
+HUGE_Q = 2**89 - 1
+
+
+def hostile_seq(workdir, tmp_path, edit):
+    obj = read_json(workdir / "seq.json")
+    edit(obj)
+    bad = tmp_path / "hostile.json"
+    bad.write_text(json.dumps(obj))
+    return ["verify", "--seq-file", str(bad), "--mode", "sidon"]
+
+
+def spread_aux(p, size):
+    """An aux block for p whose A spreads size elements over [1, p/2), just
+    enough of them to pass the C(|A|+2, 3) >= p + 2 pre-check, so that only
+    the sumsets can refuse it."""
+    step = (p // 2 - 2) // size
+    return {"p": p, "A": [1 + step * i for i in range(size)], "seed": 0, "attempt": 0, "window_start": 0}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("build-q", f"modulus {HUGE_Q} outside [2, ENUM_CAP = 1048576]"),
+        ("equidist-q", f"modulus {HUGE_Q} outside [2, ENUM_CAP = 1048576]"),
+        ("seq-q", f"modulus {HUGE_Q} outside [2, ENUM_CAP = 1048576]"),
+        ("aux-p", "aux p = 100000007 exceeds AUX_P_CAP = 65536"),
+        ("seq-aux-p", "aux p = 100000007 exceeds AUX_P_CAP = 65536"),
+        ("seq-f", "exponent 99999999 in term 't^99999999' exceeds EXPONENT_CAP = 64"),
+    ],
+    ids=["build-q", "equidist-q", "seq-q", "aux-p", "seq-aux-p", "seq-f"],
+)
+def test_hostile_input_exits_2_within_a_second(workdir, tmp_path, capsys, case, message):
+    # without the caps: q is trial-divided for ever, A+A+A for p near 10^8
+    # takes 42 s, and "t^99999999" builds a 10^8-long coefficient tuple
+    # (22 s and 1.7 GB in verify) before anything rejects them
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spread_aux(100_000_007, 843)))
+    argv = {
+        "build-q": lambda: ["build", "--q", str(HUGE_Q), "--aux-file", str(workdir / "aux.json")],
+        "equidist-q": lambda: ["equidist", "--q", str(HUGE_Q), "--d", "3", "--g", "1+t^2"],
+        "seq-q": lambda: hostile_seq(workdir, tmp_path, lambda obj: obj["params"].update(q=HUGE_Q)),
+        "aux-p": lambda: ["build", "--q", "3", "--aux-file", str(aux)],
+        "seq-aux-p": lambda: hostile_seq(workdir, tmp_path, lambda obj: obj["params"].update(aux=read_json(aux))),
+        "seq-f": lambda: hostile_seq(workdir, tmp_path, lambda obj: obj["entries"][7].update(f="t^99999999")),
+    }[case]()
+    out = tmp_path / "out"
+    with time_limit(1.0):
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_find_aux_walks_primes_lazily(workdir, tmp_path):
+    # the search stops at the first prime that works, 307, instead of
+    # listing every prime up to --p-max first
+    (tmp_path / "far").mkdir()
+    (tmp_path / "near").mkdir()
+    far, near = tmp_path / "far" / "aux.json", tmp_path / "near" / "aux.json"
+    with time_limit(1.0):
+        assert main(["find-aux", "--p-min", "2", "--p-max", str(10**12), "--out", str(far)]) == 0
+    assert main(["find-aux", "--p-min", "2", "--p-max", "1000", "--out", str(near)]) == 0
+    assert far.read_bytes() == near.read_bytes()
+
+
+def test_find_aux_refuses_p_min_above_the_cap(tmp_path, capsys):
+    out = tmp_path / "aux.json"
+    with time_limit(1.0):
+        assert main(["find-aux", "--p-min", str(2**16 + 1), "--p-max", str(10**12), "--out", str(out)]) == 2
+    assert "below AUX_P_CAP = 65536" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _raise_runtime(args):

@@ -58,6 +58,12 @@ def test_prime_modulus_validation():
     with pytest.raises(ValueError):
         PrimeModulus(1)
     assert PrimeModulus(7).q == 7
+    # the largest prime within ENUM_CAP loads; above the cap q is refused
+    # before its primality test, so a huge prime costs nothing
+    assert PrimeModulus(1_048_573).q == 1_048_573
+    for q in (1_048_583, 2**89 - 1):
+        with pytest.raises(ValueError, match="ENUM_CAP"):
+            PrimeModulus(q)
 
 
 def test_canonical_form():
@@ -245,10 +251,11 @@ def test_string_roundtrip_examples():
     assert poly_from_string(Q3, "1+t^2") == Poly(Q3, (1, 0, 1))
     assert poly_from_string(Q3, "0") == Poly.zero(Q3)
     assert poly_from_string(Q3, " 2*t + t^2 ") == Poly(Q3, (0, 2, 1))
+    assert poly_from_string(Q3, "t^64").degree == ffpoly.EXPONENT_CAP
 
 
 def test_string_rejects_malformed():
-    for bad in ("", "t^1", "t^0", "3+t", "t+t", "1+1", "x^2", "t^-1"):
+    for bad in ("", "t^1", "t^0", "3+t", "t+t", "1+1", "x^2", "t^-1", "t^65"):
         with pytest.raises(ValueError):
             poly_from_string(Q3, bad)
 

@@ -2,10 +2,11 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonbasis.primes import factorize, is_prime, mobius, next_prime, primes_in_range
+from sidonbasis.primes import INT_CAP, factorize, is_prime, mobius, next_prime, primes_in_range
 
 from oracles import crt_int
 
@@ -28,8 +29,14 @@ def test_is_prime_carmichael_and_large():
     # 561, 1105, 1729 fool plain Fermat tests
     for n in (561, 1105, 1729, 2465, 2821):
         assert not is_prime(n)
-    assert is_prime(2**61 - 1)
-    assert not is_prime(2**61 + 1)
+    # exact up to INT_CAP, the largest prime below it included, and
+    # refused above it before any division, prime or not
+    assert is_prime(INT_CAP - 87)
+    # the two largest primes below 2^20: no factor below sqrt(n) - 2
+    assert not is_prime(1_048_571 * 1_048_573)
+    for n in (2**61 - 1, 2**61 + 1):
+        with pytest.raises(ValueError, match="INT_CAP"):
+            is_prime(n)
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -53,6 +60,14 @@ def test_factorize_edge_cases():
     assert factorize(2) == [2]
     assert factorize(8) == [2, 2, 2]
     assert factorize(242) == [2, 11, 11]
+    assert factorize(INT_CAP) == [2] * 40
+    assert factorize(1_048_571 * 1_048_573) == [1_048_571, 1_048_573]
+    with pytest.raises(ValueError):
+        factorize(0)
+    with pytest.raises(ValueError, match="INT_CAP"):
+        factorize(INT_CAP + 1)
+    with pytest.raises(ValueError, match="INT_CAP"):
+        factorize(10**19)
 
 
 def test_mobius_table():
@@ -76,6 +91,8 @@ def test_next_prime_and_range():
     # both endpoints are inclusive
     assert primes_in_range(11, 19) == [11, 13, 17, 19]
     assert primes_in_range(20, 10) == []
+    with pytest.raises(ValueError, match="INT_CAP"):
+        next_prime(INT_CAP)
 
 
 def test_crt_int_examples():

@@ -22,12 +22,12 @@ from sidonbasis import unitgroup
 from sidonbasis.auxset import default_aux
 from sidonbasis.builder import Params, build_moduli
 from sidonbasis.ffpoly import is_irreducible, poly_from_string
+from sidonbasis.primes import factorize
 from sidonbasis.unitgroup import (
     DLOG_SCAN_LIMIT,
     Generator,
     dlog_table,
     euler_phi_poly,
-    factor_integer,
     factor_squarefree_poly,
     find_generator,
     group_order,
@@ -41,16 +41,6 @@ Q3 = PrimeModulus(3)
 
 G_QUAD = Poly(Q3, (1, 0, 1))  # irreducible, unit group of order 8
 G_QUINT = Poly(Q3, (1, 2, 0, 0, 0, 1))  # irreducible quintic, order 242
-
-
-def test_factor_integer_examples():
-    assert factor_integer(8) == (2, 2, 2)
-    assert factor_integer(242) == (2, 11, 11)
-    assert factor_integer(1) == ()
-    with pytest.raises(ValueError):
-        factor_integer(0)
-    with pytest.raises(ValueError):
-        factor_integer(10**19)
 
 
 def test_group_order():
@@ -82,7 +72,7 @@ def scalar_generator(g):
         if omega.degree != 0 and not omega.is_monic():
             continue
         if poly_powmod(omega, n, g) == one and all(
-            poly_powmod(omega, n // ell, g) != one for ell in set(factor_integer(n))
+            poly_powmod(omega, n // ell, g) != one for ell in set(factorize(n))
         ):
             return omega
     raise AssertionError(f"no generator mod {g}")
