@@ -5,24 +5,23 @@ one-level sequence Sidon from the construction's digit laws, without a
 pair-sum scan, when the level passes its sharpened pair margin and every
 r digit lies in A (one np.isin over the level's r column); the command
 line runs verify_sidon only when it declines. attribute_collision
-explains a collision digit by digit: it recovers the four entries (by
-binary search on the values; a witness value outside the sequence is a
-ValueError), reconstructs the mixed-radix digits of the equal sums,
-compares each digit against the additive laws the construction imposes
-(odd positions add discrete logs mod their radix, even positions add the
-two auxiliary digits plus a possible carry), checks the product
-congruence modulo the shared moduli, and names the first precondition
-margin that does not hold at the configured parameters.
+explains a collision: it recovers the four entries (by binary search on
+the values; a witness value outside the sequence is a ValueError), finds
+how far up the y digits of the equal sums, total // W_{2i-1} mod p, stay
+in A+A+{0,1} (two auxiliary digits plus a possible carry), checks the
+product congruence modulo the shared moduli, and names the first
+precondition margin that does not hold at the configured parameters.
 
-decompose_many peels an array of large integers into the same digit
-shape (driven by the auxiliary y-table) in one array pass per level: the
-values stay Python integers in numpy object arrays, so every % and // is
-exact, and level l works only on the samples still above 6 p q^{2l-1}.
-decompose is that peel for one integer. The decompose check of the
-command line (verify --mode decompose) runs the peel in blocks of 1,024
-samples and does not trust it: per block it re-checks the level count,
-every x and z range, the admissibility of every y against the bits of
-A+A+A, and that the digits re-encode to m. monte_carlo_coverage counts
+decompose_many peels an array of large integers into digits <z y_k x_k
+... y_1 x_1> of the sequence's mixed radix (driven by the auxiliary
+y-table) in one array pass per level: the values stay Python integers in
+numpy object arrays, so every % and // is exact, and level l works only
+on the samples still above 6 p q^{2l-1}. The decompose subcommand peels
+one integer this way. The decompose check of the command line (verify
+--mode decompose) runs the peel in blocks of 1,024 samples and does not
+trust it: per block it re-checks the level count, every x and z range,
+the admissibility of every y against the bits of A+A+A, and that the
+digits re-encode to m. monte_carlo_coverage counts
 the exact three-element sums in a window and measures how often a window
 of integers stays representable when the random digits are redrawn.
 
@@ -112,11 +111,10 @@ from .builder import (
     build_sequence,
     complete_draw,
     draw_bounds,
+    digit_weights,
     draw_plan,
-    mixed_radix,
 )
 from .ffpoly import poly_mod, poly_mul
-from .gbase import DigitVector, decode, fmod
 
 # after the package modules, so that numpy first loads through ffpoly:
 # loading it ahead of them leaves the resident set about 0.3 MB larger
@@ -129,7 +127,6 @@ class CollisionWitness:
     n2: int
     n3: int
     n4: int
-    entries: tuple[SequenceEntry, SequenceEntry, SequenceEntry, SequenceEntry] | None = None
 
     def __post_init__(self):
         if self.n1 + self.n2 != self.n3 + self.n4:
@@ -376,30 +373,10 @@ def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
 
 
 @dataclass(frozen=True)
-class DigitAuditRow:
-    i: int
-    x_digit: int
-    y_digit: int
-    kind_left: str  # "paired" | "unclassified" | "single"
-    kind_right: str
-    x_expected_left: int | None
-    x_match_left: bool | None
-    y_expected_left: int | None
-    y_match_left: bool | None
-    x_expected_right: int | None
-    x_match_right: bool | None
-    y_expected_right: int | None
-    y_match_right: bool | None
-    y_in_pair_sums: bool  # y_digit in A+A+{0,1}
-    y_in_members: bool  # y_digit in A
-
-
-@dataclass(frozen=True)
 class CollisionAudit:
     witness: CollisionWitness
     left: tuple[SequenceEntry, SequenceEntry]
     right: tuple[SequenceEntry, SequenceEntry]
-    rows: tuple[DigitAuditRow, ...]
     boundary_index: int  # last low position whose y digit is a shifted pair sum
     products_congruent: bool
     shared_levels: int
@@ -415,73 +392,26 @@ def _resolve_entry(seq: SidonSequence, n: int) -> SequenceEntry:
     return seq.entries[at]
 
 
-def _pair_expectations(
-    params: Params, a: SequenceEntry, b: SequenceEntry, i: int
-) -> tuple[str, int | None, int | None]:
-    """(kind, expected x, expected y) for digit pair i of a+b, k(a) >= k(b)."""
-    q = params.q.q
-    if i <= b.k:
-        radix = q ** (2 * i - 1) - 1
-        esum = a.e[i - 1] + b.e[i - 1]
-        carry = 1 if esum >= radix else 0
-        return "paired", fmod(esum, radix), a.r[i - 1] + b.r[i - 1] + carry
-    if i <= b.k + 2:
-        return "unclassified", None, None
-    return "single", a.e[i - 1], a.r[i - 1]
-
-
 def attribute_collision(seq: SidonSequence, w: CollisionWitness) -> CollisionAudit:
-    """Digit-level audit of one collision; see module docstring."""
-    if w.entries is not None:
-        e1, e2, e3, e4 = w.entries
-    else:
-        e1, e2 = _resolve_entry(seq, w.n1), _resolve_entry(seq, w.n2)
-        e3, e4 = _resolve_entry(seq, w.n3), _resolve_entry(seq, w.n4)
+    """Audit of one collision; see module docstring. The boundary index
+    is the largest i <= max level such that the y digits 1..i of the
+    equal sums, total // W_{2j-1} mod p, all lie in A+A+{0,1}."""
+    e1, e2 = _resolve_entry(seq, w.n1), _resolve_entry(seq, w.n2)
+    e3, e4 = _resolve_entry(seq, w.n3), _resolve_entry(seq, w.n4)
     if e1.k < e2.k:
         e1, e2 = e2, e1
     if e3.k < e4.k:
         e3, e4 = e4, e3
     params = seq.params
-    base = mixed_radix(params)
+    p = params.aux.p
     total = e1.n + e2.n
     top_k = max(e1.k, e3.k)
-    digits = decode(base, total, 2 * top_k + 3).digits
-    a_members = set(params.aux.A)
+    weights = digit_weights(params, 2 * top_k)
     pair_sums = _shift_sumset(_bits_of(params.aux.A), params.aux.A)
     pair_sums |= pair_sums << 1
-
-    rows = []
-    for i in range(1, top_k + 1):
-        x_digit = digits[2 * i - 2]
-        y_digit = digits[2 * i - 1]
-        kind_l, ex_l, ey_l = _pair_expectations(params, e1, e2, i) if i <= e1.k else ("single", None, None)
-        kind_r, ex_r, ey_r = _pair_expectations(params, e3, e4, i) if i <= e3.k else ("single", None, None)
-        rows.append(
-            DigitAuditRow(
-                i=i,
-                x_digit=x_digit,
-                y_digit=y_digit,
-                kind_left=kind_l,
-                kind_right=kind_r,
-                x_expected_left=ex_l,
-                x_match_left=None if ex_l is None else ex_l == x_digit,
-                y_expected_left=ey_l,
-                y_match_left=None if ey_l is None else ey_l == y_digit,
-                x_expected_right=ex_r,
-                x_match_right=None if ex_r is None else ex_r == x_digit,
-                y_expected_right=ey_r,
-                y_match_right=None if ey_r is None else ey_r == y_digit,
-                y_in_pair_sums=bool(pair_sums >> y_digit & 1),
-                y_in_members=y_digit in a_members,
-            )
-        )
-
     boundary = 0
-    for row in rows:
-        if row.y_in_pair_sums:
-            boundary = row.i
-        else:
-            break
+    while boundary < top_k and pair_sums >> (total // weights[2 * boundary + 1] % p) & 1:
+        boundary += 1
 
     shared = min(e2.k, e4.k)
     left_prod = poly_mul(e1.f, e2.f)
@@ -506,7 +436,6 @@ def attribute_collision(seq: SidonSequence, w: CollisionWitness) -> CollisionAud
         witness=w,
         left=(e1, e2),
         right=(e3, e4),
-        rows=tuple(rows),
         boundary_index=boundary,
         products_congruent=congruent,
         shared_levels=shared,
@@ -515,28 +444,12 @@ def attribute_collision(seq: SidonSequence, w: CollisionWitness) -> CollisionAud
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    m: int
-    k: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: int
-
-    def digit_vector(self) -> DigitVector:
-        digits = []
-        for xi, yi in zip(self.x, self.y):
-            digits.append(xi)
-            digits.append(yi)
-        digits.append(self.z)
-        return DigitVector(tuple(digits))
-
-
-@dataclass(frozen=True)
 class Peel:
-    """decompose over an array of m. levels[l - 1] holds, for level l, the
-    indices of the samples peeled at l (ascending, a subset of those of
-    level l - 1) with their x_l (Python integers) and y_l (int64) digits;
-    k and z give per sample its level count and its top digit."""
+    """decompose_many's peel of an array of m. levels[l - 1] holds, for
+    level l, the indices of the samples peeled at l (ascending, a subset
+    of those of level l - 1) with their x_l (Python integers) and y_l
+    (int64) digits; k and z give per sample its level count and its top
+    digit."""
 
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     k: np.ndarray
@@ -584,15 +497,6 @@ def decompose_many(ms, params: Params, y_table: YTable) -> Peel:
         levels.append((active, x, y))
         power *= q * q
     return Peel(tuple(levels), k, cur)
-
-
-def decompose(m: int, params: Params, y_table: YTable) -> Decomposition:
-    """m peeled into digits <z y_k x_k ... y_1 x_1>: decompose_many of
-    the one value m."""
-    peel = decompose_many([m], params, y_table)
-    x = tuple(x[0] for _, x, _ in peel.levels)
-    y = tuple(int(y[0]) for _, _, y in peel.levels)
-    return Decomposition(m=m, k=len(x), x=x, y=y, z=peel.z[0])
 
 
 @dataclass(frozen=True)

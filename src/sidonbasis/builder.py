@@ -6,8 +6,9 @@ integer n_f by packing, least significant first, the digit vector
 
     <s  r_k e_k  ...  r_1 e_1>
 
-into the alternating mixed radix (q^i - 1, p): e_i is the discrete log of
-f modulo the fixed odd-degree modulus g_i, r_i is drawn from the auxiliary
+into the alternating mixed radix (q^i - 1, p), whose place weights W_i
+are formed in one place, digit_weights: e_i is the discrete log of f
+modulo the fixed odd-degree modulus g_i, r_i is drawn from the auxiliary
 set A, and the top digit s is drawn from {1, ..., q^{3k}}. The r and s
 digits come from a keyed-hash counter RNG so every (f, digit) pair is an
 independent, reproducible draw.
@@ -53,7 +54,7 @@ orders q^(2i-1) - 1 (by CRT, a polynomial of degree < k^2 = sum deg g_i
 is determined by its residues mod g_1..g_k). The moduli are cached per
 (q, k_max), the decode indexes per (moduli, q, window), decode_entry's
 set-up per (params, moduli), the member tables per (q, degree); the
-mixed radix, level brackets and degree windows per Params.
+digit weights, level brackets and degree windows per Params.
 audit_preconditions reports the concrete degree margins that the
 collision-freeness argument needs at the configured parameters.
 """
@@ -84,7 +85,6 @@ from .ffpoly import (
     poly_to_string,
     smallest_irreducible,
 )
-from .gbase import MixedRadix
 from .unitgroup import Generator, dlog_table, find_generator
 
 # after the package modules, so that numpy first loads through ffpoly, as
@@ -323,33 +323,6 @@ class SidonSequence:
         object.__setattr__(self, "values", tuple(values.tolist()))
         object.__setattr__(self, "_where", (level_of, row_of))
 
-    @classmethod
-    def from_entries(cls, params: Params, moduli: ModuliTable, entries, warnings=()) -> SidonSequence:
-        """The sequence of entries given in ascending n, each an object with
-        f, k, e, r, s and n (a SequenceEntry, or a record made by hand)."""
-        entries = list(entries)
-        by_level: dict[int, list[int]] = {}
-        for pos, ent in enumerate(entries):
-            by_level.setdefault(ent.k, []).append(pos)
-        levels = []
-        for k in sorted(by_level):
-            rows = [entries[pos] for pos in by_level[k]]
-            if any(len(ent.e) != k or len(ent.r) != k for ent in rows):
-                raise ValueError(f"an entry at level k = {k} has not k digits e and r")
-            levels.append(
-                SequenceLevel(
-                    params.q,
-                    k,
-                    np.array([ent.f.code for ent in rows], dtype=np.int64),
-                    _digits([d for ent in rows for d in ent.e]).reshape(-1, k),
-                    _digits([d for ent in rows for d in ent.r]).reshape(-1, k),
-                    np.array([ent.s for ent in rows], dtype=object),
-                    np.array([ent.n for ent in rows], dtype=object),
-                    np.array(by_level[k], dtype=np.intp),
-                )
-            )
-        return cls(params, moduli, tuple(levels), tuple(warnings))
-
     @property
     def entries(self) -> SequenceEntries:
         return SequenceEntries(self)
@@ -544,15 +517,17 @@ def _within(digits: np.ndarray, bound: int) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def mixed_radix(params: Params) -> MixedRadix:
-    return MixedRadix(params.q, params.aux.p)
-
-
-@functools.lru_cache(maxsize=64)
-def digit_weights(params: Params) -> tuple[int, ...]:
-    """W_0, ..., W_{2 k_max + 1} of the mixed radix: the weight of every
-    digit position of a built entry, and of the one above."""
-    return mixed_radix(params).weights(2 * params.k_max + 2)
+def digit_weights(params: Params, count: int | None = None) -> tuple[int, ...]:
+    """W_0, ..., W_{count - 1} of the alternating mixed radix: W_i = b_1
+    b_2 ... b_i with b_i = q^i - 1 for odd i and b_i = p for even i, the
+    weight of digit position i + 1. count defaults to 2 k_max + 2: the
+    weight of every digit position of a built entry, and of the one
+    above."""
+    q, p = params.q.q, params.aux.p
+    weights = [1]
+    for i in range(1, 2 * params.k_max + 2 if count is None else count):
+        weights.append(weights[-1] * (q**i - 1 if i % 2 else p))
+    return tuple(weights)
 
 
 def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: int) -> np.ndarray:
@@ -815,7 +790,6 @@ class KClassAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
-    c_value: Fraction
     c_ok: bool
     classes: tuple[KClassAudit, ...]
     all_ok: bool
@@ -854,7 +828,7 @@ def audit_preconditions(params: Params) -> AuditReport:
             f"(b) {mx} < {k * k} {'pass' if ok_b else 'fail'}; "
             f"(c) {2 * mx} < {k * k} {'pass' if ok_c else 'fail'}"
         )
-    return AuditReport(c, c_ok, tuple(classes), all_ok, tuple(lines))
+    return AuditReport(c_ok, tuple(classes), all_ok, tuple(lines))
 
 
 def params_to_json(params: Params) -> dict:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from . import __version__
 from .analyzer import (
     attribute_collision,
-    decompose,
     decompose_many,
     monte_carlo_coverage,
     sidon_certificate,
@@ -48,13 +47,12 @@ from .builder import (
     Params,
     audit_preconditions,
     build_sequence,
-    mixed_radix,
+    digit_weights,
     seq_from_json,
     seq_json_chunks,
 )
 from .equidist import check_theta, deviation_csv_lines, deviation_report, deviation_summary, triple_histogram
 from .ffpoly import PrimeModulus, poly_from_string
-from .gbase import encode
 
 # after the package modules, so that numpy first loads through ffpoly, as
 # in analyzer
@@ -236,14 +234,13 @@ def _verify_sidon_report(seq) -> tuple[dict, bool, dict]:
 _DECOMPOSE_BLOCK = 1024
 
 
-def _decompose_failures(peel, ms, base, levels: int, z_caps, admissible) -> np.ndarray:
+def _decompose_failures(peel, ms, params, levels: int, z_caps, admissible) -> np.ndarray:
     """Which samples ms of one block fail the decompose check, from their
     peel: `levels` levels or more, an x_l outside [0, q^{2l-1} - 1), a y
     digit that is not admissible, a top digit outside [3, z_caps[k]], or
-    digits that do not re-encode to m by the weights of the mixed radix
-    base."""
-    q = base.q.q
-    weights = np.array(base.weights(2 * len(peel.levels) + 1), dtype=object)
+    digits that do not re-encode to m by digit_weights of params."""
+    q = params.q.q
+    weights = np.array(digit_weights(params, 2 * len(peel.levels) + 1), dtype=object)
     bad = peel.k >= levels
     bad |= (peel.z < 3) | (peel.z > z_caps[np.minimum(peel.k, levels - 1)])
     total = peel.z * weights[2 * peel.k]
@@ -270,12 +267,11 @@ def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
     # y is admissible when y - 2, y - 1 and y all lie in A+A+A
     admissible = np.array([y >= 2 and bits_aaa >> (y - 2) & 7 == 7 for y in range(2 * p)])
     top = q**120
-    base = mixed_radix(params)
     # m = z W_{2k} + (lower digits) with z >= 3 puts every correct
     # decomposition of m <= top below the first level k with W_{2k} >= top;
     # b_{2i-1} = q^{2i-1} - 1 >= q^{2i-2} makes W_{2k} >= q^{k(k-1)}, so
     # that level is at most 12
-    weights = base.weights(25)
+    weights = digit_weights(params, 25)
     levels = next(k for k in range(1, 13) if weights[2 * k] >= top)
     z_caps = np.array([6 * p * q ** (2 * k + 1) for k in range(levels)], dtype=object)
     rng = random.Random(f"decompose-verify|{params.seed}".encode())
@@ -285,7 +281,7 @@ def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
         ms = np.array(
             [rng.randint(3, top) for _ in range(min(_DECOMPOSE_BLOCK, samples - start))], dtype=object
         )
-        bad = _decompose_failures(decompose_many(ms, params, y_table), ms, base, levels, z_caps, admissible)
+        bad = _decompose_failures(decompose_many(ms, params, y_table), ms, params, levels, z_caps, admissible)
         failure_count += int(bad.sum())
         failures += [str(m) for m in ms[bad][: 100 - len(failures)]]
     report = {
@@ -375,14 +371,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     params = Params(q=PrimeModulus(args.q), aux=aux)
     y_table = build_y_table(aux)
     m = int(args.m)
-    dec = decompose(m, params, y_table)
-    ok = encode(mixed_radix(params), dec.digit_vector()) == m
+    peel = decompose_many([m], params, y_table)
+    x = [xs[0] for _, xs, _ in peel.levels]
+    y = [int(ys[0]) for _, _, ys in peel.levels]
+    z = peel.z[0]
+    digits = [d for pair in zip(x, y) for d in pair] + [z]
+    ok = sum(d * w for d, w in zip(digits, digit_weights(params, len(digits)))) == m
     report = {
         "m": str(m),
-        "k": dec.k,
-        "x": [str(x) for x in dec.x],
-        "y": list(dec.y),
-        "z": str(dec.z),
+        "k": len(x),
+        "x": [str(xi) for xi in x],
+        "y": y,
+        "z": str(z),
         "re_encodes": ok,
     }
     manifest_ref = _manifest_ref(args.out)

@@ -48,7 +48,7 @@ from .ffpoly import (
     poly_derivative,
     poly_gcd,
 )
-from .unitgroup import dlog_table, euler_phi_poly, factor_squarefree_poly, find_generator
+from .unitgroup import dlog_table, factor_squarefree_poly, find_generator
 
 
 def _validate_modulus(g: Poly) -> None:
@@ -274,15 +274,15 @@ def check_theta(d: int, g: Poly) -> Fraction:
 
 
 def deviation_report(report: TripleCountReport) -> DeviationReport:
-    """Deviations c - B / phi of the unit-class counts, B = C(|I_d|, 3),
-    each the correctly rounded (c phi - B) / phi. A deviation and its
-    ratio depend on the count alone, so each is computed once per
-    distinct count. chi2, the sum of (c - B / phi)^2 / (B / phi), is
+    """Deviations c - B / phi of the unit-class counts, B = C(|I_d|, 3)
+    and phi = phi(g) = len(report.units), each the correctly rounded
+    (c phi - B) / phi. A deviation and its ratio depend on the count
+    alone, so each is computed once per distinct count. chi2, the sum of (c - B / phi)^2 / (B / phi), is
     phi sum(c^2) / B - 2 sum(c) + B, with the sums exact in Python
     integers (sum(c^2) passes 2^63 by d = 12)."""
     q, d, g = report.q, report.d, report.g
     theta = check_theta(d, g)
-    phi_g = euler_phi_poly(g)
+    phi_g = len(report.units)
     binom = math.comb(report.pool_size, 3)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
     counts = tuple(map(report.counts.__getitem__, report.units))

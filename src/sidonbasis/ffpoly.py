@@ -81,10 +81,6 @@ class Poly:
         return cls(q, (0, 1))
 
     @classmethod
-    def constant(cls, q: PrimeModulus, c: int) -> "Poly":
-        return cls(q, (c,))
-
-    @classmethod
     def from_code(cls, q: PrimeModulus, code: int) -> "Poly":
         """Inverse of .code: digits of code in base q, low first."""
         if code < 0:

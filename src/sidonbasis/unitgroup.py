@@ -247,13 +247,3 @@ def factor_squarefree_poly(g: Poly) -> tuple[Poly, ...]:
         d += 1
     return tuple(sorted(factors, key=lambda f: (f.degree, f.code)))
 
-
-def euler_phi_poly(g: Poly) -> int:
-    """|units of F_q[t]/(g)| for monic squarefree g: the product of
-    q^deg - 1 over the irreducible factors."""
-    if g.degree == 0:
-        return 1
-    out = 1
-    for pi in factor_squarefree_poly(g):
-        out *= g.q.q**pi.degree - 1
-    return out

@@ -8,13 +8,20 @@ a time, something the package computes another way:
   one discrete-log path, unitgroup.dlog_table;
 - crt, the polynomial CRT, by which the tests' reference decode
   rebuilds f from its e digits, against builder.decode_entry's lookup;
-- unit_codes, the units mod g, from equidist's exponent coordinates;
+- unit_codes, the units mod g, from equidist's exponent coordinates,
+  and euler_phi_poly, their number from the factors of g, against
+  equidist's len(units);
 - find_representations, the exact three-element sums by two pointers,
   against the pair-sum engine of analyzer;
 - build_Fk and level_e_digits, a level's members as Poly objects and
   their e digits;
 - _pack, n from one digit vector <s r_k e_k ... r_1 e_1> by its weights,
-  against builder._encode.
+  against builder._encode;
+- radix, encode and decode, the alternating mixed radix (q^i - 1 | p)
+  written out digit by digit from q and p, against builder.digit_weights;
+- peel, the decomposition of one m written out as a loop, against
+  analyzer.decompose_many;
+- from_entries, a sequence from entry records made by hand.
 
 The test files import this module by name: tests/ has no __init__.py,
 so pytest puts the directory on sys.path.
@@ -26,7 +33,7 @@ import math
 
 import numpy as np
 
-from sidonbasis.builder import Params, SidonSequence, _code_e_digits, level_tables
+from sidonbasis.builder import Params, SequenceLevel, SidonSequence, _code_e_digits, _digits, level_tables
 from sidonbasis.equidist import _exponent_coordinates
 from sidonbasis.ffpoly import (
     Poly,
@@ -39,7 +46,7 @@ from sidonbasis.ffpoly import (
     poly_sub,
 )
 from sidonbasis.primes import factorize
-from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table
+from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table, factor_squarefree_poly
 
 # -- integers and polynomials -------------------------------------------
 
@@ -79,7 +86,7 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     if r0.is_zero():
         return r0, s0, t0
     inv = pow(r0.coeffs[-1], -1, q.q)
-    scale = Poly.constant(q, inv)
+    scale = Poly(q, (inv,))
     return poly_mul(r0, scale), poly_mul(s0, scale), poly_mul(t0, scale)
 
 
@@ -177,6 +184,69 @@ def unit_codes(g: Poly) -> list[int]:
     return np.flatnonzero((coords < shape).all(axis=1)).tolist()
 
 
+def euler_phi_poly(g: Poly) -> int:
+    """|units of F_q[t]/(g)| for monic squarefree g: the product of
+    q^deg - 1 over the irreducible factors."""
+    if g.degree == 0:
+        return 1
+    out = 1
+    for pi in factor_squarefree_poly(g):
+        out *= g.q.q**pi.degree - 1
+    return out
+
+
+# -- the mixed radix ----------------------------------------------------
+
+
+def radix(q: int, p: int, i: int) -> int:
+    """b_i of the alternating mixed radix, for 1-indexed position i:
+    q^i - 1 for odd i, p for even i."""
+    return q**i - 1 if i % 2 else p
+
+
+def encode(q: int, p: int, digits) -> int:
+    """x_1 + x_2 b_1 + x_3 b_1 b_2 + ... of the digits x_1, x_2, ...
+    (least significant first; they need not be canonical)."""
+    total = 0
+    weight = 1
+    for i, x in enumerate(digits, start=1):
+        total += x * weight
+        weight *= radix(q, p, i)
+    return total
+
+
+def decode(q: int, p: int, n: int, num_digits: int) -> tuple[int, ...]:
+    """The num_digits digits of n >= 0, least significant first: digits
+    1..num_digits-1 canonical, 0 <= x_i < b_i, and the top one absorbing
+    whatever quotient remains."""
+    if n < 0:
+        raise ValueError(f"expected a natural number, got {n}")
+    if num_digits < 1:
+        raise ValueError(f"need at least one digit, got {num_digits}")
+    digits = []
+    for i in range(1, num_digits):
+        n, x = divmod(n, radix(q, p, i))
+        digits.append(x)
+    digits.append(n)
+    return tuple(digits)
+
+
+def peel(m: int, params: Params, table) -> tuple[list[int], list[int], int]:
+    """The decomposition of one m written out: (x digits, y digits, z).
+    While the value exceeds 6 p q^{2l-1}, level l takes x_l, the value
+    mod q^{2l-1} - 1, then y_l, the table entry of the quotient's class
+    mod p."""
+    q, p = params.q.q, params.aux.p
+    xs, ys, cur, power = [], [], m, q
+    while cur > 6 * p * power:
+        xs.append(cur % (power - 1))
+        cur //= power - 1
+        ys.append(table.entries[cur % p])
+        cur = (cur - ys[-1]) // p
+        power *= q * q
+    return xs, ys, cur
+
+
 # -- sequences ----------------------------------------------------------
 
 
@@ -201,6 +271,33 @@ def _pack(weights: tuple[int, ...], e, r, s: int) -> int:
     for i, (e_i, r_i) in enumerate(zip(e, r), start=1):
         n += e_i * weights[2 * i - 2] + r_i * weights[2 * i - 1]
     return n + s * weights[2 * i]
+
+
+def from_entries(params: Params, moduli, entries, warnings=()) -> SidonSequence:
+    """The sequence of entries given in ascending n, each an object with
+    f, k, e, r, s and n (a SequenceEntry, or a record made by hand)."""
+    entries = list(entries)
+    by_level: dict[int, list[int]] = {}
+    for pos, ent in enumerate(entries):
+        by_level.setdefault(ent.k, []).append(pos)
+    levels = []
+    for k in sorted(by_level):
+        rows = [entries[pos] for pos in by_level[k]]
+        if any(len(ent.e) != k or len(ent.r) != k for ent in rows):
+            raise ValueError(f"an entry at level k = {k} has not k digits e and r")
+        levels.append(
+            SequenceLevel(
+                params.q,
+                k,
+                np.array([ent.f.code for ent in rows], dtype=np.int64),
+                _digits([d for ent in rows for d in ent.e]).reshape(-1, k),
+                _digits([d for ent in rows for d in ent.r]).reshape(-1, k),
+                np.array([ent.s for ent in rows], dtype=object),
+                np.array([ent.n for ent in rows], dtype=object),
+                np.array(by_level[k], dtype=np.intp),
+            )
+        )
+    return SidonSequence(params, moduli, tuple(levels), tuple(warnings))
 
 
 def _sorted_values(seq_or_values) -> list[int]:

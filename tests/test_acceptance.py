@@ -14,9 +14,9 @@ import time
 import numpy as np
 from conftest import record_acceptance
 
-from sidonbasis.analyzer import monte_carlo_coverage, verify_sidon, attribute_collision, decompose
+from sidonbasis.analyzer import monte_carlo_coverage, verify_sidon, attribute_collision, decompose_many
 from sidonbasis.auxset import aux_from_json, build_y_table, triple_sumset_bits, verify_coverage, verify_disjoint
-from sidonbasis.builder import audit_preconditions, decode_entry, mixed_radix
+from sidonbasis.builder import audit_preconditions, decode_entry, digit_weights
 from sidonbasis.cli import main as cli_main
 from sidonbasis.equidist import deviation_report, triple_histogram
 from sidonbasis.ffpoly import (
@@ -29,11 +29,10 @@ from sidonbasis.ffpoly import (
     poly_mul,
     poly_powmod,
 )
-from sidonbasis.gbase import DigitVector, decode, encode
 from sidonbasis.unitgroup import dlog_table, find_generator
 
 import oracles
-from oracles import dlog, find_representations
+from oracles import decode, dlog, encode, find_representations, radix
 
 Q3 = PrimeModulus(3)
 
@@ -138,19 +137,21 @@ def test_acceptance_3_auxiliary_search(tmp_path):
 
 
 def test_acceptance_4_mixed_radix_roundtrip(params307):
-    base = mixed_radix(params307)
+    # the oracle's digit-by-digit decode against builder.digit_weights
+    q, p = params307.q.q, params307.aux.p
+    weights = digit_weights(params307, 12)
     rng = random.Random(4)
     for _ in range(10**4):
         length = rng.randint(1, 9)
         digits = tuple(
-            rng.randrange(base.radix(i)) for i in range(1, length)
+            rng.randrange(radix(q, p, i)) for i in range(1, length)
         ) + (rng.randint(0, 10**9),)
-        vec = DigitVector(digits)
-        assert decode(base, encode(base, vec), length).digits == digits
+        n = sum(x * w for x, w in zip(digits, weights))
+        assert decode(q, p, n, length) == digits
     for _ in range(10**4):
         n = rng.randint(0, 3**400)
         k = rng.randint(1, 12)
-        assert encode(base, decode(base, n, k)) == n
+        assert sum(x * w for x, w in zip(decode(q, p, n, k), weights)) == n
     record_acceptance(
         4,
         "mixed-radix roundtrip, 10^4 vectors + 10^4 naturals",
@@ -207,19 +208,24 @@ def test_acceptance_7_decomposition_digits(params307, ytable307):
     t0 = time.perf_counter()
     q = params307.q.q
     p = params307.aux.p
-    base = mixed_radix(params307)
     bits = triple_sumset_bits(set(params307.aux.A))
     rng = random.Random(7)
+    ms = [rng.randint(3, 3**120) for _ in range(10**4)]
+    peel = decompose_many(ms, params307, ytable307)
+    xs, ys = [[] for _ in ms], [[] for _ in ms]
+    for idx, x, y in peel.levels:
+        for u, xu, yu in zip(idx.tolist(), x.tolist(), y.tolist()):
+            xs[u].append(xu)
+            ys[u].append(yu)
     failures = 0
-    for _ in range(10**4):
-        m = rng.randint(3, 3**120)
-        dec = decompose(m, params307, ytable307)
-        good = all(0 <= x < q ** (2 * i - 1) - 1 for i, x in enumerate(dec.x, start=1))
+    for m, k, x, y, z in zip(ms, peel.k.tolist(), xs, ys, peel.z.tolist()):
+        good = k == len(x) and all(0 <= xi < q ** (2 * i - 1) - 1 for i, xi in enumerate(x, start=1))
         good = good and all(
-            2 <= y < 2 * p and bits >> (y - 2) & 7 == 7 for y in dec.y
+            2 <= yi < 2 * p and bits >> (yi - 2) & 7 == 7 for yi in y
         )
-        good = good and 3 <= dec.z <= 6 * p * q ** (2 * dec.k + 1)
-        good = good and encode(base, dec.digit_vector()) == m
+        good = good and 3 <= z <= 6 * p * q ** (2 * k + 1)
+        # re-encoded digit by digit, independently of digit_weights
+        good = good and encode(q, p, [d for pair in zip(x, y) for d in pair] + [z]) == m
         if not good:
             failures += 1
     elapsed = time.perf_counter() - t0

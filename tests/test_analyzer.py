@@ -27,7 +27,6 @@ from sidonbasis.analyzer import (
     _trial_seed,
     _window_triples,
     attribute_collision,
-    decompose,
     decompose_many,
     monte_carlo_coverage,
     verify_sidon,
@@ -35,7 +34,6 @@ from sidonbasis.analyzer import (
 from sidonbasis.auxset import AuxSet, YTable, triple_sumset_bits
 from sidonbasis.builder import (
     Params,
-    SidonSequence,
     _digit_hasher,
     _draw_digits,
     _residues,
@@ -44,12 +42,10 @@ from sidonbasis.builder import (
     digit_weights,
     draw_bounds,
     draw_plan,
-    mixed_radix,
 )
 from sidonbasis.ffpoly import Poly, PrimeModulus, poly_to_string
-from sidonbasis.gbase import DigitVector, encode
 
-from oracles import _pack, find_representations
+from oracles import _pack, decode, encode, find_representations, from_entries, peel
 
 Q3 = PrimeModulus(3)
 
@@ -412,7 +408,7 @@ def test_collision_witness_validation():
         CollisionWitness(1, 4, 4, 1)
 
 
-# an entry made by hand; SidonSequence.from_entries takes a list of them
+# an entry made by hand; from_entries takes a list of them
 Entry = namedtuple("Entry", "f k e r s n")
 
 
@@ -421,7 +417,7 @@ def mock_entry(params, f, k, e, r, s):
     for ei, ri in zip(e, r):
         digits.extend((ei, ri))
     digits.append(s)
-    n = encode(mixed_radix(params), DigitVector(tuple(digits)))
+    n = encode(params.q.q, params.aux.p, digits)
     return Entry(f=f, k=k, e=tuple(e), r=tuple(r), s=s, n=n)
 
 
@@ -440,14 +436,12 @@ def test_attribute_equal_k_collision(mock_params):
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)  # (t+1)^2
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)  # t+2
     assert e1.n + e2.n == e3.n + e4.n
-    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
-    w = CollisionWitness(e1.n, e2.n, e3.n, e4.n, entries=(e1, e2, e3, e4))
-    audit = attribute_collision(seq, w)
-    row = audit.rows[0]
-    assert (row.kind_left, row.kind_right) == ("paired", "paired")
-    assert row.x_match_left and row.x_match_right
-    assert row.y_match_left and row.y_match_right
-    assert row.y_in_pair_sums and not row.y_in_members
+    seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
+    audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
+    assert [[ent.n for ent in pair] for pair in (audit.left, audit.right)] == [[e1.n, e2.n], [e3.n, e4.n]]
+    # the y digit of the equal sums, a + a: a shifted pair sum, not in A
+    y = decode(3, params.aux.p, e1.n + e2.n, 3)[1]
+    assert y == 2 * a and y not in params.aux.A
     assert audit.boundary_index == 1
     assert audit.shared_levels == 1
     assert audit.products_congruent
@@ -462,16 +456,16 @@ def test_attribute_detects_product_mismatch(mock_params):
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
     # claims the digits of t+2 but carries the polynomial t+1
     e4 = mock_entry(params, Poly(Q3, (1, 1)), 1, (1,), (a,), 6)
-    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
-    w = CollisionWitness(e1.n, e2.n, e3.n, e4.n, entries=(e1, e2, e3, e4))
-    audit = attribute_collision(seq, w)
+    seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
+    audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
     assert not audit.products_congruent
 
 
 def test_attribute_mixed_k_collision(mock_params):
     # a level-2 and a level-1 entry on each side; the lower entry's top
-    # digit bleeds into positions k+1..k+2, which the audit marks
-    # unclassified, and the boundary scan stops at the shared level
+    # digit bleeds into positions k+1..k+2, so the y digit of level 2 is
+    # a member of A, no shifted pair sum, and the boundary scan stops at
+    # the shared level
     params = mock_params
     a = params.aux.A[0]
     fa = Poly(Q3, (1, 1, 1))  # 1 mod t
@@ -481,18 +475,13 @@ def test_attribute_mixed_k_collision(mock_params):
     c2 = mock_entry(params, fa, 2, (0, 1), (a, a), 9)
     d1 = mock_entry(params, fb, 1, (0,), (a,), 6)
     assert a2.n + b1.n == c2.n + d1.n
-    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((a2, b1, c2, d1), key=lambda x: x.n))
+    seq = from_entries(params, build_moduli(params), sorted((a2, b1, c2, d1), key=lambda x: x.n))
     # pass the right pair in ascending-k order to exercise the swap
-    w = CollisionWitness(a2.n, b1.n, d1.n, c2.n, entries=(a2, b1, d1, c2))
-    audit = attribute_collision(seq, w)
-    assert audit.left[0].k == 2 and audit.right[0].k == 2
+    audit = attribute_collision(seq, CollisionWitness(a2.n, b1.n, d1.n, c2.n))
+    assert [[ent.n for ent in pair] for pair in (audit.left, audit.right)] == [[a2.n, b1.n], [c2.n, d1.n]]
     assert audit.shared_levels == 1
-    row1, row2 = audit.rows
-    assert (row1.kind_left, row1.kind_right) == ("paired", "paired")
-    assert row1.x_match_left and row1.y_match_left
-    assert (row2.kind_left, row2.kind_right) == ("unclassified", "unclassified")
-    assert row2.x_expected_left is None and row2.x_match_left is None
-    assert row2.y_in_members and not row2.y_in_pair_sums
+    digits = decode(3, params.aux.p, a2.n + b1.n, 5)
+    assert digits[1] == 2 * a and digits[3] == a
     assert audit.boundary_index == 1
     assert audit.products_congruent
 
@@ -506,11 +495,11 @@ def test_attribute_carry_digit_is_shifted_pair_sum():
     e3 = mock_entry(params, Poly(Q3, (2, 1)), 1, (0,), (1,), 5)
     e4 = mock_entry(params, Poly(Q3, (0, 1)), 1, (0,), (2,), 5)
     entries = tuple(sorted((e1, e3, e4), key=lambda x: x.n))
-    seq = SidonSequence.from_entries(params, build_moduli(params), entries)
-    w = CollisionWitness(e1.n, e1.n, e3.n, e4.n, entries=(e1, e1, e3, e4))
-    row = attribute_collision(seq, w).rows[0]
-    assert row.y_digit == 3
-    assert row.y_in_pair_sums and not row.y_in_members
+    seq = from_entries(params, build_moduli(params), entries)
+    audit = attribute_collision(seq, CollisionWitness(e1.n, e1.n, e3.n, e4.n))
+    assert decode(3, 11, 2 * e1.n, 3)[1] == 3
+    # A+A = {2} alone would stop the scan before level 1
+    assert audit.boundary_index == 1
 
 
 def test_attribute_resolves_entries_from_sequence(mock_params):
@@ -522,7 +511,7 @@ def test_attribute_resolves_entries_from_sequence(mock_params):
     e2 = mock_entry(params, Poly(Q3, (1, 1)), 1, (0,), (a,), 5)
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)
-    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
+    seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
     assert {audit.left[0].n, audit.left[1].n} == {e1.n, e2.n}
     assert audit.products_congruent
@@ -537,25 +526,34 @@ def test_attribute_refuses_witness_outside_sequence(mock_params):
     e2 = mock_entry(params, Poly(Q3, (1, 1)), 1, (0,), (a,), 5)
     e3 = mock_entry(params, Poly(Q3, (1, 2, 1)), 1, (0,), (a,), 4)
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)
-    seq = SidonSequence.from_entries(params, build_moduli(params), sorted((e1, e2, e3), key=lambda x: x.n))
+    seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3), key=lambda x: x.n))
     with pytest.raises(ValueError, match=f"witness value {e4.n} is not a value of the sequence"):
         attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
+
+
+def decompose_one(m, params, table):
+    """(k, x digits, y digits, z) of m from a one-sample decompose_many
+    peel, as the decompose subcommand reads it."""
+    got = decompose_many([m], params, table)
+    x = [xs[0] for _, xs, _ in got.levels]
+    y = [int(ys[0]) for _, _, ys in got.levels]
+    assert got.k.tolist() == [len(x)]
+    return len(x), x, y, got.z[0]
 
 
 def test_decompose_small_value_stays_whole():
     aux = AuxSet(p=11, A=(1,), seed=0, attempt=0, window_start=None, method="random")
     params = Params(q=Q3, aux=aux, k_min=1, k_max=1)
     table = YTable(11, tuple(range(11)))
-    dec = decompose(5, params, table)
-    assert (dec.m, dec.k, dec.x, dec.y, dec.z) == (5, 0, (), (), 5)
-    assert dec.digit_vector().digits == (5,)
+    assert decompose_one(5, params, table) == (0, [], [], 5)
+    assert encode(3, 11, [5]) == 5
 
 
 def test_decompose_validation(params307, ytable307):
+    with pytest.raises(ValueError, match="need m >= 3, got 2"):
+        decompose_many([2], params307, ytable307)
     with pytest.raises(ValueError):
-        decompose(2, params307, ytable307)
-    with pytest.raises(ValueError):
-        decompose(10**6, params307, YTable(11, tuple(range(11))))
+        decompose_many([10**6], params307, YTable(11, tuple(range(11))))
 
 
 @given(st.integers(min_value=3, max_value=3**100))
@@ -564,33 +562,20 @@ def test_decompose_roundtrip(params307, ytable307, m):
     q = params307.q.q
     p = params307.aux.p
     bits = triple_sumset_bits(set(params307.aux.A))
-    dec = decompose(m, params307, ytable307)
-    assert dec.m == m and len(dec.x) == dec.k == len(dec.y)
-    for level, (x, y) in enumerate(zip(dec.x, dec.y), start=1):
+    k, xs, ys, z = decompose_one(m, params307, ytable307)
+    assert len(xs) == k == len(ys)
+    for level, (x, y) in enumerate(zip(xs, ys), start=1):
         assert 0 <= x < q ** (2 * level - 1) - 1
         assert 2 <= y < 2 * p
         assert all(bits >> (y - d) & 1 for d in (0, 1, 2))
-    assert 3 <= dec.z <= 6 * p * q ** (2 * dec.k + 1)
-    assert encode(mixed_radix(params307), dec.digit_vector()) == m
+    assert 3 <= z <= 6 * p * q ** (2 * k + 1)
+    assert encode(q, p, [d for pair in zip(xs, ys) for d in pair] + [z]) == m
 
 
 def test_decompose_peels_large_values(params307, ytable307):
-    dec = decompose(3**100, params307, ytable307)
-    assert dec.k >= 1
-    assert set(dec.y) <= set(ytable307.entries)
-
-
-def peel_loop(m, params, table):
-    """The peel of decompose written out for one m: (x digits, y digits, z)."""
-    q, p = params.q.q, params.aux.p
-    xs, ys, cur, power = [], [], m, q
-    while cur > 6 * p * power:
-        xs.append(cur % (power - 1))
-        cur //= power - 1
-        ys.append(table.entries[cur % p])
-        cur = (cur - ys[-1]) // p
-        power *= q * q
-    return xs, ys, cur
+    k, _, ys, _ = decompose_one(3**100, params307, ytable307)
+    assert k >= 1
+    assert set(ys) <= set(ytable307.entries)
 
 
 def test_decompose_many_matches_loop(params307, ytable307):
@@ -601,20 +586,20 @@ def test_decompose_many_matches_loop(params307, ytable307):
     for level in range(1, 9):
         edge = 6 * p * q ** (2 * level - 1)
         ms += [edge - 1, edge, edge + 1]
-    peel = decompose_many(ms, params307, ytable307)
-    assert len(peel.levels) == max(peel.k.tolist())
+    got = decompose_many(ms, params307, ytable307)
+    assert len(got.levels) == max(got.k.tolist())
     for u, m in enumerate(ms):
-        xs, ys, z = peel_loop(m, params307, ytable307)
-        assert peel.k[u] == len(xs) and peel.z[u] == z
-        got = [(x[idx == u], y[idx == u]) for idx, x, y in peel.levels if (idx == u).any()]
-        assert [int(x[0]) for x, _ in got] == xs and [int(y[0]) for _, y in got] == ys
-        dec = decompose(m, params307, ytable307)
-        assert (dec.k, list(dec.x), list(dec.y), dec.z) == (len(xs), xs, ys, z)
-        assert all(type(d) is int for d in (*dec.x, *dec.y, dec.z))
+        xs, ys, z = peel(m, params307, ytable307)
+        assert got.k[u] == len(xs) and got.z[u] == z
+        rows = [(x[idx == u], y[idx == u]) for idx, x, y in got.levels if (idx == u).any()]
+        assert [int(x[0]) for x, _ in rows] == xs and [int(y[0]) for _, y in rows] == ys
+        one = decompose_one(m, params307, ytable307)
+        assert one == (len(xs), xs, ys, z)
+        assert all(type(d) is int for d in (*one[1], *one[2], one[3]))
     # the threshold itself stays whole at its level, one above it peels
     first = 6 * p * q
-    assert decompose(first, params307, ytable307).k == 0
-    assert decompose(first + 1, params307, ytable307).k >= 1
+    assert decompose_one(first, params307, ytable307)[0] == 0
+    assert decompose_one(first + 1, params307, ytable307)[0] >= 1
 
 
 def test_find_representations_examples():
@@ -908,12 +893,11 @@ def reference_digits(params, entries, trial_seed):
 
 
 def reference_values(params, entries, trial_seed):
-    """The re-draw of reference_digits, packed by gbase.encode."""
-    base = mixed_radix(params)
+    """The re-draw of reference_digits, packed by oracles.encode."""
     out = []
     for ent, (r, s) in zip(entries, reference_digits(params, entries, trial_seed)):
         digits = [d for pair in zip(ent.e, r) for d in pair] + [s]
-        out.append(encode(base, DigitVector(tuple(digits))))
+        out.append(encode(params.q.q, params.aux.p, digits))
     return out
 
 
@@ -988,7 +972,7 @@ def test_draw_plan_q13_levels(aux307):
     # the Python-integer reduction; levels interleave in entry order, so
     # a plan that grouped or ordered them wrongly misplaces values
     params, entries = q13_levels(aux307)
-    plan = draw_plan(SidonSequence.from_entries(params, build_moduli(params), entries))
+    plan = draw_plan(from_entries(params, build_moduli(params), entries))
     for seed in (0, 11, 2**63 + 7):
         assert redrawn_values(plan, seed) == reference_values(params, entries, seed)
 
@@ -1005,7 +989,7 @@ def trial_case(aux307, which):
     q = 13 levels."""
     if which == "q13":
         params, entries = q13_levels(aux307)
-        return params, entries, SidonSequence.from_entries(params, build_moduli(params), entries)
+        return params, entries, from_entries(params, build_moduli(params), entries)
     seq = three_level_build(aux307)
     return seq.params, seq.entries, seq
 
@@ -1115,7 +1099,7 @@ def brute_frequencies(params, entries, window, trials):
 def test_coverage_matches_brute(params307, seq307, which):
     # 20 entries from each end keep the brute force small; the top ones
     # are above 2^70, so the coarse keys are shifted
-    seq = SidonSequence.from_entries(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
+    seq = from_entries(params307, seq307.moduli, seq307.entries[:20] + seq307.entries[-20:])
     vals = list(seq.values)
     assert _coarse_keys(vals, 3)[0] > 0
     tv = sorted(reference_values(params307, seq.entries, _trial_seed(params307.seed, 1)))
@@ -1146,7 +1130,7 @@ def test_coverage_counts_repeated_sums(mock_params):
         (mock_entry(params, Poly(Q3, (s % 3, s // 3, 1)), 1, (0,), (a,), s) for s in range(1, 9)),
         key=lambda ent: ent.n,
     )
-    seq = SidonSequence.from_entries(params, build_moduli(params), entries)
+    seq = from_entries(params, build_moduli(params), entries)
     vals = list(seq.values)
     window = (3 * vals[0], 3 * (vals[1] - vals[0]) + 1)
     rep = monte_carlo_coverage(params, window, trials=2, seq=seq)

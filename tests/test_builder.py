@@ -21,7 +21,6 @@ from sidonbasis.builder import (
     SCALED_MODE_WARNING,
     DecodeError,
     Params,
-    SidonSequence,
     _decode_index,
     _decode_levels,
     audit_preconditions,
@@ -33,7 +32,6 @@ from sidonbasis.builder import (
     level_tables,
     level_value_range,
     member_table,
-    mixed_radix,
     params_from_json,
     params_to_json,
     seq_from_json,
@@ -50,11 +48,10 @@ from sidonbasis.ffpoly import (
     poly_powmod,
     poly_to_string,
 )
-from sidonbasis.gbase import DigitVector, decode, encode, fmod
 from sidonbasis.unitgroup import find_generator
 
 import oracles
-from oracles import _pack, build_Fk, crt, dlog, level_e_digits
+from oracles import _pack, build_Fk, crt, decode, dlog, encode, from_entries, level_e_digits, radix
 
 Q3 = PrimeModulus(3)
 
@@ -69,12 +66,11 @@ def seq11(aux307):
 def reference_decode(n, params, moduli):
     """decode_entry by Poly arithmetic alone: k poly_powmod, one crt and
     one distinct-degree irreducibility test per bracket-compatible level."""
-    base = mixed_radix(params)
     for k in range(1, params.k_max + 1):
         lo, hi = level_value_range(params, k)
         if not lo <= n < hi:
             continue
-        digits = decode(base, n, 2 * k + 1).digits
+        digits = decode(params.q.q, params.aux.p, n, 2 * k + 1)
         e, r, s = digits[0 : 2 * k : 2], digits[1 : 2 * k : 2], digits[2 * k]
         if not 1 <= s <= params.q.q ** (3 * k) or any(x not in params.aux.A for x in r):
             continue
@@ -209,25 +205,24 @@ def test_level_e_digits_match_pohlig_hellman(params307, seq7):
 def test_digit_weights_and_pack_match_encode(params307, seq7):
     rng = random.Random(29)
     for params in (params307, seq7.params):
-        base = mixed_radix(params)
+        q, p = params.q.q, params.aux.p
         weights = digit_weights(params)
         assert len(weights) == 2 * params.k_max + 2
-        products = [math.prod(base.radix(j) for j in range(1, i + 1)) for i in range(25)]
+        products = [math.prod(radix(q, p, j) for j in range(1, i + 1)) for i in range(25)]
         assert weights == tuple(products[: len(weights)])
-        assert base.weights(25) == tuple(products)
+        assert digit_weights(params, 25) == tuple(products)
         for k in range(params.k_max + 1):
             for _ in range(50):
                 e = [rng.randrange(-5, 10**6) for _ in range(k)]
                 r = [rng.randrange(-5, 10**6) for _ in range(k)]
                 s = rng.randrange(-5, 10**9)
                 digits = [d for pair in zip(e, r) for d in pair] + [s]
-                assert _pack(weights, e, r, s) == encode(base, DigitVector(tuple(digits)))
+                assert _pack(weights, e, r, s) == encode(q, p, digits)
 
 
 def test_entry_digit_ranges(params307, seq307):
     q = params307.q.q
     a_members = set(params307.aux.A)
-    base = mixed_radix(params307)
     for ent in seq307.entries:
         for i, ei in enumerate(ent.e, start=1):
             assert 0 <= ei < q ** (2 * i - 1) - 1
@@ -237,7 +232,7 @@ def test_entry_digit_ranges(params307, seq307):
         for ei, ri in zip(ent.e, ent.r):
             digits.extend((ei, ri))
         digits.append(ent.s)
-        assert encode(base, DigitVector(tuple(digits))) == ent.n
+        assert encode(q, params307.aux.p, digits) == ent.n
 
 
 def test_built_digits_are_python_ints(seq307, seq7):
@@ -302,11 +297,10 @@ def test_decode_rejects_foreign_values(params307, seq307):
 
 
 def test_decode_detects_tampering(params307, seq307):
-    base = mixed_radix(params307)
     rng = random.Random(5)
     for ent in rng.sample(seq307.entries, 12):
         flipped = 1 - ent.e[0]  # e_1 lives in {0, 1} for q = 3
-        n2 = ent.n + (flipped - ent.e[0]) * base.radix_product(0)
+        n2 = ent.n + (flipped - ent.e[0]) * digit_weights(params307)[0]
         try:
             decoded = decode_entry(n2, params307, seq307.moduli)
         except DecodeError:
@@ -483,7 +477,7 @@ def test_homomorphic_digit_law(params307, seq307):
         prod = poly_mul(a.f, b.f)
         for i in range(1, 4):
             expected = dlog(moduli.generators[i - 1], poly_mod(prod, moduli.g(i)))
-            assert fmod(a.e[i - 1] + b.e[i - 1], q ** (2 * i - 1) - 1) == expected
+            assert (a.e[i - 1] + b.e[i - 1]) % (q ** (2 * i - 1) - 1) == expected
 
 
 def test_audit_margins(params307):
@@ -599,8 +593,8 @@ def test_seq_json_text_matches_indented_dumps(seq307, manifest_ref):
     cases = [
         seq307,
         dataclasses.replace(seq307, warnings=()),
-        SidonSequence.from_entries(seq307.params, seq307.moduli, odd, seq307.warnings),
-        SidonSequence.from_entries(seq307.params, seq307.moduli, (), seq307.warnings),
+        from_entries(seq307.params, seq307.moduli, odd, seq307.warnings),
+        from_entries(seq307.params, seq307.moduli, (), seq307.warnings),
     ]
     assert seq307.warnings
     for seq in cases:
@@ -806,17 +800,17 @@ def test_entry_views(seq307):
 
 
 def test_from_entries_orders_and_validates(params307, seq307):
-    # SidonSequence.from_entries takes entries in ascending n; a view or a
+    # from_entries takes entries in ascending n; a view or a
     # record made by hand serves alike, and the levels come out as built
     hand = [SimpleNamespace(f=ent.f, k=ent.k, e=ent.e, r=ent.r, s=ent.s, n=ent.n) for ent in seq307.entries]
-    assert SidonSequence.from_entries(params307, seq307.moduli, hand, seq307.warnings) == seq307
-    assert SidonSequence.from_entries(params307, seq307.moduli, seq307.entries, seq307.warnings) == seq307
+    assert from_entries(params307, seq307.moduli, hand, seq307.warnings) == seq307
+    assert from_entries(params307, seq307.moduli, seq307.entries, seq307.warnings) == seq307
     for bad in (hand[:5] + hand[6:7] + hand[5:6], hand[:5] + hand[4:5]):
         with pytest.raises(ValueError, match="entries must be sorted by n with no duplicates"):
-            SidonSequence.from_entries(params307, seq307.moduli, bad)
+            from_entries(params307, seq307.moduli, bad)
     short = hand[:3] + [SimpleNamespace(**{**vars(hand[3]), "r": hand[3].r[:-1]})]
     with pytest.raises(ValueError, match="has not k digits"):
-        SidonSequence.from_entries(params307, seq307.moduli, short)
+        from_entries(params307, seq307.moduli, short)
 
 
 def test_seq_from_json_keeps_digits_beyond_int64(params307, seq307):

@@ -15,12 +15,12 @@ import pytest
 
 from sidonbasis import cli
 from sidonbasis.analyzer import monte_carlo_coverage
-from sidonbasis.auxset import YTable, default_aux, triple_sumset_bits
-from sidonbasis.builder import digit_weights, mixed_radix, seq_from_json, seq_json_chunks
+from sidonbasis.auxset import YTable, aux_from_json, build_y_table, default_aux, triple_sumset_bits
+from sidonbasis.builder import Params, digit_weights, seq_from_json, seq_json_chunks
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
-from sidonbasis.ffpoly import Poly
+from sidonbasis.ffpoly import Poly, PrimeModulus
 
-from oracles import _pack, level_e_digits
+from oracles import _pack, level_e_digits, peel
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,7 @@ def expected_decompose_failures(params, samples):
     table = cli.build_y_table(params.aux)
     bits = triple_sumset_bits(set(params.aux.A))
     top = q**120
-    weights = mixed_radix(params).weights(40)
+    weights = digit_weights(params, 40)
     levels = next(k for k in range(1, 13) if weights[2 * k] >= top)
     rng = random.Random(f"decompose-verify|{params.seed}".encode())
     out = []
@@ -891,15 +891,32 @@ def test_internal_error_exit_code(monkeypatch, capsys, raiser, name):
 
 
 def test_decompose_report(workdir, tmp_path):
-    out = tmp_path / "d.json"
-    m = str(3**90 + 12345)
-    rc = main(["decompose", "--m", m, "--q", "3", "--aux-file", str(workdir / "aux.json"), "--out", str(out)])
-    assert rc == 0
-    rep = read_json(out)
-    assert rep["m"] == m
-    assert rep["re_encodes"] is True
-    assert rep["k"] == len(rep["x"]) == len(rep["y"])
-    assert int(rep["z"]) >= 3
+    # the whole report, byte for byte, against the written-out peel: m = 3
+    # stays whole (k = 0), 6 p q + 1 is the least m that peels one level,
+    # and 3^200 + 7 needs more digit weights than the default k_max gives
+    aux = aux_from_json(read_json(workdir / "aux.json"))
+    params, table = Params(q=PrimeModulus(3), aux=aux), build_y_table(aux)
+    ks = []
+    for m in (3, 6 * aux.p * 3 + 1, 3**90 + 12345, 3**200 + 7):
+        out = tmp_path / "d.json"
+        rc = main(["decompose", "--m", str(m), "--q", "3", "--aux-file", str(workdir / "aux.json"), "--out", str(out)])
+        assert rc == 0
+        xs, ys, z = peel(m, params, table)
+        expected = {
+            "m": str(m),
+            "k": len(xs),
+            "x": [str(x) for x in xs],
+            "y": ys,
+            "z": str(z),
+            "re_encodes": True,
+            "manifest": "d.json.manifest.json",
+        }
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+        rep = read_json(out)
+        assert type(rep["k"]) is int and all(type(y) is int for y in rep["y"])
+        assert all(type(x) is str for x in rep["x"]) and type(rep["z"]) is str
+        ks.append(rep["k"])
+    assert ks[:2] == [0, 1] and 2 * ks[3] + 1 > len(digit_weights(params))
 
 
 def test_decompose_rejects_small_m(workdir, capsys):

@@ -28,9 +28,8 @@ from sidonbasis.ffpoly import (
     poly_mul,
     poly_to_string,
 )
-from sidonbasis.unitgroup import euler_phi_poly
 
-from oracles import unit_codes
+from oracles import euler_phi_poly, unit_codes
 
 Q3 = PrimeModulus(3)
 Q5 = PrimeModulus(5)
@@ -251,6 +250,7 @@ def test_deviation_report_equals_fraction_formulas(q, d, g):
     units = set(rep.units)
     deviations = [rep.counts[u] - expected for u in sorted(rep.counts) if u in units]
     ratios = [abs(float(x)) / normalizer for x in deviations]
+    assert dev.phi_g == euler_phi_poly(g) == len(rep.units)
     assert dev.expected == expected
     assert dev.codes == rep.units
     assert dev.counts == tuple(rep.counts[u] for u in rep.units)

@@ -1,4 +1,6 @@
-"""Mixed-radix encode/decode identities and the alternating schedule."""
+"""The generalized base of the construction: builder.digit_weights, the
+place weights of the alternating mixed radix b_i = q^i - 1 (odd i), p
+(even i), against the digit-by-digit encode and decode of the oracles."""
 
 import math
 
@@ -6,120 +8,119 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonbasis.auxset import AuxSet, aux_from_json
+from sidonbasis.builder import Params, digit_weights
 from sidonbasis.ffpoly import PrimeModulus
-from sidonbasis.gbase import DigitVector, MixedRadix, decode, encode, fmod
 
-BASE35 = MixedRadix(PrimeModulus(3), 5)
-BASE307 = MixedRadix(PrimeModulus(3), 307)
+from oracles import decode, encode, radix
 
-
-def test_fmod_examples():
-    assert fmod(-1, 5) == 4
-    assert fmod(7, 7) == 0
-    assert fmod(8, 8) == 0
-    assert fmod(0, 3) == 0
-    with pytest.raises(ValueError):
-        fmod(5, 0)
-    with pytest.raises(ValueError):
-        fmod(5, -2)
+Q3 = PrimeModulus(3)
 
 
-@given(st.integers(min_value=-(10**12), max_value=10**12), st.integers(min_value=1, max_value=10**9))
-@settings(max_examples=200)
-def test_fmod_is_representative(a, b):
-    r = fmod(a, b)
-    assert 0 <= r < b
-    assert (a - r) % b == 0
+def params_for(p, k_max=4):
+    return Params(q=Q3, aux=AuxSet(p=p, A=(1,)), k_min=1, k_max=k_max)
+
+
+P35 = params_for(5)
+P307 = params_for(307, k_max=6)
+
+
+def pack(weights, digits) -> int:
+    """n of digits least significant first by the weights W_0, W_1, ..."""
+    assert len(digits) <= len(weights)
+    return sum(x * w for x, w in zip(digits, weights))
 
 
 def test_mixed_radix_validation():
-    with pytest.raises(ValueError):
-        MixedRadix(PrimeModulus(2), 5)
-    with pytest.raises(ValueError):
-        MixedRadix(PrimeModulus(3), 6)
-    with pytest.raises(ValueError):
-        BASE35.radix(0)
+    # the schedule needs q >= 3 (q = 2 makes b_1 = 1) and a prime p:
+    # Params refuses q = 2, and the aux loader a composite p
+    with pytest.raises(ValueError, match="q must be >= 3"):
+        Params(q=PrimeModulus(2), aux=AuxSet(p=5, A=(1,)))
+    with pytest.raises(ValueError, match="aux p = 6 is not prime"):
+        aux_from_json({"p": 6, "A": [1], "window_start": 0})
 
 
 def test_radix_schedule():
-    assert [BASE35.radix(i) for i in range(1, 7)] == [2, 5, 26, 5, 242, 5]
-    assert BASE307.radix(3) == 26
-    assert BASE307.radix(4) == 307
+    weights = digit_weights(P35, 7)
+    assert [weights[i] // weights[i - 1] for i in range(1, 7)] == [2, 5, 26, 5, 242, 5]
+    assert all(weights[i] % weights[i - 1] == 0 for i in range(1, 7))
+    assert [radix(3, 5, i) for i in range(1, 7)] == [2, 5, 26, 5, 242, 5]
+    assert radix(3, 307, 3) == 26
+    assert radix(3, 307, 4) == 307
+    # the default count covers every digit of a level-k_max entry and the
+    # one above it
+    assert len(digit_weights(P35)) == 2 * P35.k_max + 2
+    assert digit_weights(P35) == digit_weights(P35, 2 * P35.k_max + 2)
 
 
 @given(st.integers(min_value=0, max_value=12))
 def test_radix_product(n):
-    assert BASE35.radix_product(n) == math.prod(BASE35.radix(i) for i in range(1, n + 1))
+    weights = digit_weights(P35, 13)
+    assert weights[n] == math.prod(radix(3, 5, i) for i in range(1, n + 1))
     # the even/odd split: k full levels weigh p^k * prod(q^{2i-1}-1)
     if n % 2 == 0:
         k = n // 2
-        assert BASE35.radix_product(n) == 5**k * math.prod(3 ** (2 * i - 1) - 1 for i in range(1, k + 1))
+        assert weights[n] == 5**k * math.prod(3 ** (2 * i - 1) - 1 for i in range(1, k + 1))
 
 
 def test_encode_examples():
-    assert encode(BASE35, DigitVector((7,))) == 7
-    assert encode(BASE35, DigitVector((0, 1))) == 2
-    assert encode(BASE35, DigitVector((1, 1, 1, 1))) == 1 + 2 + 10 + 260
-    assert encode(BASE35, DigitVector((1, 1, 1, 1))) == 273
-    assert encode(BASE35, DigitVector(())) == 0
+    weights = digit_weights(P35)
+    for digits, n in [((7,), 7), ((0, 1), 2), ((1, 1, 1, 1), 1 + 2 + 10 + 260), ((), 0)]:
+        assert encode(3, 5, digits) == n == pack(weights, digits)
+    assert encode(3, 5, (1, 1, 1, 1)) == 273
 
 
 def test_decode_examples():
-    assert decode(BASE35, 273, 4).digits == (1, 1, 1, 1)
-    assert decode(BASE35, 0, 3).digits == (0, 0, 0)
-    assert decode(BASE35, 99, 1).digits == (99,)
+    assert decode(3, 5, 273, 4) == (1, 1, 1, 1)
+    assert decode(3, 5, 0, 3) == (0, 0, 0)
+    assert decode(3, 5, 99, 1) == (99,)
     with pytest.raises(ValueError):
-        decode(BASE35, -1, 2)
+        decode(3, 5, -1, 2)
     with pytest.raises(ValueError):
-        decode(BASE35, 5, 0)
+        decode(3, 5, 5, 0)
 
 
-def canonical_vectors(base, max_len=9):
+def canonical_digits(q, p, max_len=9):
     def build(lengths):
         n = lengths[0]
-        strategies = [st.integers(min_value=0, max_value=base.radix(i) - 1) for i in range(1, n)]
+        strategies = [st.integers(min_value=0, max_value=radix(q, p, i) - 1) for i in range(1, n)]
         strategies.append(st.integers(min_value=0, max_value=10**6))
-        return st.tuples(*strategies).map(lambda ds: DigitVector(ds))
+        return st.tuples(*strategies)
 
     return st.tuples(st.integers(min_value=1, max_value=max_len)).flatmap(build)
 
 
-@given(canonical_vectors(BASE307))
+@given(canonical_digits(3, 307))
 @settings(max_examples=300)
-def test_decode_encode_roundtrip(vec):
-    assert vec.is_canonical(BASE307)
-    n = encode(BASE307, vec)
-    assert decode(BASE307, n, len(vec)).digits == vec.digits
+def test_decode_encode_roundtrip(digits):
+    n = pack(digit_weights(P307, 12), digits)
+    assert n == encode(3, 307, digits)
+    assert decode(3, 307, n, len(digits)) == digits
 
 
 @given(st.integers(min_value=0, max_value=3**400), st.integers(min_value=1, max_value=12))
 @settings(max_examples=300)
 def test_encode_decode_roundtrip(n, k):
-    vec = decode(BASE307, n, k)
-    assert vec.is_canonical(BASE307)
-    assert encode(BASE307, vec) == n
+    digits = decode(3, 307, n, k)
+    assert all(0 <= x < radix(3, 307, i) for i, x in enumerate(digits[:-1], start=1))
+    assert digits[-1] >= 0
+    assert pack(digit_weights(P307, 12), digits) == n
 
 
 def test_non_canonical_digits_still_encode_linearly():
-    vec = DigitVector((5, 9, 40))  # all beyond their radixes
-    assert not vec.is_canonical(BASE35)
-    assert encode(BASE35, vec) == 5 + 9 * 2 + 40 * 10
+    weights = digit_weights(P35)
+    digits = (5, 9, 40)  # all beyond their radixes
+    assert pack(weights, digits) == encode(3, 5, digits) == 5 + 9 * 2 + 40 * 10
     # bumping digit i adds exactly the weight of position i
-    base_val = encode(BASE35, DigitVector((1, 1, 1)))
-    assert encode(BASE35, DigitVector((1, 1, 2))) == base_val + BASE35.radix_product(2)
-    assert encode(BASE35, DigitVector((1, 3, 1))) == base_val + 2 * BASE35.radix_product(1)
+    base_val = pack(weights, (1, 1, 1))
+    assert pack(weights, (1, 1, 2)) == base_val + weights[2]
+    assert pack(weights, (1, 3, 1)) == base_val + 2 * weights[1]
 
 
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=50))
 def test_monotone_in_top_digit(x, step):
-    lo = encode(BASE35, DigitVector((1, 1, x)))
-    hi = encode(BASE35, DigitVector((1, 1, x + step)))
-    assert hi - lo == step * BASE35.radix_product(2)
+    weights = digit_weights(P35)
+    lo = pack(weights, (1, 1, x))
+    hi = pack(weights, (1, 1, x + step))
+    assert hi - lo == step * weights[2] == step * radix(3, 5, 1) * radix(3, 5, 2)
     assert hi > lo
-
-
-def test_is_canonical():
-    assert DigitVector(()).is_canonical(BASE35)
-    assert DigitVector((1, 4, 1000)).is_canonical(BASE35)
-    assert not DigitVector((2, 0, 0)).is_canonical(BASE35)  # radix 1 is 2
-    assert not DigitVector((1, 5, 0)).is_canonical(BASE35)  # radix 2 is 5

@@ -11,8 +11,10 @@ SRC = REPO / "src" / "sidonbasis"
 # Public names of the package that only the tests read, kept on purpose:
 # count_irreducibles gives the member count of a level at degrees no
 # sieve reaches, which the first-moment table of the coverage finding
-# needs (ROADMAP).
-TEST_ONLY_KEPT = frozenset({"count_irreducibles"})
+# needs (ROADMAP); CoverageReport.trial_seeds records the seed of each
+# re-draw, by which acceptance 9 checks that the trials are distinct and
+# reproducible.
+TEST_ONLY_KEPT = frozenset({"count_irreducibles", "CoverageReport.trial_seeds"})
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -72,14 +74,28 @@ def test_unread_private_check_flags_and_passes():
     assert _unread_privates(tree) == ["line 8: _B", "line 5: _g", "line 6: _C"]
 
 
+def _scopes(tree: ast.Module):
+    """(node, own) for the parts of tree: each module-level statement, with
+    own the name it defines; a class comes apart into its decorators and
+    bases and each statement of its body, which own the class's name and
+    the method's."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for part in (*node.decorator_list, *node.bases, *node.keywords):
+                yield part, {node.name}
+            for sub in node.body:
+                yield sub, {node.name, getattr(sub, "name", None)}
+        else:
+            yield node, {getattr(node, "name", None)}
+
+
 def _names_read(tree: ast.Module) -> set[str]:
     """The names that tree reads outside the definition they name: every
     Name it loads and every attribute it takes, except those inside a
-    module-level function or class of the same name, and the original
-    name of each from-import whose binding it reads."""
+    module-level function, class or method of the same name (_scopes),
+    and the original name of each from-import whose binding it reads."""
     read = set()
-    for node in tree.body:
-        own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+    for node, own in _scopes(tree):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 name = sub.id
@@ -87,7 +103,7 @@ def _names_read(tree: ast.Module) -> set[str]:
                 name = sub.attr
             else:
                 continue
-            if name != own:
+            if name not in own:
                 read.add(name)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -95,23 +111,43 @@ def _names_read(tree: ast.Module) -> set[str]:
     return read
 
 
+def _public_definitions(tree: ast.Module):
+    """(line, label, name) of each public definition of tree: its
+    module-level functions and classes, and the methods and annotated
+    fields of its classes (labelled Class.name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.lineno, node.name, node.name
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = sub.name
+            elif isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                name = sub.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield sub.lineno, f"{node.name}.{name}", name
+
+
 def _unread_publics(modules: dict[str, ast.Module], readers: list[ast.Module], kept=frozenset()) -> list[str]:
-    """The module-level public functions and classes of modules (name ->
-    tree) that no tree of readers reads outside their own definition
-    (_names_read), less the names in kept."""
+    """The public definitions of modules (name -> tree; see
+    _public_definitions) whose name no tree of readers reads outside a
+    definition of that name (_names_read), less those whose name or label
+    is in kept."""
     read = set().union(*map(_names_read, readers))
     return [
-        f"{module} line {node.lineno}: {node.name}"
+        f"{module} line {line}: {label}"
         for module, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in read | kept
+        for line, label, name in _public_definitions(tree)
+        if name not in read and not {name, label} & kept
     ]
 
 
 def test_no_test_only_public_names():
-    # every public function and class of the package has a reader in the
+    # every public function and class of the package, and every public
+    # method and annotated field of its classes, has a reader in the
     # package, the scripts or the benchmark; code that only the tests call
     # lives in tests/oracles.py
     modules = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -123,8 +159,20 @@ def test_no_test_only_public_names():
 def test_test_only_public_check_flags_and_passes():
     lib = ast.parse(
         "def a(): return a()\ndef b(): pass\nclass C: pass\ndef _d(): pass\n"
-        "def e(): pass\ndef f(): pass\nclass G:\n    def h(self): return G\nx = b\n"
+        "def e(): pass\ndef f(): pass\nclass G:\n    def h(self): return G\n"
+        "class H:\n    u: int\n    v: int = 0\n    _w: int\n"
+        "    def m(self): return self.m()\n    def n(self): return self.u\nx = b\n"
     )
-    user = ast.parse("from lib import e as e2, f\nimport lib\nlib.C\ne2()\n")
-    assert _unread_publics({"lib.py": lib}, [lib, user]) == ["lib.py line 1: a", "lib.py line 6: f", "lib.py line 7: G"]
-    assert _unread_publics({"lib.py": lib}, [lib, user], frozenset({"a", "G"})) == ["lib.py line 6: f"]
+    user = ast.parse("from lib import e as e2, f\nimport lib\nlib.C\ne2()\nlib.H().n()\n")
+    # a method read only by itself (H.m) and a field nothing reads (H.v)
+    # are flagged; a field read by a method of its class (H.u) is not
+    assert _unread_publics({"lib.py": lib}, [lib, user]) == [
+        "lib.py line 1: a",
+        "lib.py line 6: f",
+        "lib.py line 7: G",
+        "lib.py line 8: G.h",
+        "lib.py line 11: H.v",
+        "lib.py line 13: H.m",
+    ]
+    kept = frozenset({"a", "G", "H.v"})
+    assert _unread_publics({"lib.py": lib}, [lib, user], kept) == ["lib.py line 6: f", "lib.py line 8: G.h", "lib.py line 13: H.m"]

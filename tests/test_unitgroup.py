@@ -27,14 +27,13 @@ from sidonbasis.unitgroup import (
     DLOG_SCAN_LIMIT,
     Generator,
     dlog_table,
-    euler_phi_poly,
     factor_squarefree_poly,
     find_generator,
     group_order,
 )
 
 import oracles
-from oracles import dlog
+from oracles import dlog, euler_phi_poly
 
 Q2 = PrimeModulus(2)
 Q3 = PrimeModulus(3)
