@@ -8,7 +8,10 @@ the manifest name; "-" writes the report to standard output and skips
 the sidecar, as does an --out that exists and is no regular file (a pipe
 or a device). A report is written as a stream of text chunks, each as it
 comes, so that a large sequence file or CSV is never held whole; every
-check that can fail runs before the file is opened. Exit status is 0
+check that can fail runs before the file is opened. --threads,
+--threshold, --m and --window are checked before any work, and their
+messages name them. main parses with one parser per process, built on
+its first call. Exit status is 0
 exactly when every requested verification passed; otherwise it is 1 (a
 verification failed or a search was exhausted), 2 (bad input) or 3 (an
 internal error: a failed exactness assertion, a runtime error, or
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import random
@@ -66,8 +70,6 @@ def _utc_now() -> str:
 def _echo_parameters(args: argparse.Namespace) -> dict:
     out = {}
     for key, val in sorted(vars(args).items()):
-        if key == "func":
-            continue
         out[key] = str(val) if isinstance(val, Fraction) else val
     return out
 
@@ -171,12 +173,28 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_window(spec_str: str, values: list[int]) -> tuple[int, int]:
-    """"START:LENGTH" or "LENGTH" (centered in the 3-fold sum range)."""
+def _int_flag(flag: str, text: str) -> int:
+    """int(text), its ValueError naming flag."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _parse_window(spec_str: str) -> tuple[int | None, int]:
+    """"START:LENGTH", or "LENGTH" with START None (centered in the 3-fold
+    sum range once the sequence is loaded)."""
     if ":" in spec_str:
         start_s, len_s = spec_str.split(":", 1)
-        return int(start_s), int(len_s)
-    length = int(spec_str)
+        return _int_flag("--window", start_s), _int_flag("--window", len_s)
+    return None, _int_flag("--window", spec_str)
+
+
+def _center_window(window: tuple[int | None, int], values: list[int]) -> tuple[int, int]:
+    """(START, LENGTH) of a parsed window, a missing START centering it."""
+    start, length = window
+    if start is not None:
+        return start, length
     if not values:
         raise ValueError("cannot center --window: the sequence is empty")
     center = (3 * values[0] + 3 * values[-1]) // 2
@@ -298,6 +316,10 @@ def _verify_decompose_report(seq, samples: int) -> tuple[dict, bool]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.mode == "coverage" and args.window is None:
+        print("error: --window is required for coverage mode", file=sys.stderr)
+        return 2
+    window = None if args.window is None else _parse_window(args.window)
     seq = seq_from_json(_load_json(args.seq_file))
     manifest_ref = _manifest_ref(args.out)
     sidon_path = {}
@@ -315,10 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chunks = [_json_text(report)]
         warnings = [] if ok else [f"{report['failure_count']} decomposition failures"]
     elif args.mode == "coverage":
-        if args.window is None:
-            print("error: --window is required for coverage mode", file=sys.stderr)
-            return 2
-        window = _parse_window(args.window, list(seq.values))
+        window = _center_window(window, list(seq.values))
         trials = args.trials if args.trials is not None else 100
         rep = monte_carlo_coverage(
             seq.params, window, trials, threads=args.threads, seq=seq
@@ -367,10 +386,10 @@ def cmd_equidist(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    m = _int_flag("--m", args.m)
     aux = aux_from_json(_load_json(args.aux_file))
     params = Params(q=PrimeModulus(args.q), aux=aux)
     y_table = build_y_table(aux)
-    m = int(args.m)
     peel = decompose_many([m], params, y_table)
     x = [xs[0] for _, xs, _ in peel.levels]
     y = [int(ys[0]) for _, _, ys in peel.levels]
@@ -393,12 +412,31 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _positive(convert):
+    """An argparse type: convert(text), refused unless it is > 0 (NaN
+    included), so a bad flag stops the run with exit 2 and its name."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call. It holds no
+    command function: main looks the command up by name."""
     parser = argparse.ArgumentParser(
         prog="sidonbasis",
         description="Build and verify a polynomial-derived Sidon sequence.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for parallel stages")
+    parser.add_argument("--threads", type=_positive(int), default=1, help="worker cap for parallel stages")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("find-aux", help="search primes for an auxiliary set")
@@ -406,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_find_aux)
 
     p = sub.add_parser("build", help="build the sequence for given parameters")
     p.add_argument("--q", type=int, required=True)
@@ -417,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true", help="reject scaled-down parameters")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="verify a built sequence file")
     p.add_argument("--seq-file", required=True)
@@ -425,22 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help='coverage window: "START:LENGTH" or centered "LENGTH"')
     p.add_argument("--trials", type=int, help="coverage re-randomizations / decompose samples")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equidist", help="triple-product distribution report")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", required=True, help='modulus polynomial, e.g. "1+t^2"')
-    p.add_argument("--threshold", type=float, default=10.0, help="alarm on max normalized ratio")
+    p.add_argument("--threshold", type=_positive(float), default=10.0, help="alarm on max normalized ratio")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_equidist)
 
     p = sub.add_parser("decompose", help="decompose one integer into basis digits")
     p.add_argument("--m", required=True, help="decimal integer, m >= 3")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--aux-file", required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_decompose)
     return parser
 
 
@@ -448,9 +481,20 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit status. argv goes through
+    build_parser's one parser per process (a usage error exits 2 there);
+    the command is looked up by name on each call, so a replaced cmd_*
+    function is the one that runs."""
     args = build_parser().parse_args(argv)
+    command = {
+        "find-aux": cmd_find_aux,
+        "build": cmd_build,
+        "verify": cmd_verify,
+        "equidist": cmd_equidist,
+        "decompose": cmd_decompose,
+    }[args.subcommand]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,9 @@ enumeration order in this package is ascending code order (the constant
 coefficient varies fastest), which is also ascending order of the full
 evaluation-at-q value. "Lexicographically smallest" downstream always
 means smallest code. code_digits, digit_codes and mulmod_matrix are the
-package's one vectorized form of codes and of the maps x -> a x mod g.
+package's one vectorized form of codes and of the maps x -> a x mod g;
+mulmod_matrix forms its rows a t^j mod g by shift and subtract on plain
+integer lists, with one poly_mod for row 0 and no Poly per row.
 
 map_codes applies such maps to many codes a block at a time: each block's
 digit matrix is formed once and serves every map, and no array of a block
@@ -250,13 +252,30 @@ def digit_codes(q: int, digits: np.ndarray) -> np.ndarray:
 def mulmod_matrix(a: Poly, g: Poly, width: int) -> np.ndarray:
     """The F_q-linear map x -> a x mod g on coefficient vectors of length
     width, as a (width, deg g) matrix: row j holds the coefficients of
-    a t^j mod g, so x @ M % q is the coefficient vector of a x mod g."""
-    out = np.zeros((width, g.degree), dtype=np.int64)
-    row = poly_mod(a, g)
-    for j in range(width):
-        out[j, : len(row.coeffs)] = row.coeffs
-        row = poly_mod(poly_mul(row, Poly.t(g.q)), g)
-    return out
+    a t^j mod g, so x @ M % q is the coefficient vector of a x mod g.
+
+    Row 0 is a mod g, the one poly_mod. Each later row is the one before
+    shifted up one place, its top coefficient c carried out through
+    t^deg g = -lc(g)^-1 g_low mod g:
+
+        row_{j+1} = shift(row_j) - c lc(g)^-1 g_low  (mod q),
+
+    on lists of integers, with no Poly formed."""
+    qv = g.q.q
+    d = g.degree
+    row = list(poly_mod(a, g).coeffs)
+    row += [0] * (d - len(row))
+    inv_lead = pow(g.coeffs[-1], -1, qv)
+    carry = [-c * inv_lead % qv for c in g.coeffs[:-1]]  # t^d mod g
+    rows = []
+    for _ in range(width):
+        rows.append(row)
+        if row:  # deg g = 0 leaves every row empty
+            top = row[-1]
+            row = [0, *row[:-1]]
+            if top:
+                row = [(r + top * c) % qv for r, c in zip(row, carry)]
+    return np.array(rows, dtype=np.int64).reshape(width, d)
 
 
 def block_rows(width: int) -> int:

@@ -973,8 +973,73 @@ def test_threads_flag_does_not_change_results(workdir, tmp_path):
         "--trials",
         "2",
     ]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert main(args + ["--out", str(a)]) == 0
     assert main(["--threads", "2"] + args + ["--out", str(b)]) == 0
+    assert main(["--threads", "1"] + args + ["--out", str(c)]) == 0
     strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
-    assert strip(a) == strip(b)
+    assert strip(a) == strip(b) == strip(c)
+    assert read_json(tmp_path / "c.csv.manifest.json")["parameters"]["threads"] == 1
+
+
+def usage_error(capsys, argv):
+    """The stderr of main(argv), which must stop at the parser with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_refused(workdir, tmp_path, capsys, threads):
+    out = tmp_path / "cov.csv"
+    argv = ["--threads", threads, "verify", "--seq-file", str(workdir / "seq.json"), "--mode", "coverage"]
+    err = usage_error(capsys, argv + ["--window", "12", "--trials", "2", "--out", str(out)])
+    assert f"argument --threads: must be > 0, got '{threads}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0", "-1", "abc"])
+def test_equidist_refuses_threshold_at_or_below_zero(tmp_path, capsys, threshold):
+    # nan or a threshold <= 0 would make every run an alarm
+    out = tmp_path / "eq.csv"
+    argv = ["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--threshold", threshold, "--out", str(out)]
+    assert "argument --threshold: " in usage_error(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decompose_names_a_non_integer_m(workdir, tmp_path, capsys):
+    out = tmp_path / "d.json"
+    argv = ["decompose", "--m", "abc", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --m: invalid literal for int() with base 10: 'abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window, text", [("abc", "abc"), ("5:x", "x"), ("y:5", "y")])
+def test_verify_names_a_non_integer_window(workdir, tmp_path, capsys, window, text):
+    out = tmp_path / "cov.csv"
+    argv = ["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "coverage", "--window", window]
+    assert main(argv + ["--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --window: invalid literal for int() with base 10: '{text}'\n"
+    assert not out.exists()
+
+
+def test_one_parser_serves_many_calls(workdir, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a flag given in one call leaves nothing behind for the next
+    cov = ["verify", "--seq-file", str(workdir / "seq.json"), "--mode", "coverage", "--window", "12", "--trials", "1"]
+    assert main(["--threads", "2", *cov, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*cov, "--out", str(tmp_path / "b.csv")]) == 0
+    assert read_json(tmp_path / "a.csv.manifest.json")["parameters"]["threads"] == 2
+    assert read_json(tmp_path / "b.csv.manifest.json")["parameters"]["threads"] == 1
+    # nor does a usage error: the next run writes what a fresh
+    # interpreter's first run writes
+    eq = ["equidist", "--q", "3", "--d", "3", "--g", "1+t^2", "--out", "-"]
+    usage_error(capsys, [*eq, "--threshold", "nan"])
+    assert main(eq) == 0
+    here = capsys.readouterr()
+    code = f"import sys; from sidonbasis import cli; sys.exit(cli.main({eq!r}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert here.out and (here.out, here.err) == (fresh.stdout, fresh.stderr)

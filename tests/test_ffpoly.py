@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidonbasis import ffpoly
@@ -322,24 +322,59 @@ def test_code_digits_match_poly_codes(data):
     assert code_digits(qv, codes[0], width).tolist() == digits[0].tolist()
 
 
-@given(st.data())
-@settings(max_examples=100)
-def test_mulmod_matrix_matches_poly_arithmetic(data):
-    qv = data.draw(HELPER_FIELDS)
+@st.composite
+def mulmod_cases(draw):
+    """(a, g, width, xs): g of degree 1..9, at times c t^d (its low
+    coefficients all 0, as the irreducible sieve's modulus), a of any
+    degree up to deg g + 5, width 0..2 deg g + 2, and vectors xs."""
+    qv = draw(HELPER_FIELDS)
     q = PrimeModulus(qv)
     coeff = st.integers(0, qv - 1)
-    deg_g = data.draw(st.integers(1, 6))
-    lead = data.draw(st.integers(1, qv - 1))
-    g = Poly(q, tuple(data.draw(st.lists(coeff, min_size=deg_g, max_size=deg_g))) + (lead,))
-    a = Poly(q, tuple(data.draw(st.lists(coeff, max_size=8))))
-    width = data.draw(st.integers(1, 9))
-    vector = st.lists(coeff, min_size=width, max_size=width)
-    xs = data.draw(st.lists(vector, min_size=1, max_size=8))
+    deg_g = draw(st.integers(1, 9))
+    low = draw(st.just([0] * deg_g) | st.lists(coeff, min_size=deg_g, max_size=deg_g))
+    g = Poly(q, tuple(low) + (draw(st.integers(1, qv - 1)),))
+    a = Poly(q, tuple(draw(st.lists(coeff, max_size=deg_g + 6))))
+    width = draw(st.integers(0, 2 * deg_g + 2))
+    xs = draw(st.lists(st.lists(coeff, min_size=width, max_size=width), min_size=1, max_size=8))
+    return a, g, width, xs
+
+
+@given(mulmod_cases())
+@example((Poly(Q3, (1, 2)), Poly(Q3, (1, 0, 1)), 0, [[]]))  # width 0
+@example((Poly(Q5, (1, 2, 3, 4, 1, 2, 3)), Poly(Q5, (2, 0, 3)), 5, [[1, 2, 3, 4, 0], [4, 4, 4, 4, 4]]))  # deg a > deg g
+@example((Poly(Q3, (2, 1, 0, 1)), Poly(Q3, (1, 2, 0, 2)), 4, [[0, 0, 0, 1], [2, 2, 1, 0]]))  # deg a = deg g
+@example((Poly(Q2, (1, 0, 0, 1)), Poly(Q2, (1, 1) + (0,) * 7 + (1,)), 12, [[1] * 12, [0, 1] * 6]))  # deg g 9
+@example((Poly(Q3, (2, 1, 0, 1, 2, 1, 1)), Poly(Q3, (0,) * 6 + (1,)), 6, [[1, 2, 0, 1, 2, 2]]))  # t^d
+@example((Poly(Q5, (3, 1, 4, 1, 2)), Poly(Q5, (0, 0, 0, 0, 2)), 9, [[4] * 9]))  # 2 t^4
+@settings(max_examples=100)
+def test_mulmod_matrix_matches_poly_arithmetic(case):
+    a, g, width, xs = case
+    qv, deg_g = g.q.q, g.degree
     matrix = mulmod_matrix(a, g, width)
-    assert matrix.shape == (width, deg_g)
-    for x, row in zip(xs, (np.array(xs) @ matrix % qv).tolist()):
-        expected = list(poly_mod(poly_mul(a, Poly(q, tuple(x))), g).coeffs)
+    assert matrix.shape == (width, deg_g) and matrix.dtype == np.int64
+    images = np.array(xs, dtype=np.int64).reshape(len(xs), width) @ matrix % qv
+    for x, row in zip(xs, images.tolist()):
+        expected = list(poly_mod(poly_mul(a, Poly(g.q, tuple(x))), g).coeffs)
         assert row == expected + [0] * (deg_g - len(expected))
+
+
+def test_mulmod_matrix_makes_no_poly_per_row(monkeypatch):
+    # the rows come from one poly_mod and integer lists; a loop of Poly
+    # arithmetic per row (t, a t^j, its quotient and remainder) makes 235
+    # here
+    made = []
+    post_init = Poly.__post_init__
+
+    def counted(self):
+        made.append(1)
+        post_init(self)
+
+    a = Poly(Q3, (2, 1, 0, 1, 2, 1, 1, 2, 0, 1))
+    g = Poly(Q3, (1, 2, 0, 1, 0, 2, 1))
+    monkeypatch.setattr(Poly, "__post_init__", counted)
+    matrix = mulmod_matrix(a, g, 64)
+    assert matrix.shape == (64, 6)
+    assert len(made) <= 2
 
 
 def gather_map(q, codes, width, matrices):
