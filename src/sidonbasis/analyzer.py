@@ -2,9 +2,9 @@
 
 verify_sidon reports colliding pairwise sums. sidon_certificate proves a
 one-level sequence Sidon from the construction's digit laws, without a
-pair-sum scan, when the level passes its sharpened pair margin and every
-r digit lies in A (one np.isin over the level's r column); the command
-line runs verify_sidon only when it declines. attribute_collision
+pair-sum scan, when the level passes its sharpened pair margin (every r
+digit lies in A, which build_sequence and seq_from_json guarantee); the
+command line runs verify_sidon only when it declines. attribute_collision
 explains a collision: it recovers the four entries (by binary search on
 the values; a witness value outside the sequence is a ValueError), finds
 how far up the y digits of the equal sums, total // W_{2i-1} mod p, stay
@@ -340,14 +340,15 @@ def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
     - the level passes its sharpened pair margin
       (KClassAudit.sharpened_pair_margin): 2 max deg f < k^2, or one
       degree d in the window with 2 d <= k^2;
-    - every r digit lies in A, and 2 max A + 1 < p with A >= 0 (which
-      aux_from_json enforces through A inside {1..floor(p/2)-1}).
+    - 2 max A + 1 < p with A >= 0 (which aux_from_json enforces through
+      A inside {1..floor(p/2)-1}; an AuxSet made otherwise need not).
 
-    It takes four facts from seq_from_json (or build_sequence): the moduli
+    It takes five facts from seq_from_json (or build_sequence): the moduli
     are build_moduli(params), so g_1..g_k are coprime of degrees 1, 3,
     ..., 2k-1 and G_k = g_1...g_k has degree k^2; e holds the table logs
-    of f, so 0 <= e_i < R_i = q^{2i-1} - 1; n re-encodes from its digits
-    <s r_k e_k ... r_1 e_1>; and no f appears twice.
+    of f, so 0 <= e_i < R_i = q^{2i-1} - 1; every r digit lies in A; n
+    re-encodes from its digits <s r_k e_k ... r_1 e_1>; and no f appears
+    twice.
 
     Then the pair sum of two entries has the digits (e_i + e_i') mod R_i,
     r_i + r_i' + carry_i and s + s' on top: e_i + e_i' < 2 R_i carries at
@@ -366,8 +367,6 @@ def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
         return None
     aux = seq.params.aux
     if min(aux.A) < 0 or 2 * max(aux.A) + 1 >= aux.p:
-        return None
-    if not np.isin(columns.r, aux.A).all():
         return None
     return level
 

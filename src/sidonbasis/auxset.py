@@ -249,6 +249,15 @@ def json_value(value, kind: type, what: str):
     return value
 
 
+def json_field(obj: dict, key: str, place: str):
+    """obj[key] of a JSON object obj; ValueError naming place and key when
+    obj has no such field (a bare KeyError would name the key alone)."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{place}: missing field {key!r}") from None
+
+
 def aux_from_json(obj: dict) -> AuxSet:
     """Load an aux file as untrusted input. ValueError, naming the field or
     the property, unless p is a prime at most AUX_P_CAP (checked first),
@@ -260,20 +269,21 @@ def aux_from_json(obj: dict) -> AuxSet:
     with y-2, y-1, y in the run lie below 2p, one in each residue class
     mod p."""
     json_value(obj, dict, "aux")
-    p = json_value(obj["p"], int, "aux p")
+    p = json_value(json_field(obj, "p", "aux"), int, "aux p")
     if p > AUX_P_CAP:
         raise ValueError(f"aux p = {p} exceeds AUX_P_CAP = {AUX_P_CAP}")
     if not primes.is_prime(p):
         raise ValueError(f"aux p = {p} is not prime")
-    if not isinstance(obj["A"], list) or not obj["A"]:
+    elems = json_field(obj, "A", "aux")
+    if not isinstance(elems, list) or not elems:
         raise ValueError("aux A must be a nonempty list")
-    elems = [json_value(a, int, "aux element") for a in obj["A"]]
+    elems = [json_value(a, int, "aux element") for a in elems]
     outside = [a for a in elems if not 0 <= a < p]
     if outside:
         raise ValueError(f"aux A has elements outside [0, {p}): {outside}")
     if len(set(elems)) != len(elems):
         raise ValueError("aux A has repeated elements")
-    window_start = json_value(obj["window_start"], int, "aux window_start")
+    window_start = json_value(json_field(obj, "window_start", "aux"), int, "aux window_start")
     covered, start = verify_coverage(elems, p)  # ValueError outside {1..floor(p/2)-1}
     disjoint, witness = verify_disjoint(elems)
     if not disjoint:

@@ -31,7 +31,7 @@ tags (digits) of a level's table of hash messages, which carry the
 members' names: one keyed blake2b state, a copy of it per chosen
 message, the digests written into one uint64 word array and reduced
 exactly. _encode is the one map from digits to n (s W_{2k} plus the
-lower digits summed in int64 where they fit, as Python integers). The
+lower digits, summed in int64 while W_{2k} <= 2^62). The
 build draws every digit of a level through _draw_digits, forms n by
 _encode and stores the arrays it drew as the level's columns. A coverage
 trial (draw_plan) draws in two stages through the same routine:
@@ -39,9 +39,9 @@ draw_bounds hashes only r_k and s of every entry and forms low by
 _encode with r_1..r_{k-1} at min A, which puts n in [low, low + (max A -
 min A) S_k] with S_k = W_1 + W_3 + ... + W_{2k-3}, and complete_draw
 hashes r_1..r_{k-1} of the entries whose bounds can reach the window
-only. seq_from_json reads each field of the entries a whole list at a
-time, looks every f up by name in the member tables and checks a level
-at a time, in whole-array passes; seq_json_chunks writes a sequence
+only. seq_from_json admits only digits a build can write (0 <= e_i <
+R_i, r inside A), checked a whole list or a level at a time, so every e
+and r column is int64, built or loaded. seq_json_chunks writes a sequence
 file from the columns by template, byte for byte as
 json.dumps(indent=2), as a stream of chunks of _ENTRY_BLOCK entries,
 so that the text of a large file is never held whole.
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .auxset import AuxSet, aux_from_json, aux_to_json, json_value
+from .auxset import AuxSet, aux_from_json, aux_to_json, json_field, json_value
 from .ffpoly import (
     Poly,
     PrimeModulus,
@@ -180,10 +180,10 @@ class ModuliTable:
 class SequenceLevel:
     """The entries of one level k of a sequence as columns, rows in
     ascending n: codes holds Poly.code of each f (with its leading
-    q^deg f, int64), e and r the digits (k columns each, int64; r holds
-    Python integers when a digit of a loaded file does not fit), s and n
-    Python integers in object arrays, and positions the place of each row
-    in the sequence's order by n."""
+    q^deg f, int64), e and r the digits (k columns each, int64, with
+    0 <= e_i < R_i = q^(2i-1) - 1 and r_i in A when built or loaded), s
+    and n Python integers in object arrays, and positions the place of
+    each row in the sequence's order by n."""
 
     q: PrimeModulus
     k: int
@@ -340,15 +340,6 @@ class SidonSequence:
     __hash__ = None
 
 
-def _digits(flat: list[int]) -> np.ndarray:
-    """The digits flat as one array: int64, or Python integers when some
-    digit does not fit in int64."""
-    try:
-        return np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except OverflowError:
-        return np.array(flat, dtype=object)
-
-
 def build_moduli(params: Params) -> ModuliTable:
     """g_i = smallest monic irreducible of degree 2i-1, with its smallest
     full-order residue, for i = 1..k_max. Cached per (q, k_max)."""
@@ -492,28 +483,18 @@ def _encode(params: Params, k: int, e: np.ndarray, r: np.ndarray, s: np.ndarray)
     times its weight in digit_weights, as Python integers in an object
     array: s W_{2k} plus the digits below it, summed by Horner's rule
     over the digit pairs e_i + r_i R_i (W_{2i-1} = W_{2i-2} R_i, W_{2i} =
-    W_{2i-1} p). The pairs are formed in int64 when they cannot overflow
-    there, and as Python integers otherwise (digits of a loaded file that
-    do not fit); the sum is in int64 too when every pair lies in
-    [0, R_i p), so that it stays below W_{2k} <= 2^62, and in Python
+    W_{2i-1} p). e and r are int64 with 0 <= e_i < R_i and r_i in A, as
+    the build draws them and seq_from_json admits them, so every pair
+    lies in [0, R_i p), below 2^35 (DLOG_SCAN_LIMIT, AUX_P_CAP); their
+    sum is in int64 when it stays below W_{2k} <= 2^62, and in Python
     integers otherwise."""
     weights = digit_weights(params)
     radices = np.array([weights[2 * i - 1] // weights[2 * i - 2] for i in range(1, k + 1)], dtype=np.int64)
-    exact = False
-    if _within(e, 2**62) and _within(r, 2**62 // int(radices[-1])):
-        pairs = e + r * radices
-        exact = weights[2 * k] <= 2**62 and (pairs >= 0).all() and (pairs < radices * params.aux.p).all()
-    else:
-        pairs = e.astype(object) + r.astype(object) * radices.astype(object)
-    low = pairs[:, k - 1] if exact else pairs[:, k - 1].astype(object)
+    pairs = e + r * radices
+    low = pairs[:, k - 1] if weights[2 * k] <= 2**62 else pairs[:, k - 1].astype(object)
     for i in range(k - 1, 0, -1):
         low = low * (weights[2 * i] // weights[2 * i - 2]) + pairs[:, i - 1]
     return s * weights[2 * k] + low
-
-
-def _within(digits: np.ndarray, bound: int) -> bool:
-    """Whether digits is int64 with every entry in (-bound, bound)."""
-    return digits.dtype == np.int64 and (not digits.size or -bound < digits.min() <= digits.max() < bound)
 
 
 @functools.lru_cache(maxsize=64)
@@ -844,17 +825,17 @@ def params_to_json(params: Params) -> dict:
 
 
 def params_from_json(obj: dict) -> Params:
-    """Inverse of params_to_json; ValueError naming the field when one has
-    the wrong type."""
+    """Inverse of params_to_json; ValueError naming the field when one is
+    missing or has the wrong type."""
     json_value(obj, dict, "params")
     return Params(
-        q=PrimeModulus(json_value(obj["q"], int, "params q")),
-        aux=aux_from_json(obj["aux"]),
-        c=json_value(obj["c"], str, "params c"),
-        k_min=json_value(obj["k_min"], int, "params k_min"),
-        k_max=json_value(obj["k_max"], int, "params k_max"),
-        seed=json_value(obj["seed"], int, "params seed"),
-        strict=json_value(obj["strict"], bool, "params strict"),
+        q=PrimeModulus(json_value(json_field(obj, "q", "params"), int, "params q")),
+        aux=aux_from_json(json_field(obj, "aux", "params")),
+        c=json_value(json_field(obj, "c", "params"), str, "params c"),
+        k_min=json_value(json_field(obj, "k_min", "params"), int, "params k_min"),
+        k_max=json_value(json_field(obj, "k_max", "params"), int, "params k_max"),
+        seed=json_value(json_field(obj, "seed", "params"), int, "params seed"),
+        strict=json_value(json_field(obj, "strict", "params"), bool, "params strict"),
     )
 
 
@@ -942,47 +923,48 @@ def _entry_block(seq: SidonSequence, names: list[list[str]], start: int, stop: i
 
 
 def seq_from_json(obj: dict) -> SidonSequence:
-    """Inverse of seq_to_json. Raises ValueError unless the moduli are
-    build_moduli(params), every entry's k, digits and n are consistent,
-    f is a monic irreducible of its level's window, s lies in [1,
-    q^{3k}], e holds the table logs of f and no member appears twice. A
-    failure names the lowest failing entry, and of its failures the
-    first in that order; a field of the wrong JSON type is a ValueError
-    naming it.
+    """Inverse of seq_to_json, for untrusted input: ValueError unless the
+    moduli are build_moduli(params) and every entry holds digits a build
+    can write. An entry's checks, in order: its fields (_entry_columns),
+    f parses, 0 <= e_i < R_i = q^(2i-1) - 1, r inside A, n re-encodes,
+    f is a monic irreducible of the level's window, s lies in [1,
+    q^{3k}], e holds the table logs of f, and f repeats no earlier entry.
+    A failure names the lowest failing entry, and its first failure.
 
-    The fields are read and checked a whole list at a time
-    (_entry_columns); only when that finds a fault are the entries
-    checked one by one (_entry_fault), up to the first faulty one. Then,
-    per level: each f is looked up by name in the level's member tables
-    (_level_codes; only a spelling that is not a canonical name is
-    parsed), n is re-encoded by _encode, as the build forms it, s is
-    compared with its bounds, the logs with one _code_e_digits, and
-    repeats are found by one set of the codes."""
+    _entry_columns runs on the whole list; only when that raises does it
+    run on one entry at a time, up to the lowest faulty one. The entries
+    below it are checked per level in whole-array passes: f by name in
+    the member tables (_level_codes), r by one np.isin, n by _encode,
+    the logs by one _code_e_digits and repeats by one set of the codes."""
     json_value(obj, dict, "sequence file")
-    params = params_from_json(obj["params"])
+    params = params_from_json(json_field(obj, "params", "sequence file"))
     q = params.q
     moduli = build_moduli(params)
     stored = []
-    for m in json_value(obj["moduli"], list, "moduli"):
+    for i, m in enumerate(json_value(json_field(obj, "moduli", "sequence file"), list, "moduli")):
         json_value(m, dict, "moduli entry")
-        g, omega = (json_value(m[key], str, f"moduli {key}") for key in ("g", "omega"))
-        stored.append((poly_from_string(q, g), poly_from_string(q, omega)))
+        texts = (json_value(json_field(m, key, f"moduli entry {i}"), str, f"moduli {key}") for key in ("g", "omega"))
+        stored.append(tuple(poly_from_string(q, text) for text in texts))
     if stored != [(gen.g, gen.omega) for gen in moduli.generators]:
         raise ValueError("moduli differ from the build's g_i and their generators")
-    entries = json_value(obj["entries"], list, "entries")
+    entries = json_value(json_field(obj, "entries", "sequence file"), list, "entries")
     # (entry index, rank of the check within the entry, error)
     failures: list[tuple[int, int, Exception]] = []
-    columns = _entry_columns(entries, params)
-    if columns is None:
-        idx, exc = next(
-            (idx, exc) for idx, ent in enumerate(entries) if (exc := _entry_fault(idx, ent, params)) is not None
-        )
-        failures.append((idx, 0, exc))
+    try:
+        columns = _entry_columns(entries, params)
+    except ValueError:
+        for idx, ent in enumerate(entries):
+            try:
+                _entry_columns([ent], params, idx)
+            except ValueError as exc:
+                failures.append((idx, 0, exc))
+                break
+        else:
+            raise AssertionError("the entries fail _entry_columns together but none alone") from None
         columns = _entry_columns(entries[:idx], params)
-    ks, e_flat, r_flat, s_all, n_all, names = columns
+    ks, e_all, r_all, s_all, n_all, names = columns
     ks = np.array(ks, dtype=np.intp)
-    starts = np.cumsum(ks) - ks  # of each entry's digits in e_flat and r_flat
-    e_all, r_all = _digits(e_flat), _digits(r_flat)
+    starts = np.cumsum(ks) - ks  # of each entry's digits in e_all and r_all
     s_all, n_all = np.array(s_all, dtype=object), np.array(n_all, dtype=object)
     levels = []
     for k in range(params.k_min, params.k_max + 1):
@@ -992,28 +974,23 @@ def seq_from_json(obj: dict) -> SidonSequence:
         digits = starts[idxs, None] + np.arange(k)
         e, r, s, n = e_all[digits], r_all[digits], s_all[idxs], n_all[idxs]
         codes = _level_codes(params, k, names, idxs, failures)
-        bad = idxs[_encode(params, k, e, r, s) != n]
-        if bad.size:
-            failures.append((int(bad[0]), 1, _reencode_error(bad[0])))
+        orders = np.array([gen.order for gen in moduli.generators[:k]])
         s_range = q.q ** (3 * k)
-        bad = idxs[(s < 1) | (s > s_range)]
-        if bad.size:
-            msg = f"entry {bad[0]}: s outside [1, q^(3k)] = [1, {s_range}] at level k = {k}"
-            failures.append((int(bad[0]), 3, ValueError(msg)))
+        _note(failures, idxs[((e < 0) | (e >= orders)).any(axis=1)], 1, "e digits differ from the table logs of f")
+        _note(failures, idxs[~np.isin(r, params.aux.A).all(axis=1)], 2, "r digits outside A")
+        _note(failures, idxs[_encode(params, k, e, r, s) != n], 3, "n does not re-encode from its e, r, s digits")
+        _note(failures, idxs[(s < 1) | (s > s_range)], 5, f"s outside [1, q^(3k)] = [1, {s_range}] at level k = {k}")
         member = codes >= 0
         if not member.any():
             continue
         logs = _code_e_digits(moduli.generators[:k], codes[member], 1 + fk_degrees(params, k)[-1])
-        bad = idxs[member][(logs != e[member]).any(axis=1)]
-        if bad.size:
-            msg = f"entry {bad[0]}: e digits differ from the table logs of f"
-            failures.append((int(bad[0]), 4, ValueError(msg)))
+        _note(failures, idxs[member][(logs != e[member]).any(axis=1)], 6, "e digits differ from the table logs of f")
         member_codes = codes[member].tolist()
         if len(set(member_codes)) < len(member_codes):
             first: dict[int, int] = {}
             for idx, code in zip(idxs[member].tolist(), member_codes):
                 if first.setdefault(code, idx) != idx:
-                    failures.append((idx, 5, ValueError(f"entry {idx}: f repeats entry {first[code]}")))
+                    failures.append((idx, 7, ValueError(f"entry {idx}: f repeats entry {first[code]}")))
                     break
         levels.append(SequenceLevel(q, k, codes, e, r, s, n, idxs))
     if failures:
@@ -1023,55 +1000,58 @@ def seq_from_json(obj: dict) -> SidonSequence:
     return SidonSequence(params, moduli, tuple(levels), warnings)
 
 
-_ENTRY_FIELDS = ("k", "e", "r", "s", "n", "f")
+def _note(failures: list, bad: np.ndarray, rank: int, fault: str) -> None:
+    """Adds the fault of the first entry of bad (ascending entry indices),
+    ranked rank within it as in seq_from_json, to failures."""
+    if bad.size:
+        failures.append((int(bad[0]), rank, ValueError(f"entry {bad[0]}: {fault}")))
 
 
-def _entry_columns(entries: list, params: Params) -> tuple[list, ...] | None:
-    """The fields of entries as lists, in the order of _ENTRY_FIELDS, with
-    e and r flattened and s and n as integers, when every entry passes
-    the checks of _entry_fault, the parsing of a non-canonical f aside;
-    None when some entry does not. Whole-list passes only."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        ks, es, rs, ss, ns, fs = ([ent[key] for ent in entries] for key in _ENTRY_FIELDS)
-    except KeyError:
-        return None
-    if not (set(map(type, ks)) <= {int} and set(ks) <= set(range(params.k_min, params.k_max + 1))):
-        return None
-    if not (set(map(type, es)) | set(map(type, rs)) <= {list} and list(map(len, es)) == ks == list(map(len, rs))):
-        return None
-    e_flat, r_flat = list(itertools.chain.from_iterable(es)), list(itertools.chain.from_iterable(rs))
-    if not set(map(type, e_flat)) | set(map(type, r_flat)) <= {int}:
-        return None
-    if not set(map(type, ss)) | set(map(type, ns)) | set(map(type, fs)) <= {str}:
-        return None
-    try:
-        return ks, e_flat, r_flat, list(map(int, ss)), list(map(int, ns)), fs
-    except ValueError:
-        return None
+def _entry_columns(entries: list, params: Params, first: int = 0) -> tuple:
+    """The fields of entries, read and checked a whole list at a time: k,
+    the e and r digits flattened into one int64 array each, s and n as
+    integers, and the names f. The checks run in the order one entry is
+    checked: it is an object; its k is an integer in [k_min, k_max]; its
+    e, then its r, is a list of integers that fit int64; its s, then its
+    n, is a decimal string; it has k digits e and r; its f is a string.
+    ValueError at the first check that some entry fails, whose message
+    reads entries[0] as entry `first`: it is exact for a one-entry list,
+    and seq_from_json calls it so, entry by entry, once a whole-list call
+    has raised."""
+    what = f"entry {first}"
 
+    def column(key: str, kind: type) -> list:
+        try:
+            values = [ent[key] for ent in entries]
+        except (KeyError, TypeError):  # an entry that is no object, or has no such field
+            values = [json_field(json_value(ent, dict, what), key, what) for ent in entries]
+        if not set(map(type, values)) <= {kind}:
+            for value in values:
+                json_value(value, kind, f"{what}: {key}")
+        return values
 
-def _entry_fault(idx: int, ent, params: Params) -> Exception | None:
-    """The first fault of entry idx that the checks of one entry alone
-    find (type, level, digit count, spelling of f), None when it has none."""
-    try:
-        json_value(ent, dict, f"entry {idx}")
-        k = json_value(ent["k"], int, f"entry {idx}: k")
-        if not params.k_min <= k <= params.k_max:
-            raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
-        e = _json_ints(ent["e"], f"entry {idx}: e")
-        r = _json_ints(ent["r"], f"entry {idx}: r")
-        _json_decimal(ent["s"], f"entry {idx}: s")
-        _json_decimal(ent["n"], f"entry {idx}: n")
-        if len(e) != k or len(r) != k:
-            raise ValueError(f"entry {idx}: digit count differs from k = {k}")
-        name = json_value(ent["f"], str, f"entry {idx}: f")
-        if _member_code(level_tables(params, k), name) is None:
-            poly_from_string(params.q, name)
-    except (ValueError, KeyError) as exc:
-        return exc
-    return None
+    ks = column("k", int)
+    if not set(ks) <= set(range(params.k_min, params.k_max + 1)):
+        raise ValueError(f"{what}: level k = {ks[0]} outside [k_min, k_max]")
+    lists, digits = [], []
+    for key, fault in (("e", "e digits differ from the table logs of f"), ("r", "r digits outside A")):
+        lists.append(column(key, list))
+        flat = list(itertools.chain.from_iterable(lists[-1]))
+        if not set(map(type, flat)) <= {int}:
+            raise ValueError(f"{what}: {key} must be a list of integers, got {lists[-1][0]!r}")
+        try:
+            digits.append(np.fromiter(flat, dtype=np.int64, count=len(flat)))
+        except OverflowError:
+            raise ValueError(f"{what}: {fault}") from None
+    for key in ("s", "n"):
+        texts = column(key, str)
+        try:
+            digits.append(list(map(int, texts)))
+        except ValueError:
+            raise ValueError(f"{what}: {key} must be a decimal integer, got {texts[0]!r}") from None
+    if not list(map(len, lists[0])) == ks == list(map(len, lists[1])):
+        raise ValueError(f"{what}: digit count differs from k = {ks[0]}")
+    return ks, *digits, column("f", str)
 
 
 def _level_codes(params: Params, k: int, names: list[str], idxs: np.ndarray, failures: list) -> np.ndarray:
@@ -1080,7 +1060,7 @@ def _level_codes(params: Params, k: int, names: list[str], idxs: np.ndarray, fai
     table, the largest (top degree) first, looks up the names that no
     table before it holds. A name that is no canonical member name is
     parsed; the fault it makes goes to failures, ranked as in
-    seq_from_json: 0 when it does not parse, 2 (after the re-encoding)
+    seq_from_json: 0 when it does not parse, 4 (after the re-encoding)
     when it is no monic irreducible of the window."""
     tables = level_tables(params, k)
     codes = np.full(len(idxs), -1, dtype=np.int64)
@@ -1095,42 +1075,14 @@ def _level_codes(params: Params, k: int, names: list[str], idxs: np.ndarray, fai
         try:
             f = poly_from_string(params.q, names[idx])
         except ValueError as exc:
-            failures.append((idx, 0, exc))
+            failures.append((idx, 0, ValueError(f"entry {idx}: f does not parse: {exc}")))
             continue
-        code = _member_code(tables, poly_to_string(f))
-        if code is not None:
-            codes[at] = code
+        name = poly_to_string(f)
+        table = next((table for table in tables if name in table.index), None)
+        if table is not None:
+            codes[at] = table.codes[table.index[name]] + params.q.q**table.degree
         elif f.degree not in fk_degrees(params, k):
-            failures.append((idx, 2, ValueError(f"entry {idx}: deg f outside the level k = {k} window")))
+            failures.append((idx, 4, ValueError(f"entry {idx}: deg f outside the level k = {k} window")))
         else:
-            failures.append((idx, 2, ValueError(f"entry {idx}: f is not a monic irreducible")))
+            failures.append((idx, 4, ValueError(f"entry {idx}: f is not a monic irreducible")))
     return codes
-
-
-def _json_ints(value, what: str) -> tuple[int, ...]:
-    digits = tuple(json_value(value, list, what))
-    if not set(map(type, digits)) <= {int}:
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return digits
-
-
-def _json_decimal(value, what: str) -> int:
-    text = json_value(value, str, what)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be a decimal integer, got {text!r}") from None
-
-
-def _reencode_error(idx: int) -> ValueError:
-    return ValueError(f"entry {idx}: n does not re-encode from its e, r, s digits")
-
-
-def _member_code(tables: list[MemberTable], name: str) -> int | None:
-    """The code (with the leading q^d) of the member whose canonical name
-    is name, None when no table holds it."""
-    for table in tables:
-        pos = table.index.get(name)
-        if pos is not None:
-            return int(table.codes[pos]) + table.q.q**table.degree
-    return None

@@ -21,7 +21,10 @@ a time, something the package computes another way:
   written out digit by digit from q and p, against builder.digit_weights;
 - peel, the decomposition of one m written out as a loop, against
   analyzer.decompose_many;
-- from_entries, a sequence from entry records made by hand.
+- from_entries, a sequence from entry records made by hand;
+- entry_fault and aux_fault, the loaders' checks of one sequence-file
+  entry and of one aux block written out check by check, against
+  builder.seq_from_json and auxset.aux_from_json: the fuzz oracles.
 
 The test files import this module by name: tests/ has no __init__.py,
 so pytest puts the directory on sys.path.
@@ -33,14 +36,25 @@ import math
 
 import numpy as np
 
-from sidonbasis.builder import Params, SequenceLevel, SidonSequence, _code_e_digits, _digits, level_tables
+from sidonbasis.auxset import AUX_P_CAP, json_field, json_value
+from sidonbasis.builder import (
+    Params,
+    SequenceLevel,
+    SidonSequence,
+    _code_e_digits,
+    digit_weights,
+    fk_degrees,
+    level_tables,
+)
 from sidonbasis.equidist import _exponent_coordinates
 from sidonbasis.ffpoly import (
     Poly,
     _check_same_modulus,
+    is_irreducible,
     poly_divmod,
     poly_gcd,
     poly_mod,
+    poly_from_string,
     poly_mul,
     poly_powmod,
     poly_sub,
@@ -290,8 +304,8 @@ def from_entries(params: Params, moduli, entries, warnings=()) -> SidonSequence:
                 params.q,
                 k,
                 np.array([ent.f.code for ent in rows], dtype=np.int64),
-                _digits([d for ent in rows for d in ent.e]).reshape(-1, k),
-                _digits([d for ent in rows for d in ent.r]).reshape(-1, k),
+                np.array([ent.e for ent in rows], dtype=np.int64).reshape(-1, k),
+                np.array([ent.r for ent in rows], dtype=np.int64).reshape(-1, k),
                 np.array([ent.s for ent in rows], dtype=object),
                 np.array([ent.n for ent in rows], dtype=object),
                 np.array(by_level[k], dtype=np.intp),
@@ -347,3 +361,129 @@ def find_representations(m: int, seq_or_values, order: int = 3) -> list[tuple[in
             else:
                 hi -= 1
     return out
+
+
+# -- untrusted files ----------------------------------------------------
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    digits = tuple(json_value(value, list, what))
+    if not set(map(type, digits)) <= {int}:
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return digits
+
+
+def _json_decimal(value, what: str) -> int:
+    text = json_value(value, str, what)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a decimal integer, got {text!r}") from None
+
+
+def _entry_fault(idx: int, ent, params: Params) -> Exception | None:
+    """The first fault of entry idx that the checks of one entry alone
+    find (type, level, digits that fit int64, digit count, spelling of
+    f), None when it has none."""
+    try:
+        json_value(ent, dict, f"entry {idx}")
+        k = json_value(json_field(ent, "k", f"entry {idx}"), int, f"entry {idx}: k")
+        if not params.k_min <= k <= params.k_max:
+            raise ValueError(f"entry {idx}: level k = {k} outside [k_min, k_max]")
+        e = _json_ints(json_field(ent, "e", f"entry {idx}"), f"entry {idx}: e")
+        if not all(-(2**63) <= d < 2**63 for d in e):
+            raise ValueError(f"entry {idx}: e digits differ from the table logs of f")
+        r = _json_ints(json_field(ent, "r", f"entry {idx}"), f"entry {idx}: r")
+        if not all(-(2**63) <= d < 2**63 for d in r):
+            raise ValueError(f"entry {idx}: r digits outside A")
+        _json_decimal(json_field(ent, "s", f"entry {idx}"), f"entry {idx}: s")
+        _json_decimal(json_field(ent, "n", f"entry {idx}"), f"entry {idx}: n")
+        if len(e) != k or len(r) != k:
+            raise ValueError(f"entry {idx}: digit count differs from k = {k}")
+        name = json_value(json_field(ent, "f", f"entry {idx}"), str, f"entry {idx}: f")
+        try:
+            poly_from_string(params.q, name)
+        except ValueError as exc:
+            raise ValueError(f"entry {idx}: f does not parse: {exc}") from None
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def entry_fault(idx: int, ent, params: Params, moduli, seen: dict[int, int]) -> str | None:
+    """The message by which seq_from_json refuses entry idx of a sequence
+    file, with every check written out for this entry alone and in the
+    loader's order, or None when the entry passes; seen maps the code of
+    each earlier entry's f to that entry and takes this one's when it
+    passes. The logs are oracle dlogs, membership is is_irreducible and
+    the re-encoding _pack."""
+    exc = _entry_fault(idx, ent, params)
+    if exc is not None:
+        return str(exc)
+    q, k, e, r = params.q.q, ent["k"], ent["e"], ent["r"]
+    s, n = int(ent["s"]), int(ent["n"])
+    f = poly_from_string(params.q, ent["f"])
+    if not all(0 <= e_i < q ** (2 * i - 1) - 1 for i, e_i in enumerate(e, start=1)):
+        return f"entry {idx}: e digits differ from the table logs of f"
+    if not set(r) <= set(params.aux.A):
+        return f"entry {idx}: r digits outside A"
+    if _pack(digit_weights(params), e, r, s) != n:
+        return f"entry {idx}: n does not re-encode from its e, r, s digits"
+    if f.degree not in fk_degrees(params, k):
+        return f"entry {idx}: deg f outside the level k = {k} window"
+    if not (f.is_monic() and is_irreducible(f)):
+        return f"entry {idx}: f is not a monic irreducible"
+    if not 1 <= s <= q ** (3 * k):
+        return f"entry {idx}: s outside [1, q^(3k)] = [1, {q ** (3 * k)}] at level k = {k}"
+    if [dlog(gen, f) for gen in moduli.generators[:k]] != list(e):
+        return f"entry {idx}: e digits differ from the table logs of f"
+    if f.code in seen:
+        return f"entry {idx}: f repeats entry {seen[f.code]}"
+    seen[f.code] = idx
+    return None
+
+
+def aux_fault(obj) -> str | None:
+    """The message by which aux_from_json refuses the aux block obj, with
+    the sumsets A+A+{0,1} and A+A+A formed as Python sets, or None when
+    it loads."""
+    try:
+        json_value(obj, dict, "aux")
+        p = json_value(json_field(obj, "p", "aux"), int, "aux p")
+        if p > AUX_P_CAP:
+            return f"aux p = {p} exceeds AUX_P_CAP = {AUX_P_CAP}"
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            return f"aux p = {p} is not prime"
+        elems = json_field(obj, "A", "aux")
+        if type(elems) is not list or not elems:
+            return "aux A must be a nonempty list"
+        for a in elems:
+            json_value(a, int, "aux element")
+        outside = [a for a in elems if not 0 <= a < p]
+        if outside:
+            return f"aux A has elements outside [0, {p}): {outside}"
+        if len(set(elems)) != len(elems):
+            return "aux A has repeated elements"
+        window_start = json_value(json_field(obj, "window_start", "aux"), int, "aux window_start")
+    except ValueError as exc:
+        return str(exc)
+    a_set = sorted(elems)
+    if not 1 <= a_set[0] <= a_set[-1] <= p // 2 - 1:
+        return "A must lie inside {1..floor(p/2)-1}"
+    for a in a_set:
+        for a1 in a_set:
+            for delta in (0, 1):
+                if a - a1 - delta in elems:
+                    return "aux A meets A+A+{0,1}: %d = %d + %d + %d" % (a, a1, a - a1 - delta, delta)
+    triples = {a + b + c for a in a_set for b in a_set for c in a_set}
+    start = next((y for y in sorted(triples) if all(y + i in triples for i in range(p + 2))), None)
+    if start is None:
+        return f"aux A+A+A holds no run of p+2 = {p + 2} consecutive integers"
+    if window_start != start:
+        return f"aux window_start = {window_start} differs from the run start {start} in A+A+A"
+    for key, kind, default in (("seed", int, 0), ("attempt", int, 0), ("method", str, "random")):
+        try:
+            json_value(obj.get(key, default), kind, f"aux {key}")
+        except ValueError as exc:
+            return str(exc)
+    return None

@@ -697,6 +697,12 @@ def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
         ent = seq307.entries[idx]
         obj["entries"][idx].update(s="0", n=str(_pack(weights, ent.e, ent.r, 0)))
 
+    def r_out(obj, idx):
+        # r_1 one above max A, with n re-encoded: only the r check fires
+        ent = seq307.entries[idx]
+        r = (max(params307.aux.A) + 1,) + ent.r[1:]
+        obj["entries"][idx].update(r=list(r), n=str(_pack(weights, ent.e, r, ent.s)))
+
     cases = [
         ((s_zero, 30), (flip_e1, 12), "entry 12: e digits"),
         ((flip_e1, 30), (s_zero, 12), "entry 12: s outside"),
@@ -707,6 +713,12 @@ def test_seq_from_json_names_lowest_failing_entry(params307, seq307):
         ((bad_k, 30), (flip_e1, 12), "entry 12: e digits"),
         ((flip_e1, 30), (bad_k, 12), "entry 12: level k"),
         ((bump_n, 12), (bump_n, 30), "entry 12: n does not re-encode"),
+        ((r_out, 30), (flip_e1, 12), "entry 12: e digits"),
+        ((flip_e1, 30), (r_out, 12), "entry 12: r digits outside A"),
+        ((r_out, 12), (bad_k, 30), "entry 12: r digits outside A"),
+        ((bad_k, 12), (r_out, 30), "entry 12: level k"),
+        ((r_out, 12), (s_zero, 12), "entry 12: r digits outside A"),
+        ((r_out, 300), (r_out, 900), "entry 300: r digits outside A"),
     ]
     for (fault_a, at_a), (fault_b, at_b), message in cases:
         obj = seq_to_json(seq307)
@@ -768,6 +780,11 @@ def test_columns_round_trip_and_views(aux307, q, k_min, k_max, seed):
         assert [col.dtype for col in ours.columns()] == [col.dtype for col in built.columns()]
         assert ours.e.dtype == ours.r.dtype == ours.codes.dtype == np.int64
         assert all(type(x) is int for x in (*ours.s, *ours.n))
+        # the digits a build writes: r inside A and 0 <= e_i < q^(2i-1) - 1
+        orders = [q ** (2 * i - 1) - 1 for i in range(1, ours.k + 1)]
+        for level in (ours, built):
+            assert np.isin(level.r, params.aux.A).all()
+            assert ((level.e >= 0) & (level.e < orders)).all()
     weights = digit_weights(params)
     entries = list(again.entries)
     assert [ent.n for ent in entries] == list(again.values) == sorted(again.values)
@@ -813,17 +830,46 @@ def test_from_entries_orders_and_validates(params307, seq307):
         from_entries(params307, seq307.moduli, short)
 
 
-def test_seq_from_json_keeps_digits_beyond_int64(params307, seq307):
-    # n re-encodes from an r digit above 2^63 (outside A); the file loads,
-    # the r column holds Python integers, and the writer gives the bytes back
-    obj = seq_to_json(seq307)
-    ent = seq307.entries[-1]
-    r = (ent.r[0] + 2**70,) + ent.r[1:]
-    obj["entries"][-1].update(r=list(r), n=str(_pack(digit_weights(params307), ent.e, r, ent.s)))
-    seq = seq_from_json(obj)
-    assert seq.entries[-1].r == r and seq.levels[-1].r.dtype == object
-    assert seq.entries[:-1] == seq307.entries[:-1]
-    assert "".join(seq_json_chunks(seq)) == json.dumps(obj, indent=2) + "\n"
+def test_seq_from_json_refuses_digits_a_build_cannot_write(params307, seq307):
+    # r_1 + 2^70 (outside A and int64), e_1 = -1 and e_1 = R_1 = 2, each
+    # with n re-encoded from the digits, so that only the digit check can
+    # refuse them; the message names the entry
+    weights = digit_weights(params307)
+    for idx, e_1, r_1, message in (
+        (943, None, 2**70, "r digits outside A"),
+        (5, -1, None, "e digits differ from the table logs of f"),
+        (600, 2, None, "e digits differ from the table logs of f"),
+    ):
+        ent = seq307.entries[idx]
+        e = (ent.e[0] if e_1 is None else e_1,) + ent.e[1:]
+        r = (ent.r[0] if r_1 is None else ent.r[0] + r_1,) + ent.r[1:]
+        obj = seq_to_json(seq307)
+        obj["entries"][idx].update(e=list(e), r=list(r), n=str(_pack(weights, e, r, ent.s)))
+        with pytest.raises(ValueError, match=f"^entry {idx}: {message}$"):
+            seq_from_json(obj)
+
+
+def test_seq_from_json_checks_entries_whole_list_first(params307, seq307, monkeypatch):
+    # a clean file takes one whole-list pass; a file whose only fault is at
+    # entry i takes at most i + 3 (the whole list, entries 0..i alone, and
+    # the entries below i), so an entry-by-entry clean path shows here
+    calls = []
+    whole_list = builder._entry_columns
+
+    def counted(entries, params, first=0):
+        calls.append(first)
+        return whole_list(entries, params, first)
+
+    monkeypatch.setattr(builder, "_entry_columns", counted)
+    assert seq_from_json(seq_to_json(seq307)) == seq307
+    assert len(calls) == 1
+    for idx in (0, 17, 500, 943):
+        calls.clear()
+        obj = seq_to_json(seq307)
+        obj["entries"][idx]["s"] = "x"
+        with pytest.raises(ValueError, match=f"^entry {idx}: s must be a decimal integer"):
+            seq_from_json(obj)
+        assert len(calls) <= idx + 3
 
 
 def peel_decode(n, params, moduli):

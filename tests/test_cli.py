@@ -11,12 +11,13 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from sidonbasis import cli
 from sidonbasis.analyzer import monte_carlo_coverage
 from sidonbasis.auxset import YTable, aux_from_json, build_y_table, default_aux, triple_sumset_bits
-from sidonbasis.builder import Params, digit_weights, seq_from_json, seq_json_chunks
+from sidonbasis.builder import Params, _e_key, digit_weights, seq_from_json, seq_json_chunks
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.ffpoly import Poly, PrimeModulus
 
@@ -399,23 +400,30 @@ def test_verify_zero_trials(workdir, tmp_path):
 
 
 def plant_collision(src, dst):
-    """Copy the sequence file src to dst with the r_1 digit of one level-3
-    entry d moved so that n_a + n_b = n_c + n_d for three other level-3
-    entries. seq_from_json checks that each n re-encodes from its digits,
-    not that the r digits are the drawn ones, so the file loads."""
+    """Copy the desk sequence file src to dst with a true collision at
+    level 4, where margin (c) fails (16 < 16). Two pairs of level-4
+    entries, (a, b) and (c, d), whose e digits sum to the same vector
+    have logs that agree mod every g_i with equal carries, so f_a f_b =
+    f_c f_d mod G_4. c takes the r and s digits of a, d those of b, and
+    both n are re-encoded, so n_a + n_b = n_c + n_d and every digit is
+    one a build could write. The pairs are the first class, in the order
+    of the key of the e-sums mod R_i (builder._e_key), whose two pairs
+    have equal e-sums."""
     obj = read_json(src)
     seq = seq_from_json(obj)
+    level = seq.levels[-1]
+    orders = np.array([gen.order for gen in seq.moduli.generators[: level.k]])
+    left, right = np.triu_indices(len(level), 1)
+    sums = level.e[left] + level.e[right]
+    key = _e_key((sums % orders).T, seq.moduli.e_weights)
+    order = np.argsort(key, kind="stable")
+    u, v = order[:-1], order[1:]
+    at = np.flatnonzero((key[u] == key[v]) & (sums[u] == sums[v]).all(axis=1))[0]
     weights = digit_weights(seq.params)
-    a, b, c, *rest = [ent for ent in seq.entries if ent.k == 3]
-    for d in rest:
-        step = _pack(weights, d.e, (d.r[0] + 1, *d.r[1:]), d.s) - d.n  # the weight of r_1
-        gap = a.n + b.n - c.n - d.n
-        if gap % step == 0:
-            break
-    else:
-        pytest.fail("no level-3 entry can take up the gap with its r_1 digit")
-    r = [d.r[0] + gap // step, *d.r[1:]]
-    obj["entries"][seq.entries.index(d)].update(r=r, n=str(a.n + b.n - c.n))
+    for donor, taker in ((left[u[at]], left[v[at]]), (right[u[at]], right[v[at]])):
+        r, s = level.r[donor].tolist(), level.s[donor]
+        n = _pack(weights, level.e[taker].tolist(), r, s)
+        obj["entries"][level.positions[taker]].update(r=r, s=str(s), n=str(n))
     obj["entries"].sort(key=lambda ent: int(ent["n"]))
     dst.write_text(json.dumps(obj))
     return dst
@@ -434,6 +442,9 @@ def test_verify_sidon_reports_a_planted_collision(colliding_seq, tmp_path):
     assert rep["ok"] is False and rep["witness_count"] == 1
     w = rep["witnesses"][0]
     assert int(w["n1"]) + int(w["n2"]) == int(w["n3"]) + int(w["n4"])
+    # the true cause: congruent products mod G_4, and margin (c) at k = 4
+    assert w["products_congruent"] is True and w["shared_levels"] == 4
+    assert w["failed_margin"] == "k=4: degrees (6, 8), max 8: (b) 8 < 16 pass; (c) 16 < 16 fail"
 
 
 def test_verify_sidon_refuses_above_candidate_limit(colliding_seq, tmp_path, capsys, monkeypatch):
@@ -504,12 +515,21 @@ def test_sidon_certificate_agrees_with_the_engine(workdir, tmp_path, monkeypatch
     assert (tmp_path / "sidon.json").read_bytes() == (tmp_path / "engine" / "sidon.json").read_bytes()
 
 
-def test_sidon_certificate_declines_an_r_digit_outside_a(workdir, tmp_path):
-    # a one-level q = 3, k = 3 build with a planted collision: its level
-    # passes (c), but one r_1 lies outside A, so the engine decides
-    seq = plant_collision(built_seq(workdir, 3, 3, 3), tmp_path / "colliding.json")
-    rc, rep, manifest = verify_sidon_file(seq, tmp_path / "sidon.json")
-    assert rc == 1 and rep["witness_count"] == 1 and manifest["sidon_path"] == "engine"
+def test_verify_refuses_an_r_digit_outside_a(workdir, tmp_path, capsys):
+    # a one-level q = 3, k = 3 file whose level passes (c), with one r_1
+    # moved outside A and n re-encoded: the certificate would take r
+    # inside A on trust, so the loader refuses the file and names the entry
+    obj = read_json(built_seq(workdir, 3, 3, 3))
+    seq = seq_from_json(obj)
+    ent = seq.entries[9]
+    r = [max(seq.params.aux.A) + 1, *ent.r[1:]]
+    obj["entries"][9].update(r=r, n=str(_pack(digit_weights(seq.params), ent.e, r, ent.s)))
+    bad = tmp_path / "outside.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "sidon.json"
+    assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: entry 9: r digits outside A\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -615,6 +635,41 @@ def test_verify_rejects_mistyped_field(workdir, tmp_path, capsys, path, value, m
     assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("entries", 5, "k"), "entry 5: missing field 'k'"),
+        (("entries", 5, "f"), "entry 5: missing field 'f'"),
+        (("params",), "sequence file: missing field 'params'"),
+        (("params", "seed"), "params: missing field 'seed'"),
+        (("params", "aux", "p"), "aux: missing field 'p'"),
+        (("moduli", 1, "g"), "moduli entry 1: missing field 'g'"),
+        (("entries",), "sequence file: missing field 'entries'"),
+        (("aux-file", "A"), "aux: missing field 'A'"),
+        (("aux-file", "window_start"), "aux: missing field 'window_start'"),
+    ],
+    ids=["entry-k", "entry-f", "params", "params-seed", "aux-p", "moduli-g", "entries", "aux-file-A",
+         "aux-file-window-start"],
+)
+def test_missing_field_is_named_with_its_place(workdir, tmp_path, capsys, path, message):
+    # a missing field once surfaced as a bare KeyError, "error: 'k'"
+    source = "aux.json" if path[0] == "aux-file" else "seq.json"
+    obj = read_json(workdir / source)
+    target = obj
+    for key in path[1:-1] if path[0] == "aux-file" else path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    bad = tmp_path / source
+    bad.write_text(json.dumps(obj))
+    if path[0] == "aux-file":
+        argv = ["build", "--q", "3", "--aux-file", str(bad), "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_verify_rejects_tampered_value(workdir, tmp_path, capsys):
