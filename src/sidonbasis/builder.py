@@ -1013,7 +1013,8 @@ def _entry_columns(entries: list, params: Params, first: int = 0) -> tuple:
     integers, and the names f. The checks run in the order one entry is
     checked: it is an object; its k is an integer in [k_min, k_max]; its
     e, then its r, is a list of integers that fit int64; its s, then its
-    n, is a decimal string; it has k digits e and r; its f is a string.
+    n, is a string of ASCII digits; it has k digits e and r; its f is a
+    string.
     ValueError at the first check that some entry fails, whose message
     reads entries[0] as entry `first`: it is exact for a one-entry list,
     and seq_from_json calls it so, entry by entry, once a whole-list call
@@ -1045,10 +1046,11 @@ def _entry_columns(entries: list, params: Params, first: int = 0) -> tuple:
             raise ValueError(f"{what}: {fault}") from None
     for key in ("s", "n"):
         texts = column(key, str)
-        try:
-            digits.append(list(map(int, texts)))
-        except ValueError:
-            raise ValueError(f"{what}: {key} must be a decimal integer, got {texts[0]!r}") from None
+        # ASCII digits alone, as the writer prints them: int() would also
+        # read a sign, spaces, "_" separators and other scripts' digits
+        if not (all(map(str.isascii, texts)) and all(map(str.isdigit, texts))):
+            raise ValueError(f"{what}: {key} must be a decimal integer, got {texts[0]!r}")
+        digits.append(list(map(int, texts)))
     if not list(map(len, lists[0])) == ks == list(map(len, lists[1])):
         raise ValueError(f"{what}: digit count differs from k = {ks[0]}")
     return ks, *digits, column("f", str)

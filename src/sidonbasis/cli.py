@@ -116,13 +116,13 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_chunks(header: list[str], lines, manifest_ref: str | None):
+def _csv_chunks(header: list[str], blocks, manifest_ref: str | None):
     """The CSV text as chunks: the manifest comment when manifest_ref is
-    given and the header in one, then the lines, each already formatted
-    and newline-terminated."""
+    given and the header in one, then the blocks, each one or more lines
+    already formatted and newline-terminated."""
     head = "" if manifest_ref is None else f"# manifest: {manifest_ref}\n"
     yield head + ",".join(header) + "\n"
-    yield from lines
+    yield from blocks
 
 
 def _load_json(path: str) -> dict:

@@ -11,16 +11,14 @@ expected to live at. The normalized ratios are a regression tripwire
 
 Counting works in exponent coordinates. The units of F_q[t]/(g) are the
 product of the cyclic groups Z/n_j, n_j = q^deg(pi_j) - 1, over the
-irreducible factors pi_j of g, one discrete log per factor; a residue
-divisible by pi_j takes the extra coordinate n_j there, so by the CRT
-these coordinates name all q^deg g = prod(n_j + 1) residues. The triples
-of unit members are one FFT convolution (_distinct_triples). A non-unit
-member is one of the degree-d factors of g, and the triples holding one
-are its products with the pairs of the rest of the pool, binned
-_PAIR_BLOCK pairs at a time. The cost is O(N + q^deg g log q^deg g) for
-a pool of N plus, per non-unit member, O(N^2) products and one
-q^deg g-long bincount per block, against O(N^3) products for the
-triples one by one.
+irreducible factors pi_j of g, one discrete log per factor, and by the
+CRT these coordinates name each unit once. The triples of unit members
+are one FFT convolution (_distinct_triples), O(N + phi(g) log phi(g))
+for a pool of N against O(N^3) products for the triples one by one.
+Only the unit classes are reported. A member that is no unit is one of
+the degree-d factors of g, and every triple that holds one lands off
+the units: those are C(N, 3) - C(N_u, 3), N_u the unit members, counted
+as one total.
 
 The one size limit is ffpoly.ENUM_CAP on q^deg g and on q^d, checked
 before allocating (see triple_histogram); no function takes a limit.
@@ -29,7 +27,6 @@ before allocating (see triple_histogram); no function takes a limit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +61,7 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     """The unit group's shape (n = q^deg(pi) - 1 per irreducible factor
     pi, in factor_squarefree_poly order) and an array C of shape
     (q^deg g, factors) with C[code(x)] the discrete logs of x mod each
-    factor, n where the factor divides x. Raises ValueError when
+    factor, -1 where the factor divides x. Raises ValueError when
     q^deg g exceeds ENUM_CAP, before allocating anything."""
     qv = g.q.q
     if qv**g.degree > ENUM_CAP:
@@ -75,8 +72,7 @@ def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
     matrices = [mulmod_matrix(Poly.one(g.q), pi, g.degree) for pi in factors]
     coords = np.empty((qv**g.degree, len(factors)), dtype=np.int64)
     for rows, i, residues in map_codes(qv, range(qv**g.degree), g.degree, matrices):
-        logs = tables[i][residues]
-        coords[rows, i] = np.where(logs < 0, shape[i], logs)
+        coords[rows, i] = tables[i][residues]
     return shape, coords
 
 
@@ -135,78 +131,22 @@ def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return six // 6
 
 
-# (member, partner, partner) products per block of the non-unit pass
-_PAIR_BLOCK = 1 << 17
-
-
-def _add_nonunit_triples(total: np.ndarray, member: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Add to total, the flat counts over the extended shape (n_j + 1 per
-    factor), the triples of rows of member (exponent coordinates, n_j
-    where pi_j divides) that hold a non-unit row. Each such triple is
-    counted at its first non-unit member z: z times each pair a < b of
-    the members left once z and the non-units before it are taken out,
-    binned _PAIR_BLOCK pairs at a time.
-
-    Coordinates are added in a code where a sum names its product: the
-    coordinate c of factor j stays c on a unit and becomes S_j = 2 n_j - 1
-    where pi_j divides, so the sum s of two codes is at most 2 n_j - 2
-    exactly when both are units, with product coordinate s mod n_j, and
-    at least S_j otherwise, with product coordinate n_j. recode[j][s] is
-    that coordinate in the same code and place[j][s] it times the stride
-    of factor j in total, s in [0, 2 S_j]: a product is one add and one
-    gather per factor."""
-    mods = np.array(shape)
-    nonunits = np.flatnonzero((member >= mods).any(axis=1))
-    if not len(nonunits):
-        return
-    strides = [math.prod(m + 1 for m in shape[j + 1 :]) for j in range(len(shape))]
-    place, recode = [], []
-    for nj, stride in zip(shape, strides):
-        coord = np.arange(4 * nj - 1) % nj
-        coord[2 * nj - 1 :] = nj
-        recode.append(np.where(coord < nj, coord, 2 * nj - 1))
-        coord *= stride
-        place.append(coord)
-    coded = np.where(member < mods, member, 2 * mods - 1).T.copy()  # one row per factor
-    rest = np.ones(len(member), dtype=bool)
-    for z in nonunits:
-        rest[z] = False
-        others = coded[:, rest]
-        left = [table[col[z] + row] for table, col, row in zip(recode, coded, others)]
-        m = others.shape[1]
-        row_pairs = m - 1 - np.arange(m)
-        before = np.concatenate(([0], np.cumsum(row_pairs)))  # pairs in the rows above a
-        a0 = 0
-        while a0 < m - 1:
-            a1 = max(a0 + 1, int(np.searchsorted(before, before[a0] + _PAIR_BLOCK, side="right")) - 1)
-            pairs = row_pairs[a0:a1]
-            b = np.arange(before[a1] - before[a0])
-            b -= np.repeat(before[a0:a1] - before[a0] - np.arange(a0, a1) - 1, pairs)
-            flat = np.zeros(len(b), dtype=np.intp)
-            for table, lj, oj in zip(place, left, others):
-                s = np.repeat(lj[a0:a1], pairs)
-                s += oj[b]
-                flat += table[s]
-            total += np.bincount(flat, minlength=total.size)
-            a0 = a1
-
-
 @dataclass(frozen=True)
 class TripleCountReport:
     q: PrimeModulus
     d: int
     g: Poly
-    pool_size: int  # |I_d|, the full pool
-    counts: dict[int, int]  # residue code -> triples; complete over units
-    units: tuple[int, ...]  # codes of the residues coprime to g, ascending
+    pool_size: int  # N = |I_d|, the full pool
+    units: np.ndarray  # int64 codes of the residues coprime to g, ascending
+    counts: np.ndarray  # int64 triples per unit class, aligned with units
+    nonunit_total: int  # C(N, 3) - C(N_u, 3): the triples that hold a factor of g
 
 
 def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
-    """Count, for every residue class mod g, the unordered 3-subsets of
-    I_d whose product lands there. Every unit class is present in the
-    result (zero-filled); non-unit classes appear when hit, which happens
-    exactly when a subset shares an irreducible factor with g, so the
-    totals always partition C(|I_d|, 3).
+    """Count, for every unit class mod g, the unordered 3-subsets of I_d
+    whose product lands there, and the subsets that land off the units:
+    those that hold one of the N - N_u members that share a factor with
+    g, C(N, 3) - C(N_u, 3) in all.
 
     The pool has no cap of its own: irreducible_codes refuses q^d above
     ENUM_CAP, and _distinct_triples refuses, before any transform, a pool
@@ -224,18 +164,10 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     member = np.empty((n, len(shape)), dtype=np.int64)
     for rows, _, residues in map_codes(qv, codes + qv**d, d + 1, [mulmod_matrix(Poly.one(q), g, d + 1)]):
         member[rows] = coords[residues]
-    mods = np.array(shape)
-    is_unit = (member < mods).all(axis=1)
-    ext_shape = tuple(m + 1 for m in shape)
-    total = np.zeros(ext_shape, dtype=np.int64)
-    total[tuple(slice(m) for m in shape)] = _distinct_triples(member[is_unit], shape)
-    total = total.reshape(-1)
-    _add_nonunit_triples(total, member, shape)
-    per_code = total[np.ravel_multi_index(tuple(coords.T), ext_shape)]
-    unit = (coords < mods).all(axis=1)
-    hit = np.flatnonzero(unit | (per_code > 0))
-    counts = dict(zip(hit.tolist(), per_code[hit].tolist()))
-    return TripleCountReport(q, d, g, n, counts, tuple(np.flatnonzero(unit).tolist()))
+    member = member[(member >= 0).all(axis=1)]
+    units = np.flatnonzero((coords >= 0).all(axis=1))
+    counts = _distinct_triples(member, shape)[tuple(coords[units].T)]
+    return TripleCountReport(q, d, g, n, units, counts, math.comb(n, 3) - math.comb(len(member), 3))
 
 
 @dataclass(frozen=True)
@@ -249,16 +181,17 @@ class DeviationReport:
     expected: Fraction  # binom / phi_g, the per-unit main term
     normalizer: float  # q^{(3d - deg g)/2}
     nonunit_total: int  # triples sharing a factor with g
-    conservation_ok: bool
+    conservation_ok: bool  # the unit counts sum to binom - nonunit_total
     max_ratio: float
     mean_ratio: float
     chi2: float  # sum of squared deviations over expected, unit classes
-    # one column entry per unit class, in code order
-    codes: tuple[int, ...]
-    residues: tuple[str, ...]  # poly_to_string of the class's residue
-    counts: tuple[int, ...]
-    deviations: tuple[float, ...]  # count - expected, correctly rounded
-    ratios: tuple[float, ...]  # |deviation| / normalizer
+    # one row per unit class, in code order
+    codes: np.ndarray  # int64, the histogram's units
+    count_row: np.ndarray  # intp, the row of the class's count in the columns below
+    # one row per distinct count, ascending
+    distinct_counts: np.ndarray  # int64
+    count_deviations: np.ndarray  # float64 count - expected, correctly rounded
+    count_ratios: np.ndarray  # float64 |deviation| / normalizer
 
 
 def check_theta(d: int, g: Poly) -> Fraction:
@@ -277,22 +210,23 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
     """Deviations c - B / phi of the unit-class counts, B = C(|I_d|, 3)
     and phi = phi(g) = len(report.units), each the correctly rounded
     (c phi - B) / phi. A deviation and its ratio depend on the count
-    alone, so each is computed once per distinct count. chi2, the sum of (c - B / phi)^2 / (B / phi), is
+    alone, so each is computed once per distinct count (np.unique).
+    chi2, the sum of (c - B / phi)^2 / (B / phi), is
     phi sum(c^2) / B - 2 sum(c) + B, with the sums exact in Python
-    integers (sum(c^2) passes 2^63 by d = 12)."""
+    integers (sum(c^2) passes 2^63 by d = 12). mean_ratio is the float
+    sum of the ratios one class at a time, in code order."""
     q, d, g = report.q, report.d, report.g
     theta = check_theta(d, g)
     phi_g = len(report.units)
     binom = math.comb(report.pool_size, 3)
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
-    counts = tuple(map(report.counts.__getitem__, report.units))
-    multiplicity = Counter(counts)
-    unit_sum = sum(c * m for c, m in multiplicity.items())
-    square_sum = sum(c * c * m for c, m in multiplicity.items())
-    nonunit_total = sum(report.counts.values()) - unit_sum
-    deviation = {c: (c * phi_g - binom) / phi_g for c in multiplicity}
-    ratio = {c: abs(dev) / normalizer for c, dev in deviation.items()}
-    ratios = tuple(map(ratio.__getitem__, counts))
+    distinct, count_row = np.unique(report.counts, return_inverse=True)
+    counts = distinct.tolist()
+    multiplicity = np.bincount(count_row).tolist()
+    unit_sum = sum(c * m for c, m in zip(counts, multiplicity))
+    square_sum = sum(c * c * m for c, m in zip(counts, multiplicity))
+    deviations = [(c * phi_g - binom) / phi_g for c in counts]
+    ratios = np.array([abs(dev) / normalizer for dev in deviations])
     chi2 = Fraction(phi_g * square_sum, binom) - 2 * unit_sum + binom if binom else 0
     return DeviationReport(
         q=q,
@@ -303,29 +237,41 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
         binom=binom,
         expected=Fraction(binom, phi_g),
         normalizer=normalizer,
-        nonunit_total=nonunit_total,
-        conservation_ok=unit_sum + nonunit_total == binom,
-        max_ratio=max(ratios) if ratios else 0.0,
-        mean_ratio=sum(ratios) / len(ratios) if ratios else 0.0,
+        nonunit_total=report.nonunit_total,
+        conservation_ok=unit_sum + report.nonunit_total == binom,
+        max_ratio=float(ratios.max()),
+        mean_ratio=sum(ratios[count_row].tolist()) / phi_g,
         chi2=float(chi2),
         codes=report.units,
-        residues=tuple(code_names(q.q, report.units, g.degree)),
-        counts=counts,
-        deviations=tuple(map(deviation.__getitem__, counts)),
-        ratios=ratios,
+        count_row=count_row,
+        distinct_counts=distinct,
+        count_deviations=np.array(deviations),
+        count_ratios=ratios,
     )
 
 
+# lines per block of CSV text: at 128, writing the d = 6, g = 2+t^2+t^8
+# report (553 KB) peaks at about 48 KB traced
+_CSV_BLOCK = 128
+
+
 def deviation_csv_lines(report: DeviationReport) -> Iterator[str]:
-    """An iterator over the CSV line "a,count,expected,deviation,
-    normalized_ratio" of each unit class, newline-terminated, with every
-    value as str() prints it. The part after a is formatted once per
-    distinct count, when this is called; each line is joined when it is
-    read, so that a writer need not hold them all."""
+    """The CSV lines "a,count,expected,deviation,normalized_ratio" of the
+    unit classes, newline-terminated, with every value as str() prints
+    it, yielded as one string per block of _CSV_BLOCK lines, so that a
+    writer holds one block at a time. The part after a is formatted once
+    per distinct count, and the names a one block at a time
+    (ffpoly.code_names)."""
     expected = float(report.expected)
-    row_of = dict(zip(report.counts, range(len(report.counts))))  # one row per distinct count
-    tail = {c: f",{c},{expected},{report.deviations[i]},{report.ratios[i]}\n" for c, i in row_of.items()}
-    return map(str.__add__, report.residues, map(tail.__getitem__, report.counts))
+    columns = zip(report.distinct_counts.tolist(), report.count_deviations.tolist(), report.count_ratios.tolist())
+    tails = np.array([f",{c},{expected},{dev},{ratio}\n" for c, dev, ratio in columns], dtype=object)
+    for lo in range(0, len(report.codes), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        names = code_names(report.q.q, report.codes[block], report.g.degree)
+        parts = np.empty((len(names), 2), dtype=object)  # name, tail per row
+        parts[:, 0] = names
+        parts[:, 1] = tails[report.count_row[block]]
+        yield "".join(parts.ravel().tolist())
 
 
 def deviation_summary(report: DeviationReport) -> dict:

@@ -389,19 +389,30 @@ def _name_table(q: int, start: int, width: int) -> list[str]:
     return ["+".join(filter(None, row)) for row in rows]
 
 
+@functools.lru_cache(maxsize=None)
+def _half_names(q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """code_names' two read-only tables for width, built once per (q,
+    width): the low half's names, each followed by "+", then each again
+    as the name of a code whose high half is 0 ("0" for 0); and the high
+    half's names."""
+    half = width // 2
+    low_names = _name_table(q, 0, half)
+    left = np.array([name and name + "+" for name in low_names] + [name or "0" for name in low_names], dtype=object)
+    right = np.array(_name_table(q, half, width - half), dtype=object)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def code_names(q: int, codes, width: int) -> list[str]:
     """poly_to_string(Poly.from_code(q, c)) for each of the codes, which
     must lie in [0, q^width). A code splits into its low width // 2
     digits and its high rest, and its name is one join of two table
     entries: the low half's name, followed by "+" when neither half is 0
     (or "0" when both are), and the high half's name."""
-    half = width // 2
-    low_names = _name_table(q, 0, half)
-    left = [name and name + "+" for name in low_names] + [name or "0" for name in low_names]
-    right = np.array(_name_table(q, half, width - half), dtype=object)
-    high, low = np.divmod(np.asarray(codes, dtype=np.int64), q**half)
-    low[high == 0] += q**half
-    return (np.array(left, dtype=object)[low] + right[high]).tolist()
+    left, right = _half_names(q, width)
+    high, low = np.divmod(np.asarray(codes, dtype=np.int64), q ** (width // 2))
+    low[high == 0] += q ** (width // 2)
+    return (left[low] + right[high]).tolist()
 
 
 def poly_from_string(q: PrimeModulus, s: str) -> Poly:

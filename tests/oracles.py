@@ -194,8 +194,8 @@ def dlog(gen: Generator, f: Poly) -> int:
 
 def unit_codes(g: Poly) -> list[int]:
     """Codes of the residues coprime to g, ascending."""
-    shape, coords = _exponent_coordinates(g)
-    return np.flatnonzero((coords < shape).all(axis=1)).tolist()
+    _, coords = _exponent_coordinates(g)
+    return np.flatnonzero((coords >= 0).all(axis=1)).tolist()
 
 
 def euler_phi_poly(g: Poly) -> int:
@@ -375,10 +375,9 @@ def _json_ints(value, what: str) -> tuple[int, ...]:
 
 def _json_decimal(value, what: str) -> int:
     text = json_value(value, str, what)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be a decimal integer, got {text!r}") from None
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 def _entry_fault(idx: int, ent, params: Params) -> Exception | None:

@@ -253,7 +253,7 @@ def test_acceptance_8_triple_product_distribution():
         g = poly_from_string(Q3, g_text)
         hist = triple_histogram(Q3, d, g)
         dev = deviation_report(hist)
-        conserved = dev.conservation_ok and sum(hist.counts.values()) == math.comb(hist.pool_size, 3)
+        conserved = dev.conservation_ok and hist.counts.sum() + hist.nonunit_total == math.comb(hist.pool_size, 3)
         ok = ok and conserved and dev.max_ratio < 10.0
         results.append(f"d={d} g={g_text}: binom={dev.binom} max_ratio={dev.max_ratio:.4f}")
     elapsed = time.perf_counter() - t0

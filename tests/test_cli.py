@@ -695,6 +695,22 @@ def test_verify_names_entry_and_field_of_non_decimal(workdir, tmp_path, capsys, 
     assert err.startswith(f"error: entry 3: {field} must be a decimal integer, got '1e5'")
 
 
+@pytest.mark.parametrize("field", ["s", "n"])
+def test_verify_refuses_decimals_int_reads_otherwise(workdir, tmp_path, capsys, field):
+    # int() reads a sign, spaces, "_" separators and Arabic-Indic digits,
+    # so files with s or n so written once loaded equal to the original
+    obj = read_json(workdir / "seq.json")
+    text = obj["entries"][3][field]
+    bad = tmp_path / "bad.json"
+    for spelt in (f" +{'_'.join(text)} ", text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"))):
+        assert int(spelt) == int(text)
+        obj["entries"][3][field] = spelt
+        bad.write_text(json.dumps(obj))
+        assert main(["verify", "--seq-file", str(bad), "--mode", "sidon", "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: entry 3: {field} must be a decimal integer, got {spelt!r}")
+
+
 def test_verify_rejects_s_outside_its_range(workdir, tmp_path, capsys):
     # s = q^{3k} + 1 with n re-encoded, so only the range check fires
     seq = seq_from_json(read_json(workdir / "seq.json"))

@@ -1,5 +1,7 @@
 """Product-distribution tests: triple histograms and deviation reports."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -96,12 +98,17 @@ def test_theta_checked_before_counting(monkeypatch, capsys):
     assert "outside (0, 1)" in capsys.readouterr().err
 
 
+def unit_counts(rep):
+    """The histogram's columns as a dict: unit code -> triples."""
+    return dict(zip(rep.units.tolist(), rep.counts.tolist()))
+
+
 def test_histogram_quadratic_modulus_d3():
     rep = triple_histogram(Q3, 3, G_QUAD)
     assert rep.pool_size == 8
-    assert sum(rep.counts.values()) == math.comb(8, 3) == 56
-    assert rep.counts == {1: 7, 2: 7, 3: 6, 4: 7, 5: 7, 6: 8, 7: 7, 8: 7}
-    assert rep.counts == brute_histogram(Q3, 3, G_QUAD)
+    assert rep.counts.sum() == math.comb(8, 3) == 56 and rep.nonunit_total == 0
+    assert unit_counts(rep) == {1: 7, 2: 7, 3: 6, 4: 7, 5: 7, 6: 8, 7: 7, 8: 7}
+    assert unit_counts(rep) == brute_histogram(Q3, 3, G_QUAD)
 
 
 def test_histogram_modulus_inside_pool():
@@ -109,8 +116,8 @@ def test_histogram_modulus_inside_pool():
     # lands on the zero class and every unit class stays empty
     rep = triple_histogram(Q3, 2, G_QUAD)
     assert rep.pool_size == 3
-    assert rep.counts[0] == 1
-    assert all(rep.counts.get(u, 0) == 0 for u in range(1, 9))
+    assert rep.nonunit_total == 1 == brute_histogram(Q3, 2, G_QUAD)[0]
+    assert unit_counts(rep) == {u: 0 for u in range(1, 9)}
     dev = deviation_report(rep)
     assert dev.nonunit_total == 1
     assert dev.conservation_ok
@@ -119,11 +126,7 @@ def test_histogram_modulus_inside_pool():
 
 def test_histogram_matches_brute_force():
     for d, g in ((2, G_CUBIC), (3, G_CUBIC), (3, G_QUAD), (4, G_QUAD)):
-        rep = triple_histogram(Q3, d, g)
-        brute = brute_histogram(Q3, d, g)
-        for code, count in rep.counts.items():
-            assert count == brute.get(code, 0), (d, code)
-        assert sum(rep.counts.values()) == sum(brute.values())
+        assert split_counts(triple_histogram(Q3, d, g)) == brute_counts(Q3, d, g), d
 
 
 def test_histogram_order_independent():
@@ -133,27 +136,33 @@ def test_histogram_order_independent():
     for trio in itertools.combinations(list(reversed(pool)), 3):
         prod = poly_mod(poly_mul(poly_mul(trio[0], trio[1]), trio[2]), G_QUAD)
         counts[prod.code] = counts.get(prod.code, 0) + 1
-    assert counts == {c: n for c, n in triple_histogram(Q3, 3, G_QUAD).counts.items() if n}
+    assert counts == {c: n for c, n in unit_counts(triple_histogram(Q3, 3, G_QUAD)).items() if n}
 
 
 def gcd_units(g):
     return [u for u in range(g.q.q**g.degree) if poly_gcd(Poly.from_code(g.q, u), g).degree == 0]
 
 
+def split_counts(rep):
+    """(unit code -> triples, the triples off the units) of a histogram."""
+    return unit_counts(rep), rep.nonunit_total
+
+
 def brute_counts(q, d, g):
-    """The full counts dict by brute force: every unit class zero-filled,
-    plus the non-unit classes that are hit."""
-    return {u: 0 for u in gcd_units(g)} | brute_histogram(q, d, g)
+    """split_counts by brute force: every unit class zero-filled, and the
+    triples whose product is no unit summed over their classes."""
+    hist = brute_histogram(q, d, g)
+    units = {u: hist.pop(u, 0) for u in gcd_units(g)}
+    return units, sum(hist.values())
 
 
 def test_histogram_matches_brute_force_large_modulus():
     # 3^8 = 6561 residue classes, one irreducible factor of degree 8
     g = Poly(Q3, (2, 0, 1, 0, 0, 0, 0, 0, 1))  # 2+t^2+t^8
     rep = triple_histogram(Q3, 3, g)
-    assert sum(rep.counts.values()) == 56
-    assert rep.counts == brute_counts(Q3, 3, g)
-    assert list(rep.counts) == sorted(rep.counts)
-    assert list(rep.units) == gcd_units(g)
+    assert rep.counts.sum() == 56
+    assert split_counts(rep) == brute_counts(Q3, 3, g)
+    assert rep.units.tolist() == gcd_units(g)
 
 
 def test_unit_codes_match_gcd_scan():
@@ -177,7 +186,7 @@ def test_unit_codes_match_gcd_scan():
 )
 def test_histogram_full_counts_match_brute_force(q, d, g, nonunit_members):
     assert sum(poly_mod(g, f).is_zero() for f in enumerate_irreducibles(q, d)) == nonunit_members
-    assert triple_histogram(q, d, g).counts == brute_counts(q, d, g)
+    assert split_counts(triple_histogram(q, d, g)) == brute_counts(q, d, g)
 
 
 def shifted_copy_triples(points, shape):
@@ -214,7 +223,7 @@ def test_fft_triples_match_shifted_copies(d, g, units):
     g = poly_from_string(Q3, g)
     shape, coords = _exponent_coordinates(g)
     member = coords[[poly_mod(f, g).code for f in enumerate_irreducibles(Q3, d)]]
-    points = member[(member < shape).all(axis=1)]
+    points = member[(member >= 0).all(axis=1)]
     assert len(points) == units
     assert np.array_equal(_distinct_triples(points, shape), shifted_copy_triples(points, shape))
 
@@ -247,16 +256,14 @@ def test_deviation_report_equals_fraction_formulas(q, d, g):
     dev = deviation_report(rep)
     expected = Fraction(math.comb(rep.pool_size, 3), euler_phi_poly(g))
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
-    units = set(rep.units)
-    deviations = [rep.counts[u] - expected for u in sorted(rep.counts) if u in units]
+    deviations = [c - expected for c in rep.counts.tolist()]
     ratios = [abs(float(x)) / normalizer for x in deviations]
     assert dev.phi_g == euler_phi_poly(g) == len(rep.units)
     assert dev.expected == expected
-    assert dev.codes == rep.units
-    assert dev.counts == tuple(rep.counts[u] for u in rep.units)
-    assert dev.residues == tuple(poly_to_string(Poly.from_code(q, u)) for u in rep.units)
-    assert list(dev.deviations) == [float(x) for x in deviations]
-    assert list(dev.ratios) == ratios
+    assert dev.codes is rep.units
+    assert dev.distinct_counts[dev.count_row].tolist() == rep.counts.tolist()
+    assert dev.count_deviations[dev.count_row].tolist() == [float(x) for x in deviations]
+    assert dev.count_ratios[dev.count_row].tolist() == ratios
     assert dev.max_ratio == max(ratios)
     assert dev.mean_ratio == sum(ratios) / len(ratios)
     assert dev.chi2 == float(sum(x * x / expected for x in deviations))
@@ -270,9 +277,9 @@ def test_deviation_report_quadratic_d3():
     assert dev.expected == Fraction(56, 8) == Fraction(7)
     assert dev.normalizer == 3 ** Fraction(9 - 2, 2)
     assert dev.conservation_ok and dev.nonunit_total == 0
-    assert dev.codes == tuple(range(1, 9))
-    assert len(dev.residues) == len(dev.counts) == len(dev.deviations) == len(dev.ratios) == 8
-    for count, deviation, ratio in zip(dev.counts, dev.deviations, dev.ratios):
+    assert dev.codes.tolist() == list(range(1, 9)) and len(dev.count_row) == 8
+    assert dev.distinct_counts.tolist() == [6, 7, 8]
+    for count, deviation, ratio in zip(dev.distinct_counts, dev.count_deviations, dev.count_ratios):
         assert deviation == count - 7
         assert ratio == pytest.approx(abs(deviation) / dev.normalizer)
     assert dev.max_ratio == pytest.approx(1 / dev.normalizer)  # counts hit 6 and 8
@@ -283,7 +290,7 @@ def test_deviation_report_quadratic_d3():
 
 def test_deviation_report_rejects_theta_one():
     rep = triple_histogram(Q3, 1, G_CUBIC)
-    assert rep.counts[0] == 1  # the single triple multiplies to g itself
+    assert rep.nonunit_total == 1  # the single triple multiplies to g itself
     with pytest.raises(ValueError):
         deviation_report(rep)  # theta = 3/3 is outside (0, 1)
 
@@ -299,14 +306,14 @@ def test_deviation_trend_is_bounded():
 
 def test_deviation_csv_and_summary():
     dev = deviation_report(triple_histogram(Q3, 3, G_QUAD))
-    lines = deviation_csv_lines(dev)
-    assert iter(lines) is lines  # an iterator, read once by the writer
-    lines = list(lines)
+    blocks = deviation_csv_lines(dev)
+    assert iter(blocks) is blocks  # an iterator, read once by the writer
+    lines = "".join(blocks).splitlines(keepends=True)
     assert len(lines) == 8
-    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-    for line, residue, count in zip(lines, dev.residues, dev.counts):
+    assert all(line.endswith("\n") for line in lines)
+    for line, code, count in zip(lines, dev.codes.tolist(), dev.distinct_counts[dev.count_row].tolist()):
         a, count_text, expected, deviation, ratio = line.split(",")
-        assert a == residue and int(count_text) == count
+        assert a == poly_to_string(Poly.from_code(Q3, code)) and int(count_text) == count
         assert float(expected) == pytest.approx(7.0)
         assert float(deviation) == pytest.approx(count - 7)
         assert float(ratio) >= 0.0
@@ -323,9 +330,11 @@ def test_histogram_reports_nonunit_classes_for_reducible_modulus():
     rep = triple_histogram(Q3, 3, G_CUBIC)
     dev = deviation_report(rep)
     assert dev.conservation_ok
-    assert sum(rep.counts.values()) == math.comb(rep.pool_size, 3)
-    total_units = sum(dev.counts)
-    assert total_units + dev.nonunit_total == dev.binom
+    assert rep.counts.sum() + rep.nonunit_total == math.comb(rep.pool_size, 3) == dev.binom
+    # conservation tests the counted columns: one triple moved off a class is caught
+    counts = rep.counts.copy()
+    counts[0] -= 1
+    assert not deviation_report(dataclasses.replace(rep, counts=counts)).conservation_ok
 
 
 def str_join_lines(q, d, g):
@@ -335,8 +344,7 @@ def str_join_lines(q, d, g):
     expected = Fraction(math.comb(rep.pool_size, 3), euler_phi_poly(g))
     normalizer = math.sqrt(q.q ** (3 * d - g.degree))
     lines = []
-    for u in rep.units:
-        c = rep.counts[u]
+    for u, c in zip(rep.units.tolist(), rep.counts.tolist()):
         deviation = float(c - expected)
         name = poly_to_string(Poly.from_code(q, u))
         row = (name, c, float(expected), deviation, abs(deviation) / normalizer)
@@ -354,10 +362,10 @@ def test_csv_lines_match_str_join(q, d, g, nonunits, tmp_path):
     rep = triple_histogram(q, d, g)
     dev = deviation_report(rep)
     expected_lines = str_join_lines(q, d, g)
-    assert list(deviation_csv_lines(dev)) == expected_lines
-    assert any(x < 0 for x in dev.deviations)
-    if nonunits:  # non-unit classes are hit, and stay out of the lines
-        assert dev.nonunit_total > 0 and len(rep.counts) > len(rep.units)
+    assert "".join(deviation_csv_lines(dev)) == "".join(expected_lines)
+    assert (dev.count_deviations < 0).any()
+    if nonunits:  # triples land off the units, and stay out of the lines
+        assert dev.nonunit_total > 0
     else:  # some ratio prints in exponent form
         assert any("e-" in line.rsplit(",", 1)[1] for line in expected_lines)
     out = tmp_path / "eq.csv"
@@ -373,16 +381,47 @@ def product_of_first(q, d, k):
     return g
 
 
-@pytest.mark.parametrize("block", [1, 7, equidist._PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 1 << 17])
 @pytest.mark.parametrize(
     "q, d, k",
     # (the first k irreducibles of degree d) as g: k members of the pool
-    # are not units, and each of their triples is counted once
+    # are not units, and their triples are counted off the units
     [(Q3, 3, 2), (Q5, 2, 3), (Q3, 2, 2)],
     ids=["q3-d3-two", "q5-d2-three", "q3-d2-two"],
 )
 def test_nonunit_blocks_match_brute_force(monkeypatch, q, d, k, block):
-    monkeypatch.setattr(equidist, "_PAIR_BLOCK", block)
+    # block: CSV lines per block; 1 << 17 puts each report here in one
+    monkeypatch.setattr(equidist, "_CSV_BLOCK", block)
     g = product_of_first(q, d, k)
     assert sum(poly_mod(g, f).is_zero() for f in enumerate_irreducibles(q, d)) == k
-    assert triple_histogram(q, d, g).counts == brute_counts(q, d, g)
+    rep = triple_histogram(q, d, g)
+    assert split_counts(rep) == brute_counts(q, d, g)
+    if g.degree == 3 * d:  # q5-d2-three: theta = 1 has no deviation report
+        return
+    assert "".join(deviation_csv_lines(deviation_report(rep))) == "".join(str_join_lines(q, d, g))
+
+
+# q, d, g, then the sha256 of eq.csv and of eq.csv.summary.json, recorded
+# with the per-class non-unit pass that counted each non-unit class
+# (with --out named eq.csv); g = 1+2*t^2+...+t^11 is the first degree-9
+# irreducible over F_3 times 1+t^2
+PINNED_NONUNIT_REPORTS = [
+    (5, 2, "1+t^4", "fb5bf6b4c67d5fc117d1f766019228773adec1ed856480abb7becf80540ac52f",
+     "807c10e081a64f3431fa9898240438d24a43f01397e60b7c948bef427c4c2799"),
+    (3, 2, "t+t^2+t^3+t^4", "5336ba193d5630071371cc81e796826f7c6318c0f7c431fc5b2d65b183cc28ee",
+     "03c57c2f8447dcf35eb3db177f53c13fe3c37d0b97fa46192766a9c12f9aea43"),
+    (3, 6, "2+t+t^6", "70f24aa1c21747dc2ab622337718a95995afc6fa862f05e12d0df39e58a25f35",
+     "3d2430d6545fb9d9e2b8ff16f713b4ea2ed6f35b83b2ee9efcba366cf7bd1062"),
+    (3, 9, "1+2*t^2+2*t^3+t^4+2*t^5+t^9+t^11", "16f4f80ec54d11257b055f5a525458e0f8f6fc8ce9e289bb28bb2752c779052c",
+     "58a94a8bfeb765457cfe4a42b1d6910b3bc7547940d0e46bb6b5b69c084b86f2"),
+]
+
+
+@pytest.mark.parametrize("q, d, g, csv_sha, summary_sha", PINNED_NONUNIT_REPORTS, ids=["q5-d2", "q3-d2", "q3-d6", "q3-d9"])
+def test_nonunit_reports_keep_their_bytes(q, d, g, csv_sha, summary_sha, tmp_path):
+    pool = enumerate_irreducibles(PrimeModulus(q), d)
+    assert any(poly_mod(poly_from_string(PrimeModulus(q), g), f).is_zero() for f in pool)
+    out = tmp_path / "eq.csv"
+    assert main(["equidist", "--q", str(q), "--d", str(d), "--g", g, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "eq.csv.summary.json").read_bytes()).hexdigest() == summary_sha

@@ -4,13 +4,16 @@ Each example makes one edit to a valid file, or two to distinct entries:
 a sequence file (q = 3, k = 3, 18 entries, and q = 5, k = 3, 150
 entries) or an aux block. The loader must refuse the edited file with
 the message of the oracle in tests/oracles.py (entry_fault from the
-lowest edited entry on, aux_fault), load a spelling-only edit equal to
-the original, and raise nothing but ValueError, which the command line
-turns into exit code 2.
+lowest edited entry on, aux_fault), load a respelt f equal to the
+original, refuse an s or n that int() reads but that is not ASCII digits
+alone, and raise nothing but ValueError, which the command line turns
+into exit code 2. A sequence load may peak, traced, at no more than
+twice the valid file's load and a small constant.
 """
 
 import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,9 @@ HUGE = 10**30
 # outside any digit range, and outside int64
 DELTAS = (1, -1, 2**62, HUGE, -HUGE)
 SEQ_EDITS = ("type", "missing", "digit", "r-outside-a", "spelling", "swap-f", "repeat-f", "exponent")
+# bytes an edited load may peak at beyond twice the valid file's load:
+# the edited loads measured peak below 1.8 times it
+LOAD_PEAK_SLACK = 32 << 10
 
 
 @pytest.fixture(scope="module", params=[3, 5], ids=["q3-k3", "q5-k3"])
@@ -37,11 +43,38 @@ def valid_seq(request, aux307):
     """A one-level build at k = 3 (18 entries at q = 3, 150 at q = 5) and
     its file."""
     seq = build_sequence(Params(q=PrimeModulus(request.param), aux=aux307, k_min=3, k_max=3))
-    return seq, seq_to_json(seq)
+    original = seq_to_json(seq)
+    seq_from_json(original)  # the member tables, moduli and log tables are built once per process
+    return seq, original, traced_load(original)[2]
+
+
+def traced_load(obj) -> tuple:
+    """(the loaded sequence or None, the refusal message or None, the
+    traced peak in bytes) of seq_from_json(obj)."""
+    tracemalloc.start()
+    try:
+        try:
+            loaded, message = seq_from_json(obj), None
+        except ValueError as exc:
+            loaded, message = None, str(exc)
+        return loaded, message, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def other_type(data, value):
     return data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(value)]))
+
+
+# s and n written otherwise, each read by int() as the same integer but
+# refused by the loader, which takes ASCII digits alone
+DECIMAL_RESPELLINGS = (
+    lambda text: "+" + text,
+    lambda text: f" {text} ",
+    lambda text: text[0] + "_" + text[1:] if len(text) > 1 else text + "\n",
+    lambda text: text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+    lambda text: text.translate(str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")),
+)
 
 
 def respell(data, name: str) -> str:
@@ -88,7 +121,14 @@ def edit_entries(data, seq, entries, pristine: list[int]) -> tuple[str, list[int
             # n re-encoded, so that the checks after the re-encoding decide
             ent["n"] = str(_pack(digit_weights(seq.params), ent["e"], ent["r"], int(ent["s"])))
     elif kind == "spelling":
-        ent["f"] = respell(data, ent["f"])
+        field = data.draw(st.sampled_from(("f", "s", "n")))
+        if field == "f":
+            ent["f"] = respell(data, ent["f"])
+        else:
+            respelt = data.draw(st.sampled_from(DECIMAL_RESPELLINGS))(ent[field])
+            assert int(respelt) == int(ent[field])
+            ent[field] = respelt
+            kind = "decimal-spelling"
     elif kind in ("swap-f", "repeat-f"):
         other = data.draw(st.sampled_from([j for j in pristine if j != idx]))
         touched.append(other)
@@ -118,7 +158,7 @@ def oracle_message(seq, entries, lowest: int) -> str | None:
 @settings(max_examples=120, deadline=2000)
 @given(data=st.data())
 def test_seq_loader_agrees_with_the_oracle(valid_seq, data):
-    seq, original = valid_seq
+    seq, original, original_peak = valid_seq
     obj = copy.deepcopy(original)
     kinds, touched = set(), []
     for _ in range(data.draw(st.integers(1, 2))):
@@ -126,10 +166,10 @@ def test_seq_loader_agrees_with_the_oracle(valid_seq, data):
         kind, more = edit_entries(data, seq, obj["entries"], pristine)
         kinds.add(kind)
         touched += more
-    try:
-        loaded, message = seq_from_json(obj), None
-    except ValueError as exc:
-        loaded, message = None, str(exc)
+    loaded, message, peak = traced_load(obj)
+    # an edit may not make the load grow with a value it reads, as a
+    # t^99999999 once made it fill a 1.69 GB coefficient list
+    assert peak <= 2 * original_peak + LOAD_PEAK_SLACK
     if kinds == {"spelling"}:
         assert message is None and loaded == seq
     else:

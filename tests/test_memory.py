@@ -3,7 +3,8 @@ check and the report writer: the log tables and the irreducible sieve
 work one block of codes at a time, so their transients stay near 1 MB
 however many codes they cover, a loaded sequence is held as columns,
 with no object per entry, the Sidon check holds one bucket of pair sums
-sized from N, and a report is written a chunk at a time, never whole.
+sized from N, the equidist report is held as columns, with no object per
+class, and a report is written a chunk at a time, never whole.
 tracemalloc sees numpy's buffers, so a traced peak counts every array
 these steps form."""
 
@@ -96,6 +97,24 @@ def test_sequence_write_stays_under_the_file(aux307, tmp_path):
     size, peak = traced_write_peak(tmp_path / "seq.json", lambda: seq_json_chunks(seq, "seq.json.manifest.json"))
     assert size > 880_000
     assert peak < 0.75 * size
+
+
+def test_equidist_report_keeps_columns_per_class():
+    # the d = 6, g = 2+t^2+t^8 report, 6,560 unit classes: held as tuples
+    # of counts, deviations and ratios and one name string per class, it
+    # kept about 104 traced bytes per class. As columns it keeps one
+    # index per class, beside the histogram's own columns
+    q = PrimeModulus(3)
+    hist = triple_histogram(q, 6, poly_from_string(q, "2+t^2+t^8"))
+    deviation_report(hist)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        dev = deviation_report(hist)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dev.phi_g == len(hist.units) == 6560
+    assert kept < 40 * dev.phi_g
 
 
 def test_equidist_csv_write_stays_under_the_file(tmp_path):
