@@ -108,7 +108,6 @@ from .builder import (
     SequenceEntry,
     SidonSequence,
     audit_preconditions,
-    build_sequence,
     complete_draw,
     draw_bounds,
     digit_weights,
@@ -373,9 +372,6 @@ def sidon_certificate(seq: SidonSequence) -> KClassAudit | None:
 
 @dataclass(frozen=True)
 class CollisionAudit:
-    witness: CollisionWitness
-    left: tuple[SequenceEntry, SequenceEntry]
-    right: tuple[SequenceEntry, SequenceEntry]
     boundary_index: int  # last low position whose y digit is a shifted pair sum
     products_congruent: bool
     shared_levels: int
@@ -432,9 +428,6 @@ def attribute_collision(seq: SidonSequence, w: CollisionWitness) -> CollisionAud
                 failed = line
                 break
     return CollisionAudit(
-        witness=w,
-        left=(e1, e2),
-        right=(e3, e4),
         boundary_index=boundary,
         products_congruent=congruent,
         shared_levels=shared,
@@ -632,23 +625,17 @@ def _worker_trial(job: tuple[int, int]) -> tuple[int, list[bool]]:
 
 
 def monte_carlo_coverage(
-    params: Params,
-    m_window: tuple[int, int],
-    trials: int,
-    threads: int = 1,
-    seq: SidonSequence | None = None,
+    seq: SidonSequence, m_window: tuple[int, int], trials: int, threads: int = 1
 ) -> CoverageReport:
     """Coverage of [start, start+length) by three-element sums: exact
-    counts for the base build, plus the fraction of `trials`
-    re-randomizations (fresh r and s digits, same e digits) covering each
-    m. Deterministic given params.seed."""
+    counts for seq, plus the fraction of `trials` re-randomizations
+    (fresh r and s digits, same e digits) covering each m. Deterministic
+    given seq.params.seed."""
     w_start, w_len = m_window
     if w_len < 0:
         raise ValueError("window length must be >= 0")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if seq is None:
-        seq = build_sequence(params)
     vals = list(seq.values)
     if w_len and not vals:
         raise ValueError("the sequence is empty: no three-fold sum reaches the window")
@@ -661,7 +648,7 @@ def monte_carlo_coverage(
         counts[sum(vals[x] for x in t) - w_start] += 1
     uncovered = [w_start + off for off, cnt in enumerate(counts) if cnt == 0]
 
-    seeds = tuple(_trial_seed(params.seed, tau) for tau in range(trials))
+    seeds = tuple(_trial_seed(seq.params.seed, tau) for tau in range(trials))
     freq = [0] * w_len
     jobs = [(tau, seeds[tau]) for tau in range(trials if w_len else 0)]
     plan = draw_plan(seq)

@@ -23,10 +23,11 @@ is read.
 The members of each degree are one cached MemberTable per (q, degree):
 sieve codes and canonical names (ffpoly.code_names), with name ->
 position; their Poly objects are made on first request, by the decode
-indexes. _code_e_digits gives the e digits of a whole level at once: one
-digit matrix per block of the codes, one product mod q per g_i
-(reduction is F_q-linear) and one dlog_table gather. The r and s digits
-are drawn by one routine, _draw_digits, over chosen rows (members) and
+indexes. The e digits of a whole level are its members' discrete-log
+coordinates mod g_1..g_k, by unitgroup.log_coordinates. No g_i divides a
+member, so every e digit is a log: a member is an irreducible of even
+degree >= 2 and g_i one of odd degree. The r and s digits are drawn by
+one routine, _draw_digits, over chosen rows (members) and
 tags (digits) of a level's table of hash messages, which carry the
 members' names: one keyed blake2b state, a copy of it per chosen
 message, the digests written into one uint64 word array and reduced
@@ -74,18 +75,18 @@ from json.encoder import encode_basestring_ascii
 
 from .auxset import AuxSet, aux_from_json, aux_to_json, json_field, json_value
 from .ffpoly import (
+    ENUM_CAP,
     Poly,
     PrimeModulus,
     code_names,
     enumerate_irreducibles,
+    exceeds_enum_cap,
     irreducible_codes,
-    map_codes,
-    mulmod_matrix,
     poly_from_string,
     poly_to_string,
     smallest_irreducible,
 )
-from .unitgroup import Generator, dlog_table, find_generator
+from .unitgroup import Generator, find_generator, log_coordinates
 
 # after the package modules, so that numpy first loads through ffpoly, as
 # in analyzer
@@ -169,11 +170,6 @@ class ModuliTable:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    @functools.cached_property
-    def e_weights(self) -> tuple[int, ...]:
-        """_e_weights of g_1..g_{k_max}; level k reads the first k."""
-        return _e_weights(self.generators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,14 +352,24 @@ def _moduli(q: PrimeModulus, k_max: int) -> ModuliTable:
 @functools.lru_cache(maxsize=256)
 def fk_degrees(params: Params, k: int) -> tuple[int, ...]:
     """Even degrees m with c k^2 <= m < c (k+1)^2, exact arithmetic."""
-    lo = params.c * k * k
-    hi = params.c * (k + 1) * (k + 1)
-    m = 2 * math.ceil(lo / 2)
-    out = []
-    while m < hi:
-        out.append(m)
-        m += 2
-    return tuple(out)
+    return tuple(_even_degrees(params.c * k * k, params.c * (k + 1) * (k + 1)))
+
+
+def _even_degrees(lo: Fraction, hi: Fraction) -> range:
+    """The even m with lo <= m < hi, as a range, never listed here."""
+    return range(2 * math.ceil(lo / 2), 2 * math.ceil(hi / 2) - 1, 2)
+
+
+def _check_windows(params: Params) -> None:
+    """ValueError, from c, k_min and k_max alone, when q^m exceeds ENUM_CAP
+    for the top degree m of the level windows, which tile [c k_min^2,
+    c (k_max+1)^2): no member table of m can be built, and a huge c would
+    first list millions of degrees (fk_degrees)."""
+    top = _even_degrees(params.c * params.k_min**2, params.c * (params.k_max + 1) ** 2)[-1:]
+    if top and exceeds_enum_cap(params.q.q, top[0]):
+        raise ValueError(
+            f"c = {params.c}: the level windows reach degree {top[0]}; q^{top[0]} exceeds ENUM_CAP = {ENUM_CAP}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,32 +517,6 @@ def digit_weights(params: Params, count: int | None = None) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _code_e_digits(generators: tuple[Generator, ...], codes: np.ndarray, width: int) -> np.ndarray:
-    """The e digits of the polynomials with codes below q^width, the
-    table logs of each mod g_1..g_k (k = len(generators)), one row per
-    code; ValueError when some g_i divides one of them. Per
-    block of codes (ffpoly.map_codes), one digit matrix, one product mod q
-    per g_i (the reduction map mod g_i) and one log-table gather per g_i."""
-    tables = [dlog_table(gen) for gen in generators]
-    matrices = [_reduction_matrix(gen.g, width) for gen in generators]
-    q = generators[0].g.q
-    e = np.empty((len(codes), len(generators)), dtype=np.int64)
-    for rows, i, residues in map_codes(q.q, codes, width, matrices):
-        e[rows, i] = tables[i][residues]
-    if (e < 0).any():
-        raise ValueError("a member is divisible by one of the moduli g_i")
-    return e
-
-
-@functools.lru_cache(maxsize=64)
-def _reduction_matrix(g: Poly, width: int) -> np.ndarray:
-    """mulmod_matrix(1, g, width), the reduction map mod g, read-only;
-    cached, as the build, every load and the decode indexes read it."""
-    out = mulmod_matrix(Poly.one(g.q), g, width)
-    out.flags.writeable = False
-    return out
-
-
 def draw_plan(seq: SidonSequence) -> tuple:
     """The seed-invariant part of re-drawing the r and s digits of the
     entries of seq: its params, and per level the positions of its
@@ -596,6 +576,7 @@ def complete_draw(plan: tuple, seed: int, low: list[int], wanted: list[int]) -> 
 
 
 def build_sequence(params: Params) -> SidonSequence:
+    _check_windows(params)
     moduli = build_moduli(params)
     warnings: list[str] = [] if params.strict else [SCALED_MODE_WARNING]
     drawn: list[SequenceLevel] = []  # rows in member order, positions unset
@@ -608,7 +589,7 @@ def build_sequence(params: Params) -> SidonSequence:
             continue
         names = [name for table in tables for name in table.names]
         codes = np.concatenate([table.codes + params.q.q**table.degree for table in tables])
-        e = _code_e_digits(moduli.generators[:k], codes, 1 + tables[-1].degree)
+        e = log_coordinates(moduli.generators[:k], codes, 1 + tables[-1].degree)
         msgs = _level_messages(names, k)
         digits = _draw_digits(a_elems, k, params.q.q ** (3 * k), hasher, msgs, slice(None), slice(None))
         r, s = digits[:, :k].astype(np.int64), digits[:, k]
@@ -675,7 +656,7 @@ def _e_key(e, weights: tuple[int, ...]) -> int:
 def _decode_index(generators: tuple[Generator, ...], q: PrimeModulus, degrees: tuple[int, ...]) -> dict:
     """_e_key of the e digits -> member, for the members of the degrees in
     the window degrees of level k = len(generators) that lie below k^2 =
-    sum deg g_i: their e digits by _code_e_digits, as build_sequence
+    sum deg g_i: their e digits by log_coordinates, as build_sequence
     computes them. By CRT a polynomial of degree < k^2 is determined by
     its residues mod g_1..g_k, so no two of these members share their e
     digits. Cached per (generators, q, degrees), so every Params that
@@ -684,7 +665,7 @@ def _decode_index(generators: tuple[Generator, ...], q: PrimeModulus, degrees: t
     if not tables:
         return {}
     codes = np.concatenate([table.codes + q.q**table.degree for table in tables])
-    e = _code_e_digits(generators, codes, 1 + tables[-1].degree)
+    e = log_coordinates(generators, codes, 1 + tables[-1].degree)
     members = [f for table in tables for f in table.polys]
     weights = _e_weights(generators)
     index = {_e_key(row, weights): f for row, f in zip(e.tolist(), members)}
@@ -702,9 +683,10 @@ def _decode_levels(params: Params, moduli: ModuliTable) -> tuple[tuple, frozense
     e_i with the weight of e_i in _e_key, and the level's _decode_index;
     and A as a frozenset."""
     weights = digit_weights(params)
+    e_weights = _e_weights(moduli.generators)
     levels = []
     for k in range(1, params.k_max + 1):
-        peel = tuple((weights[2 * i - 1], weights[2 * i - 2], moduli.e_weights[i - 1]) for i in range(k, 0, -1))
+        peel = tuple((weights[2 * i - 1], weights[2 * i - 2], e_weights[i - 1]) for i in range(k, 0, -1))
         index = _decode_index(moduli.generators[:k], params.q, fk_degrees(params, k))
         lo, hi = level_value_range(params, k)
         levels.append((k, lo, hi, weights[2 * k], params.q.q ** (3 * k), peel, index))
@@ -773,7 +755,6 @@ class KClassAudit:
 class AuditReport:
     c_ok: bool
     classes: tuple[KClassAudit, ...]
-    all_ok: bool
     lines: tuple[str, ...]
 
 
@@ -792,7 +773,6 @@ def audit_preconditions(params: Params) -> AuditReport:
         f"(3-2c)^2 = {(3 - 2 * c) ** 2}: {'pass' if c_ok else 'fail'}"
     ]
     classes = []
-    all_ok = c_ok
     for k in range(params.k_min, params.k_max + 1):
         degs = fk_degrees(params, k)
         if not degs:
@@ -803,13 +783,12 @@ def audit_preconditions(params: Params) -> AuditReport:
         ok_b = mx < k * k
         ok_c = 2 * mx < k * k
         classes.append(KClassAudit(k, degs, mx, ok_b, ok_c, len(degs) == 1 and 2 * mx <= k * k))
-        all_ok = all_ok and ok_b and ok_c
         lines.append(
             f"k={k}: degrees {degs}, max {mx}: "
             f"(b) {mx} < {k * k} {'pass' if ok_b else 'fail'}; "
             f"(c) {2 * mx} < {k * k} {'pass' if ok_c else 'fail'}"
         )
-    return AuditReport(c_ok, tuple(classes), all_ok, tuple(lines))
+    return AuditReport(c_ok, tuple(classes), tuple(lines))
 
 
 def params_to_json(params: Params) -> dict:
@@ -924,8 +903,9 @@ def _entry_block(seq: SidonSequence, names: list[list[str]], start: int, stop: i
 
 def seq_from_json(obj: dict) -> SidonSequence:
     """Inverse of seq_to_json, for untrusted input: ValueError unless the
-    moduli are build_moduli(params) and every entry holds digits a build
-    can write. An entry's checks, in order: its fields (_entry_columns),
+    level windows of params fit ENUM_CAP (_check_windows), the moduli are
+    build_moduli(params) and every entry holds digits a build can write.
+    An entry's checks, in order: its fields (_entry_columns),
     f parses, 0 <= e_i < R_i = q^(2i-1) - 1, r inside A, n re-encodes,
     f is a monic irreducible of the level's window, s lies in [1,
     q^{3k}], e holds the table logs of f, and f repeats no earlier entry.
@@ -935,9 +915,10 @@ def seq_from_json(obj: dict) -> SidonSequence:
     run on one entry at a time, up to the lowest faulty one. The entries
     below it are checked per level in whole-array passes: f by name in
     the member tables (_level_codes), r by one np.isin, n by _encode,
-    the logs by one _code_e_digits and repeats by one set of the codes."""
+    the logs by one log_coordinates and repeats by one set of the codes."""
     json_value(obj, dict, "sequence file")
     params = params_from_json(json_field(obj, "params", "sequence file"))
+    _check_windows(params)
     q = params.q
     moduli = build_moduli(params)
     stored = []
@@ -983,7 +964,7 @@ def seq_from_json(obj: dict) -> SidonSequence:
         member = codes >= 0
         if not member.any():
             continue
-        logs = _code_e_digits(moduli.generators[:k], codes[member], 1 + fk_degrees(params, k)[-1])
+        logs = log_coordinates(moduli.generators[:k], codes[member], 1 + fk_degrees(params, k)[-1])
         _note(failures, idxs[member][(logs != e[member]).any(axis=1)], 6, "e digits differ from the table logs of f")
         member_codes = codes[member].tolist()
         if len(set(member_codes)) < len(member_codes):

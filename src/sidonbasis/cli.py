@@ -339,9 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.mode == "coverage":
         window = _center_window(window, list(seq.values))
         trials = args.trials if args.trials is not None else 100
-        rep = monte_carlo_coverage(
-            seq.params, window, trials, threads=args.threads, seq=seq
-        )
+        rep = monte_carlo_coverage(seq, window, trials, threads=args.threads)
         lines = (f"{m},{count},{frequency}\n" for m, count, frequency in rep.rows())
         chunks = _csv_chunks(["m", "count", "frequency"], lines, manifest_ref)
         ok = True

@@ -12,13 +12,14 @@ expected to live at. The normalized ratios are a regression tripwire
 Counting works in exponent coordinates. The units of F_q[t]/(g) are the
 product of the cyclic groups Z/n_j, n_j = q^deg(pi_j) - 1, over the
 irreducible factors pi_j of g, one discrete log per factor, and by the
-CRT these coordinates name each unit once. The triples of unit members
-are one FFT convolution (_distinct_triples), O(N + phi(g) log phi(g))
-for a pool of N against O(N^3) products for the triples one by one.
-Only the unit classes are reported. A member that is no unit is one of
-the degree-d factors of g, and every triple that holds one lands off
-the units: those are C(N, 3) - C(N_u, 3), N_u the unit members, counted
-as one total.
+CRT these coordinates name each unit once; unitgroup.log_coordinates
+gives them for every residue and every pool member. The triples of unit
+members are one FFT convolution (_distinct_triples), O(N + phi(g) log
+phi(g)) for a pool of N against O(N^3) products for the triples one by
+one. Only the unit classes are reported. A member that is no unit is
+one of the degree-d factors of g, and every triple that holds one lands
+off the units: those are C(N, 3) - C(N_u, 3), N_u the unit members,
+counted as one total.
 
 The one size limit is ffpoly.ENUM_CAP on q^deg g and on q^d, checked
 before allocating (see triple_histogram); no function takes a limit.
@@ -40,12 +41,10 @@ from .ffpoly import (
     Poly,
     code_names,
     irreducible_codes,
-    map_codes,
-    mulmod_matrix,
     poly_derivative,
     poly_gcd,
 )
-from .unitgroup import dlog_table, factor_squarefree_poly, find_generator
+from .unitgroup import Generator, factor_squarefree_poly, find_generator, log_coordinates
 
 
 def _validate_modulus(g: Poly) -> None:
@@ -57,23 +56,17 @@ def _validate_modulus(g: Poly) -> None:
         raise ValueError("modulus must be squarefree")
 
 
-def _exponent_coordinates(g: Poly) -> tuple[tuple[int, ...], np.ndarray]:
-    """The unit group's shape (n = q^deg(pi) - 1 per irreducible factor
-    pi, in factor_squarefree_poly order) and an array C of shape
-    (q^deg g, factors) with C[code(x)] the discrete logs of x mod each
-    factor, -1 where the factor divides x. Raises ValueError when
-    q^deg g exceeds ENUM_CAP, before allocating anything."""
+def _exponent_coordinates(g: Poly) -> tuple[tuple[Generator, ...], np.ndarray]:
+    """The generators of the irreducible factors of g (find_generator, in
+    factor_squarefree_poly order) and their log_coordinates C over all
+    residues: shape (q^deg g, factors), C[code(x)] the discrete logs of x
+    mod each factor, -1 where the factor divides x. Raises ValueError
+    when q^deg g exceeds ENUM_CAP, before allocating anything."""
     qv = g.q.q
     if qv**g.degree > ENUM_CAP:
         raise ValueError(f"{qv}^{g.degree} residues mod g exceed ENUM_CAP = {ENUM_CAP}")
-    factors = factor_squarefree_poly(g)
-    shape = tuple(qv**pi.degree - 1 for pi in factors)
-    tables = [dlog_table(find_generator(pi)) for pi in factors]
-    matrices = [mulmod_matrix(Poly.one(g.q), pi, g.degree) for pi in factors]
-    coords = np.empty((qv**g.degree, len(factors)), dtype=np.int64)
-    for rows, i, residues in map_codes(qv, range(qv**g.degree), g.degree, matrices):
-        coords[rows, i] = tables[i][residues]
-    return shape, coords
+    generators = tuple(find_generator(pi) for pi in factor_squarefree_poly(g))
+    return generators, log_coordinates(generators, range(qv**g.degree), g.degree)
 
 
 def _distinct_triples(points: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -159,11 +152,9 @@ def triple_histogram(q: PrimeModulus, d: int, g: Poly) -> TripleCountReport:
     _validate_modulus(g)
     codes = irreducible_codes(q, d)
     n = len(codes)
-    shape, coords = _exponent_coordinates(g)
-    qv = q.q
-    member = np.empty((n, len(shape)), dtype=np.int64)
-    for rows, _, residues in map_codes(qv, codes + qv**d, d + 1, [mulmod_matrix(Poly.one(q), g, d + 1)]):
-        member[rows] = coords[residues]
+    generators, coords = _exponent_coordinates(g)
+    shape = tuple(gen.order for gen in generators)
+    member = log_coordinates(generators, codes + q.q**d, d + 1)
     member = member[(member >= 0).all(axis=1)]
     units = np.flatnonzero((coords >= 0).all(axis=1))
     counts = _distinct_triples(member, shape)[tuple(coords[units].T)]
@@ -179,7 +170,6 @@ class DeviationReport:
     phi_g: int
     binom: int  # C(|I_d|, 3), the conserved total
     expected: Fraction  # binom / phi_g, the per-unit main term
-    normalizer: float  # q^{(3d - deg g)/2}
     nonunit_total: int  # triples sharing a factor with g
     conservation_ok: bool  # the unit counts sum to binom - nonunit_total
     max_ratio: float
@@ -191,7 +181,7 @@ class DeviationReport:
     # one row per distinct count, ascending
     distinct_counts: np.ndarray  # int64
     count_deviations: np.ndarray  # float64 count - expected, correctly rounded
-    count_ratios: np.ndarray  # float64 |deviation| / normalizer
+    count_ratios: np.ndarray  # float64 |deviation| / q^{(3d - deg g)/2}
 
 
 def check_theta(d: int, g: Poly) -> Fraction:
@@ -236,7 +226,6 @@ def deviation_report(report: TripleCountReport) -> DeviationReport:
         phi_g=phi_g,
         binom=binom,
         expected=Fraction(binom, phi_g),
-        normalizer=normalizer,
         nonunit_total=report.nonunit_total,
         conservation_ok=unit_sum + report.nonunit_total == binom,
         max_ratio=float(ratios.max()),

@@ -333,10 +333,16 @@ def _irreducible_codes(q: int, d: int) -> np.ndarray:
     return out
 
 
+def exceeds_enum_cap(q: int, d: int) -> bool:
+    """q^d > ENUM_CAP for q >= 2; past ENUM_CAP.bit_length(), d alone
+    decides, so a huge d forms no huge power."""
+    return d >= ENUM_CAP.bit_length() or q**d > ENUM_CAP
+
+
 def _check_enum_cap(q: PrimeModulus, d: int) -> None:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if q.q**d > ENUM_CAP:
+    if exceeds_enum_cap(q.q, d):
         raise ValueError(f"enumeration cap exceeded: {q.q}^{d} > ENUM_CAP = {ENUM_CAP}")
 
 

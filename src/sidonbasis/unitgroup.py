@@ -21,6 +21,10 @@ factor of an equidist modulus, has at most ffpoly.ENUM_CAP = 2^20
 residues, so each gets one. Pohlig-Hellman with baby-step giant-step is
 the tests' independent oracle for the table, in tests/oracles.py.
 
+log_coordinates, the package's one map from polynomial codes to their
+logs mod g_1..g_k, gives the build's e digits, the loader's log check,
+the decode indexes and equidist's exponent coordinates.
+
 The size limit of the log table is a module constant, DLOG_SCAN_LIMIT,
 checked before any allocation; the orders the package factors for the
 order test are below ffpoly.ENUM_CAP, well inside primes.INT_CAP. No
@@ -29,6 +33,7 @@ function takes a limit as an argument.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,6 +47,7 @@ from .ffpoly import (
     digit_codes,
     enumerate_irreducibles,
     is_irreducible,
+    map_codes,
     mulmod_matrix,
     poly_derivative,
     poly_divmod,
@@ -74,7 +80,7 @@ def _order_powers(g: Poly, omegas: np.ndarray, exponents: list[int]) -> np.ndarr
     of t^(i+j) mod g, and omega^e = 1 * M^e is the product of the squares
     M^(2^b) over the bits b of e, all candidates at once."""
     qv, d = g.q.q, g.degree
-    powers_of_t = mulmod_matrix(Poly.one(g.q), g, 2 * d - 1)  # row k: t^k mod g
+    powers_of_t = _reduction_matrix(g, 2 * d - 1)  # row k: t^k mod g
     hankel = powers_of_t[np.arange(d)[:, None] + np.arange(d)]
     square = (omegas @ hankel.reshape(d, d * d)).reshape(-1, d, d) % qv
     out = np.zeros((len(omegas), len(exponents), d), dtype=np.int64)
@@ -84,6 +90,16 @@ def _order_powers(g: Poly, omegas: np.ndarray, exponents: list[int]) -> np.ndarr
             square = square @ square % qv
         take = np.array([e >> bit & 1 for e in exponents], dtype=bool)
         out[:, take] = out[:, take] @ square % qv
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _reduction_matrix(g: Poly, width: int) -> np.ndarray:
+    """mulmod_matrix(1, g, width), the reduction map mod g, read-only;
+    cached, as the generator search, the build, every load and the
+    decode indexes read it."""
+    out = mulmod_matrix(Poly.one(g.q), g, width)
+    out.flags.writeable = False
     return out
 
 
@@ -221,6 +237,19 @@ def dlog_table(gen: Generator) -> np.ndarray:
     table.flags.writeable = False
     _LOG_TABLE_CACHE[key] = table
     return table
+
+
+def log_coordinates(generators: tuple[Generator, ...], codes, width: int) -> np.ndarray:
+    """int64 row u: the table log of codes[u] (below q^width; an array or
+    a range) mod each generator's g, -1 where g divides it. Per block of
+    codes (ffpoly.map_codes), one product by each g's reduction matrix
+    (reduction is F_q-linear) and one dlog_table gather."""
+    tables = [dlog_table(gen) for gen in generators]
+    matrices = [_reduction_matrix(gen.g, width) for gen in generators]
+    out = np.empty((len(codes), len(generators)), dtype=np.int64)
+    for rows, i, residues in map_codes(generators[0].g.q.q, codes, width, matrices):
+        out[rows, i] = tables[i][residues]
+    return out
 
 
 def factor_squarefree_poly(g: Poly) -> tuple[Poly, ...]:

@@ -41,7 +41,6 @@ from sidonbasis.builder import (
     Params,
     SequenceLevel,
     SidonSequence,
-    _code_e_digits,
     digit_weights,
     fk_degrees,
     level_tables,
@@ -60,7 +59,7 @@ from sidonbasis.ffpoly import (
     poly_sub,
 )
 from sidonbasis.primes import factorize
-from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table, factor_squarefree_poly
+from sidonbasis.unitgroup import DLOG_SCAN_LIMIT, Generator, dlog_table, factor_squarefree_poly, log_coordinates
 
 # -- integers and polynomials -------------------------------------------
 
@@ -274,7 +273,10 @@ def level_e_digits(generators: tuple[Generator, ...], members: list[Poly]) -> np
     e_1..e_k of members[u], the table logs of members[u] mod g_1..g_k.
     Raises ValueError when some g_i divides a member."""
     width = 1 + max(f.degree for f in members)
-    return _code_e_digits(generators, np.array([f.code for f in members], dtype=np.int64), width)
+    e = log_coordinates(generators, np.array([f.code for f in members], dtype=np.int64), width)
+    if (e < 0).any():
+        raise ValueError("a member is divisible by one of the moduli g_i")
+    return e
 
 
 def _pack(weights: tuple[int, ...], e, r, s: int) -> int:

@@ -200,7 +200,8 @@ def test_acceptance_6_pairwise_sum_uniqueness(seq307):
     if audits:
         detail += "; attributed margins: " + ", ".join(a.failed_margin for a in audits)
     record_acceptance(6, "pairwise-sum uniqueness over the full build", ok, detail)
-    assert not audit.all_ok  # the k=4 pair margin is genuinely at the boundary
+    # the k=4 pair margin is genuinely at the boundary
+    assert not all(cls.pair_margin_ok for cls in audit.classes)
     assert ok
 
 
@@ -267,13 +268,13 @@ def test_acceptance_8_triple_product_distribution():
     assert ok
 
 
-def test_acceptance_9_coverage_re_randomization(params307, seq307):
+def test_acceptance_9_coverage_re_randomization(seq307):
     vals = seq307.values
     length = 10**3
     center = (3 * vals[0] + 3 * vals[-1]) // 2
     window = (center - length // 2, length)
     t0 = time.perf_counter()
-    rep = monte_carlo_coverage(params307, window, trials=100, threads=4, seq=seq307)
+    rep = monte_carlo_coverage(seq307, window, trials=100, threads=4)
     elapsed = time.perf_counter() - t0
     rows = list(rep.rows())
     freq_ok = all(0.0 <= f <= 1.0 and c <= 100 for _, c, f in rows) and len(rows) == length
@@ -283,8 +284,8 @@ def test_acceptance_9_coverage_re_randomization(params307, seq307):
         for i, j, l in find_representations(m, vals):
             resum_ok = resum_ok and vals[i] + vals[j] + vals[l] == m
     # deterministic per seed: a reduced rerun reproduces itself exactly
-    small_a = monte_carlo_coverage(params307, (window[0], 50), trials=5, seq=seq307)
-    small_b = monte_carlo_coverage(params307, (window[0], 50), trials=5, threads=2, seq=seq307)
+    small_a = monte_carlo_coverage(seq307, (window[0], 50), trials=5)
+    small_b = monte_carlo_coverage(seq307, (window[0], 50), trials=5, threads=2)
     det_ok = small_a == small_b and len(set(rep.trial_seeds)) == 100
     ok = freq_ok and resum_ok and det_ok
     record_acceptance(

@@ -438,7 +438,6 @@ def test_attribute_equal_k_collision(mock_params):
     assert e1.n + e2.n == e3.n + e4.n
     seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
-    assert [[ent.n for ent in pair] for pair in (audit.left, audit.right)] == [[e1.n, e2.n], [e3.n, e4.n]]
     # the y digit of the equal sums, a + a: a shifted pair sum, not in A
     y = decode(3, params.aux.p, e1.n + e2.n, 3)[1]
     assert y == 2 * a and y not in params.aux.A
@@ -478,8 +477,10 @@ def test_attribute_mixed_k_collision(mock_params):
     seq = from_entries(params, build_moduli(params), sorted((a2, b1, c2, d1), key=lambda x: x.n))
     # pass the right pair in ascending-k order to exercise the swap
     audit = attribute_collision(seq, CollisionWitness(a2.n, b1.n, d1.n, c2.n))
-    assert [[ent.n for ent in pair] for pair in (audit.left, audit.right)] == [[a2.n, b1.n], [c2.n, d1.n]]
     assert audit.shared_levels == 1
+    # both pairs ascending: unswapped, the lower entries would be a2 and
+    # c2, and the shared levels min(2, 2)
+    assert attribute_collision(seq, CollisionWitness(b1.n, a2.n, d1.n, c2.n)).shared_levels == 1
     digits = decode(3, params.aux.p, a2.n + b1.n, 5)
     assert digits[1] == 2 * a and digits[3] == a
     assert audit.boundary_index == 1
@@ -513,7 +514,6 @@ def test_attribute_resolves_entries_from_sequence(mock_params):
     e4 = mock_entry(params, Poly(Q3, (2, 1)), 1, (1,), (a,), 6)
     seq = from_entries(params, build_moduli(params), sorted((e1, e2, e3, e4), key=lambda x: x.n))
     audit = attribute_collision(seq, CollisionWitness(e1.n, e2.n, e3.n, e4.n))
-    assert {audit.left[0].n, audit.left[1].n} == {e1.n, e2.n}
     assert audit.products_congruent
 
 
@@ -1110,7 +1110,7 @@ def test_coverage_matches_brute(params307, seq307, which):
         "single": (hit_in_trial, 1),
         "empty": (vals[0] + vals[1] + vals[2], 0),
     }[which]
-    rep = monte_carlo_coverage(params307, window, trials=3, seq=seq)
+    rep = monte_carlo_coverage(seq, window, trials=3)
     counts = brute_counts(vals, *window)
     assert list(rep.counts) == counts
     assert list(rep.uncovered) == [window[0] + off for off, c in enumerate(counts) if c == 0]
@@ -1133,7 +1133,7 @@ def test_coverage_counts_repeated_sums(mock_params):
     seq = from_entries(params, build_moduli(params), entries)
     vals = list(seq.values)
     window = (3 * vals[0], 3 * (vals[1] - vals[0]) + 1)
-    rep = monte_carlo_coverage(params, window, trials=2, seq=seq)
+    rep = monte_carlo_coverage(seq, window, trials=2)
     counts = brute_counts(vals, *window)
     assert max(counts) == 3
     assert list(rep.counts) == counts
@@ -1146,9 +1146,9 @@ def coverage_args(seq):
     return start, 25
 
 
-def test_coverage_report_shape(params307, seq307):
+def test_coverage_report_shape(seq307):
     start, length = coverage_args(seq307)
-    rep = monte_carlo_coverage(params307, (start, length), trials=3, seq=seq307)
+    rep = monte_carlo_coverage(seq307, (start, length), trials=3)
     assert rep.window_start == start and rep.window_length == length
     assert rep.trials == 3
     assert len(rep.trial_seeds) == 3 and len(set(rep.trial_seeds)) == 3
@@ -1162,11 +1162,11 @@ def test_coverage_report_shape(params307, seq307):
     assert set(rep.uncovered) == {m for m, c, _ in rows if c == 0}
 
 
-def test_coverage_deterministic_and_parallel(params307, seq307):
+def test_coverage_deterministic_and_parallel(seq307):
     start, length = coverage_args(seq307)
-    a = monte_carlo_coverage(params307, (start, length), trials=2, seq=seq307)
-    b = monte_carlo_coverage(params307, (start, length), trials=2, seq=seq307)
-    c = monte_carlo_coverage(params307, (start, length), trials=2, threads=2, seq=seq307)
+    a = monte_carlo_coverage(seq307, (start, length), trials=2)
+    b = monte_carlo_coverage(seq307, (start, length), trials=2)
+    c = monte_carlo_coverage(seq307, (start, length), trials=2, threads=2)
     assert a == b == c
 
 
@@ -1191,7 +1191,7 @@ class RecordingPool:
         return map(fn, jobs)
 
 
-def test_coverage_workers_capped_at_trials(monkeypatch, params307, seq307):
+def test_coverage_workers_capped_at_trials(monkeypatch, seq307):
     # the pool forks every worker at its first job, so 64 threads for 3
     # trials must ask for 3 workers; one trial or none needs no pool
     import concurrent.futures
@@ -1202,28 +1202,28 @@ def test_coverage_workers_capped_at_trials(monkeypatch, params307, seq307):
     monkeypatch.setattr(RecordingPool, "made", [])
     monkeypatch.setattr(analyzer, "_worker_task", None)
     window = coverage_args(seq307)
-    serial = monte_carlo_coverage(params307, window, trials=3, seq=seq307)
-    assert monte_carlo_coverage(params307, window, trials=3, threads=64, seq=seq307) == serial
+    serial = monte_carlo_coverage(seq307, window, trials=3)
+    assert monte_carlo_coverage(seq307, window, trials=3, threads=64) == serial
     assert RecordingPool.made == [3]
     for trials in (1, 0):
-        rep = monte_carlo_coverage(params307, window, trials=trials, threads=64, seq=seq307)
-        assert rep == monte_carlo_coverage(params307, window, trials=trials, seq=seq307)
+        rep = monte_carlo_coverage(seq307, window, trials=trials, threads=64)
+        assert rep == monte_carlo_coverage(seq307, window, trials=trials)
     assert RecordingPool.made == [3]
 
 
-def test_coverage_empty_window(params307, seq307):
-    rep = monte_carlo_coverage(params307, (0, 0), trials=5, seq=seq307)
+def test_coverage_empty_window(seq307):
+    rep = monte_carlo_coverage(seq307, (0, 0), trials=5)
     assert rep.window_length == 0
     assert rep.counts == {} or len(rep.counts) == 0
     assert list(rep.rows()) == []
 
 
-def test_coverage_window_validation(params307, seq307):
+def test_coverage_window_validation(seq307):
     with pytest.raises(ValueError):
-        monte_carlo_coverage(params307, (0, 5), trials=1, seq=seq307)
+        monte_carlo_coverage(seq307, (0, 5), trials=1)
     with pytest.raises(ValueError):
-        monte_carlo_coverage(params307, (3 * seq307.values[-1], 2), trials=1, seq=seq307)
+        monte_carlo_coverage(seq307, (3 * seq307.values[-1], 2), trials=1)
     with pytest.raises(ValueError):
-        monte_carlo_coverage(params307, (0, -1), trials=1, seq=seq307)
+        monte_carlo_coverage(seq307, (0, -1), trials=1)
     with pytest.raises(ValueError, match="trials must be >= 0"):
-        monte_carlo_coverage(params307, coverage_args(seq307), trials=-3, seq=seq307)
+        monte_carlo_coverage(seq307, coverage_args(seq307), trials=-3)

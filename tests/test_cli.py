@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from sidonbasis import cli
 from sidonbasis.analyzer import monte_carlo_coverage
 from sidonbasis.auxset import YTable, aux_from_json, build_y_table, default_aux, triple_sumset_bits
-from sidonbasis.builder import Params, _e_key, digit_weights, seq_from_json, seq_json_chunks
+from sidonbasis.builder import Params, _e_key, _e_weights, digit_weights, seq_from_json, seq_json_chunks
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.ffpoly import Poly, PrimeModulus
 
@@ -175,6 +176,32 @@ def test_build_rejects_zero_denominator(workdir, capsys):
     argv = ["build", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--c", "1/0", "--out", "-"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: c = '1/0' is not a fraction")
+
+
+@pytest.mark.parametrize("how", ["build", "load"])
+def test_huge_c_refused_before_its_windows(workdir, tmp_path, capsys, how):
+    # c = 10^6 once listed the 3.5 million degrees of the level 3 window
+    # and formed 3^9000000 before the cap refused it: 5-7 s and a 164 MB
+    # traced peak. At c = 10^12 that window holds 3.5 10^12 degrees
+    if how == "build":
+        argv = ["build", "--q", "3", "--aux-file", str(workdir / "aux.json"), "--c", "1000000"]
+    else:
+        obj = read_json(workdir / "seq.json")
+        obj["params"]["c"] = "1000000000000"
+        edited = tmp_path / "seq.json"
+        edited.write_text(json.dumps(obj))
+        argv = ["verify", "--seq-file", str(edited), "--mode", "sidon"]
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: c = ") and "ENUM_CAP" in err
+    assert peak < 4 << 20
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_build_strict_rejected_at_desk_scale(workdir, tmp_path, capsys):
@@ -415,7 +442,7 @@ def plant_collision(src, dst):
     orders = np.array([gen.order for gen in seq.moduli.generators[: level.k]])
     left, right = np.triu_indices(len(level), 1)
     sums = level.e[left] + level.e[right]
-    key = _e_key((sums % orders).T, seq.moduli.e_weights)
+    key = _e_key((sums % orders).T, _e_weights(seq.moduli.generators))
     order = np.argsort(key, kind="stable")
     u, v = order[:-1], order[1:]
     at = np.flatnonzero((key[u] == key[v]) & (sums[u] == sums[v]).all(axis=1))[0]

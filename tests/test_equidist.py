@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sidonbasis import cli, equidist
+from sidonbasis import cli, equidist, unitgroup
 from sidonbasis.cli import EXIT_INTERNAL_ERROR, main
 from sidonbasis.equidist import (
     _distinct_triples,
@@ -75,7 +75,7 @@ def test_residue_table_refused_before_allocating(monkeypatch, capsys):
     def no_map(*args, **kwargs):
         raise RuntimeError("map_codes ran")
 
-    monkeypatch.setattr(equidist, "map_codes", no_map)
+    monkeypatch.setattr(unitgroup, "map_codes", no_map)
     with pytest.raises(ValueError, match="ENUM_CAP"):
         triple_histogram(Q3, 5, poly_from_string(Q3, g))
     assert main(["equidist", "--q", "3", "--d", "5", "--g", g, "--out", "-"]) == 2
@@ -221,11 +221,30 @@ def shifted_copy_triples(points, shape):
 )
 def test_fft_triples_match_shifted_copies(d, g, units):
     g = poly_from_string(Q3, g)
-    shape, coords = _exponent_coordinates(g)
+    generators, coords = _exponent_coordinates(g)
+    shape = tuple(gen.order for gen in generators)
     member = coords[[poly_mod(f, g).code for f in enumerate_irreducibles(Q3, d)]]
     points = member[(member >= 0).all(axis=1)]
     assert len(points) == units
     assert np.array_equal(_distinct_triples(points, shape), shifted_copy_triples(points, shape))
+
+
+def test_tower_e_digits_are_equidist_coordinates(seq307):
+    # the desk build's level 3 e digits are the exponent coordinates of
+    # its 18 members mod G_3 = g_1 g_2 g_3: factor_squarefree_poly returns
+    # g_1..g_3 in order and find_generator picks the same omega_i, so the
+    # tower's triple count is triple_histogram's, class by class
+    moduli = seq307.moduli
+    g3 = poly_mul(poly_mul(moduli.g(1), moduli.g(2)), moduli.g(3))
+    assert poly_to_string(g3) == "t+t^2+t^3+t^4+2*t^5+t^6+2*t^7+t^9"
+    generators, coords = _exponent_coordinates(g3)
+    assert generators == moduli.generators[:3]
+    (level,) = [level for level in seq307.levels if level.k == 3]
+    report = triple_histogram(Q3, 4, g3)
+    assert len(report.units) == 12584 and report.nonunit_total == 0
+    assert report.counts.sum() == math.comb(len(level), 3) == 816
+    tower = _distinct_triples(level.e, (2, 26, 242))
+    assert np.array_equal(tower[tuple(coords[report.units].T)], report.counts)
 
 
 def test_roundoff_bound_refuses_before_transforms(monkeypatch, tmp_path, capsys):
@@ -275,14 +294,14 @@ def test_deviation_report_quadratic_d3():
     assert dev.phi_g == 8
     assert dev.binom == 56
     assert dev.expected == Fraction(56, 8) == Fraction(7)
-    assert dev.normalizer == 3 ** Fraction(9 - 2, 2)
+    normalizer = math.sqrt(3 ** (3 * 3 - 2))  # q^{(3d - deg g)/2}
     assert dev.conservation_ok and dev.nonunit_total == 0
     assert dev.codes.tolist() == list(range(1, 9)) and len(dev.count_row) == 8
     assert dev.distinct_counts.tolist() == [6, 7, 8]
     for count, deviation, ratio in zip(dev.distinct_counts, dev.count_deviations, dev.count_ratios):
         assert deviation == count - 7
-        assert ratio == pytest.approx(abs(deviation) / dev.normalizer)
-    assert dev.max_ratio == pytest.approx(1 / dev.normalizer)  # counts hit 6 and 8
+        assert ratio == pytest.approx(abs(deviation) / normalizer)
+    assert dev.max_ratio == pytest.approx(1 / normalizer)  # counts hit 6 and 8
     assert dev.max_ratio == pytest.approx(0.0214, abs=2e-4)
     assert dev.chi2 == pytest.approx(2 / 7, abs=1e-9)
     assert dev.mean_ratio <= dev.max_ratio

@@ -89,26 +89,25 @@ def _scopes(tree: ast.Module):
             yield node, {getattr(node, "name", None)}
 
 
-def _names_read(tree: ast.Module) -> set[str]:
-    """The names that tree reads outside the definition they name: every
-    Name it loads and every attribute it takes, except those inside a
-    module-level function, class or method of the same name (_scopes),
-    and the original name of each from-import whose binding it reads."""
-    read = set()
+def _names_read(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names, attributes) that tree reads outside the definition they
+    name: every Name it loads, with the original name of each from-import
+    whose binding it reads, and every attribute it loads, except those
+    inside a module-level function, class or method of the same name
+    (_scopes)."""
+    names, attrs = set(), set()
     for node, own in _scopes(tree):
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            else:
+            if not isinstance(getattr(sub, "ctx", None), ast.Load):
                 continue
-            if name not in own:
-                read.add(name)
+            if isinstance(sub, ast.Name) and sub.id not in own:
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and sub.attr not in own:
+                attrs.add(sub.attr)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names if (alias.asname or alias.name) in read)
-    return read
+            names.update(alias.name for alias in node.names if (alias.asname or alias.name) in names)
+    return names, attrs
 
 
 def _public_definitions(tree: ast.Module):
@@ -133,15 +132,21 @@ def _public_definitions(tree: ast.Module):
 
 def _unread_publics(modules: dict[str, ast.Module], readers: list[ast.Module], kept=frozenset()) -> list[str]:
     """The public definitions of modules (name -> tree; see
-    _public_definitions) whose name no tree of readers reads outside a
+    _public_definitions) that no tree of readers reads outside a
     definition of that name (_names_read), less those whose name or label
-    is in kept."""
-    read = set().union(*map(_names_read, readers))
+    is in kept. A module-level function or class is read by its Name or
+    as an attribute; a method or field of a class only as an attribute,
+    so a local variable of the same name does not stand in for it."""
+    names, attrs = set(), set()
+    for tree in readers:
+        tree_names, tree_attrs = _names_read(tree)
+        names |= tree_names
+        attrs |= tree_attrs
     return [
         f"{module} line {line}: {label}"
         for module, tree in modules.items()
         for line, label, name in _public_definitions(tree)
-        if name not in read and not {name, label} & kept
+        if name not in (attrs if "." in label else names | attrs) and not {name, label} & kept
     ]
 
 
@@ -160,19 +165,26 @@ def test_test_only_public_check_flags_and_passes():
     lib = ast.parse(
         "def a(): return a()\ndef b(): pass\nclass C: pass\ndef _d(): pass\n"
         "def e(): pass\ndef f(): pass\nclass G:\n    def h(self): return G\n"
-        "class H:\n    u: int\n    v: int = 0\n    _w: int\n"
-        "    def m(self): return self.m()\n    def n(self): return self.u\nx = b\n"
+        "class H:\n    u: int\n    v: int = 0\n    _w: int\n    t: int\n"
+        "    def m(self): return self.m()\n    def n(self):\n        t = self.u\n        return t\nx = b\n"
     )
     user = ast.parse("from lib import e as e2, f\nimport lib\nlib.C\ne2()\nlib.H().n()\n")
-    # a method read only by itself (H.m) and a field nothing reads (H.v)
-    # are flagged; a field read by a method of its class (H.u) is not
+    # a method read only by itself (H.m), a field nothing reads (H.v) and
+    # a field whose name only a local variable reads (H.t) are flagged; a
+    # field read by a method of its class (H.u) is not
     assert _unread_publics({"lib.py": lib}, [lib, user]) == [
         "lib.py line 1: a",
         "lib.py line 6: f",
         "lib.py line 7: G",
         "lib.py line 8: G.h",
         "lib.py line 11: H.v",
-        "lib.py line 13: H.m",
+        "lib.py line 13: H.t",
+        "lib.py line 14: H.m",
     ]
     kept = frozenset({"a", "G", "H.v"})
-    assert _unread_publics({"lib.py": lib}, [lib, user], kept) == ["lib.py line 6: f", "lib.py line 8: G.h", "lib.py line 13: H.m"]
+    assert _unread_publics({"lib.py": lib}, [lib, user], kept) == [
+        "lib.py line 6: f",
+        "lib.py line 8: G.h",
+        "lib.py line 13: H.t",
+        "lib.py line 14: H.m",
+    ]
